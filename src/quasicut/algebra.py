@@ -14,10 +14,11 @@ Conventions used throughout the package:
   arrays; an imaginary residue above 1e-10 means the map is not
   Hermiticity-preserving and is rejected.
 
-States come in two dense forms: a pure vector with an explicit squared-norm
-tracker (used on sampling paths, where projections keep purity) and a density
-matrix (the verification form). A zero state is a legal sentinel: it stands
-for a discarded branch and contributes 0 to every expectation value.
+States are dense pure vectors: every realization program maps a pure state
+to a pure state (projections renormalize), and mixtures arise only as
+averages over samples, which verification forms from ``density_matrix()``.
+A zero state is a legal sentinel: it stands for a discarded branch and
+contributes 0 to every expectation value.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ PAULIS = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
 for _p in PAULIS:
     _p.setflags(write=False)
 
-_HERMITICITY_TOL = 1e-12
-_NORM_TOL = 1e-12
 _PTM_IMAG_TOL = 1e-10
 
 
@@ -64,106 +63,42 @@ def pauli_basis(num_qubits: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Dense n-qubit state: pure vector, density matrix, or zero sentinel.
-
-    Exactly one of ``vector`` / ``rho`` is set (the zero sentinel uses the
-    vector form filled with zeros). ``norm_sq`` tracks the squared norm of
-    the pure form and must agree with the stored vector to 1e-12.
-    """
+    """Dense n-qubit pure state vector, or the all-zero discard sentinel."""
 
     num_qubits: int
-    vector: np.ndarray | None
-    rho: np.ndarray | None
-    norm_sq: float
+    vector: np.ndarray
     zero: bool
 
     def __post_init__(self) -> None:
         dim = 2**self.num_qubits
-        if (self.vector is None) == (self.rho is None):
-            raise ValueError("exactly one of vector/rho must be set")
-        if self.vector is not None:
-            if self.vector.shape != (dim,):
-                raise ValueError(f"vector shape {self.vector.shape}, expected ({dim},)")
-            if not np.isfinite(self.vector).all():
-                raise ValueError("non-finite state entries")
-            actual = float(np.real(np.vdot(self.vector, self.vector)))
-            if abs(actual - self.norm_sq) > _NORM_TOL:
-                raise ValueError(
-                    f"norm tracker {self.norm_sq} disagrees with vector norm {actual}"
-                )
-            if self.zero and actual != 0.0:
-                raise ValueError("zero flag set on a nonzero vector")
-        else:
-            rho = self.rho
-            if rho.shape != (dim, dim):
-                raise ValueError(f"rho shape {rho.shape}, expected ({dim},{dim})")
-            if not np.isfinite(rho).all():
-                raise ValueError("non-finite density entries")
-            if np.max(np.abs(rho - rho.conj().T)) > _HERMITICITY_TOL:
-                raise ValueError("density matrix not Hermitian within 1e-12")
-            tr = np.trace(rho)
-            if abs(tr.imag) > _HERMITICITY_TOL or not -_NORM_TOL <= tr.real <= 1.0 + _NORM_TOL:
-                raise ValueError(f"density trace {tr} outside [0, 1]")
-            if self.zero and np.max(np.abs(rho)) != 0.0:
-                raise ValueError("zero flag set on a nonzero density")
+        if self.vector.shape != (dim,):
+            raise ValueError(f"vector shape {self.vector.shape}, expected ({dim},)")
+        if not np.isfinite(self.vector).all():
+            raise ValueError("non-finite state entries")
+        if self.zero and np.any(self.vector):
+            raise ValueError("zero flag set on a nonzero vector")
 
     @classmethod
     def pure(cls, vector: np.ndarray) -> QuantumState:
         vec = np.asarray(vector, dtype=complex)
-        n = _qubits_of(vec.shape[0])
-        nsq = float(np.real(np.vdot(vec, vec)))
-        return cls(num_qubits=n, vector=vec, rho=None, norm_sq=nsq, zero=nsq == 0.0)
-
-    @classmethod
-    def density(cls, rho: np.ndarray) -> QuantumState:
-        mat = np.asarray(rho, dtype=complex)
-        n = _qubits_of(mat.shape[0])
-        zero = bool(np.max(np.abs(mat)) == 0.0) if mat.size else True
-        return cls(num_qubits=n, vector=None, rho=mat, norm_sq=0.0, zero=zero)
+        dim = vec.shape[0]
+        n = int(dim).bit_length() - 1
+        if dim < 2 or 2**n != dim:
+            raise ValueError(f"dimension {dim} is not a power of two")
+        return cls(num_qubits=n, vector=vec, zero=not np.any(vec))
 
     @classmethod
     def zero_state(cls, num_qubits: int) -> QuantumState:
         """The discard sentinel: all entries zero."""
-        vec = np.zeros(2**num_qubits, dtype=complex)
-        return cls(num_qubits=num_qubits, vector=vec, rho=None, norm_sq=0.0, zero=True)
-
-    @property
-    def is_pure(self) -> bool:
-        return self.vector is not None
+        return cls(num_qubits=num_qubits, vector=np.zeros(2**num_qubits, dtype=complex), zero=True)
 
     def density_matrix(self) -> np.ndarray:
-        """The state as a density matrix (outer product for pure form)."""
-        if self.rho is not None:
-            return self.rho
+        """The state's outer product |psi><psi|."""
         return np.outer(self.vector, self.vector.conj())
-
-    def to_density(self) -> QuantumState:
-        return QuantumState.density(self.density_matrix())
-
-    def as_pure(self) -> QuantumState:
-        """Recover a pure vector from a rank-1 density (top eigenvector).
-
-        Round-trips pure -> density -> pure up to global phase within 1e-12.
-        """
-        if self.vector is not None:
-            return self
-        if self.zero:
-            return QuantumState.zero_state(self.num_qubits)
-        evals, evecs = np.linalg.eigh(self.rho)
-        if evals[:-1].max(initial=0.0) > 1e-10:
-            raise ValueError("density matrix is not rank one")
-        return QuantumState.pure(evecs[:, -1] * np.sqrt(evals[-1]))
-
-
-def _qubits_of(dim: int) -> int:
-    n = int(dim).bit_length() - 1
-    if dim < 2 or 2**n != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    return n
 
 
 def expectation(state: QuantumState, operator: np.ndarray) -> float:
-    """Tr[O rho] for a Hermitian operator, as a real number.
+    """<psi|O|psi> for a Hermitian operator, as a real number.
 
     Zero states give exactly 0. A residual imaginary part above 1e-10 means
     the operator was not Hermitian and raises.
@@ -173,10 +108,7 @@ def expectation(state: QuantumState, operator: np.ndarray) -> float:
     dim = 2**state.num_qubits
     if operator.shape != (dim, dim):
         raise ValueError(f"operator shape {operator.shape} does not match {dim}")
-    if state.vector is not None:
-        val = complex(np.vdot(state.vector, operator @ state.vector))
-    else:
-        val = complex(np.trace(operator @ state.rho))
+    val = complex(np.vdot(state.vector, operator @ state.vector))
     if abs(val.imag) > _PTM_IMAG_TOL * max(1.0, abs(val.real)):
         raise ValueError(f"expectation has imaginary residue {val.imag}")
     return val.real

@@ -22,14 +22,14 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from math import pi, sin
+from math import pi
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .canonical import ThetaVector, pauli_coefficients
 from .circuit import gate_based_cost
-from .decomposition import weight_formula
+from .decomposition import legacy_cost, weight_formula
 
 
 @dataclass(frozen=True)
@@ -56,15 +56,12 @@ def compare_costs(theta: ThetaVector | tuple[float, float, float]) -> SweepRow:
     """W, legacy, and G at one point."""
     t = ThetaVector.coerce(theta)
     u = pauli_coefficients(t)
-    legacy = 1.0
-    for angle in t:
-        legacy *= 1.0 + 2.0 * abs(sin(2.0 * angle))
     return SweepRow(
         theta1=t.theta1,
         theta2=t.theta2,
         theta3=t.theta3,
         w=weight_formula(u),
-        legacy=legacy,
+        legacy=legacy_cost(t),
         g=gate_based_cost(u),
     )
 

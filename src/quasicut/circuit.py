@@ -24,8 +24,9 @@ JSON formats (all documents carry "format": 1):
                   {"type": "raw1q", "q": 2, "matrix": [[[re, im], ...], ...]}]}
     observable: {"format": 1, "terms": [{"coeff": 1.0, "pauli": "ZZI"}]}
 
-Structural problems raise FormatError; semantically invalid values (bad qubit
-index, non-unit axis, too many qubits) raise ValueError.
+Structural problems, a value of the wrong JSON type among them, raise
+FormatError; semantically invalid values (bad qubit index, non-unit axis, too
+many qubits) raise ValueError.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from .canonical import PauliCoeffs, ThetaVector, canonical_unitary, pauli_coeffi
 MAX_QUBITS = 12
 _AXIS_TOL = 1e-12
 _UNITARITY_TOL = 1e-10
+
+_NUMBER = (int, float)
 
 _PAULI_BY_CHAR = {"I": None, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
@@ -374,7 +377,7 @@ def circuit_to_doc(circuit: Circuit) -> dict:
 def circuit_from_doc(doc: dict) -> Circuit:
     _require_format(doc)
     try:
-        num_qubits = int(doc["qubits"])
+        num_qubits = _typed(doc["qubits"], int, "qubits")
         raw_gates = list(doc["gates"])
     except (KeyError, TypeError) as exc:
         raise FormatError(f"circuit document missing field: {exc}") from exc
@@ -384,21 +387,25 @@ def circuit_from_doc(doc: dict) -> Circuit:
             kind = entry["type"]
             if kind == "single":
                 gates.append(
-                    SingleGate(int(entry["q"]), tuple(entry["axis"]), float(entry["theta"]))
+                    SingleGate(
+                        _typed(entry["q"], int, "q"),
+                        tuple(_typed(x, _NUMBER, "axis") for x in entry["axis"]),
+                        float(_typed(entry["theta"], _NUMBER, "theta")),
+                    )
                 )
             elif kind == "canonical":
                 gates.append(
                     CanonicalGate(
-                        tuple(entry["qs"]),
-                        ThetaVector.coerce(entry["theta"]),
-                        bool(entry.get("cut", False)),
+                        tuple(_typed(q, int, "qs") for q in entry["qs"]),
+                        ThetaVector.coerce([_typed(t, _NUMBER, "theta") for t in entry["theta"]]),
+                        _typed(entry.get("cut", False), bool, "cut"),
                     )
                 )
             elif kind == "raw1q":
                 matrix = np.array(
                     [[complex(re, im) for re, im in row] for row in entry["matrix"]]
                 )
-                gates.append(Raw1QGate(int(entry["q"]), matrix))
+                gates.append(Raw1QGate(_typed(entry["q"], int, "q"), matrix))
             else:
                 raise FormatError(f"unknown gate type {kind!r}")
         except (KeyError, TypeError, IndexError) as exc:
@@ -416,7 +423,9 @@ def observable_to_doc(observable: Observable) -> dict:
 def observable_from_doc(doc: dict) -> Observable:
     _require_format(doc)
     try:
-        terms = tuple((float(t["coeff"]), str(t["pauli"])) for t in doc["terms"])
+        terms = tuple(
+            (float(_typed(t["coeff"], _NUMBER, "coeff")), str(t["pauli"])) for t in doc["terms"]
+        )
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed observable document: {exc}") from exc
     return Observable(terms)
@@ -427,3 +436,10 @@ def _require_format(doc: dict) -> None:
         raise FormatError("document must be a JSON object")
     if doc.get("format") != 1:
         raise FormatError(f"unsupported document format {doc.get('format')!r}")
+
+
+def _typed(value, kind, field: str):
+    """``value`` if its JSON type is ``kind``: never truncated or converted."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise FormatError(f"{field} has the wrong JSON type: {value!r}")
+    return value

@@ -62,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--delta", type=float, default=None)
     p_est.add_argument("--seed", type=int, default=None)
     p_est.add_argument("--mode", choices=["exact", "sample"], default="exact")
-    p_est.add_argument("--threads", type=int, default=1)
     p_est.add_argument("--output", help="write JSON here instead of stdout")
 
     p_plan = sub.add_parser("plan", help="Hoeffding shot count")
@@ -164,12 +163,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         observable = observable_from_doc(json.load(handle))
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("QUASICUT_SEED", "0"))
+        text = os.environ.get("QUASICUT_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError as exc:
+            raise FormatError(f"QUASICUT_SEED must be an integer, got {text!r}") from exc
     mode = MeasureMode.EXACT_TRACE if args.mode == "exact" else MeasureMode.EIGENVALUE_SAMPLE
     config = EstimatorConfig(
         shots=args.shots, epsilon=args.epsilon, delta=args.delta, seed=seed, mode=mode
     )
-    result = estimate(circuit, observable, config, threads=args.threads)
+    result = estimate(circuit, observable, config)
     doc = result.to_doc()
     doc["exact"] = exact_expectation(circuit, observable)
     _emit(_json_text(doc), args.output)

@@ -186,10 +186,8 @@ def legacy_decompose(theta: ThetaVector | Iterable[float]) -> tuple[QPDecomposit
     prod_k (1 + 2 |sin 2 t_k|). Never below the direct construction's weight.
     """
     t = ThetaVector.coerce(theta)
-    cost = 1.0
     result: QPDecomposition | None = None
     for k, angle in enumerate(t, start=1):
-        cost *= 1.0 + 2.0 * abs(sin(2.0 * angle))
         if angle == 0.0:
             continue
         single_axis = [0.0, 0.0, 0.0]
@@ -198,7 +196,15 @@ def legacy_decompose(theta: ThetaVector | Iterable[float]) -> tuple[QPDecomposit
         result = factor if result is None else compose(factor, result)
     if result is None:
         result = decompose(pauli_coefficients((0.0, 0.0, 0.0)))
-    return result, cost
+    return result, legacy_cost(t)
+
+
+def legacy_cost(theta: ThetaVector | Iterable[float]) -> float:
+    """prod_k (1 + 2 |sin 2 t_k|), the cost of decomposing each factor alone."""
+    cost = 1.0
+    for angle in ThetaVector.coerce(theta):
+        cost *= 1.0 + 2.0 * abs(sin(2.0 * angle))
+    return cost
 
 
 def _coerce_coeffs(u: PauliCoeffs | Iterable[complex]) -> PauliCoeffs:

@@ -33,8 +33,8 @@ The programs (sigma_a sigma_a' = i eps sigma_a'', eps the Levi-Civita sign):
 
 Every program has total quasiprobability mass exactly 1: averaging
 weight x (post state) over the program's randomness reproduces the channel.
-A zero-probability branch with weight 0 yields the zero state, the sentinel
-for a discarded sample.
+``run_program`` is their only interpreter, for the sampler and ``realize``
+alike; a weight-0 outcome discards the sample.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from math import sqrt
 import numpy as np
 
 from .algebra import PAULIS, QuantumState, ptm_from_action
+from .circuit import apply_1q
 
 _PHASE_TOL = 1e-12
 
@@ -259,13 +260,48 @@ def _build_program(channel: BasisChannelId) -> tuple[RealizationStep, ...]:
     return (SignedMeasurement(axis, 1.0, -1.0), Unitary(PAULIS[a]))
 
 
+def run_program(
+    psi: np.ndarray, program, qubit: int, num_qubits: int, rng
+) -> tuple[np.ndarray | None, complex]:
+    """Run one sample of ``program`` on qubit ``qubit`` of a pure statevector.
+
+    Each coin and measurement takes one ``rng.random()`` draw in [0, 1);
+    measurements renormalize. Returns (post state, weight), or (None, 0) when
+    a weight-0 outcome discards the sample.
+    """
+    weight = 1.0 + 0.0j
+    for step in program:
+        if isinstance(step, Unitary):
+            psi = apply_1q(psi, step.matrix, qubit, num_qubits)
+        elif isinstance(step, Coin):
+            # the last branch also absorbs rounding in the probability sum
+            draw = rng.random()
+            for branch in step.branches:
+                draw -= branch.probability
+                if draw < 0.0:
+                    break
+            weight *= branch.sign
+            for sub in branch.steps:
+                psi = apply_1q(psi, sub.matrix, qubit, num_qubits)
+        else:
+            projected = apply_1q(psi, step.projector_matrix, qubit, num_qubits)
+            p_plus = float(np.real(np.vdot(projected, projected)))
+            plus = rng.random() < p_plus
+            c = complex(step.c_plus if plus else step.c_minus)
+            if c == 0.0:
+                return None, 0.0j
+            psi = projected / sqrt(p_plus) if plus else (psi - projected) / sqrt(1.0 - p_plus)
+            weight *= c
+    return psi, weight
+
+
 def realize(channel: BasisChannelId, state: QuantumState, rng) -> RealizationOutcome:
     """Run one sample of the channel's program on a single-qubit state.
 
     ``rng`` needs a ``random()`` method returning uniforms in [0, 1). The
-    output state stays normalized (pure inputs stay pure); averaging
-    weight x density over many runs converges to the channel's exact action.
-    Zero states pass through unchanged with weight 1.
+    output state stays normalized; averaging weight x |psi><psi| over many
+    runs converges to the channel's exact action on the input's density
+    matrix. Zero states pass through unchanged with weight 1.
 
     Args:
         channel: which basis channel to realize.
@@ -274,70 +310,17 @@ def realize(channel: BasisChannelId, state: QuantumState, rng) -> RealizationOut
 
     Returns:
         RealizationOutcome with the post state and the accumulated weight
-        (unit modulus, or 0 if a weight-0 outcome was drawn).
+        (unit modulus, or 0 with the zero state if a weight-0 outcome was
+        drawn).
     """
     if state.num_qubits != 1:
         raise ValueError("realize acts on single-qubit states")
     if state.zero:
         return RealizationOutcome(state, 1.0 + 0.0j)
-    weight = 1.0 + 0.0j
-    pure = state.is_pure
-    payload = state.vector if pure else state.rho
-    for step in realization_program(channel):
-        if isinstance(step, Coin):
-            draw = rng.random()
-            acc = 0.0
-            branch = step.branches[-1]
-            for candidate in step.branches:
-                acc += candidate.probability
-                if draw < acc:
-                    branch = candidate
-                    break
-            weight *= branch.sign
-            for sub in branch.steps:
-                payload = _apply_unitary(sub.matrix, payload, pure)
-        elif isinstance(step, Unitary):
-            payload = _apply_unitary(step.matrix, payload, pure)
-        else:
-            payload, c = _apply_measurement(step, payload, pure, rng)
-            if payload is None:
-                # weight-0 outcome: the sample is discarded via the zero sentinel
-                return RealizationOutcome(QuantumState.zero_state(1), 0.0 + 0.0j)
-            weight *= c
-    if pure:
-        out = QuantumState(num_qubits=1, vector=payload, rho=None, norm_sq=1.0, zero=False)
-    else:
-        out = QuantumState.density(payload)
-    return RealizationOutcome(out, weight)
-
-
-def _apply_unitary(u: np.ndarray, payload: np.ndarray, pure: bool) -> np.ndarray:
-    if pure:
-        return u @ payload
-    return u @ payload @ u.conj().T
-
-
-def _apply_measurement(
-    step: SignedMeasurement, payload: np.ndarray, pure: bool, rng
-) -> tuple[np.ndarray | None, complex]:
-    pi_plus = step.projector_matrix
-    if pure:
-        projected = pi_plus @ payload
-        p_plus = float(np.real(np.vdot(projected, projected)))
-    else:
-        p_plus = float(np.real(np.trace(pi_plus @ payload)))
-    plus = rng.random() < p_plus
-    c = complex(step.c_plus if plus else step.c_minus)
-    if c == 0.0:
-        return None, c
-    if plus:
-        if pure:
-            return projected / np.sqrt(p_plus), c
-        return pi_plus @ payload @ pi_plus / p_plus, c
-    pi_minus = np.eye(2, dtype=complex) - pi_plus
-    if pure:
-        return (pi_minus @ payload) / np.sqrt(1.0 - p_plus), c
-    return pi_minus @ payload @ pi_minus / (1.0 - p_plus), c
+    psi, weight = run_program(state.vector, realization_program(channel), 0, 1, rng)
+    if psi is None:
+        return RealizationOutcome(QuantumState.zero_state(1), weight)
+    return RealizationOutcome(QuantumState(num_qubits=1, vector=psi, zero=False), weight)
 
 
 def check_basis_completeness() -> bool:

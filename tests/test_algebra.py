@@ -66,56 +66,20 @@ def test_pauli_basis_two_qubits():
         np.testing.assert_allclose(m, m.conj().T, atol=0)
 
 
-def test_pure_state_roundtrip_up_to_phase():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        state = QuantumState.pure(v)
-        back = state.to_density().as_pure()
-        overlap = abs(np.vdot(back.vector, v))
-        assert abs(overlap - 1.0) < 1e-10
-
-
-def test_as_pure_rejects_mixed_states():
-    mixed = QuantumState.density(0.5 * np.eye(2, dtype=complex))
-    with pytest.raises(ValueError):
-        mixed.as_pure()
-
-
 def test_zero_state_sentinel():
     z = QuantumState.zero_state(2)
-    assert z.zero and z.is_pure and z.norm_sq == 0.0
-    assert z.to_density().zero
-    assert z.to_density().as_pure().zero
+    assert z.zero and z.vector.shape == (4,) and not z.vector.any()
+    assert QuantumState.pure(np.zeros(4)).zero
 
 
 def test_state_validation_rejects_bad_input():
+    # the zero flag must agree with the stored vector
     with pytest.raises(ValueError):
-        QuantumState(num_qubits=1, vector=None, rho=None, norm_sq=1.0, zero=False)
+        QuantumState(num_qubits=1, vector=np.array([1.0, 0.0], dtype=complex), zero=True)
     with pytest.raises(ValueError):
-        QuantumState(
-            num_qubits=1,
-            vector=np.array([1.0, 0.0], dtype=complex),
-            rho=np.eye(2, dtype=complex),
-            norm_sq=1.0,
-            zero=False,
-        )
-    # norm tracker must agree with the stored vector
-    with pytest.raises(ValueError):
-        QuantumState(
-            num_qubits=1,
-            vector=np.array([1.0, 0.0], dtype=complex),
-            rho=None,
-            norm_sq=0.5,
-            zero=False,
-        )
+        QuantumState(num_qubits=2, vector=np.array([1.0, 0.0], dtype=complex), zero=False)
     with pytest.raises(ValueError):
         QuantumState.pure(np.array([np.nan, 0.0]))
-    with pytest.raises(ValueError):
-        QuantumState.density(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-    with pytest.raises(ValueError):
-        QuantumState.density(2.0 * np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
         QuantumState.pure(np.array([1.0, 0.0, 0.0]))
 
@@ -127,11 +91,6 @@ def test_expectation_basics():
     zero_ket = QuantumState.pure(np.array([1.0, 0.0]))
     assert abs(expectation(zero_ket, SIGMA_Z) - 1.0) < 1e-12
     assert expectation(QuantumState.zero_state(1), SIGMA_Z) == 0.0
-
-
-def test_expectation_on_density_form():
-    rho = 0.5 * np.eye(2, dtype=complex)
-    assert abs(expectation(QuantumState.density(rho), SIGMA_Z)) < 1e-12
 
 
 def test_expectation_rejects_imaginary_trace():

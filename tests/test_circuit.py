@@ -242,6 +242,42 @@ def test_docs_reject_bad_format():
         observable_from_doc([1, 2, 3])
 
 
+def _single(**fields):
+    gate = {"type": "single", "q": 0, "axis": [0, 1, 0], "theta": 0.1}
+    gate.update(fields)
+    return {"format": 1, "qubits": 2, "gates": [gate]}
+
+
+def _canonical(**fields):
+    gate = {"type": "canonical", "qs": [0, 1], "theta": [0.1, 0.0, 0.0], "cut": True}
+    gate.update(fields)
+    return {"format": 1, "qubits": 2, "gates": [gate]}
+
+
+@pytest.mark.parametrize(
+    "parse, doc",
+    [
+        (circuit_from_doc, _canonical(cut="false")),
+        (circuit_from_doc, _canonical(cut=0)),
+        (circuit_from_doc, _canonical(qs=[0, 1.9])),
+        (circuit_from_doc, _canonical(qs=[False, True])),
+        (circuit_from_doc, _canonical(theta=["0.1", 0.0, 0.0])),
+        (circuit_from_doc, _single(q=1.7)),
+        (circuit_from_doc, _single(q=True)),
+        (circuit_from_doc, _single(theta="0.1")),
+        (circuit_from_doc, _single(axis=["0", "1", "0"])),
+        (circuit_from_doc, {"format": 1, "qubits": 2.9, "gates": []}),
+        (circuit_from_doc, {"format": 1, "qubits": "2", "gates": []}),
+        (observable_from_doc, {"format": 1, "terms": [{"coeff": "1.5", "pauli": "Z"}]}),
+        (observable_from_doc, {"format": 1, "terms": [{"coeff": True, "pauli": "Z"}]}),
+    ],
+)
+def test_docs_reject_mistyped_values(parse, doc):
+    """Wrong JSON types are malformed input, never coerced."""
+    with pytest.raises(FormatError):
+        parse(doc)
+
+
 def test_docs_semantic_errors_are_value_errors():
     # structurally fine, semantically impossible: exit-code boundary cases
     doc = {

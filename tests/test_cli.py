@@ -123,8 +123,6 @@ def test_estimate_output_is_deterministic(tmp_path, capsys):
     first = run_cli(capsys, *argv)
     second = run_cli(capsys, *argv)
     assert first == second == (0, first[1], "")
-    multi = run_cli(capsys, *argv, "--threads", "4")
-    assert multi[1] == first[1]
 
 
 def test_estimate_seed_from_environment(tmp_path, capsys, monkeypatch):
@@ -137,6 +135,16 @@ def test_estimate_seed_from_environment(tmp_path, capsys, monkeypatch):
     # an explicit flag wins over the environment
     flag_doc = json.loads(run_cli(capsys, *argv, "--seed", "2")[1])
     assert flag_doc["seed"] == 2
+
+
+def test_estimate_malformed_seed_environment_exits_2(tmp_path, capsys, monkeypatch):
+    circuit = write_json(tmp_path / "c.json", CIRCUIT_DOC)
+    observable = write_json(tmp_path / "o.json", OBSERVABLE_DOC)
+    monkeypatch.setenv("QUASICUT_SEED", "abc")
+    code, _, err = run_cli(
+        capsys, "estimate", "--circuit", circuit, "--observable", observable, "--shots", "10"
+    )
+    assert code == 2 and "QUASICUT_SEED" in err
 
 
 def test_estimate_accuracy_target(tmp_path, capsys):
@@ -170,6 +178,15 @@ def test_estimate_exit_codes(tmp_path, capsys):
     )
     code, _, _ = run_cli(
         capsys, "estimate", "--circuit", unknown, "--observable", observable,
+        "--shots", "10",
+    )
+    assert code == 2
+
+    string_cut = json.loads(json.dumps(CIRCUIT_DOC))
+    string_cut["gates"][-1]["cut"] = "false"
+    mistyped = write_json(tmp_path / "t.json", string_cut)
+    code, _, _ = run_cli(
+        capsys, "estimate", "--circuit", mistyped, "--observable", observable,
         "--shots", "10",
     )
     assert code == 2

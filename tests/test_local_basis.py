@@ -277,13 +277,6 @@ def test_realize_passes_zero_state_through():
     assert out.state.zero and out.weight == 1.0 + 0.0j
 
 
-def test_realize_accepts_density_input():
-    rho = 0.5 * np.eye(2, dtype=complex)
-    out = realize(pauli_channel(1), QuantumState.density(rho), FixedDraws([]))
-    assert not out.state.is_pure
-    np.testing.assert_allclose(out.state.rho, rho, atol=1e-15)
-
-
 def test_realize_rejects_multi_qubit_states():
     with pytest.raises(ValueError):
         realize(pauli_channel(0), QuantumState.pure(np.eye(4)[0]), FixedDraws([]))

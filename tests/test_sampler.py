@@ -12,13 +12,12 @@ from quasicut.circuit import (
     exact_expectation,
 )
 from quasicut.decomposition import decompose
-from quasicut.local_basis import ChannelKind, SignedMeasurement
+from quasicut.local_basis import ChannelKind, SignedMeasurement, run_program
 from quasicut.sampler import (
     EstimatorConfig,
     EstimatorResult,
     MeasureMode,
     ShotStream,
-    _run_program,
     estimate,
     plan_shots,
     run_shot,
@@ -77,6 +76,28 @@ def test_stream_is_roughly_uniform():
     assert draws.min() >= 0.0 and draws.max() < 1.0
     assert abs(draws.mean() - 0.5) < 0.02
     assert abs(np.mean(draws < 0.25) - 0.25) < 0.02
+
+
+def _unshift_right(y: int, k: int) -> int:
+    """Invert y = x ^ (x >> k) on 64-bit words."""
+    x = y
+    for _ in range(64 // k + 1):
+        x = y ^ (x >> k)
+    return x
+
+
+def test_stream_random_stays_below_one():
+    # walk the SplitMix64 finalizer back from the largest output, 2**64 - 1,
+    # whose quotient by 2**64 rounds to 1.0 in double precision
+    mask = (1 << 64) - 1
+    z = _unshift_right(mask, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask
+    z = _unshift_right(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
+    z = _unshift_right(z, 30)
+    stream = ShotStream(0, 0)
+    stream._z = (z - ShotStream._GAMMA) & mask
+    assert stream.random() < 1.0
 
 
 # --- shot planning ----------------------------------------------------------
@@ -199,7 +220,7 @@ def test_zero_weight_branches_zero_the_shot(monkeypatch):
 def test_run_program_zero_weight_contract():
     program = (SignedMeasurement((0.0, 0.0, 1.0), 1.0, 0.0),)
     psi = np.array([0.0, 1.0], dtype=complex)  # orthogonal to the projector
-    out, weight = _run_program(psi, program, 0, 1, ShotStream(0, 0))
+    out, weight = run_program(psi, program, 0, 1, ShotStream(0, 0))
     assert out is None and weight == 0.0j
 
 
@@ -227,13 +248,6 @@ def test_estimate_is_deterministic_in_the_seed():
     assert estimate(circuit, ZZ, cfg).to_doc() == estimate(circuit, ZZ, cfg).to_doc()
     other = estimate(circuit, ZZ, EstimatorConfig(shots=500, seed=10))
     assert other.mean != estimate(circuit, ZZ, cfg).mean
-
-
-def test_estimate_is_thread_invariant():
-    circuit = bell_cut()
-    cfg = EstimatorConfig(shots=3001, seed=4, mode=MeasureMode.EIGENVALUE_SAMPLE)
-    docs = {t: estimate(circuit, ZZ, cfg, threads=t).to_doc() for t in (1, 2, 8)}
-    assert docs[1] == docs[2] == docs[8]
 
 
 def test_estimate_plans_shots_from_accuracy_target():
