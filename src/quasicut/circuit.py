@@ -211,12 +211,14 @@ def apply_2q(
     """Apply a 4x4 matrix to (qubit_a, qubit_b), in that factor order."""
     if num_qubits == 2 and (qubit_a, qubit_b) == (0, 1):
         return u4 @ psi
-    tensor = psi.reshape([2] * num_qubits)
-    tensor = np.moveaxis(tensor, (qubit_a, qubit_b), (0, 1))
-    rest = tensor.shape[2:]
-    tensor = (u4 @ tensor.reshape(4, -1)).reshape((2, 2) + rest)
-    tensor = np.moveaxis(tensor, (0, 1), (qubit_a, qubit_b))
-    return np.ascontiguousarray(tensor).reshape(psi.shape[0])
+    lo, hi = sorted((qubit_a, qubit_b))
+    if qubit_a > qubit_b:
+        u4 = u4.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    dims = (1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (num_qubits - 1 - hi))
+    # the two target axes to the front, one 4 x 4 product, and back
+    m = psi.reshape(dims).transpose(1, 3, 0, 2, 4).reshape(4, -1)
+    out = (u4 @ m).reshape(2, 2, dims[0], dims[2], dims[4])
+    return out.transpose(2, 0, 3, 1, 4).reshape(psi.shape[0])
 
 
 def apply_gate(psi: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
@@ -402,9 +404,10 @@ def circuit_from_doc(doc: dict) -> Circuit:
                     )
                 )
             elif kind == "raw1q":
-                matrix = np.array(
-                    [[complex(re, im) for re, im in row] for row in entry["matrix"]]
-                )
+                rows = entry["matrix"]
+                if [len(row) for row in rows] != [2, 2]:
+                    raise FormatError(f"raw1q matrix must be 2 x 2, got {rows!r}")
+                matrix = np.array([[_complex_pair(v, "matrix") for v in row] for row in rows])
                 gates.append(Raw1QGate(_typed(entry["q"], int, "q"), matrix))
             else:
                 raise FormatError(f"unknown gate type {kind!r}")
@@ -424,7 +427,8 @@ def observable_from_doc(doc: dict) -> Observable:
     _require_format(doc)
     try:
         terms = tuple(
-            (float(_typed(t["coeff"], _NUMBER, "coeff")), str(t["pauli"])) for t in doc["terms"]
+            (float(_typed(t["coeff"], _NUMBER, "coeff")), _typed(t["pauli"], str, "pauli"))
+            for t in doc["terms"]
         )
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed observable document: {exc}") from exc
@@ -443,3 +447,10 @@ def _typed(value, kind, field: str):
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
         raise FormatError(f"{field} has the wrong JSON type: {value!r}")
     return value
+
+
+def _complex_pair(value, field: str) -> complex:
+    """A complex number stored as a JSON ``[re, im]`` pair of numbers."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise FormatError(f"{field} entry must be an [re, im] pair, got {value!r}")
+    return complex(_typed(value[0], _NUMBER, field), _typed(value[1], _NUMBER, field))

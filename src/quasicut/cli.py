@@ -10,8 +10,9 @@ Subcommands:
     compare T1 T2 T3        one cost row at a single point
 
 Angles are radians. Exit codes: 0 success, 1 verification failure, 2 malformed
-input (bad flags, unparsable documents), 3 semantically invalid input (bad
-qubit indices, non-unit axes, mismatched widths). The estimate seed defaults
+input (bad flags, unparsable documents, values of the wrong JSON type), 3
+semantically invalid input (bad qubit indices, non-unit axes, mismatched
+widths, more shots than ``sampler.MAX_SHOTS``). The estimate seed defaults
 to 0, can be set with --seed, or with the QUASICUT_SEED environment variable.
 """
 

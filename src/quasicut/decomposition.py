@@ -34,6 +34,7 @@ import numpy as np
 
 from .algebra import kron
 from .canonical import PauliCoeffs, ThetaVector, pauli_coefficients
+from .circuit import _NUMBER, FormatError, _complex_pair, _typed
 from .local_basis import BasisChannelId, a_channel, b_channel, basis_ptm, pauli_channel
 
 _IMAG_TOL = 1e-12
@@ -237,21 +238,38 @@ def decomposition_to_doc(
 
 
 def decomposition_from_doc(doc: dict) -> tuple[QPDecomposition, PauliCoeffs | None]:
-    """Inverse of decomposition_to_doc. Raises ValueError on malformed input."""
+    """Inverse of decomposition_to_doc.
+
+    Raises FormatError on structural problems (missing fields, values of the
+    wrong JSON type, unknown channel labels) and ValueError on semantically
+    invalid ones (a zero coefficient, a non-positive weight).
+    """
+    if not isinstance(doc, dict):
+        raise FormatError("decomposition document must be a JSON object")
     try:
         terms = tuple(
             QPTerm(
-                complex(entry["c"][0], entry["c"][1]),
-                tuple(BasisChannelId.from_label(p) for p in entry["left"].split(",")),
-                tuple(BasisChannelId.from_label(p) for p in entry["right"].split(",")),
+                _complex_pair(entry["c"], "c"),
+                _channel_sequence(entry["left"], "left"),
+                _channel_sequence(entry["right"], "right"),
             )
-            for entry in doc["terms"]
+            for entry in _typed(doc["terms"], list, "terms")
         )
-        weight = float(doc["W"])
+        weight = float(_typed(doc["W"], _NUMBER, "W"))
         u_field = doc.get("u")
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed decomposition document: {exc}") from exc
-    u = None
-    if u_field is not None:
-        u = PauliCoeffs(np.array([complex(re, im) for re, im in u_field]))
+        u_values = None
+        if u_field is not None:
+            u_values = [_complex_pair(v, "u") for v in _typed(u_field, list, "u")]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"malformed decomposition document: {exc}") from exc
+    u = None if u_values is None else PauliCoeffs(np.array(u_values))
     return QPDecomposition(terms, weight), u
+
+
+def _channel_sequence(value, field: str) -> ChannelSequence:
+    """Comma-separated channel labels, e.g. ``"A01,s2"``."""
+    labels = _typed(value, str, field).split(",")
+    try:
+        return tuple(BasisChannelId.from_label(p) for p in labels)
+    except ValueError as exc:
+        raise FormatError(f"{field}: {exc}") from exc

@@ -17,10 +17,24 @@ real part is a refinement that only removes noise, since the imaginary part
 has zero mean for a unitary target. |x_s| <= W_total * o_max holds per shot
 and is asserted.
 
+``estimate`` compiles (circuit, observable, decompositions, mode) once into a
+shot plan and runs every shot from it: the state after the uncut gates before
+the first cut, simulated once; per cut its qubits, weight and sampling table;
+the uncut segments between cuts, each fused into one dense 2^n unitary up to
+8 qubits; and, up to 8 qubits, the gates V after the last cut folded into
+the observable (V^+ O V, or V^+ P_k V per term when sampling eigenvalues).
+Wider circuits keep the gates and evaluate the observable per Pauli. A shot
+draws exactly what the per-gate simulation would, in the same order, so the
+plan changes no result beyond rounding. ``run_shot`` compiles the plan for
+its one shot and runs the same per-shot function.
+
 Shot counts for a target (epsilon, delta) follow the two-sided Hoeffding
 bound for samples bounded by W * o_max:
 
     S = ceil( 2 (W * o_max / epsilon)^2 * ln(2 / delta) ).
+
+An estimate keeps one value per shot, so more than MAX_SHOTS shots, requested
+or planned, raise ValueError before any are sampled.
 
 Reproducibility: every shot draws from its own uniform stream derived from
 (seed, shot_index) by a fixed 64-bit mix (murmur-style initialization, then a
@@ -35,6 +49,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from math import ceil, log, sqrt
 from typing import Mapping
 
@@ -43,6 +58,7 @@ import numpy as np
 from .circuit import (
     CanonicalGate,
     Circuit,
+    Gate,
     Observable,
     apply_gate,
     initial_state,
@@ -52,68 +68,20 @@ from .circuit import (
 )
 from .decomposition import QPDecomposition, decompose
 from .canonical import pauli_coefficients
-from .local_basis import realization_program, run_program
+from .local_basis import RealizationStep, realization_program, run_program
 
 _BOUND_SLACK = 1e-9
 
 # the largest double below 1
 _BELOW_ONE = 1.0 - 2.0**-53
 
-# dense observable matrices are cached up to this width (1 MB at 8 qubits);
-# wider observables fall back to per-qubit Pauli application
+# uncut segments are fused into dense 2^n unitaries, and the gates after the
+# last cut folded into the observable, up to this width (1 MB at 8 qubits);
+# wider circuits apply their gates one by one and observables per Pauli
 _DENSE_QUBIT_LIMIT = 8
 
-
-def _decomp_table(decomp: QPDecomposition):
-    """Per-decomposition sampling table, cached on the (frozen) object.
-
-    Returns (cums, phases, programs): cumulative |coefficient| cut points for
-    a bisect draw, unit phases c/|c|, and per term the realization programs
-    in run order as (side, program) pairs, side 0 for the gate's first qubit.
-    """
-    table = decomp.__dict__.get("_sampler_table")
-    if table is None:
-        cums: list[float] = []
-        acc = 0.0
-        for term in decomp.terms:
-            acc += abs(term.coefficient)
-            cums.append(acc)
-        phases = tuple(t.coefficient / abs(t.coefficient) for t in decomp.terms)
-        programs = tuple(
-            tuple((0, realization_program(cid)) for cid in t.left)
-            + tuple((1, realization_program(cid)) for cid in t.right)
-            for t in decomp.terms
-        )
-        table = (cums, phases, programs)
-        object.__setattr__(decomp, "_sampler_table", table)
-    return table
-
-
-def _obs_table(observable: Observable):
-    """Per-observable sampling table, cached on the (frozen) object.
-
-    Returns (dense, terms, cums): the full dense matrix (or None when too
-    wide), nonzero terms as (sign, pauli, dense term matrix or None), and
-    cumulative |coefficient| cut points over those terms.
-    """
-    table = observable.__dict__.get("_sampler_table")
-    if table is None:
-        small = observable.num_qubits <= _DENSE_QUBIT_LIMIT
-        dense = observable.matrix() if small else None
-        terms = []
-        cums: list[float] = []
-        acc = 0.0
-        for coeff, pauli in observable.terms:
-            if coeff == 0.0:
-                continue
-            acc += abs(coeff)
-            cums.append(acc)
-            terms.append(
-                (1.0 if coeff > 0 else -1.0, pauli, pauli_string_matrix(pauli) if small else None)
-            )
-        table = (dense, tuple(terms), cums)
-        object.__setattr__(observable, "_sampler_table", table)
-    return table
+# an estimate keeps one float per shot: 800 MB at this count
+MAX_SHOTS = 100_000_000
 
 
 class MeasureMode(Enum):
@@ -208,7 +176,198 @@ def plan_shots(epsilon: float, delta: float, o_max: float, w_total: float) -> in
         raise ValueError(f"o_max must be positive, got {o_max}")
     if not w_total >= 1:
         raise ValueError(f"w_total must be >= 1, got {w_total}")
-    return max(1, ceil(2.0 * (w_total * o_max / epsilon) ** 2 * log(2.0 / delta)))
+    try:
+        return max(1, ceil(2.0 * (w_total * o_max / epsilon) ** 2 * log(2.0 / delta)))
+    except OverflowError as exc:
+        raise ValueError(f"epsilon {epsilon} needs more shots than a float can count") from exc
+
+
+@dataclass(frozen=True)
+class _Cut:
+    """One cut gate's sampling table and the uncut segment that follows it.
+
+    ``cums`` are cumulative |coefficient| cut points for a bisect draw,
+    ``phases`` the unit phases c/|c|, and ``programs`` per term the
+    realization programs in run order as (side, program) pairs, side 0 for
+    the gate's first qubit. ``after`` is the segment up to the next cut (or
+    the tail when it is not folded): one dense unitary or a gate tuple.
+    """
+
+    qubits: tuple[int, int]
+    weight: float
+    cums: tuple[float, ...]
+    phases: tuple[complex, ...]
+    programs: tuple[tuple[tuple[int, tuple[RealizationStep, ...]], ...], ...]
+    after: np.ndarray | tuple[Gate, ...]
+
+
+@dataclass(frozen=True)
+class _ShotPlan:
+    """What every shot of one estimate shares, compiled once.
+
+    ``prefix`` is the (read-only) state after the uncut gates before the
+    first cut. Exact mode reads ``dense``, the observable with the folded
+    tail V^+ O V, or on wide circuits the observable per Pauli; sample mode
+    draws from ``terms``, (sign, pauli, folded V^+ P V or None), with cut
+    points ``term_cums``.
+    """
+
+    num_qubits: int
+    mode: MeasureMode
+    prefix: np.ndarray
+    cuts: tuple[_Cut, ...]
+    w_total: float
+    observable: Observable
+    dense: np.ndarray | None
+    terms: tuple[tuple[float, str, np.ndarray | None], ...]
+    term_cums: tuple[float, ...]
+
+
+def _compile(
+    circuit: Circuit,
+    observable: Observable,
+    decompositions: Mapping[int, QPDecomposition],
+    mode: MeasureMode,
+) -> _ShotPlan:
+    """Split the circuit at its cuts and precompute everything shot-independent."""
+    n = circuit.num_qubits
+    small = n <= _DENSE_QUBIT_LIMIT
+    segments: list[list[Gate]] = [[]]
+    cut_decomps: list[tuple[tuple[int, int], QPDecomposition]] = []
+    for idx, gate in enumerate(circuit.gates):
+        if not (isinstance(gate, CanonicalGate) and gate.cut):
+            segments[-1].append(gate)
+            continue
+        decomp = decompositions.get(idx)
+        if decomp is None:
+            raise ValueError(f"no decomposition provided for cut gate at index {idx}")
+        cut_decomps.append((gate.qubits, decomp))
+        segments.append([])
+
+    prefix = initial_state(n)
+    for gate in segments[0]:
+        prefix = apply_gate(prefix, gate, n)
+    prefix.setflags(write=False)
+
+    # when small, middle segments fuse and the tail folds into the observable
+    tail = _unitary(segments[-1], n) if small and cut_decomps and segments[-1] else None
+    afters = [_unitary(g, n) if small and g else tuple(g) for g in segments[1:-1]]
+    afters.append(() if small else tuple(segments[-1]))
+    cuts = []
+    w_total = 1.0
+    for (qubits, decomp), after in zip(cut_decomps, afters):
+        w_total *= decomp.weight
+        cuts.append(
+            _Cut(
+                qubits=qubits,
+                weight=decomp.weight,
+                cums=tuple(accumulate(abs(t.coefficient) for t in decomp.terms)),
+                phases=tuple(t.coefficient / abs(t.coefficient) for t in decomp.terms),
+                programs=tuple(
+                    tuple((0, realization_program(cid)) for cid in t.left)
+                    + tuple((1, realization_program(cid)) for cid in t.right)
+                    for t in decomp.terms
+                ),
+                after=after,
+            )
+        )
+
+    def fold(matrix: np.ndarray) -> np.ndarray:
+        return matrix if tail is None else tail.conj().T @ matrix @ tail
+
+    exact = mode is MeasureMode.EXACT_TRACE
+    live = () if exact else tuple((c, p) for c, p in observable.terms if c != 0.0)
+    return _ShotPlan(
+        num_qubits=n,
+        mode=mode,
+        prefix=prefix,
+        cuts=tuple(cuts),
+        w_total=w_total,
+        observable=observable,
+        dense=fold(observable.matrix()) if small and exact else None,
+        terms=tuple(
+            (1.0 if c > 0 else -1.0, p, fold(pauli_string_matrix(p)) if small else None)
+            for c, p in live
+        ),
+        term_cums=tuple(accumulate(abs(c) for c, _ in live)),
+    )
+
+
+def _unitary(gates: list[Gate], num_qubits: int) -> np.ndarray:
+    """The dense unitary of a gate sequence, built by ``apply_gate`` itself.
+
+    The identity, read as a state of 2n qubits, has the row index on the
+    first n; each gate acts there, so the result is U = G_k ... G_1.
+    """
+    dim = 1 << num_qubits
+    m = np.eye(dim, dtype=complex).ravel()
+    for gate in gates:
+        m = apply_gate(m, gate, 2 * num_qubits)
+    return m.reshape(dim, dim)
+
+
+def _shot(plan: _ShotPlan, rng) -> tuple[complex, float, float]:
+    """One shot of a compiled plan: (phase, o', x = W Re(phase o')).
+
+    Per cut, in circuit order, the term draw, then the side-0 and side-1
+    programs; a zeroed shot draws nothing more. Sample mode then draws the
+    observable term and its eigenvalue.
+    """
+    n = plan.num_qubits
+    psi = plan.prefix
+    phase = 1.0 + 0.0j
+    for cut in plan.cuts:
+        # term draw proportional to |coefficient|
+        cums = cut.cums
+        pick = bisect_right(cums, rng.random() * cut.weight)
+        if pick >= len(cums):
+            pick = len(cums) - 1
+        phase *= cut.phases[pick]
+        for side, program in cut.programs[pick]:
+            psi, w = run_program(psi, program, cut.qubits[side], n, rng)
+            if psi is None:
+                break
+            phase *= w
+        if psi is None:
+            break
+        after = cut.after
+        if isinstance(after, np.ndarray):
+            psi = after @ psi
+        else:
+            for gate in after:
+                psi = apply_gate(psi, gate, n)
+
+    w_total = plan.w_total
+    o_max = plan.observable.o_max
+    if psi is None:
+        o_value = 0.0
+    elif plan.mode is MeasureMode.EXACT_TRACE:
+        if plan.dense is not None:
+            o_value = float(np.real(np.vdot(psi, plan.dense @ psi)))
+        else:
+            o_value = observable_expectation(psi, plan.observable, n)
+    else:
+        o_value = _sample_eigenvalue(psi, plan, rng)
+    x = w_total * (phase.real * o_value)
+    if abs(x) > w_total * o_max + _BOUND_SLACK:
+        raise AssertionError(f"shot value {x} exceeds bound {w_total * o_max}")
+    return phase, o_value, x
+
+
+def _sample_eigenvalue(psi: np.ndarray, plan: _ShotPlan, rng) -> float:
+    """Draw one term proportional to |coeff|, then its +-1 eigenvalue."""
+    cums = plan.term_cums
+    pick = bisect_right(cums, rng.random() * cums[-1])
+    if pick >= len(cums):
+        pick = len(cums) - 1
+    sign, pauli, term_matrix = plan.terms[pick]
+    if term_matrix is not None:
+        mean = float(np.real(np.vdot(psi, term_matrix @ psi)))
+    else:
+        mean = pauli_string_expectation(psi, pauli, plan.num_qubits)
+    p_plus = min(1.0, max(0.0, 0.5 * (1.0 + mean)))
+    eig = 1.0 if rng.random() < p_plus else -1.0
+    return sign * eig * plan.observable.o_max
 
 
 def run_shot(
@@ -221,70 +380,11 @@ def run_shot(
     """One Monte-Carlo shot. ``decompositions`` maps cut gate index -> QPD.
 
     ``rng`` needs only a ``random()`` method. A weight-0 realization branch
-    zeroes the state and the shot contributes exactly 0.
+    zeroes the state and the shot contributes exactly 0. This compiles the
+    shot plan for the one shot; ``estimate`` compiles it once per call.
     """
-    n = circuit.num_qubits
-    psi = initial_state(n)
-    phase = 1.0 + 0.0j
-    w_total = 1.0
-    zeroed = False
-    for idx, gate in enumerate(circuit.gates):
-        if not (isinstance(gate, CanonicalGate) and gate.cut):
-            if not zeroed:
-                psi = apply_gate(psi, gate, n)
-            continue
-        decomp = decompositions.get(idx)
-        if decomp is None:
-            raise ValueError(f"no decomposition provided for cut gate at index {idx}")
-        w_total *= decomp.weight
-        if zeroed:
-            continue
-        # term draw proportional to |coefficient|
-        cums, phases, programs = _decomp_table(decomp)
-        pick = bisect_right(cums, rng.random() * decomp.weight)
-        if pick >= len(cums):
-            pick = len(cums) - 1
-        phase *= phases[pick]
-        for side, program in programs[pick]:
-            psi, w = run_program(psi, program, gate.qubits[side], n, rng)
-            if psi is None:
-                zeroed = True
-                break
-            phase *= w
-
-    o_max = observable.o_max
-    dense, _, _ = _obs_table(observable)
-    if zeroed:
-        o_value = 0.0
-    elif mode is MeasureMode.EXACT_TRACE:
-        if dense is not None:
-            o_value = float(np.real(np.vdot(psi, dense @ psi)))
-        else:
-            o_value = observable_expectation(psi, observable, n)
-    else:
-        o_value = _sample_eigenvalue(psi, observable, n, o_max, rng)
-    x = w_total * (phase.real * o_value)
-    if abs(x) > w_total * o_max + _BOUND_SLACK:
-        raise AssertionError(f"shot value {x} exceeds bound {w_total * o_max}")
+    phase, o_value, x = _shot(_compile(circuit, observable, decompositions, mode), rng)
     return ShotRecord(phase=phase, observable_value=o_value, value=x)
-
-
-def _sample_eigenvalue(
-    psi: np.ndarray, observable: Observable, num_qubits: int, o_max: float, rng
-) -> float:
-    """Draw one term proportional to |coeff|, then its +-1 eigenvalue."""
-    _, terms, cums = _obs_table(observable)
-    pick = bisect_right(cums, rng.random() * cums[-1])
-    if pick >= len(terms):
-        pick = len(terms) - 1
-    sign, pauli, term_matrix = terms[pick]
-    if term_matrix is not None:
-        mean = float(np.real(np.vdot(psi, term_matrix @ psi)))
-    else:
-        mean = pauli_string_expectation(psi, pauli, num_qubits)
-    p_plus = min(1.0, max(0.0, 0.5 * (1.0 + mean)))
-    eig = 1.0 if rng.random() < p_plus else -1.0
-    return sign * eig * o_max
 
 
 def estimate(
@@ -292,10 +392,11 @@ def estimate(
     observable: Observable,
     config: EstimatorConfig,
 ) -> EstimatorResult:
-    """Run the full estimator: decompose cuts, sample shots, reduce.
+    """Run the full estimator: decompose cuts, compile the shot plan, sample, reduce.
 
     The per-shot streams make the result a pure function of (circuit,
-    observable, config).
+    observable, config). More than ``MAX_SHOTS`` shots, requested or
+    planned, raise ValueError before anything is sampled.
     """
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable width does not match circuit")
@@ -303,21 +404,18 @@ def estimate(
         idx: decompose(pauli_coefficients(circuit.gates[idx].theta))
         for idx in circuit.cut_indices()
     }
-    w_total = 1.0
-    for d in decomps.values():
-        w_total *= d.weight
+    plan = _compile(circuit, observable, decomps, config.mode)
     o_max = observable.o_max
     if config.shots is not None:
         shots = config.shots
     else:
-        shots = plan_shots(config.epsilon, config.delta, o_max, w_total)
+        shots = plan_shots(config.epsilon, config.delta, o_max, plan.w_total)
+    if shots > MAX_SHOTS:
+        raise ValueError(f"{shots} shots exceed the limit of {MAX_SHOTS} per estimate")
 
     values = np.empty(shots, dtype=float)
     for s in range(shots):
-        record = run_shot(
-            circuit, observable, decomps, ShotStream(config.seed, s), mode=config.mode
-        )
-        values[s] = record.value
+        values[s] = _shot(plan, ShotStream(config.seed, s))[2]
 
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / sqrt(shots)) if shots > 1 else 0.0
@@ -325,7 +423,7 @@ def estimate(
         mean=mean,
         std_error=std_error,
         shots=shots,
-        w_total=w_total,
+        w_total=plan.w_total,
         o_max=o_max,
         seed=config.seed,
     )

@@ -93,6 +93,24 @@ def test_apply_2q_general_placement():
     np.testing.assert_allclose(apply_2q(psi, u, 0, 2, 3), embedded @ psi, atol=1e-12)
 
 
+def test_apply_2q_matches_kron_on_every_ordered_pair():
+    # a random (not swap-symmetric) unitary, so the factor order shows
+    rng = np.random.default_rng(52)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+    psi /= np.linalg.norm(psi)
+    for a in range(4):
+        for b in range(4):
+            if a == b:
+                continue
+            # P maps the natural qubit order to (a, b, rest); U acts as
+            # P^T (u (x) I) P
+            order = [a, b] + [q for q in range(4) if q not in (a, b)]
+            perm = np.eye(16).reshape([2] * 4 + [16]).transpose(order + [4]).reshape(16, 16)
+            full = perm.T @ kron(u, np.eye(4)) @ perm
+            np.testing.assert_allclose(apply_2q(psi, u, a, b, 4), full @ psi, rtol=0, atol=1e-14)
+
+
 def test_observable_requires_consistent_terms():
     with pytest.raises(ValueError):
         Observable(())
@@ -254,6 +272,10 @@ def _canonical(**fields):
     return {"format": 1, "qubits": 2, "gates": [gate]}
 
 
+def _raw1q(matrix):
+    return {"format": 1, "qubits": 1, "gates": [{"type": "raw1q", "q": 0, "matrix": matrix}]}
+
+
 @pytest.mark.parametrize(
     "parse, doc",
     [
@@ -270,6 +292,12 @@ def _canonical(**fields):
         (circuit_from_doc, {"format": 1, "qubits": "2", "gates": []}),
         (observable_from_doc, {"format": 1, "terms": [{"coeff": "1.5", "pauli": "Z"}]}),
         (observable_from_doc, {"format": 1, "terms": [{"coeff": True, "pauli": "Z"}]}),
+        (observable_from_doc, {"format": 1, "terms": [{"coeff": 1.0, "pauli": 5}]}),
+        (circuit_from_doc, _raw1q([[[True, 0], [0, 0]], [[0, 0], [1, False]]])),
+        (circuit_from_doc, _raw1q([[["1", 0], [0, 0]], [[0, 0], [1, 0]]])),
+        (circuit_from_doc, _raw1q([[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]])),
+        (circuit_from_doc, _raw1q([[[1, 0], [0, 0]], [[0, 0]]])),
+        (circuit_from_doc, _raw1q([[[1, 0], [0, 0]]])),
     ],
 )
 def test_docs_reject_mistyped_values(parse, doc):

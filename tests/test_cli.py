@@ -1,8 +1,12 @@
 """End-to-end CLI behavior through main(), including exit codes."""
 
 import json
+import tracemalloc
+
+import pytest
 
 from quasicut.cli import main
+from quasicut.sampler import MAX_SHOTS
 
 PI_4 = "0.7853981633974483"
 
@@ -88,6 +92,8 @@ def test_plan_frozen_shot_counts(capsys):
 
 def test_plan_rejects_bad_arguments(capsys):
     code, _, err = run_cli(capsys, "plan", "0.0", "0.05", "1.0", "1.0")
+    assert code == 3 and "epsilon" in err
+    code, _, err = run_cli(capsys, "plan", "1e-300", "0.05", "1.0", "1.0")  # float overflow
     assert code == 3 and "epsilon" in err
 
 
@@ -206,6 +212,36 @@ def test_estimate_exit_codes(tmp_path, capsys):
         "--shots", "10", "--epsilon", "0.1", "--delta", "0.1",
     )
     assert code == 3  # over-specified accuracy target
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        ("--epsilon", "1e-9", "--delta", "0.05"),  # numpy's dimension limit
+        ("--epsilon", "1e-5", "--delta", "0.05"),  # a multi-TiB allocation
+        ("--shots", str(MAX_SHOTS + 1)),
+    ],
+)
+def test_estimate_over_the_shot_limit_exits_3(tmp_path, capsys, target):
+    circuit = write_json(tmp_path / "c.json", CIRCUIT_DOC)
+    observable = write_json(tmp_path / "o.json", OBSERVABLE_DOC)
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(
+            capsys, "estimate", "--circuit", circuit, "--observable", observable, *target
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and f"limit of {MAX_SHOTS}" in err
+    assert peak < 10 * 2**20  # failed before allocating the shot values
+
+
+def test_verify_malformed_decomposition_file_exits_2(tmp_path, capsys):
+    for doc in ({"W": 1.0}, {"terms": [{"c": [1.0, 0.0], "left": "s0", "right": "s0"}], "W": "1"}):
+        stored = write_json(tmp_path / "d.json", doc)
+        code, _, err = run_cli(capsys, "verify", "0.1", "0", "0", "--from-file", stored)
+        assert code == 2 and err.startswith("error:")
 
 
 def test_missing_input_files_exit_2(tmp_path, capsys):

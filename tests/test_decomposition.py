@@ -9,6 +9,7 @@ import pytest
 
 from quasicut.algebra import ptm_of_unitary
 from quasicut.canonical import PauliCoeffs, ThetaVector, canonical_unitary, pauli_coefficients
+from quasicut.circuit import FormatError
 from quasicut.decomposition import (
     QPDecomposition,
     QPTerm,
@@ -238,3 +239,41 @@ def test_doc_rejects_malformed_input():
         decomposition_from_doc(
             {"terms": [{"c": [1.0, 0.0], "left": "nope", "right": "s0"}], "W": 1.0}
         )
+
+
+def _term(**fields):
+    term = {"c": [1.0, 0.0], "left": "s0", "right": "s0"}
+    term.update(fields)
+    return {"terms": [term], "W": 1.0}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"W": 1.0},
+        [1.0],
+        {"terms": "s0", "W": 1.0},
+        {"terms": [], "W": "1.0"},
+        {"terms": [], "W": True},
+        _term(c=[1.0]),
+        _term(c=["1.0", 0.0]),
+        _term(c=[True, 0.0]),
+        _term(left=0),
+        _term(right=["s0"]),
+        _term(left="nope"),
+        dict(_term(), u=[[1.0, 0.0], ["0", 0.0], [0.0, 0.0], [0.0, 0.0]]),
+    ],
+)
+def test_doc_structural_errors_are_format_errors(doc):
+    """Missing fields and wrong JSON types are malformed input, never coerced."""
+    with pytest.raises(FormatError):
+        decomposition_from_doc(doc)
+
+
+def test_doc_semantic_errors_stay_value_errors():
+    with pytest.raises(ValueError) as info:
+        decomposition_from_doc(_term(c=[0.0, 0.0]))
+    assert not isinstance(info.value, FormatError)
+    with pytest.raises(ValueError) as info:
+        decomposition_from_doc(dict(_term(), W=-1.0))
+    assert not isinstance(info.value, FormatError)

@@ -1,18 +1,25 @@
 """Shot streams, shot planning, and the Monte-Carlo estimator."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
+from quasicut import sampler as sampler_module
 from quasicut.canonical import ThetaVector, pauli_coefficients
 from quasicut.circuit import (
     CanonicalGate,
     Circuit,
     Observable,
     SingleGate,
+    apply_gate,
     exact_expectation,
+    initial_state,
+    observable_expectation,
+    pauli_string_expectation,
 )
 from quasicut.decomposition import decompose
-from quasicut.local_basis import ChannelKind, SignedMeasurement, run_program
+from quasicut.local_basis import ChannelKind, SignedMeasurement, realization_program, run_program
 from quasicut.sampler import (
     EstimatorConfig,
     EstimatorResult,
@@ -199,9 +206,6 @@ def test_identity_cut_is_exact_every_shot():
 
 def test_zero_weight_branches_zero_the_shot(monkeypatch):
     """A weight-0 measurement outcome discards the sample, contributing 0."""
-    from quasicut import sampler as sampler_module
-    from quasicut.local_basis import realization_program
-
     drop = (SignedMeasurement((0.0, 0.0, -1.0), 1.0, 0.0),)
 
     def patched(cid):
@@ -209,7 +213,7 @@ def test_zero_weight_branches_zero_the_shot(monkeypatch):
 
     monkeypatch.setattr(sampler_module, "realization_program", patched)
     circuit = bell_cut()
-    decomps = cut_decomps(circuit)  # fresh objects, so tables build via the patch
+    decomps = cut_decomps(circuit)  # the plan looks programs up through the patch
     records = [
         run_shot(circuit, ZZ, decomps, ShotStream(21, s)) for s in range(60)
     ]
@@ -314,3 +318,119 @@ def test_estimator_is_unbiased_on_random_circuits(mode):
         assert abs(result.mean - exact) < tol, (
             f"case {case}: {result.mean} vs {exact} (tol {tol})"
         )
+
+
+# --- the compiled shot plan against per-gate re-simulation ------------------
+
+
+class CountingStream:
+    def __init__(self, stream):
+        self.stream, self.draws = stream, 0
+
+    def random(self):
+        self.draws += 1
+        return self.stream.random()
+
+
+def reference_shot(circuit, observable, decomps, rng, mode):
+    """Every gate re-simulated in circuit order: (phase, o', x)."""
+    n = circuit.num_qubits
+    psi, phase, w_total = initial_state(n), 1.0 + 0.0j, 1.0
+    for idx, gate in enumerate(circuit.gates):
+        if not (isinstance(gate, CanonicalGate) and gate.cut):
+            psi = apply_gate(psi, gate, n) if psi is not None else None
+            continue
+        decomp = decomps[idx]
+        w_total *= decomp.weight
+        if psi is None:
+            continue
+        mags = np.cumsum([abs(t.coefficient) for t in decomp.terms])
+        term = decomp.terms[min(bisect_right(mags, rng.random() * decomp.weight), len(mags) - 1)]
+        phase *= term.coefficient / abs(term.coefficient)
+        for side, cid in [(0, c) for c in term.left] + [(1, c) for c in term.right]:
+            program = sampler_module.realization_program(cid)  # sees monkeypatches
+            psi, w = run_program(psi, program, gate.qubits[side], n, rng)
+            if psi is None:
+                break
+            phase *= w
+    if psi is None:
+        o_value = 0.0
+    elif mode is MeasureMode.EXACT_TRACE:
+        o_value = observable_expectation(psi, observable, n)
+    else:
+        live = [(c, p) for c, p in observable.terms if c != 0.0]
+        cums = np.cumsum([abs(c) for c, _ in live])
+        coeff, pauli = live[min(bisect_right(cums, rng.random() * cums[-1]), len(live) - 1)]
+        p_plus = min(1.0, max(0.0, 0.5 * (1.0 + pauli_string_expectation(psi, pauli, n))))
+        o_value = np.sign(coeff) * (1.0 if rng.random() < p_plus else -1.0) * observable.o_max
+    return phase, o_value, w_total * (phase.real * o_value)
+
+
+def oracle_instance(num_qubits, layout, seed):
+    """``layout`` letters: ``g`` an uncut gate (rotation or canonical), ``C`` a cut."""
+    rng = np.random.default_rng([seed, num_qubits])
+    gates = []
+    for ch in layout:
+        pair = tuple(int(q) for q in rng.choice(num_qubits, size=2, replace=False))
+        theta = ThetaVector(*rng.uniform(-PI / 2, PI / 2, size=3))
+        if ch == "C":
+            gates.append(CanonicalGate(pair, theta, cut=True))
+        elif rng.random() < 0.5:
+            gates.append(CanonicalGate(pair, theta))
+        else:
+            axis = rng.normal(size=3)
+            gates.append(SingleGate(pair[0], tuple(axis / np.linalg.norm(axis)), rng.uniform(0, PI)))
+    strings = ["".join(rng.choice(list("IXYZ"), size=num_qubits)) for _ in range(3)]
+    terms = ((0.7, strings[0]), (0.0, strings[1]), (-0.4, strings[2]))
+    return Circuit(num_qubits, tuple(gates)), Observable(terms)
+
+
+LAYOUTS = {
+    "one cut": "gggCggg",
+    "two cuts": "ggCgggCgg",
+    "cut first": "Cggg",
+    "cut last": "gggC",
+    "adjacent cuts": "ggCCgg",
+    "no cut": "gggg",
+}
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+@pytest.mark.parametrize("num_qubits", [3, 9])  # both sides of the dense-qubit limit
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_run_shot_matches_per_gate_reference(layout, num_qubits, mode):
+    circuit, observable = oracle_instance(num_qubits, layout, len(layout))
+    decomps = cut_decomps(circuit)
+    for s in range(12):
+        ours, ref = CountingStream(ShotStream(5, s)), CountingStream(ShotStream(5, s))
+        record = run_shot(circuit, observable, decomps, ours, mode)
+        phase, o_value, x = reference_shot(circuit, observable, decomps, ref, mode)
+        assert ours.draws == ref.draws
+        assert abs(record.phase - phase) < 1e-12
+        assert abs(record.observable_value - o_value) < 1e-12
+        assert abs(record.value - x) < 1e-12
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+@pytest.mark.parametrize("num_qubits", [3, 9])
+def test_zeroed_plan_shots_match_the_reference(monkeypatch, num_qubits, mode):
+    drop = (SignedMeasurement((0.0, 0.0, -1.0), 1.0, 0.0),)
+    monkeypatch.setattr(
+        sampler_module,
+        "realization_program",
+        lambda cid: drop if cid.kind is ChannelKind.A else realization_program(cid),
+    )
+    circuit, observable = oracle_instance(num_qubits, LAYOUTS["two cuts"], 1)
+    decomps = cut_decomps(circuit)
+    zeroed = 0
+    for s in range(40):
+        ours, ref = CountingStream(ShotStream(8, s)), CountingStream(ShotStream(8, s))
+        record = run_shot(circuit, observable, decomps, ours, mode)
+        _, o_value, x = reference_shot(circuit, observable, decomps, ref, mode)
+        assert ours.draws == ref.draws
+        if o_value == 0.0 and x == 0.0:
+            zeroed += 1
+            assert record.value == 0.0 and record.observable_value == 0.0
+        else:
+            assert abs(record.value - x) < 1e-12
+    assert zeroed  # the patched A programs zero some shots
