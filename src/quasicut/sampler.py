@@ -19,14 +19,14 @@ and is asserted.
 
 ``estimate`` compiles (circuit, observable, decompositions, mode) once into a
 shot plan and runs every shot from it: the state after the uncut gates before
-the first cut, simulated once; per cut its qubits, weight and sampling table;
-the uncut segments between cuts, each fused into one dense 2^n unitary up to
-8 qubits; and, up to 8 qubits, the gates V after the last cut folded into
-the observable (V^+ O V, or V^+ P_k V per term when sampling eigenvalues).
-Wider circuits keep the gates and evaluate the observable per Pauli. A shot
-draws exactly what the per-gate simulation would, in the same order, so the
-plan changes no result beyond rounding. ``run_shot`` compiles the plan for
-its one shot and runs the same per-shot function.
+the first cut, simulated once; per cut its qubits, weight, sampling table
+and the uncut gates up to the next cut; and, up to 8 qubits, the gates V
+after the last cut folded into the observable (V^+ O V, or V^+ P_k V per
+term when sampling eigenvalues). Wider circuits keep the tail gates and
+evaluate the observable per Pauli. A shot draws exactly what the per-gate
+simulation would, in the same order, so the plan changes no result beyond
+rounding. ``run_shot`` compiles a plan for its one shot on every call and
+runs the same per-shot function.
 
 Shot counts for a target (epsilon, delta) follow the two-sided Hoeffding
 bound for samples bounded by W * o_max:
@@ -75,9 +75,9 @@ _BOUND_SLACK = 1e-9
 # the largest double below 1
 _BELOW_ONE = 1.0 - 2.0**-53
 
-# uncut segments are fused into dense 2^n unitaries, and the gates after the
-# last cut folded into the observable, up to this width (1 MB at 8 qubits);
-# wider circuits apply their gates one by one and observables per Pauli
+# the gates after the last cut are folded into a dense observable up to this
+# width (1 MB at 8 qubits); wider circuits apply them one by one and evaluate
+# the observable per Pauli
 _DENSE_QUBIT_LIMIT = 8
 
 # an estimate keeps one float per shot: 800 MB at this count
@@ -189,8 +189,8 @@ class _Cut:
     ``cums`` are cumulative |coefficient| cut points for a bisect draw,
     ``phases`` the unit phases c/|c|, and ``programs`` per term the
     realization programs in run order as (side, program) pairs, side 0 for
-    the gate's first qubit. ``after`` is the segment up to the next cut (or
-    the tail when it is not folded): one dense unitary or a gate tuple.
+    the gate's first qubit. ``after`` holds the uncut gates up to the next
+    cut (or the tail when it is not folded).
     """
 
     qubits: tuple[int, int]
@@ -198,7 +198,7 @@ class _Cut:
     cums: tuple[float, ...]
     phases: tuple[complex, ...]
     programs: tuple[tuple[tuple[int, tuple[RealizationStep, ...]], ...], ...]
-    after: np.ndarray | tuple[Gate, ...]
+    after: tuple[Gate, ...]
 
 
 @dataclass(frozen=True)
@@ -249,9 +249,9 @@ def _compile(
         prefix = apply_gate(prefix, gate, n)
     prefix.setflags(write=False)
 
-    # when small, middle segments fuse and the tail folds into the observable
+    # when small, the tail folds into the observable
     tail = _unitary(segments[-1], n) if small and cut_decomps and segments[-1] else None
-    afters = [_unitary(g, n) if small and g else tuple(g) for g in segments[1:-1]]
+    afters = [tuple(g) for g in segments[1:-1]]
     afters.append(() if small else tuple(segments[-1]))
     cuts = []
     w_total = 1.0
@@ -330,12 +330,8 @@ def _shot(plan: _ShotPlan, rng) -> tuple[complex, float, float]:
             phase *= w
         if psi is None:
             break
-        after = cut.after
-        if isinstance(after, np.ndarray):
-            psi = after @ psi
-        else:
-            for gate in after:
-                psi = apply_gate(psi, gate, n)
+        for gate in cut.after:
+            psi = apply_gate(psi, gate, n)
 
     w_total = plan.w_total
     o_max = plan.observable.o_max
@@ -380,8 +376,10 @@ def run_shot(
     """One Monte-Carlo shot. ``decompositions`` maps cut gate index -> QPD.
 
     ``rng`` needs only a ``random()`` method. A weight-0 realization branch
-    zeroes the state and the shot contributes exactly 0. This compiles the
-    shot plan for the one shot; ``estimate`` compiles it once per call.
+    zeroes the state and the shot contributes exactly 0. This is a one-shot
+    wrapper: every call compiles a fresh shot plan (prefix state, sampling
+    tables, folded observable), so a loop over shots should call
+    ``estimate``, which compiles once per call.
     """
     phase, o_value, x = _shot(_compile(circuit, observable, decompositions, mode), rng)
     return ShotRecord(phase=phase, observable_value=o_value, value=x)
