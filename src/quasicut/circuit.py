@@ -196,29 +196,35 @@ def initial_state(num_qubits: int) -> np.ndarray:
 
 
 def apply_1q(psi: np.ndarray, u: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    """Apply a 2x2 matrix to one qubit (qubit 0 = most significant bit)."""
-    if qubit == 0:
-        return (u @ psi.reshape(2, -1)).reshape(psi.shape[0])
+    """Apply a 2x2 matrix to one qubit (qubit 0 = most significant bit).
+
+    ``psi`` is a statevector on its last axis; leading axes are a batch.
+    """
     if qubit == num_qubits - 1:
-        return (psi.reshape(-1, 2) @ u.T).reshape(psi.shape[0])
-    m = psi.reshape(-1, 2, 1 << (num_qubits - 1 - qubit))
-    return np.einsum("ab,ibj->iaj", u, m).reshape(psi.shape[0])
+        return (psi.reshape(-1, 2) @ u.T).reshape(psi.shape)
+    # the target axis to the front, one 2 x (...) product, and back
+    m = psi.reshape(-1, 2, 1 << (num_qubits - 1 - qubit)).transpose(1, 0, 2)
+    out = (u @ m.reshape(2, -1)).reshape(m.shape)
+    return out.transpose(1, 0, 2).reshape(psi.shape)
 
 
 def apply_2q(
     psi: np.ndarray, u4: np.ndarray, qubit_a: int, qubit_b: int, num_qubits: int
 ) -> np.ndarray:
-    """Apply a 4x4 matrix to (qubit_a, qubit_b), in that factor order."""
+    """Apply a 4x4 matrix to (qubit_a, qubit_b), in that factor order.
+
+    ``psi`` is a statevector on its last axis; leading axes are a batch.
+    """
     if num_qubits == 2 and (qubit_a, qubit_b) == (0, 1):
-        return u4 @ psi
+        return (psi.reshape(-1, 4) @ u4.T).reshape(psi.shape)
     lo, hi = sorted((qubit_a, qubit_b))
     if qubit_a > qubit_b:
         u4 = u4.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    dims = (1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (num_qubits - 1 - hi))
+    m = psi.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << (num_qubits - 1 - hi))
     # the two target axes to the front, one 4 x 4 product, and back
-    m = psi.reshape(dims).transpose(1, 3, 0, 2, 4).reshape(4, -1)
-    out = (u4 @ m).reshape(2, 2, dims[0], dims[2], dims[4])
-    return out.transpose(2, 0, 3, 1, 4).reshape(psi.shape[0])
+    m = m.transpose(1, 3, 0, 2, 4)
+    out = (u4 @ m.reshape(4, -1)).reshape(m.shape)
+    return out.transpose(2, 0, 3, 1, 4).reshape(psi.shape)
 
 
 def apply_gate(psi: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:

@@ -111,6 +111,29 @@ def test_apply_2q_matches_kron_on_every_ordered_pair():
             np.testing.assert_allclose(apply_2q(psi, u, a, b, 4), full @ psi, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("rows", [1, 3, 5])
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+def test_kernels_act_row_by_row_on_a_batch(num_qubits, rows):
+    rng = np.random.default_rng([53, num_qubits, rows])
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    u4, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    block = rng.normal(size=(rows, 2**num_qubits)) + 1j * rng.normal(size=(rows, 2**num_qubits))
+    calls = [lambda psi, q=q: apply_1q(psi, u, q, num_qubits) for q in range(num_qubits)]
+    calls += [
+        lambda psi, a=a, b=b: apply_2q(psi, u4, a, b, num_qubits)
+        for a in range(num_qubits)
+        for b in range(num_qubits)
+        if a != b
+    ]
+    for call in calls:
+        out = call(block)
+        assert out.shape == block.shape
+        for row, state in zip(out, block):
+            single = call(state)
+            assert single.shape == state.shape
+            np.testing.assert_allclose(row, single, rtol=0, atol=1e-14)
+
+
 def test_observable_requires_consistent_terms():
     with pytest.raises(ValueError):
         Observable(())

@@ -150,6 +150,17 @@ def test_config_requires_exactly_one_target():
     assert EstimatorConfig(epsilon=0.1, delta=0.1).shots is None
 
 
+def test_config_rejects_mistyped_shots_and_seed():
+    for kwargs in (
+        {"shots": 2.5},
+        {"shots": True},
+        {"shots": 10, "seed": 1.5},
+        {"shots": 10, "seed": True},
+    ):
+        with pytest.raises(ValueError):
+            EstimatorConfig(**kwargs)
+
+
 # --- single shots -----------------------------------------------------------
 
 
@@ -434,3 +445,72 @@ def test_zeroed_plan_shots_match_the_reference(monkeypatch, num_qubits, mode):
         else:
             assert abs(record.value - x) < 1e-12
     assert zeroed  # the patched A programs zero some shots
+
+
+def block_against_reference(circuit, observable, mode, seed, rows):
+    """One block of ``rows`` shots next to the reference shot by shot.
+
+    Asserts equal draws per row and equal (phase, o', x) to 1e-12; returns
+    the block's and the reference's (o', x) per row.
+    """
+    decomps = cut_decomps(circuit)
+    plan = sampler_module._compile(circuit, observable, decomps, mode)
+    ours = [CountingStream(ShotStream(seed, s)) for s in range(rows)]
+    refs = [CountingStream(ShotStream(seed, s)) for s in range(rows)]
+    phase, o_value, x = sampler_module._block(plan, ours)
+    expected = [reference_shot(circuit, observable, decomps, ref, mode) for ref in refs]
+    assert [s.draws for s in ours] == [r.draws for r in refs]
+    for i, (ref_phase, ref_o, ref_x) in enumerate(expected):
+        assert abs(phase[i] - ref_phase) < 1e-12
+        assert abs(o_value[i] - ref_o) < 1e-12
+        assert abs(x[i] - ref_x) < 1e-12
+    return list(zip(o_value, x)), [(o, v) for _, o, v in expected]
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+@pytest.mark.parametrize("num_qubits", [3, 9])
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_block_rows_match_the_per_gate_reference(layout, num_qubits, mode):
+    circuit, observable = oracle_instance(num_qubits, layout, len(layout))
+    block_against_reference(circuit, observable, mode, 5, 7)
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+@pytest.mark.parametrize("num_qubits", [3, 9])
+def test_rows_zeroed_mid_block_stay_zero(monkeypatch, num_qubits, mode):
+    drop = (SignedMeasurement((0.0, 0.0, -1.0), 1.0, 0.0),)
+    monkeypatch.setattr(
+        sampler_module,
+        "realization_program",
+        lambda cid: drop if cid.kind is ChannelKind.A else realization_program(cid),
+    )
+    circuit, observable = oracle_instance(num_qubits, LAYOUTS["two cuts"], 3)
+    # a live row samples +-o_max, so a sampled 0 marks a zeroed row; the
+    # cut draws, and with them the zeroed rows, are the same in both modes
+    _, sampled = block_against_reference(circuit, observable, MeasureMode.EIGENVALUE_SAMPLE, 8, 40)
+    zeroed = [i for i, (o, _) in enumerate(sampled) if o == 0.0]
+    assert 0 < len(zeroed) < len(sampled)  # zeroed rows with live neighbours
+    ours, _ = block_against_reference(circuit, observable, mode, 8, 40)
+    for i in zeroed:
+        assert ours[i] == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+def test_estimate_is_independent_of_the_block_size(monkeypatch, mode):
+    circuit, observable = oracle_instance(3, LAYOUTS["two cuts"], 2)
+    config = EstimatorConfig(shots=23, seed=4, mode=mode)
+    whole = estimate(circuit, observable, config)
+    rows = []
+    run_block = sampler_module._block
+
+    def counted(plan, rngs):
+        rows.append(len(rngs))
+        return run_block(plan, rngs)
+
+    monkeypatch.setattr(sampler_module, "_block", counted)
+    monkeypatch.setattr(sampler_module, "_BLOCK_AMPS", 5 << circuit.num_qubits)
+    split = estimate(circuit, observable, config)
+    assert rows == [5, 5, 5, 5, 3]
+    assert split.shots == whole.shots == 23
+    assert abs(split.mean - whole.mean) < 1e-12
+    assert abs(split.std_error - whole.std_error) < 1e-12
