@@ -17,8 +17,6 @@ Conventions used throughout the package:
 States are dense pure vectors: every realization program maps a pure state
 to a pure state (projections renormalize), and mixtures arise only as
 averages over samples, which verification forms from ``density_matrix()``.
-A zero state is a legal sentinel: it stands for a discarded branch and
-contributes 0 to every expectation value.
 """
 
 from __future__ import annotations
@@ -63,11 +61,10 @@ def pauli_basis(num_qubits: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Dense n-qubit pure state vector, or the all-zero discard sentinel."""
+    """Dense n-qubit pure state vector."""
 
     num_qubits: int
     vector: np.ndarray
-    zero: bool
 
     def __post_init__(self) -> None:
         dim = 2**self.num_qubits
@@ -75,8 +72,6 @@ class QuantumState:
             raise ValueError(f"vector shape {self.vector.shape}, expected ({dim},)")
         if not np.isfinite(self.vector).all():
             raise ValueError("non-finite state entries")
-        if self.zero and np.any(self.vector):
-            raise ValueError("zero flag set on a nonzero vector")
 
     @classmethod
     def pure(cls, vector: np.ndarray) -> QuantumState:
@@ -85,12 +80,9 @@ class QuantumState:
         n = int(dim).bit_length() - 1
         if dim < 2 or 2**n != dim:
             raise ValueError(f"dimension {dim} is not a power of two")
-        return cls(num_qubits=n, vector=vec, zero=not np.any(vec))
-
-    @classmethod
-    def zero_state(cls, num_qubits: int) -> QuantumState:
-        """The discard sentinel: all entries zero."""
-        return cls(num_qubits=num_qubits, vector=np.zeros(2**num_qubits, dtype=complex), zero=True)
+        if not np.any(vec):
+            raise ValueError("the all-zero vector is not a state")
+        return cls(num_qubits=n, vector=vec)
 
     def density_matrix(self) -> np.ndarray:
         """The state's outer product |psi><psi|."""
@@ -100,11 +92,9 @@ class QuantumState:
 def expectation(state: QuantumState, operator: np.ndarray) -> float:
     """<psi|O|psi> for a Hermitian operator, as a real number.
 
-    Zero states give exactly 0. A residual imaginary part above 1e-10 means
-    the operator was not Hermitian and raises.
+    A residual imaginary part above 1e-10 means the operator was not
+    Hermitian and raises.
     """
-    if state.zero:
-        return 0.0
     dim = 2**state.num_qubits
     if operator.shape != (dim, dim):
         raise ValueError(f"operator shape {operator.shape} does not match {dim}")

@@ -66,17 +66,20 @@ def compare_costs(theta: ThetaVector | tuple[float, float, float]) -> SweepRow:
     )
 
 
+def _lattice(points_per_axis: int):
+    """Points (t1, t2, t3) of linspace(0, pi/4, m)^3 with t1 >= t2 >= t3, in index order."""
+    values = np.linspace(0.0, pi / 4.0, points_per_axis)
+    for i1 in range(points_per_axis):
+        for i2 in range(i1 + 1):
+            for i3 in range(i2 + 1):
+                yield (values[i1], values[i2], values[i3])
+
+
 def sweep(points_per_axis: int) -> list[SweepRow]:
     """All lattice points of the tetrahedron at the given axis resolution."""
     if points_per_axis < 2:
         raise ValueError("need at least 2 points per axis")
-    values = np.linspace(0.0, pi / 4.0, points_per_axis)
-    rows = []
-    for i1 in range(points_per_axis):
-        for i2 in range(i1 + 1):
-            for i3 in range(i2 + 1):
-                rows.append(compare_costs((values[i1], values[i2], values[i3])))
-    return rows
+    return [compare_costs(point) for point in _lattice(points_per_axis)]
 
 
 def find_max_w(grid_points: int = 50, restarts: int = 3) -> tuple[ThetaVector, float]:
@@ -90,18 +93,13 @@ def find_max_w(grid_points: int = 50, restarts: int = 3) -> tuple[ThetaVector, f
         raise ValueError("grid must have at least 50 points per axis")
     if restarts < 1:
         raise ValueError("need at least one refinement start")
-    values = np.linspace(0.0, pi / 4.0, grid_points)
 
     def objective(t: np.ndarray) -> float:
         return -weight_formula(pauli_coefficients(t))
 
-    scored: list[tuple[float, tuple[float, float, float]]] = []
-    for i1 in range(grid_points):
-        for i2 in range(i1 + 1):
-            for i3 in range(i2 + 1):
-                point = (values[i1], values[i2], values[i3])
-                scored.append((objective(point), point))
-    scored.sort(key=lambda item: item[0])
+    scored = sorted(
+        ((objective(point), point) for point in _lattice(grid_points)), key=lambda item: item[0]
+    )
 
     best_w = -np.inf
     best_t = np.array(scored[0][1])

@@ -31,12 +31,13 @@ many qubits) raise ValueError.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .algebra import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
+from .algebra import PAULIS, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
 from .canonical import PauliCoeffs, ThetaVector, canonical_unitary, pauli_coefficients
 
 MAX_QUBITS = 12
@@ -52,6 +53,16 @@ class FormatError(ValueError):
     """A document is structurally malformed (bad schema, not bad physics)."""
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as a plain int; bools and non-integers raise ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SingleGate:
     """Rotation exp(-i theta n . sigma) on one qubit; axis must be unit."""
@@ -61,6 +72,7 @@ class SingleGate:
     theta: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "qubit", _integer(self.qubit, "qubit index"))
         ax = tuple(float(x) for x in self.axis)
         if len(ax) != 3 or abs(sum(x * x for x in ax) - 1.0) > _AXIS_TOL:
             raise ValueError("rotation axis must be a unit 3-vector")
@@ -86,7 +98,7 @@ class CanonicalGate:
     cut: bool = False
 
     def __post_init__(self) -> None:
-        qs = tuple(int(q) for q in self.qubits)
+        qs = tuple(_integer(q, "qubit index") for q in self.qubits)
         if len(qs) != 2 or qs[0] == qs[1]:
             raise ValueError(f"canonical gate needs two distinct qubits, got {qs}")
         object.__setattr__(self, "qubits", qs)
@@ -109,6 +121,7 @@ class Raw1QGate:
     matrix_values: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "qubit", _integer(self.qubit, "qubit index"))
         m = np.asarray(self.matrix_values, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("raw gate matrix must be 2x2")
@@ -130,6 +143,7 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "num_qubits", _integer(self.num_qubits, "num_qubits"))
         if not 1 <= self.num_qubits <= MAX_QUBITS:
             raise ValueError(f"num_qubits must be 1..{MAX_QUBITS}, got {self.num_qubits}")
         for gate in self.gates:
@@ -324,7 +338,7 @@ def gate_based_estimate(
     # final states of the four substituted circuits, and O applied to each
     states = []
     for alpha in range(4):
-        sub = kron(_PAULI_LIST[alpha], _PAULI_LIST[alpha])
+        sub = kron(PAULIS[alpha], PAULIS[alpha])
         psi = initial_state(circuit.num_qubits)
         for i, g in enumerate(circuit.gates):
             if i == gate_index:
@@ -347,9 +361,6 @@ def gate_based_estimate(
     ket = rng.choice(4, size=shots, p=probs)
     bra = rng.choice(4, size=shots, p=probs)
     return float(values[bra, ket].mean())
-
-
-_PAULI_LIST = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 # --- JSON documents --------------------------------------------------------

@@ -14,32 +14,30 @@ nothing.
 Each channel carries a realization program built from three primitive steps:
 
 * UNITARY(V): apply a 2x2 unitary.
-* SIGNED_MEASUREMENT(n, c+, c-): measure along axis n; on outcome +-
-  (probability p+- = Tr[Pi(+-n) rho]) project, renormalize, and multiply the
-  running weight by c+-. Each c is 0 or a unit-modulus phase; the expected
-  weighted output is c+ Pi(n) rho Pi(n) + c- Pi(-n) rho Pi(-n).
-* COIN(branches): pick a branch by its probability, multiply the weight by
-  its +-1 sign, run its steps.
+* SIGNED_MEASUREMENT(n): measure along axis n; on outcome +- (probability
+  p+- = Tr[Pi(+-n) rho]) project, renormalize, and multiply the running
+  weight by +-1. The expected weighted output is
+  Pi(n) rho Pi(n) - Pi(-n) rho Pi(-n).
+* COIN(V+, V-): toss a fair coin; apply V+ with weight +1 or V- with
+  weight -1.
 
 The programs (sigma_a sigma_a' = i eps sigma_a'', eps the Levi-Civita sign):
 
     sigma_a   -> UNITARY(sigma_a)
-    A_0a'     -> SIGNED_MEASUREMENT(e_a', +1, -1)
-    A_aa'     -> COIN(1/2: UNITARY((sigma_a + sigma_a')/sqrt2),
-                      1/2: UNITARY((sigma_a - sigma_a')/sqrt2))  [sign +-1]
-    B_0a'     -> COIN(1/2: UNITARY(exp(+i pi/4 sigma_a')),
-                      1/2: UNITARY(exp(-i pi/4 sigma_a')))       [sign +-1]
-    B_aa'     -> SIGNED_MEASUREMENT(-eps e_a'', +1, -1), then UNITARY(sigma_a)
+    A_0a'     -> SIGNED_MEASUREMENT(e_a')
+    A_aa'     -> COIN((sigma_a + sigma_a')/sqrt2, (sigma_a - sigma_a')/sqrt2)
+    B_0a'     -> COIN(exp(+i pi/4 sigma_a'), exp(-i pi/4 sigma_a'))
+    B_aa'     -> SIGNED_MEASUREMENT(-eps e_a''), then UNITARY(sigma_a)
 
 Every program has total quasiprobability mass exactly 1: averaging
 weight x (post state) over the program's randomness reproduces the channel.
-``run_program`` is their only interpreter, for the sampler and ``realize``
-alike; a weight-0 outcome discards the sample.
+Every sampled run weighs exactly +-1. ``run_program`` is their only
+interpreter, for the sampler and ``realize`` alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import sqrt
 
@@ -48,7 +46,7 @@ import numpy as np
 from .algebra import PAULIS, QuantumState, ptm_from_action
 from .circuit import apply_1q
 
-_PHASE_TOL = 1e-12
+_AXIS_TOL = 1e-12
 
 # (alpha, alpha') -> (eps, alpha'') with sigma_a sigma_a' = i eps sigma_a''
 _LEVI_CIVITA = {(1, 2): (1, 3), (1, 3): (-1, 2), (2, 3): (1, 1)}
@@ -138,48 +136,28 @@ class Unitary:
 
 @dataclass(frozen=True)
 class SignedMeasurement:
-    """Measure along ``axis``; weight the +- outcomes by c_plus / c_minus."""
+    """Measure along ``axis``; outcome +n weighs +1, outcome -n weighs -1."""
 
     axis: tuple[float, float, float]
-    c_plus: complex
-    c_minus: complex
+    # Pi(+n), precomputed once; sampling paths hit this every shot
+    projector_matrix: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         ax = tuple(float(x) for x in self.axis)
-        if len(ax) != 3 or abs(sum(x * x for x in ax) - 1.0) > _PHASE_TOL:
+        if len(ax) != 3 or abs(sum(x * x for x in ax) - 1.0) > _AXIS_TOL:
             raise ValueError("measurement axis must be a unit 3-vector")
-        for c in (self.c_plus, self.c_minus):
-            mag = abs(complex(c))
-            if mag != 0.0 and abs(mag - 1.0) > _PHASE_TOL:
-                raise ValueError(f"outcome weight {c} is neither 0 nor unit modulus")
         object.__setattr__(self, "axis", ax)
-        # Pi(+n), precomputed once; sampling paths hit this every shot
         matrix = projector(ax)
         matrix.setflags(write=False)
         object.__setattr__(self, "projector_matrix", matrix)
 
 
 @dataclass(frozen=True)
-class CoinBranch:
-    probability: float
-    sign: int
-    steps: tuple[Unitary, ...]
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.probability <= 1.0:
-            raise ValueError(f"branch probability {self.probability} outside (0, 1]")
-        if self.sign not in (1, -1):
-            raise ValueError(f"branch sign must be +-1, got {self.sign}")
-
-
-@dataclass(frozen=True)
 class Coin:
-    branches: tuple[CoinBranch, ...]
+    """A fair coin: ``plus`` with weight +1 or ``minus`` with weight -1."""
 
-    def __post_init__(self) -> None:
-        total = sum(b.probability for b in self.branches)
-        if abs(total - 1.0) > _PHASE_TOL:
-            raise ValueError(f"branch probabilities sum to {total}, not 1")
+    plus: Unitary
+    minus: Unitary
 
 
 RealizationStep = Unitary | SignedMeasurement | Coin
@@ -223,18 +201,6 @@ def basis_ptm(channel: BasisChannelId) -> np.ndarray:
     return cached
 
 
-_PROGRAM_CACHE: dict[BasisChannelId, tuple[RealizationStep, ...]] = {}
-
-
-def realization_program(channel: BasisChannelId) -> tuple[RealizationStep, ...]:
-    """The channel's realization as primitive steps (cached)."""
-    cached = _PROGRAM_CACHE.get(channel)
-    if cached is None:
-        cached = _build_program(channel)
-        _PROGRAM_CACHE[channel] = cached
-    return cached
-
-
 def _build_program(channel: BasisChannelId) -> tuple[RealizationStep, ...]:
     a = channel.alpha
     if channel.kind is ChannelKind.PAULI:
@@ -243,55 +209,59 @@ def _build_program(channel: BasisChannelId) -> tuple[RealizationStep, ...]:
     if channel.kind is ChannelKind.A:
         if a == 0:
             # A_0b = Pi(n_b) - Pi(-n_b) as weighted projections
-            return (SignedMeasurement(tuple(_AXES[b - 1]), 1.0, -1.0),)
+            return (SignedMeasurement(tuple(_AXES[b - 1])),)
         # (sigma_a +- sigma_b)/sqrt2 is Hermitian and squares to I: a unitary
         plus = Unitary((PAULIS[a] + PAULIS[b]) / sqrt(2.0))
         minus = Unitary((PAULIS[a] - PAULIS[b]) / sqrt(2.0))
-        return (Coin((CoinBranch(0.5, 1, (plus,)), CoinBranch(0.5, -1, (minus,)))),)
+        return (Coin(plus, minus),)
     if a == 0:
         # (I +- i sigma_b)/sqrt2 = exp(+- i pi/4 sigma_b)
         plus = Unitary((PAULIS[0] + 1j * PAULIS[b]) / sqrt(2.0))
         minus = Unitary((PAULIS[0] - 1j * PAULIS[b]) / sqrt(2.0))
-        return (Coin((CoinBranch(0.5, 1, (plus,)), CoinBranch(0.5, -1, (minus,)))),)
+        return (Coin(plus, minus),)
     # B_ab with a > 0: sigma_a (sigma_0 -+ eps sigma_c)/2 = B_ab,+-, so measure
     # along -eps e_c with weights (+1, -1), then flip with sigma_a.
     eps, c = _LEVI_CIVITA[(a, b)]
     axis = tuple(-eps * _AXES[c - 1])
-    return (SignedMeasurement(axis, 1.0, -1.0), Unitary(PAULIS[a]))
+    return (SignedMeasurement(axis), Unitary(PAULIS[a]))
+
+
+_PROGRAMS: dict[BasisChannelId, tuple[RealizationStep, ...]] = {
+    channel: _build_program(channel) for channel in ALL_CHANNELS
+}
+
+
+def realization_program(channel: BasisChannelId) -> tuple[RealizationStep, ...]:
+    """The channel's realization as primitive steps (built once at import)."""
+    return _PROGRAMS[channel]
 
 
 def run_program(
     psi: np.ndarray, program, qubit: int, num_qubits: int, rng
-) -> tuple[np.ndarray | None, complex]:
+) -> tuple[np.ndarray, float]:
     """Run one sample of ``program`` on qubit ``qubit`` of a pure statevector.
 
     Each coin and measurement takes one ``rng.random()`` draw in [0, 1);
-    measurements renormalize. Returns (post state, weight), or (None, 0) when
-    a weight-0 outcome discards the sample.
+    measurements renormalize. Returns (post state, weight +-1.0).
     """
-    weight = 1.0 + 0.0j
+    weight = 1.0
     for step in program:
         if isinstance(step, Unitary):
             psi = apply_1q(psi, step.matrix, qubit, num_qubits)
         elif isinstance(step, Coin):
-            # the last branch also absorbs rounding in the probability sum
-            draw = rng.random()
-            for branch in step.branches:
-                draw -= branch.probability
-                if draw < 0.0:
-                    break
-            weight *= branch.sign
-            for sub in branch.steps:
-                psi = apply_1q(psi, sub.matrix, qubit, num_qubits)
+            if rng.random() < 0.5:
+                psi = apply_1q(psi, step.plus.matrix, qubit, num_qubits)
+            else:
+                psi = apply_1q(psi, step.minus.matrix, qubit, num_qubits)
+                weight = -weight
         else:
             projected = apply_1q(psi, step.projector_matrix, qubit, num_qubits)
             p_plus = float(np.real(np.vdot(projected, projected)))
-            plus = rng.random() < p_plus
-            c = complex(step.c_plus if plus else step.c_minus)
-            if c == 0.0:
-                return None, 0.0j
-            psi = projected / sqrt(p_plus) if plus else (psi - projected) / sqrt(1.0 - p_plus)
-            weight *= c
+            if rng.random() < p_plus:
+                psi = projected / sqrt(p_plus)
+            else:
+                psi = (psi - projected) / sqrt(1.0 - p_plus)
+                weight = -weight
     return psi, weight
 
 
@@ -301,26 +271,20 @@ def realize(channel: BasisChannelId, state: QuantumState, rng) -> RealizationOut
     ``rng`` needs a ``random()`` method returning uniforms in [0, 1). The
     output state stays normalized; averaging weight x |psi><psi| over many
     runs converges to the channel's exact action on the input's density
-    matrix. Zero states pass through unchanged with weight 1.
+    matrix.
 
     Args:
         channel: which basis channel to realize.
-        state: normalized or zero single-qubit state.
+        state: normalized single-qubit state.
         rng: uniform source for measurement outcomes and coin flips.
 
     Returns:
-        RealizationOutcome with the post state and the accumulated weight
-        (unit modulus, or 0 with the zero state if a weight-0 outcome was
-        drawn).
+        RealizationOutcome with the post state and the weight, +1 or -1.
     """
     if state.num_qubits != 1:
         raise ValueError("realize acts on single-qubit states")
-    if state.zero:
-        return RealizationOutcome(state, 1.0 + 0.0j)
     psi, weight = run_program(state.vector, realization_program(channel), 0, 1, rng)
-    if psi is None:
-        return RealizationOutcome(QuantumState.zero_state(1), weight)
-    return RealizationOutcome(QuantumState(num_qubits=1, vector=psi, zero=False), weight)
+    return RealizationOutcome(QuantumState(num_qubits=1, vector=psi), complex(weight))
 
 
 def check_basis_completeness() -> bool:

@@ -4,8 +4,8 @@ Each shot runs the circuit once. An uncut gate is applied exactly. A cut
 canonical gate is replaced by one term of its quasiprobability decomposition,
 drawn proportionally to |coefficient|; the term's channel labels are realized
 on the two qubits (projective branches and coin flips included) and the
-coefficient's phase together with all realization weights accumulate into a
-unit-modulus shot phase. The shot value is
+coefficient's phase together with the realization weights, each +-1,
+accumulate into a unit-modulus shot phase. The shot value is
 
     x_s = W_total * Re(phase_s * o_s'),
 
@@ -26,7 +26,7 @@ term when sampling eigenvalues). Wider circuits keep the tail gates and
 evaluate the observable per Pauli.
 
 The shots run in blocks of about 2^15 amplitudes: the states of a block's
-shots are the rows of one (B, 2^n) array. Per cut, a loop over the live rows
+shots are the rows of one (B, 2^n) array. Per cut, a loop over the rows
 draws each shot's term and runs its realization programs on that shot's own
 stream; the uncut gates after the cut, and at the end the exact-mode
 observable, then act on the whole block at once. In sample mode each shot
@@ -149,6 +149,12 @@ class EstimatorConfig:
             raise ValueError("set exactly one of shots or (epsilon, delta)")
         if fixed and self.shots < 1:
             raise ValueError("shots must be >= 1")
+        _check_mode(self.mode)
+
+
+def _check_mode(mode) -> None:
+    if not isinstance(mode, MeasureMode):
+        raise ValueError(f"mode must be a MeasureMode, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -325,44 +331,32 @@ def _block(plan: _ShotPlan, rngs: list) -> tuple[np.ndarray, np.ndarray, np.ndar
     """One shot per stream in ``rngs``: (phase, o', x = W Re(phase o')) arrays.
 
     The shots' states are the rows of one (B, 2^n) array. Per cut, in
-    circuit order, each live row draws its term and runs its side-0, then
-    side-1 programs on its own stream; a zeroed row is set to 0 and draws
-    nothing more. The uncut gates after the cut, and then the exact-mode
-    observable, act on the whole block at once. Sample mode last draws,
-    per live row, the observable term and then its eigenvalue, with each
-    drawn term's mean taken once on the rows that drew it.
+    circuit order, each row draws its term and runs its side-0, then
+    side-1 programs on its own stream. The uncut gates after the cut, and
+    then the exact-mode observable, act on the whole block at once. Sample
+    mode last draws, per row, the observable term and then its eigenvalue,
+    with each drawn term's mean taken once on the rows that drew it.
     """
     n = plan.num_qubits
     psi = np.repeat(plan.prefix[np.newaxis], len(rngs), axis=0)
     phases = [1.0 + 0.0j] * len(rngs)
-    live = range(len(rngs))
     for cut in plan.cuts:
         cums, last = cut.cums, len(cut.cums) - 1
-        survivors = []
-        for i in live:
-            rng = rngs[i]
+        for i, rng in enumerate(rngs):
             # term draw proportional to |coefficient|
             pick = min(bisect_right(cums, rng.random() * cut.weight), last)
             phase = phases[i] * cut.phases[pick]
             row = psi[i]
             for side, program in cut.programs[pick]:
                 row, w = run_program(row, program, cut.qubits[side], n, rng)
-                if row is None:
-                    break
                 phase *= w
             phases[i] = phase
-            if row is None:
-                psi[i] = 0.0
-            else:
-                psi[i] = row
-                survivors.append(i)
-        live = survivors
+            psi[i] = row
         for gate in cut.after:
             psi = apply_gate(psi, gate, n)
 
     o_max = plan.observable.o_max
     if plan.mode is MeasureMode.EXACT_TRACE:
-        # a zeroed row is 0, and so is its trace
         if plan.dense is not None:
             o_value = _row_means(psi, plan.dense, n)
         else:
@@ -371,12 +365,12 @@ def _block(plan: _ShotPlan, rngs: list) -> tuple[np.ndarray, np.ndarray, np.ndar
             )
     else:
         o_value = np.zeros(len(rngs))
-        # each live row draws its term; a term's mean is taken only on the
-        # rows that drew it, and each of them then draws its eigenvalue
+        # each row draws its term; a term's mean is taken only on the rows
+        # that drew it, and each of them then draws its eigenvalue
         cums, last = plan.term_cums, len(plan.term_cums) - 1
         rows_by_term: dict[int, list[int]] = {}
-        for i in live:
-            pick = min(bisect_right(cums, rngs[i].random() * cums[-1]), last)
+        for i, rng in enumerate(rngs):
+            pick = min(bisect_right(cums, rng.random() * cums[-1]), last)
             rows_by_term.setdefault(pick, []).append(i)
         for pick, rows in rows_by_term.items():
             sign, op = plan.terms[pick]
@@ -408,13 +402,13 @@ def run_shot(
 ) -> ShotRecord:
     """One Monte-Carlo shot. ``decompositions`` maps cut gate index -> QPD.
 
-    ``rng`` needs only a ``random()`` method. A weight-0 realization branch
-    zeroes the state and the shot contributes exactly 0. This is a one-shot
-    wrapper: every call compiles a fresh shot plan (prefix state, sampling
-    tables, folded observable) and runs it as a block of one shot, so a
-    loop over shots should call ``estimate``, which compiles once per call
-    and runs the shots in blocks.
+    ``rng`` needs only a ``random()`` method. This is a one-shot wrapper:
+    every call compiles a fresh shot plan (prefix state, sampling tables,
+    folded observable) and runs it as a block of one shot, so a loop over
+    shots should call ``estimate``, which compiles once per call and runs
+    the shots in blocks.
     """
+    _check_mode(mode)
     phase, o_value, x = _block(_compile(circuit, observable, decompositions, mode), [rng])
     return ShotRecord(
         phase=complex(phase[0]), observable_value=float(o_value[0]), value=float(x[0])

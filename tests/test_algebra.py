@@ -66,18 +66,11 @@ def test_pauli_basis_two_qubits():
         np.testing.assert_allclose(m, m.conj().T, atol=0)
 
 
-def test_zero_state_sentinel():
-    z = QuantumState.zero_state(2)
-    assert z.zero and z.vector.shape == (4,) and not z.vector.any()
-    assert QuantumState.pure(np.zeros(4)).zero
-
-
 def test_state_validation_rejects_bad_input():
-    # the zero flag must agree with the stored vector
     with pytest.raises(ValueError):
-        QuantumState(num_qubits=1, vector=np.array([1.0, 0.0], dtype=complex), zero=True)
+        QuantumState(num_qubits=2, vector=np.array([1.0, 0.0], dtype=complex))
     with pytest.raises(ValueError):
-        QuantumState(num_qubits=2, vector=np.array([1.0, 0.0], dtype=complex), zero=False)
+        QuantumState.pure(np.zeros(4))  # the all-zero vector is not a state
     with pytest.raises(ValueError):
         QuantumState.pure(np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
@@ -90,7 +83,6 @@ def test_expectation_basics():
     assert abs(expectation(plus, SIGMA_Z)) < 1e-12
     zero_ket = QuantumState.pure(np.array([1.0, 0.0]))
     assert abs(expectation(zero_ket, SIGMA_Z) - 1.0) < 1e-12
-    assert expectation(QuantumState.zero_state(1), SIGMA_Z) == 0.0
 
 
 def test_expectation_rejects_imaginary_trace():

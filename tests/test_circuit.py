@@ -179,6 +179,30 @@ def test_circuit_validation():
         exact_expectation(Circuit(1, ()), ZZ)  # width mismatch
 
 
+def test_qubit_indices_must_be_integers():
+    theta = ThetaVector(0.1, 0, 0)
+    eye = np.eye(2)
+    for build in (
+        lambda: CanonicalGate((0, 1.7), theta),  # int() would make it (0, 1)
+        lambda: CanonicalGate((True, 1), theta),
+        lambda: Circuit(2, (SingleGate(1.5, Y_AXIS, 0.2),)),  # in range, not an index
+        lambda: SingleGate(np.float64(1.0), Y_AXIS, 0.2),
+        lambda: Raw1QGate(False, eye),
+        lambda: Raw1QGate("0", eye),
+        lambda: Circuit(True, ()),  # a bool is not a qubit count
+        lambda: Circuit(2.0, ()),
+    ):
+        with pytest.raises(ValueError):
+            build()
+    # numpy integers are accepted and stored as plain ints
+    gate = CanonicalGate((np.int64(1), np.int32(0)), theta)
+    single = SingleGate(np.int64(1), Y_AXIS, 0.2)
+    circuit = Circuit(np.int64(2), (gate, single, Raw1QGate(np.int8(0), eye)))
+    assert gate.qubits == (1, 0) and all(type(q) is int for q in gate.qubits)
+    assert type(single.qubit) is int and type(circuit.num_qubits) is int
+    assert type(circuit.gates[2].qubit) is int
+
+
 def test_cut_indices():
     circuit = Circuit(
         2,

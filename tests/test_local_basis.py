@@ -63,9 +63,9 @@ def ptm_by_traces(apply):
 def expected_program_map(program):
     """Average a program over all its branches, as a map on 2x2 matrices.
 
-    A signed measurement contributes c+ P m P + c- P' m P' in expectation
-    (the branch probability cancels against the renormalization), a coin
-    contributes the probability-weighted signed sum of its branch unitaries.
+    A signed measurement contributes P m P - P' m P' in expectation (the
+    branch probability cancels against the renormalization), a fair coin
+    half the difference of its two unitaries' conjugations.
     """
 
     def run(m):
@@ -74,20 +74,12 @@ def expected_program_map(program):
             if isinstance(step, Unitary):
                 out = step.matrix @ out @ step.matrix.conj().T
             elif isinstance(step, Coin):
-                acc = np.zeros_like(out)
-                for branch in step.branches:
-                    piece = out
-                    for sub in branch.steps:
-                        piece = sub.matrix @ piece @ sub.matrix.conj().T
-                    acc = acc + branch.probability * branch.sign * piece
-                out = acc
+                u, v = step.plus.matrix, step.minus.matrix
+                out = 0.5 * (u @ out @ u.conj().T) - 0.5 * (v @ out @ v.conj().T)
             else:
                 p_plus = projector(step.axis)
                 p_minus = np.eye(2, dtype=complex) - p_plus
-                out = (
-                    complex(step.c_plus) * (p_plus @ out @ p_plus)
-                    + complex(step.c_minus) * (p_minus @ out @ p_minus)
-                )
+                out = p_plus @ out @ p_plus - p_minus @ out @ p_minus
         return out
 
     return run
@@ -250,15 +242,18 @@ def test_realize_measurement_on_eigenstates_is_deterministic():
 
 def test_realize_coin_branches():
     # A(1,2) tosses a fair coin between (X+Y)/sqrt(2) and (X-Y)/sqrt(2)
-    program = realization_program(a_channel(1, 2))
-    coin = program[0]
-    assert [b.sign for b in coin.branches] == [1, -1]
-    state = ket(1.0, 0.0)
-    heads = realize(a_channel(1, 2), state, FixedDraws([0.1]))
-    tails = realize(a_channel(1, 2), state, FixedDraws([0.9]))
-    assert heads.weight == 1.0 + 0.0j and tails.weight == -1.0 + 0.0j
+    (coin,) = realization_program(a_channel(1, 2))
     u_plus = (PAULIS[1] + PAULIS[2]) / np.sqrt(2.0)
     u_minus = (PAULIS[1] - PAULIS[2]) / np.sqrt(2.0)
+    np.testing.assert_allclose(coin.plus.matrix, u_plus, atol=1e-15)
+    np.testing.assert_allclose(coin.minus.matrix, u_minus, atol=1e-15)
+    state = ket(1.0, 0.0)
+    # the coin is fair: heads below 1/2, tails from 1/2 on
+    heads = realize(a_channel(1, 2), state, FixedDraws([0.1]))
+    edge = realize(a_channel(1, 2), state, FixedDraws([0.5]))
+    tails = realize(a_channel(1, 2), state, FixedDraws([0.9]))
+    assert heads.weight == 1.0 + 0.0j
+    assert edge.weight == tails.weight == -1.0 + 0.0j
     np.testing.assert_allclose(heads.state.vector, u_plus @ [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(tails.state.vector, u_minus @ [1.0, 0.0], atol=1e-12)
 
@@ -269,12 +264,6 @@ def test_realize_b_mixed_channel():
     # |0> has zero overlap with the -z projector, so the minus branch fires
     assert out.weight == -1.0 + 0.0j
     np.testing.assert_allclose(out.state.vector, [0.0, 1.0], atol=1e-12)
-
-
-def test_realize_passes_zero_state_through():
-    z = QuantumState.zero_state(1)
-    out = realize(a_channel(0, 1), z, FixedDraws([]))
-    assert out.state.zero and out.weight == 1.0 + 0.0j
 
 
 def test_realize_rejects_multi_qubit_states():
@@ -301,10 +290,8 @@ def test_realize_monte_carlo_means_match_channels():
 
 def test_signed_measurement_validation():
     with pytest.raises(ValueError):
-        SignedMeasurement((0.0, 0.0, 2.0), 1.0, -1.0)  # axis not unit
-    with pytest.raises(ValueError):
-        SignedMeasurement((0.0, 0.0, 1.0), 0.5, -1.0)  # weight neither 0 nor unit
-    m = SignedMeasurement((0.0, 0.0, 1.0), 1.0, 0.0)
+        SignedMeasurement((0.0, 0.0, 2.0))  # axis not unit
+    m = SignedMeasurement((0.0, 0.0, 1.0))
     np.testing.assert_allclose(m.projector_matrix, np.diag([1.0, 0.0]), atol=1e-15)
 
 
