@@ -31,8 +31,10 @@ The programs (sigma_a sigma_a' = i eps sigma_a'', eps the Levi-Civita sign):
 
 Every program has total quasiprobability mass exactly 1: averaging
 weight x (post state) over the program's randomness reproduces the channel.
-Every sampled run weighs exactly +-1. ``run_program`` is their only
-interpreter, for the sampler and ``realize`` alike.
+Every sampled run weighs exactly +-1. ``run_program`` runs a program once,
+for ``realize``; ``run_branches`` runs it for many shots that share one
+input state, for the sampler, and does each branch's work once. Both take
+the same draws in the same order and apply the same kernels.
 """
 
 from __future__ import annotations
@@ -159,6 +161,10 @@ class Coin:
     plus: Unitary
     minus: Unitary
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.plus, Unitary) and isinstance(self.minus, Unitary)):
+            raise TypeError("both sides of a coin must be Unitary steps")
+
 
 RealizationStep = Unitary | SignedMeasurement | Coin
 
@@ -254,7 +260,7 @@ def run_program(
             else:
                 psi = apply_1q(psi, step.minus.matrix, qubit, num_qubits)
                 weight = -weight
-        else:
+        elif isinstance(step, SignedMeasurement):
             projected = apply_1q(psi, step.projector_matrix, qubit, num_qubits)
             p_plus = float(np.real(np.vdot(projected, projected)))
             if rng.random() < p_plus:
@@ -262,7 +268,52 @@ def run_program(
             else:
                 psi = (psi - projected) / sqrt(1.0 - p_plus)
                 weight = -weight
+        else:
+            raise TypeError(f"unknown realization step {step!r}")
     return psi, weight
+
+
+def run_branches(
+    psi: np.ndarray, program, qubit: int, num_qubits: int, draw, shots: np.ndarray
+) -> list[tuple[np.ndarray, float, np.ndarray]]:
+    """Run ``program`` once per shot in ``shots``, all from the state ``psi``.
+
+    ``shots`` is an index array and ``draw(shots)`` returns one uniform in
+    [0, 1) per listed shot. Shots that draw the same outcomes share a
+    branch, and each branch's state is computed once, exactly as
+    ``run_program`` computes it for each of its shots, which also draws
+    what ``run_program`` draws. Returns (post state, weight +-1.0, shots)
+    per branch reached.
+    """
+    branches = [(psi, 1.0, shots)]
+    for step in program:
+        if isinstance(step, Unitary):
+            branches = [(apply_1q(s, step.matrix, qubit, num_qubits), w, i) for s, w, i in branches]
+            continue
+        split = []
+        for state, weight, taken in branches:
+            # only reached outcomes are computed: p_plus may be 0 or 1
+            if isinstance(step, Coin):
+                plus = draw(taken) < 0.5
+                if plus.any():
+                    up = apply_1q(state, step.plus.matrix, qubit, num_qubits)
+                    split.append((up, weight, taken[plus]))
+                if not plus.all():
+                    down = apply_1q(state, step.minus.matrix, qubit, num_qubits)
+                    split.append((down, -weight, taken[~plus]))
+            elif isinstance(step, SignedMeasurement):
+                projected = apply_1q(state, step.projector_matrix, qubit, num_qubits)
+                p_plus = float(np.real(np.vdot(projected, projected)))
+                plus = draw(taken) < p_plus
+                if plus.any():
+                    split.append((projected / sqrt(p_plus), weight, taken[plus]))
+                if not plus.all():
+                    down = (state - projected) / sqrt(1.0 - p_plus)
+                    split.append((down, -weight, taken[~plus]))
+            else:
+                raise TypeError(f"unknown realization step {step!r}")
+        branches = split
+    return branches
 
 
 def realize(channel: BasisChannelId, state: QuantumState, rng) -> RealizationOutcome:

@@ -25,16 +25,20 @@ after the last cut folded into the observable (V^+ O V, or V^+ P_k V per
 term when sampling eigenvalues). Wider circuits keep the tail gates and
 evaluate the observable per Pauli.
 
-The shots run in blocks of about 2^15 amplitudes: the states of a block's
-shots are the rows of one (B, 2^n) array. Per cut, a loop over the rows
-draws each shot's term and runs its realization programs on that shot's own
-stream; the uncut gates after the cut, and at the end the exact-mode
-observable, then act on the whole block at once. In sample mode each shot
-draws its observable term, and each drawn term is evaluated once on the rows
-that drew it. A shot draws exactly what the per-gate simulation would, in the
-same order, so neither the plan nor the blocks change a result beyond
-rounding.
-``run_shot`` compiles a plan on every call and runs it as a block of one.
+Every step a shot takes is picked from a small discrete set: the term, the
+coin sides and measurement outcomes of its programs, and at the end the
+observable term. So a shot's state depends only on its branch path, at most
+about 100 paths per cut, not on the draws themselves. The shots of an
+estimate walk a branch tree together (``_walk``): a node holds the state of
+every shot on one path, and each node's work (its programs' unitaries,
+coins and measurements, the uncut gates after its cut, the observable) is
+done once, not once per shot. Only the open frontier holds states, and the
+shots run in chunks of 2^16, so memory does not grow with the tree or the
+shot count beyond one value per shot. A shot draws exactly what the
+per-gate simulation would, in the same order, so neither the plan nor the
+tree changes a result beyond rounding, and a shot's value does not depend
+on the other shots of its chunk. ``run_shot`` compiles a plan on every
+call and walks one path of its tree.
 
 Shot counts for a target (epsilon, delta) follow the two-sided Hoeffding
 bound for samples bounded by W * o_max:
@@ -47,19 +51,19 @@ or planned, raise ValueError before any are sampled.
 Reproducibility: every shot draws from its own uniform stream derived from
 (seed, shot_index) by a fixed 64-bit mix (murmur-style initialization, then a
 SplitMix64 walk). A result is therefore a pure function of the seed and
-the inputs; the stream values themselves are pinned by test vectors. Stdlib
-and numpy generators cost 5-10 us per per-shot construction, which is why
-this hot path uses the explicit counter scheme.
+the inputs; the stream values themselves are pinned by test vectors.
+``ShotStream`` is one shot's stream on Python ints; ``estimate`` keeps the
+streams of a chunk as one uint64 array, and a tree node advances all its
+shots' streams in one array operation, with the same draws bit for bit.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from math import ceil, log, sqrt
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -75,7 +79,7 @@ from .circuit import (
 )
 from .decomposition import QPDecomposition, decompose
 from .canonical import pauli_coefficients
-from .local_basis import RealizationStep, realization_program, run_program
+from .local_basis import RealizationStep, realization_program, run_branches
 
 _BOUND_SLACK = 1e-9
 
@@ -87,9 +91,9 @@ _BELOW_ONE = 1.0 - 2.0**-53
 # the observable per Pauli
 _DENSE_QUBIT_LIMIT = 8
 
-# estimate runs its shots in blocks of _BLOCK_AMPS >> n rows of 2^n amplitudes
-# (512 KiB); at 10 qubits blocks of 2^16 amplitudes ran 1.5x slower per shot
-_BLOCK_AMPS = 1 << 15
+# estimate walks its shots in chunks of this many; a chunk holds about 100
+# bytes per shot (stream state, phase, o', x, indices) next to its tree
+_CHUNK_SHOTS = 1 << 16
 
 # an estimate keeps one float per shot: 800 MB at this count
 MAX_SHOTS = 100_000_000
@@ -98,6 +102,30 @@ MAX_SHOTS = 100_000_000
 class MeasureMode(Enum):
     EXACT_TRACE = "exact"
     EIGENVALUE_SAMPLE = "sample"
+
+
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _stream_start(seed: int, shot_index):
+    """The murmur-style finalizer of (seed, shot_index): a stream's first state.
+
+    ``shot_index`` is an int or a uint64 array; the arithmetic is the same
+    mod 2^64 on both.
+    """
+    key = (seed * 0x2545F4914F6CDD1D + 0x632BE59BD9B4E019) & _MASK
+    h = (shot_index * _GAMMA + key) & _MASK
+    h = ((h ^ (h >> 33)) * 0xFF51AFD7ED558CCD) & _MASK
+    h = ((h ^ (h >> 33)) * 0xC4CEB9FE1A85EC53) & _MASK
+    return h ^ (h >> 33)
+
+
+def _stream_output(z):
+    """The SplitMix64 finalizer of a stream state z, on ints or uint64 arrays."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
 
 
 class ShotStream:
@@ -110,23 +138,37 @@ class ShotStream:
 
     __slots__ = ("_z",)
 
-    _MASK = (1 << 64) - 1
-    _GAMMA = 0x9E3779B97F4A7C15
-
     def __init__(self, seed: int, shot_index: int) -> None:
-        h = (seed * 0x2545F4914F6CDD1D + shot_index * self._GAMMA + 0x632BE59BD9B4E019) & self._MASK
-        h = ((h ^ (h >> 33)) * 0xFF51AFD7ED558CCD) & self._MASK
-        h = ((h ^ (h >> 33)) * 0xC4CEB9FE1A85EC53) & self._MASK
-        self._z = h ^ (h >> 33)
+        self._z = _stream_start(seed, shot_index)
 
     def random(self) -> float:
-        self._z = z = (self._z + self._GAMMA) & self._MASK
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        z ^= z >> 31
-        u = z / 18446744073709551616.0
+        self._z = z = (self._z + _GAMMA) & _MASK
+        u = _stream_output(z) / 18446744073709551616.0
         # z >= 2**64 - 1024 rounds up to 1.0; clamp to keep the [0, 1) contract
         return u if u < 1.0 else _BELOW_ONE
+
+
+class _StreamArray:
+    """The ``ShotStream`` of every shot in ``range(start, start + count)``.
+
+    One uint64 state per shot; ``draw(idx)`` advances the listed shots
+    (positions in the range) by one draw each, as one array operation, and
+    returns their uniforms, bit for bit what ``ShotStream.random`` returns.
+    """
+
+    def __init__(self, seed: int, start: int, count: int) -> None:
+        self._z = _stream_start(seed, np.arange(start, start + count, dtype=np.uint64))
+
+    def draw(self, idx: np.ndarray) -> np.ndarray:
+        z = self._z[idx] + np.uint64(_GAMMA)
+        self._z[idx] = z
+        # uint64 -> float64 rounds to nearest, as int / float does
+        return np.minimum(_stream_output(z) / 18446744073709551616.0, _BELOW_ONE)
+
+
+def _draw_from(rngs) -> Callable[[np.ndarray], np.ndarray]:
+    """A ``draw`` over objects with ``random()``: shot i draws from ``rngs[i]``."""
+    return lambda idx: np.array([rngs[i].random() for i in idx.tolist()], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -206,7 +248,7 @@ def plan_shots(epsilon: float, delta: float, o_max: float, w_total: float) -> in
 class _Cut:
     """One cut gate's sampling table and the uncut segment that follows it.
 
-    ``cums`` are cumulative |coefficient| cut points for a bisect draw,
+    ``cums`` are cumulative |coefficient| cut points for the term draw,
     ``phases`` the unit phases c/|c|, and ``programs`` per term the
     realization programs in run order as (side, program) pairs, side 0 for
     the gate's first qubit. ``after`` holds the uncut gates up to the next
@@ -226,9 +268,9 @@ class _ShotPlan:
     """What every shot of one estimate shares, compiled once.
 
     ``prefix`` is the (read-only) state after the uncut gates before the
-    first cut; every block of shots starts as copies of it. Exact mode
-    reads ``dense``, the observable with the folded tail V^+ O V, or on
-    wide circuits the observable per Pauli, on a whole block at once.
+    first cut, the root of every walk's branch tree. Exact mode reads
+    ``dense``, the observable with the folded tail V^+ O V, or on wide
+    circuits the observable per Pauli, on a stack of leaf states at once.
     Sample mode draws one of ``terms``, (sign, folded V^+ P V or on wide
     circuits the Pauli string), per shot with cut points ``term_cums``.
     """
@@ -327,64 +369,113 @@ def _unitary(gates: list[Gate], num_qubits: int) -> np.ndarray:
     return m.reshape(dim, dim)
 
 
-def _block(plan: _ShotPlan, rngs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One shot per stream in ``rngs``: (phase, o', x = W Re(phase o')) arrays.
+def _walk(
+    plan: _ShotPlan, draw: Callable[[np.ndarray], np.ndarray], shots: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run ``shots`` shots down the plan's branch tree: (phase, o', x) arrays.
 
-    The shots' states are the rows of one (B, 2^n) array. Per cut, in
-    circuit order, each row draws its term and runs its side-0, then
-    side-1 programs on its own stream. The uncut gates after the cut, and
-    then the exact-mode observable, act on the whole block at once. Sample
-    mode last draws, per row, the observable term and then its eigenvalue,
-    with each drawn term's mean taken once on the rows that drew it.
+    ``draw(idx)`` returns one uniform per shot listed in the index array
+    ``idx`` and advances each listed shot's stream by one. At a node before
+    a cut its shots draw their terms, and each term runs its side-0, then
+    side-1 programs once per branch for the shots that drew it
+    (``run_branches``). The node's children are stacked, the uncut gates
+    after the cut act on the stack, and the walk descends into each child
+    in turn (depth first across cuts), so only the open frontier holds
+    states. After the last cut the stack holds the leaves; in sample mode
+    each drawn observable term is evaluated once, on the leaves of the
+    shots that drew it.
     """
     n = plan.num_qubits
-    psi = np.repeat(plan.prefix[np.newaxis], len(rngs), axis=0)
-    phases = [1.0 + 0.0j] * len(rngs)
-    for cut in plan.cuts:
-        cums, last = cut.cums, len(cut.cums) - 1
-        for i, rng in enumerate(rngs):
-            # term draw proportional to |coefficient|
-            pick = min(bisect_right(cums, rng.random() * cut.weight), last)
-            phase = phases[i] * cut.phases[pick]
-            row = psi[i]
-            for side, program in cut.programs[pick]:
-                row, w = run_program(row, program, cut.qubits[side], n, rng)
-                phase *= w
-            phases[i] = phase
-            psi[i] = row
-        for gate in cut.after:
-            psi = apply_gate(psi, gate, n)
+    phase = np.empty(shots, dtype=complex)
+    o_value = np.empty(shots)
 
-    o_max = plan.observable.o_max
-    if plan.mode is MeasureMode.EXACT_TRACE:
-        if plan.dense is not None:
-            o_value = _row_means(psi, plan.dense, n)
+    def descend(k: int, psi: np.ndarray, path_phase: complex, idx: np.ndarray) -> None:
+        # psi is the state before cut k of the shots idx
+        cut = plan.cuts[k]
+        states, paths = [], []
+        for term, drew in _draw_terms(draw, idx, cut.cums, cut.weight):
+            branches = [(psi, path_phase * cut.phases[term], idx[drew])]
+            for side, program in cut.programs[term]:
+                qubit = cut.qubits[side]
+                branches = [
+                    (state, p * w, taken)
+                    for s, p, i in branches
+                    for state, w, taken in run_branches(s, program, qubit, n, draw, i)
+                ]
+            states.extend(s for s, _, _ in branches)
+            paths.extend((p, i) for _, p, i in branches)
+        stack = _stack(states, n)
+        del states  # only the stack stays on the frontier
+        for gate in cut.after:
+            stack = apply_gate(stack, gate, n)
+        if k + 1 < len(plan.cuts):
+            for row, (p, i) in zip(stack, paths):
+                descend(k + 1, row, p, i)
         else:
-            o_value = sum(
-                coeff * _row_means(psi, pauli, n) for coeff, pauli in plan.observable.terms
-            )
+            leaves(stack, paths)
+
+    def leaves(stack: np.ndarray, paths: list[tuple[complex, np.ndarray]]) -> None:
+        for p, i in paths:
+            phase[i] = p
+        if plan.mode is MeasureMode.EXACT_TRACE:
+            if plan.dense is not None:
+                means = _row_means(stack, plan.dense, n)
+            else:
+                terms = plan.observable.terms
+                means = sum(coeff * _row_means(stack, pauli, n) for coeff, pauli in terms)
+            for leaf, (_, i) in enumerate(paths):
+                o_value[i] = means[leaf]
+            return
+        idx = np.concatenate([i for _, i in paths])
+        leaf_of = np.repeat(np.arange(len(paths)), [len(i) for _, i in paths])
+        for term, drew in _draw_terms(draw, idx, plan.term_cums, plan.term_cums[-1]):
+            taken, at = idx[drew], leaf_of[drew]
+            sign, op = plan.terms[term]
+            used = np.unique(at)
+            means = np.empty(len(paths))
+            means[used] = _row_means(_stack(stack[used], n), op, n)[: len(used)]
+            p_plus = np.clip(0.5 * (1.0 + means[at]), 0.0, 1.0)
+            eig = np.where(draw(taken) < p_plus, 1.0, -1.0)
+            o_value[taken] = sign * eig * plan.observable.o_max
+
+    everyone = np.arange(shots)
+    if plan.cuts:
+        descend(0, plan.prefix, 1.0 + 0.0j, everyone)
     else:
-        o_value = np.zeros(len(rngs))
-        # each row draws its term; a term's mean is taken only on the rows
-        # that drew it, and each of them then draws its eigenvalue
-        cums, last = plan.term_cums, len(plan.term_cums) - 1
-        rows_by_term: dict[int, list[int]] = {}
-        for i, rng in enumerate(rngs):
-            pick = min(bisect_right(cums, rng.random() * cums[-1]), last)
-            rows_by_term.setdefault(pick, []).append(i)
-        for pick, rows in rows_by_term.items():
-            sign, op = plan.terms[pick]
-            for i, mean in zip(rows, _row_means(psi[rows], op, n).tolist()):
-                p_plus = min(1.0, max(0.0, 0.5 * (1.0 + mean)))
-                eig = 1.0 if rngs[i].random() < p_plus else -1.0
-                o_value[i] = sign * eig * o_max
-    phase = np.array(phases)
+        leaves(_stack([plan.prefix], n), [(1.0 + 0.0j, everyone)])
     x = plan.w_total * (phase.real * o_value)
-    bound = plan.w_total * o_max
+    bound = plan.w_total * plan.observable.o_max
     over = np.abs(x) > bound + _BOUND_SLACK
     if over.any():
         raise AssertionError(f"shot value {x[over][0]} exceeds bound {bound}")
     return phase, o_value, x
+
+
+def _draw_terms(draw, idx: np.ndarray, cums: tuple[float, ...], total: float):
+    """Each shot in ``idx`` draws a term by its cumulative weights ``cums``.
+
+    Returns (term, mask over ``idx``) for every term drawn, as
+    ``bisect_right(cums, u * total)`` per shot would pick them.
+    """
+    picks = np.minimum(np.searchsorted(cums, draw(idx) * total, side="right"), len(cums) - 1)
+    return [(term, picks == term) for term in np.unique(picks).tolist()]
+
+
+def _stack(states, n: int) -> np.ndarray:
+    """The states as rows of one array, padded with copies of the first.
+
+    A row of a stacked product rounds alike wherever it sits in the stack,
+    with two exceptions measured on OpenBLAS: numpy hands a one-row product
+    to gemv, which sums in another order than gemm, and zgemm rounds the
+    columns of a trailing partial group of four differently. A gate on a
+    stack of n-qubit states has 2^(n-2) or more columns per row, so stacks of
+    a multiple of max(16 >> n, 2) rows avoid both; wide circuits (n > 8)
+    have no dense product and need no padding. A shot's value then depends
+    on its path alone, not on the other shots of its chunk.
+    """
+    rows = list(states)
+    quantum = max(16 >> n, 2 if n <= _DENSE_QUBIT_LIMIT else 1)
+    return np.stack(rows + rows[:1] * (-len(rows) % quantum))
 
 
 def _row_means(psi: np.ndarray, op: np.ndarray | str, n: int) -> np.ndarray:
@@ -402,14 +493,17 @@ def run_shot(
 ) -> ShotRecord:
     """One Monte-Carlo shot. ``decompositions`` maps cut gate index -> QPD.
 
-    ``rng`` needs only a ``random()`` method. This is a one-shot wrapper:
-    every call compiles a fresh shot plan (prefix state, sampling tables,
-    folded observable) and runs it as a block of one shot, so a loop over
-    shots should call ``estimate``, which compiles once per call and runs
-    the shots in blocks.
+    ``rng`` needs only a ``random()`` method. Every call compiles a fresh
+    shot plan (prefix state, sampling tables, folded observable) and walks
+    one path of its branch tree, so a loop over shots should call
+    ``estimate``, which compiles once and walks all its shots together.
+    With ``ShotStream(seed, s)`` the record's value is bit for bit shot s
+    of ``estimate`` with that seed.
     """
     _check_mode(mode)
-    phase, o_value, x = _block(_compile(circuit, observable, decompositions, mode), [rng])
+    phase, o_value, x = _walk(
+        _compile(circuit, observable, decompositions, mode), _draw_from([rng]), 1
+    )
     return ShotRecord(
         phase=complex(phase[0]), observable_value=float(o_value[0]), value=float(x[0])
     )
@@ -441,12 +535,11 @@ def estimate(
     if shots > MAX_SHOTS:
         raise ValueError(f"{shots} shots exceed the limit of {MAX_SHOTS} per estimate")
 
-    block = max(1, _BLOCK_AMPS >> plan.num_qubits)
     values = np.empty(shots, dtype=float)
-    for start in range(0, shots, block):
-        stop = min(start + block, shots)
-        rngs = [ShotStream(config.seed, s) for s in range(start, stop)]
-        values[start:stop] = _block(plan, rngs)[2]
+    for start in range(0, shots, _CHUNK_SHOTS):
+        count = min(_CHUNK_SHOTS, shots - start)
+        streams = _StreamArray(config.seed, start, count)
+        values[start : start + count] = _walk(plan, streams.draw, count)[2]
 
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / sqrt(shots)) if shots > 1 else 0.0

@@ -26,6 +26,8 @@ from quasicut.local_basis import (
     projector,
     realization_program,
     realize,
+    run_branches,
+    run_program,
 )
 
 
@@ -293,6 +295,51 @@ def test_signed_measurement_validation():
         SignedMeasurement((0.0, 0.0, 2.0))  # axis not unit
     m = SignedMeasurement((0.0, 0.0, 1.0))
     np.testing.assert_allclose(m.projector_matrix, np.diag([1.0, 0.0]), atol=1e-15)
+
+
+def test_coin_sides_must_be_unitary_steps():
+    with pytest.raises(TypeError):
+        Coin(np.eye(2), np.eye(2))
+    with pytest.raises(TypeError):
+        Coin(Unitary(np.eye(2)), SignedMeasurement((0.0, 0.0, 1.0)))
+    coin = Coin(Unitary(np.eye(2)), Unitary(PAULIS[1]))
+    assert isinstance(coin.minus, Unitary)
+
+
+def test_interpreters_reject_unknown_steps():
+    psi = np.array([1.0, 0.0], dtype=complex)
+    program = (Unitary(PAULIS[1]), np.eye(2))
+    with pytest.raises(TypeError):
+        run_program(psi, program, 0, 1, FixedDraws([]))
+    with pytest.raises(TypeError):
+        run_branches(psi, program, 0, 1, lambda idx: np.zeros(len(idx)), np.arange(3))
+
+
+@pytest.mark.parametrize("channel", ALL_CHANNELS, ids=str)
+def test_branches_match_one_run_per_shot(channel):
+    """``run_branches`` gives every shot what ``run_program`` gives it, bit for bit."""
+    rng = np.random.default_rng(17)
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi /= np.linalg.norm(psi)
+    program = realization_program(channel)
+    draws = rng.random((12, 2))
+    used = np.zeros(12, dtype=int)
+
+    def draw(idx):
+        out = draws[idx, used[idx]]
+        used[idx] += 1
+        return out
+
+    branches = run_branches(psi, program, 1, 3, draw, np.arange(12))
+    assert sorted(i for _, _, shots in branches for i in shots.tolist()) == list(range(12))
+    for state, weight, shots in branches:
+        for shot in shots.tolist():
+            ref_rng = FixedDraws(draws[shot])
+            ref, ref_weight = run_program(psi, program, 1, 3, ref_rng)
+            assert weight == ref_weight
+            assert np.array_equal(state, ref)
+            # the same number of draws
+            assert used[shot] == len(draws[shot]) - len(ref_rng._draws)
 
 
 def test_projector_formula():

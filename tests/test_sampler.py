@@ -1,9 +1,12 @@
 """Shot streams, shot planning, and the Monte-Carlo estimator."""
 
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasicut import sampler as sampler_module
 from quasicut.canonical import ThetaVector, pauli_coefficients
@@ -17,10 +20,12 @@ from quasicut.circuit import (
     initial_state,
     observable_expectation,
     pauli_string_expectation,
+    statevector,
 )
 from quasicut.decomposition import decompose
 from quasicut.local_basis import realization_program, run_program
 from quasicut.sampler import (
+    MAX_SHOTS,
     EstimatorConfig,
     EstimatorResult,
     MeasureMode,
@@ -49,15 +54,17 @@ def cut_decomps(circuit):
 # --- the per-shot uniform stream -------------------------------------------
 
 
+STREAM_VECTORS = {
+    (0, 0): [0.9842662630054383, 0.4810675235469609, 0.27087378597346307],
+    (0, 1): [0.673402130022449, 0.9189719182774073, 0.0492830359755241],
+    (1, 0): [0.7973592622286348, 0.3821553565057847, 0.18725774823101382],
+    (12345, 678910): [0.6884496423020805, 0.4560483262680289, 0.0790196289822626],
+}
+
+
 def test_stream_regression_vectors():
     """First draws for fixed keys; any change here breaks reproducibility."""
-    expected = {
-        (0, 0): [0.9842662630054383, 0.4810675235469609, 0.27087378597346307],
-        (0, 1): [0.673402130022449, 0.9189719182774073, 0.0492830359755241],
-        (1, 0): [0.7973592622286348, 0.3821553565057847, 0.18725774823101382],
-        (12345, 678910): [0.6884496423020805, 0.4560483262680289, 0.0790196289822626],
-    }
-    for (seed, shot), draws in expected.items():
+    for (seed, shot), draws in STREAM_VECTORS.items():
         stream = ShotStream(seed, shot)
         assert [stream.random() for _ in range(3)] == draws
 
@@ -93,18 +100,64 @@ def _unshift_right(y: int, k: int) -> int:
     return x
 
 
-def test_stream_random_stays_below_one():
-    # walk the SplitMix64 finalizer back from the largest output, 2**64 - 1,
-    # whose quotient by 2**64 rounds to 1.0 in double precision
+def state_before_the_largest_output():
+    """The stream state whose next draw outputs 2**64 - 1.
+
+    Walks the SplitMix64 finalizer back from that output, whose quotient by
+    2**64 rounds to 1.0 in double precision.
+    """
     mask = (1 << 64) - 1
     z = _unshift_right(mask, 31)
     z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask
     z = _unshift_right(z, 27)
     z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
     z = _unshift_right(z, 30)
+    return (z - sampler_module._GAMMA) & mask
+
+
+def test_stream_random_stays_below_one():
     stream = ShotStream(0, 0)
-    stream._z = (z - ShotStream._GAMMA) & mask
+    stream._z = state_before_the_largest_output()
     assert stream.random() < 1.0
+
+
+# --- the numpy port of the stream, one uint64 state per shot -----------------
+
+
+def test_stream_array_matches_the_pinned_vectors():
+    for (seed, shot), draws in STREAM_VECTORS.items():
+        streams = sampler_module._StreamArray(seed, shot, 1)
+        assert [float(streams.draw(np.array([0]))[0]) for _ in range(3)] == draws
+
+
+def test_stream_array_clamps_the_largest_output_like_shot_stream():
+    stream = ShotStream(0, 0)
+    stream._z = state_before_the_largest_output()
+    streams = sampler_module._StreamArray(0, 0, 3)
+    streams._z[1] = stream._z
+    expected = [ShotStream(0, 0).random(), stream.random(), ShotStream(0, 2).random()]
+    got = streams.draw(np.arange(3)).tolist()
+    assert got == expected
+    assert got[1] == 1.0 - 2.0**-53
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(-(2**70), 2**70),
+    last=st.integers(0, MAX_SHOTS - 1),
+    count=st.integers(1, 6),
+    rounds=st.lists(st.lists(st.integers(0, 5), min_size=1, unique=True), max_size=6),
+)
+def test_stream_array_equals_shot_stream_draw_for_draw(seed, last, count, rounds):
+    """Any seed reduces mod 2**64 as the int arithmetic does; only listed shots advance."""
+    start = max(0, last - count + 1)
+    count = last - start + 1
+    streams = sampler_module._StreamArray(seed, start, count)
+    refs = [ShotStream(seed, start + i) for i in range(count)]
+    for listed in rounds + [list(range(count))]:
+        listed = [i for i in listed if i < count] or [0]
+        got = streams.draw(np.array(listed))
+        assert got.tolist() == [refs[i].random() for i in listed]
 
 
 # --- shot planning ----------------------------------------------------------
@@ -179,6 +232,17 @@ def test_run_shot_is_reproducible():
     a = run_shot(circuit, ZZ, decomps, ShotStream(7, 5))
     b = run_shot(circuit, ZZ, decomps, ShotStream(7, 5))
     assert a == b
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+def test_run_shot_is_the_estimate_shot_bit_for_bit(mode):
+    circuit, observable = oracle_instance(3, LAYOUTS["two cuts"], 2)
+    decomps = cut_decomps(circuit)
+    plan = sampler_module._compile(circuit, observable, decomps, mode)
+    shots = 40
+    x = sampler_module._walk(plan, sampler_module._StreamArray(8, 0, shots).draw, shots)[2]
+    for s in range(shots):
+        assert run_shot(circuit, observable, decomps, ShotStream(8, s), mode).value == x[s]
 
 
 def test_run_shot_requires_decompositions():
@@ -384,11 +448,38 @@ LAYOUTS = {
 }
 
 
-@pytest.mark.parametrize("mode", list(MeasureMode))
-@pytest.mark.parametrize("num_qubits", [3, 9])  # both sides of the dense-qubit limit
-@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
-def test_run_shot_matches_per_gate_reference(layout, num_qubits, mode):
-    circuit, observable = oracle_instance(num_qubits, layout, len(layout))
+def touched_observable(circuit, seed):
+    """Three Pauli strings whose exact expectations are at least 0.05 in size.
+
+    X, Y or Z sit only where the circuit's gates act; an untouched qubit
+    stays |0>, so it gets I or Z. Strings are redrawn until the expectation
+    is large enough, and each coefficient takes its term's sign, so the
+    observable's expectation is at least 0.05 (the middle term's
+    coefficient is 0), unlike most wide ``oracle_instance`` observables.
+    """
+    rng = np.random.default_rng([seed, 99])
+    n = circuit.num_qubits
+    psi = statevector(circuit)
+    touched = {q for g in circuit.gates for q in getattr(g, "qubits", (getattr(g, "qubit", 0),))}
+    terms = []
+    for coeff in (0.7, 0.0, 0.4):
+        while True:
+            pauli = "".join(rng.choice(list("IXYZ" if q in touched else "IZ")) for q in range(n))
+            value = pauli_string_expectation(psi, pauli, n)
+            if abs(value) >= 0.05:
+                break
+        terms.append((float(np.sign(value)) * coeff, pauli))
+    return Observable(tuple(terms))
+
+
+def touched_instance(layout, seed):
+    """A 9-qubit ``oracle_instance`` circuit with a ``touched_observable``."""
+    circuit, _ = oracle_instance(9, layout, seed)
+    return circuit, touched_observable(circuit, seed)
+
+
+def shot_against_reference(circuit, observable, mode):
+    """12 ``run_shot`` shots next to the reference: equal draws, (phase, o', x) to 1e-12."""
     decomps = cut_decomps(circuit)
     for s in range(12):
         ours, ref = CountingStream(ShotStream(5, s)), CountingStream(ShotStream(5, s))
@@ -400,22 +491,31 @@ def test_run_shot_matches_per_gate_reference(layout, num_qubits, mode):
         assert abs(record.value - x) < 1e-12
 
 
-def block_against_reference(circuit, observable, mode, seed, rows):
-    """One block of ``rows`` shots next to the reference shot by shot.
+@pytest.mark.parametrize("mode", list(MeasureMode))
+@pytest.mark.parametrize("num_qubits", [3, 9])  # both sides of the dense-qubit limit
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_run_shot_matches_per_gate_reference(layout, num_qubits, mode):
+    circuit, observable = oracle_instance(num_qubits, layout, len(layout))
+    shot_against_reference(circuit, observable, mode)
 
-    Asserts equal draws per row and equal (phase, o', x) to 1e-12.
+
+def walk_against_reference(circuit, observable, mode, seed, rows):
+    """One walk of ``rows`` shots, one stream each, next to the reference shot by shot.
+
+    Asserts equal draws per row and equal (phase, o', x) to 1e-12; returns x.
     """
     decomps = cut_decomps(circuit)
     plan = sampler_module._compile(circuit, observable, decomps, mode)
     ours = [CountingStream(ShotStream(seed, s)) for s in range(rows)]
     refs = [CountingStream(ShotStream(seed, s)) for s in range(rows)]
-    phase, o_value, x = sampler_module._block(plan, ours)
+    phase, o_value, x = sampler_module._walk(plan, sampler_module._draw_from(ours), rows)
     expected = [reference_shot(circuit, observable, decomps, ref, mode) for ref in refs]
     assert [s.draws for s in ours] == [r.draws for r in refs]
     for i, (ref_phase, ref_o, ref_x) in enumerate(expected):
         assert abs(phase[i] - ref_phase) < 1e-12
         assert abs(o_value[i] - ref_o) < 1e-12
         assert abs(x[i] - ref_x) < 1e-12
+    return x
 
 
 @pytest.mark.parametrize("mode", list(MeasureMode))
@@ -423,7 +523,19 @@ def block_against_reference(circuit, observable, mode, seed, rows):
 @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
 def test_block_rows_match_the_per_gate_reference(layout, num_qubits, mode):
     circuit, observable = oracle_instance(num_qubits, layout, len(layout))
-    block_against_reference(circuit, observable, mode, 5, 7)
+    walk_against_reference(circuit, observable, mode, 5, 7)
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_wide_shots_match_the_reference_on_touched_qubits(layout, mode):
+    """The n > 8 per-Pauli path on observables that do not vanish."""
+    circuit, observable = touched_instance(layout, len(layout))
+    assert abs(exact_expectation(circuit, observable)) >= 0.05
+    shot_against_reference(circuit, observable, mode)
+    x = walk_against_reference(circuit, observable, mode, 5, 40)
+    # a shot whose path carries an imaginary phase is 0 by design
+    assert np.count_nonzero(np.abs(x) > 1e-3) >= 10
 
 
 PINNED_ESTIMATES = {
@@ -455,20 +567,51 @@ def test_estimates_are_pinned_bit_for_bit(key):
 
 @pytest.mark.parametrize("mode", list(MeasureMode))
 def test_estimate_is_independent_of_the_block_size(monkeypatch, mode):
+    """Chunks of 5 shots give every shot the value one chunk gives it, bit for bit."""
     circuit, observable = oracle_instance(3, LAYOUTS["two cuts"], 2)
     config = EstimatorConfig(shots=23, seed=4, mode=mode)
+    chunks = []
+    walk = sampler_module._walk
+
+    def recorded(plan, draw, shots):
+        out = walk(plan, draw, shots)
+        chunks.append(out[2])
+        return out
+
+    monkeypatch.setattr(sampler_module, "_walk", recorded)
     whole = estimate(circuit, observable, config)
-    rows = []
-    run_block = sampler_module._block
-
-    def counted(plan, rngs):
-        rows.append(len(rngs))
-        return run_block(plan, rngs)
-
-    monkeypatch.setattr(sampler_module, "_block", counted)
-    monkeypatch.setattr(sampler_module, "_BLOCK_AMPS", 5 << circuit.num_qubits)
+    assert [len(x) for x in chunks] == [23]
+    monkeypatch.setattr(sampler_module, "_CHUNK_SHOTS", 5)
     split = estimate(circuit, observable, config)
-    assert rows == [5, 5, 5, 5, 3]
-    assert split.shots == whole.shots == 23
-    assert abs(split.mean - whole.mean) < 1e-12
-    assert abs(split.std_error - whole.std_error) < 1e-12
+    assert [len(x) for x in chunks[1:]] == [5, 5, 5, 5, 3]
+    assert np.concatenate(chunks[1:]).tobytes() == chunks[0].tobytes()
+    assert split.to_doc() == whole.to_doc()
+
+
+def test_walk_memory_stays_on_the_frontier():
+    """A 10-qubit two-cut estimate at 10^5 shots keeps only the open frontier.
+
+    The tree reaches thousands of leaves of 16 KiB each (tens of MiB if the
+    walk kept them all, 1.6 GB for one state per shot); the frontier is
+    about 100 states per cut, and a chunk about 100 bytes per shot. The
+    peak must stay within 32 MiB above the 800 KB value array.
+    """
+    rng = np.random.default_rng(5)
+    gates = [SingleGate(q, Y_AXIS, float(rng.uniform(0, PI))) for q in range(10)]
+    gates += [
+        CanonicalGate((4, 5), ThetaVector(0.5, 0.3, 0.1), cut=True),
+        CanonicalGate((3, 4), ThetaVector(0.2, 0.1, 0.05)),
+        CanonicalGate((5, 6), ThetaVector(0.3, 0.1, 0.05)),
+        CanonicalGate((4, 5), ThetaVector(0.6, 0.2, 0.1), cut=True),
+    ]
+    circuit = Circuit(10, tuple(gates))
+    observable = Observable(((1.0, "IIIZZZIIII"),))
+    shots = 100_000
+    tracemalloc.start()
+    try:
+        result = estimate(circuit, observable, EstimatorConfig(shots=shots, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.shots == shots
+    assert peak - 8 * shots < 32 * 2**20
