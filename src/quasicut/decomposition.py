@@ -27,7 +27,7 @@ is never cheaper than the direct construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sin
+from math import isclose, sin
 from typing import Iterable
 
 import numpy as np
@@ -74,7 +74,8 @@ class QPDecomposition:
 
     ``weight`` is the one-norm sum |c| of the coefficients. It is stored
     rather than recomputed so that composition can set the product W2 * W1
-    bit-exactly; construction keeps it within float tolerance of sum |c|.
+    bit-exactly; construction rejects a weight further than a relative 1e-9
+    from sum |c|.
     """
 
     terms: tuple[QPTerm, ...]
@@ -85,6 +86,9 @@ class QPDecomposition:
             raise ValueError("a decomposition needs at least one term")
         if not np.isfinite(self.weight) or self.weight <= 0:
             raise ValueError(f"bad weight {self.weight}")
+        norm = sum(abs(t.coefficient) for t in self.terms)
+        if not isclose(self.weight, norm, rel_tol=1e-9):
+            raise ValueError(f"weight {self.weight} is not the one-norm {norm} of the terms")
 
     @property
     def num_terms(self) -> int:

@@ -19,11 +19,9 @@ and is asserted.
 
 ``estimate`` compiles (circuit, observable, decompositions, mode) once into a
 shot plan and runs every shot from it: the state after the uncut gates before
-the first cut, simulated once; per cut its qubits, weight, sampling table
-and the uncut gates up to the next cut; and, up to 8 qubits, the gates V
-after the last cut folded into the observable (V^+ O V, or V^+ P_k V per
-term when sampling eigenvalues). Wider circuits keep the tail gates and
-evaluate the observable per Pauli.
+the first cut, simulated once, and per cut its qubits, weight, sampling table
+and the uncut gates up to the next cut or the end. The observable is read per
+Pauli string on the final states.
 
 Every step a shot takes is picked from a small discrete set: the term, the
 coin sides and measurement outcomes of its programs, and at the end the
@@ -63,6 +61,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from math import ceil, log, sqrt
+from numbers import Real
 from typing import Callable, Mapping
 
 import numpy as np
@@ -75,7 +74,6 @@ from .circuit import (
     apply_gate,
     initial_state,
     pauli_string_apply,
-    pauli_string_matrix,
 )
 from .decomposition import QPDecomposition, decompose
 from .canonical import pauli_coefficients
@@ -85,11 +83,6 @@ _BOUND_SLACK = 1e-9
 
 # the largest double below 1
 _BELOW_ONE = 1.0 - 2.0**-53
-
-# the gates after the last cut are folded into a dense observable up to this
-# width (1 MB at 8 qubits); wider circuits apply them one by one and evaluate
-# the observable per Pauli
-_DENSE_QUBIT_LIMIT = 8
 
 # estimate walks its shots in chunks of this many; a chunk holds about 100
 # bytes per shot (stream state, phase, o', x, indices) next to its tree
@@ -186,6 +179,9 @@ class EstimatorConfig:
         for name, value in (("shots", self.shots if fixed else 0), ("seed", self.seed)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, got {value!r}")
+        for name, value in (("epsilon", self.epsilon), ("delta", self.delta)):
+            if value is not None and (isinstance(value, bool) or not isinstance(value, Real)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         targeted = self.epsilon is not None or self.delta is not None
         if fixed == targeted or (targeted and (self.epsilon is None or self.delta is None)):
             raise ValueError("set exactly one of shots or (epsilon, delta)")
@@ -252,7 +248,7 @@ class _Cut:
     ``phases`` the unit phases c/|c|, and ``programs`` per term the
     realization programs in run order as (side, program) pairs, side 0 for
     the gate's first qubit. ``after`` holds the uncut gates up to the next
-    cut (or the tail when it is not folded).
+    cut, or to the end of the circuit after the last cut.
     """
 
     qubits: tuple[int, int]
@@ -269,10 +265,9 @@ class _ShotPlan:
 
     ``prefix`` is the (read-only) state after the uncut gates before the
     first cut, the root of every walk's branch tree. Exact mode reads
-    ``dense``, the observable with the folded tail V^+ O V, or on wide
-    circuits the observable per Pauli, on a stack of leaf states at once.
-    Sample mode draws one of ``terms``, (sign, folded V^+ P V or on wide
-    circuits the Pauli string), per shot with cut points ``term_cums``.
+    ``observable`` per Pauli string on a stack of leaf states at once.
+    Sample mode draws one of ``terms``, (sign, Pauli string), per shot with
+    cut points ``term_cums``.
     """
 
     num_qubits: int
@@ -281,8 +276,7 @@ class _ShotPlan:
     cuts: tuple[_Cut, ...]
     w_total: float
     observable: Observable
-    dense: np.ndarray | None
-    terms: tuple[tuple[float, np.ndarray | str], ...]
+    terms: tuple[tuple[float, str], ...]
     term_cums: tuple[float, ...]
 
 
@@ -294,7 +288,6 @@ def _compile(
 ) -> _ShotPlan:
     """Split the circuit at its cuts and precompute everything shot-independent."""
     n = circuit.num_qubits
-    small = n <= _DENSE_QUBIT_LIMIT
     segments: list[list[Gate]] = [[]]
     cut_decomps: list[tuple[tuple[int, int], QPDecomposition]] = []
     for idx, gate in enumerate(circuit.gates):
@@ -312,13 +305,9 @@ def _compile(
         prefix = apply_gate(prefix, gate, n)
     prefix.setflags(write=False)
 
-    # when small, the tail folds into the observable
-    tail = _unitary(segments[-1], n) if small and cut_decomps and segments[-1] else None
-    afters = [tuple(g) for g in segments[1:-1]]
-    afters.append(() if small else tuple(segments[-1]))
     cuts = []
     w_total = 1.0
-    for (qubits, decomp), after in zip(cut_decomps, afters):
+    for (qubits, decomp), after in zip(cut_decomps, segments[1:]):
         w_total *= decomp.weight
         cuts.append(
             _Cut(
@@ -331,12 +320,9 @@ def _compile(
                     + tuple((1, realization_program(cid)) for cid in t.right)
                     for t in decomp.terms
                 ),
-                after=after,
+                after=tuple(after),
             )
         )
-
-    def fold(matrix: np.ndarray) -> np.ndarray:
-        return matrix if tail is None else tail.conj().T @ matrix @ tail
 
     exact = mode is MeasureMode.EXACT_TRACE
     live = () if exact else tuple((c, p) for c, p in observable.terms if c != 0.0)
@@ -347,26 +333,9 @@ def _compile(
         cuts=tuple(cuts),
         w_total=w_total,
         observable=observable,
-        dense=fold(observable.matrix()) if small and exact else None,
-        terms=tuple(
-            (1.0 if c > 0 else -1.0, fold(pauli_string_matrix(p)) if small else p)
-            for c, p in live
-        ),
+        terms=tuple((1.0 if c > 0 else -1.0, p) for c, p in live),
         term_cums=tuple(accumulate(abs(c) for c, _ in live)),
     )
-
-
-def _unitary(gates: list[Gate], num_qubits: int) -> np.ndarray:
-    """The dense unitary of a gate sequence, built by ``apply_gate`` itself.
-
-    The identity, read as a state of 2n qubits, has the row index on the
-    first n; each gate acts there, so the result is U = G_k ... G_1.
-    """
-    dim = 1 << num_qubits
-    m = np.eye(dim, dtype=complex).ravel()
-    for gate in gates:
-        m = apply_gate(m, gate, 2 * num_qubits)
-    return m.reshape(dim, dim)
 
 
 def _walk(
@@ -418,11 +387,8 @@ def _walk(
         for p, i in paths:
             phase[i] = p
         if plan.mode is MeasureMode.EXACT_TRACE:
-            if plan.dense is not None:
-                means = _row_means(stack, plan.dense, n)
-            else:
-                terms = plan.observable.terms
-                means = sum(coeff * _row_means(stack, pauli, n) for coeff, pauli in terms)
+            terms = plan.observable.terms
+            means = sum(coeff * _row_means(stack, pauli, n) for coeff, pauli in terms)
             for leaf, (_, i) in enumerate(paths):
                 o_value[i] = means[leaf]
             return
@@ -430,10 +396,10 @@ def _walk(
         leaf_of = np.repeat(np.arange(len(paths)), [len(i) for _, i in paths])
         for term, drew in _draw_terms(draw, idx, plan.term_cums, plan.term_cums[-1]):
             taken, at = idx[drew], leaf_of[drew]
-            sign, op = plan.terms[term]
+            sign, pauli = plan.terms[term]
             used = np.unique(at)
             means = np.empty(len(paths))
-            means[used] = _row_means(_stack(stack[used], n), op, n)[: len(used)]
+            means[used] = _row_means(_stack(stack[used], n), pauli, n)[: len(used)]
             p_plus = np.clip(0.5 * (1.0 + means[at]), 0.0, 1.0)
             eig = np.where(draw(taken) < p_plus, 1.0, -1.0)
             o_value[taken] = sign * eig * plan.observable.o_max
@@ -465,23 +431,20 @@ def _stack(states, n: int) -> np.ndarray:
     """The states as rows of one array, padded with copies of the first.
 
     A row of a stacked product rounds alike wherever it sits in the stack,
-    with two exceptions measured on OpenBLAS: numpy hands a one-row product
-    to gemv, which sums in another order than gemm, and zgemm rounds the
-    columns of a trailing partial group of four differently. A gate on a
-    stack of n-qubit states has 2^(n-2) or more columns per row, so stacks of
-    a multiple of max(16 >> n, 2) rows avoid both; wide circuits (n > 8)
-    have no dense product and need no padding. A shot's value then depends
-    on its path alone, not on the other shots of its chunk.
+    except that OpenBLAS's zgemm rounds the columns of a trailing partial
+    group of four differently. A gate on a stack of n-qubit states has
+    2^(n-2) or more columns per row, so stacks of a multiple of
+    max(16 >> n, 1) rows avoid it, and a shot's value depends on its path
+    alone, not on the other shots of its chunk.
     """
     rows = list(states)
-    quantum = max(16 >> n, 2 if n <= _DENSE_QUBIT_LIMIT else 1)
+    quantum = max(16 >> n, 1)
     return np.stack(rows + rows[:1] * (-len(rows) % quantum))
 
 
-def _row_means(psi: np.ndarray, op: np.ndarray | str, n: int) -> np.ndarray:
-    """Re <psi_i|op|psi_i> for each row i; ``op`` is a dense matrix or a Pauli string."""
-    image = pauli_string_apply(psi, op, n) if isinstance(op, str) else psi @ op.T
-    return np.einsum("ij,ij->i", psi.conj(), image).real
+def _row_means(psi: np.ndarray, pauli: str, n: int) -> np.ndarray:
+    """Re <psi_i|P|psi_i> for each row i of ``psi`` and the Pauli string P."""
+    return np.einsum("ij,ij->i", psi.conj(), pauli_string_apply(psi, pauli, n)).real
 
 
 def run_shot(
@@ -494,7 +457,7 @@ def run_shot(
     """One Monte-Carlo shot. ``decompositions`` maps cut gate index -> QPD.
 
     ``rng`` needs only a ``random()`` method. Every call compiles a fresh
-    shot plan (prefix state, sampling tables, folded observable) and walks
+    shot plan (prefix state, sampling tables, uncut segments) and walks
     one path of its branch tree, so a loop over shots should call
     ``estimate``, which compiles once and walks all its shots together.
     With ``ShotStream(seed, s)`` the record's value is bit for bit shot s

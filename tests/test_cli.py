@@ -75,12 +75,26 @@ def test_verify_flags_tampered_decomposition(tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads(stored.read_text(encoding="utf-8"))
     doc["terms"][0]["c"][0] += 0.05
+    doc["W"] += 0.05  # still the one-norm, so the PTM check is what fails
     write_json(stored, doc)
     code, out, _ = run_cli(
         capsys, "verify", "0.3", "0.2", "0.1", "--from-file", str(stored)
     )
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+def test_verify_rejects_a_weight_that_is_not_the_one_norm(tmp_path, capsys):
+    stored = tmp_path / "d.json"
+    main(["decompose", "0.5", "0.3", "0.1", "--output", str(stored)])
+    capsys.readouterr()
+    doc = json.loads(stored.read_text(encoding="utf-8"))
+    doc["W"] = 1.0
+    write_json(stored, doc)
+    code, out, err = run_cli(
+        capsys, "verify", "0.5", "0.3", "0.1", "--from-file", str(stored)
+    )
+    assert code == 3 and out == "" and "one-norm" in err
 
 
 def test_plan_frozen_shot_counts(capsys):

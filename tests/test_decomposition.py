@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from quasicut.algebra import ptm_of_unitary
+from quasicut.analysis import sweep
 from quasicut.canonical import PauliCoeffs, ThetaVector, canonical_unitary, pauli_coefficients
 from quasicut.circuit import FormatError
 from quasicut.decomposition import (
@@ -202,6 +203,23 @@ def test_term_validation():
         QPTerm(1.0, (), (pauli_channel(0),))
     with pytest.raises(ValueError):
         QPDecomposition((QPTerm.single(1.0, pauli_channel(0), pauli_channel(0)),), 0.0)
+    # the weight is the one-norm sum |c| = 5.593..., to a relative 1e-9
+    terms = decompose(pauli_coefficients((0.5, 0.3, 0.1))).terms
+    norm = sum(abs(t.coefficient) for t in terms)
+    for weight in (1.0, norm * (1.0 + 1e-6)):
+        with pytest.raises(ValueError, match="one-norm"):
+            QPDecomposition(terms, weight)
+    assert QPDecomposition(terms, norm * (1.0 + 1e-12)).weight > norm
+
+
+def test_every_construction_keeps_its_one_norm_on_the_sweep_lattice():
+    # decompose, compose and legacy_decompose build through the same check
+    for row in sweep(9):
+        theta = ThetaVector(row.theta1, row.theta2, row.theta3)
+        direct = decompose(pauli_coefficients(theta))
+        legacy, _ = legacy_decompose(theta)
+        composed = compose(direct, legacy)
+        assert composed.weight == direct.weight * legacy.weight
 
 
 def test_reconstruct_rejects_complex_coefficients():
