@@ -22,6 +22,7 @@ averages over samples, which verification forms from ``density_matrix()``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -35,6 +36,8 @@ for _p in PAULIS:
     _p.setflags(write=False)
 
 _PTM_IMAG_TOL = 1e-10
+_AXIS_TOL = 1e-12
+_UNITARITY_TOL = 1e-10
 
 
 def pauli_matrix(alpha: int) -> np.ndarray:
@@ -42,6 +45,24 @@ def pauli_matrix(alpha: int) -> np.ndarray:
     if alpha not in (0, 1, 2, 3):
         raise ValueError(f"Pauli index must be 0..3, got {alpha}")
     return PAULIS[alpha]
+
+
+def unit_axis(axis, what: str) -> tuple[float, float, float]:
+    """``axis`` as three floats; ValueError unless finite and of unit length to 1e-12."""
+    ax = tuple(float(x) for x in axis)
+    if len(ax) != 3 or not all(map(isfinite, ax)) or abs(sum(x * x for x in ax) - 1.0) > _AXIS_TOL:
+        raise ValueError(f"{what} must be a finite unit 3-vector, got {ax}")
+    return ax
+
+
+def unitary_matrix(matrix, dim: int, what: str) -> np.ndarray:
+    """A complex copy of ``matrix``; ValueError unless dim x dim, finite and unitary to 1e-10."""
+    m = np.array(matrix, dtype=complex)
+    if m.shape != (dim, dim):
+        raise ValueError(f"{what} must be {dim}x{dim}, got shape {m.shape}")
+    if not np.isfinite(m).all() or np.abs(m @ m.conj().T - np.eye(dim)).max() > _UNITARITY_TOL:
+        raise ValueError(f"{what} is not a finite unitary within 1e-10")
+    return m
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -32,9 +32,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .algebra import PAULIS, kron
+from .algebra import PAULIS, kron, unitary_matrix
 
-_UNITARITY_TOL = 1e-10
 _NORMALIZATION_TOL = 1e-12
 _DOMAIN_TOL = 1e-12
 
@@ -84,7 +83,7 @@ class PauliCoeffs:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.array(self.values, dtype=complex)
         if vals.shape != (4,):
             raise ValueError(f"expected 4 coefficients, got shape {vals.shape}")
         if not np.isfinite(vals).all():
@@ -94,6 +93,12 @@ class PauliCoeffs:
             raise ValueError(f"coefficients not normalized: sum |u|^2 = {norm}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def coerce(cls, value: PauliCoeffs | Iterable[complex]) -> PauliCoeffs:
+        if isinstance(value, PauliCoeffs):
+            return value
+        return cls(np.asarray(list(value), dtype=complex))
 
     def __getitem__(self, alpha: int) -> complex:
         return complex(self.values[alpha])
@@ -125,9 +130,7 @@ def canonical_unitary(theta: ThetaVector | Iterable[float]) -> np.ndarray:
     u = np.eye(4, dtype=complex)
     for k, angle in enumerate(t, start=1):
         u = u @ (np.cos(angle) * np.eye(4) + 1j * np.sin(angle) * _SIGMA_SIGMA[k])
-    if np.max(np.abs(u @ u.conj().T - np.eye(4))) > _UNITARITY_TOL:
-        raise ValueError("canonical unitary failed the unitarity check")
-    return u
+    return unitary_matrix(u, 4, "canonical unitary")
 
 
 def pauli_coefficients(theta: ThetaVector | Iterable[float]) -> PauliCoeffs:

@@ -25,24 +25,23 @@ JSON formats (all documents carry "format": 1):
     observable: {"format": 1, "terms": [{"coeff": 1.0, "pauli": "ZZI"}]}
 
 Structural problems, a value of the wrong JSON type among them, raise
-FormatError; semantically invalid values (bad qubit index, non-unit axis, too
-many qubits) raise ValueError.
+FormatError; semantically invalid values (bad qubit index, non-unit axis, a
+NaN or infinite angle or matrix entry, too many qubits) raise ValueError.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from math import isfinite
 from typing import Iterable
 
 import numpy as np
 
-from .algebra import PAULIS, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
+from .algebra import PAULIS, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, kron, unit_axis, unitary_matrix
 from .canonical import PauliCoeffs, ThetaVector, canonical_unitary, pauli_coefficients
 
 MAX_QUBITS = 12
-_AXIS_TOL = 1e-12
-_UNITARITY_TOL = 1e-10
 
 _NUMBER = (int, float)
 
@@ -65,7 +64,7 @@ def _integer(value, what: str) -> int:
 
 @dataclass(frozen=True)
 class SingleGate:
-    """Rotation exp(-i theta n . sigma) on one qubit; axis must be unit."""
+    """Rotation exp(-i theta n . sigma) on one qubit; axis unit, theta finite."""
 
     qubit: int
     axis: tuple[float, float, float]
@@ -73,10 +72,11 @@ class SingleGate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubit", _integer(self.qubit, "qubit index"))
-        ax = tuple(float(x) for x in self.axis)
-        if len(ax) != 3 or abs(sum(x * x for x in ax) - 1.0) > _AXIS_TOL:
-            raise ValueError("rotation axis must be a unit 3-vector")
-        object.__setattr__(self, "axis", ax)
+        object.__setattr__(self, "axis", unit_axis(self.axis, "rotation axis"))
+        theta = float(self.theta)
+        if not isfinite(theta):
+            raise ValueError(f"non-finite angle {theta}")
+        object.__setattr__(self, "theta", theta)
 
     def matrix(self) -> np.ndarray:
         cached = self.__dict__.get("_matrix")
@@ -122,11 +122,7 @@ class Raw1QGate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubit", _integer(self.qubit, "qubit index"))
-        m = np.asarray(self.matrix_values, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("raw gate matrix must be 2x2")
-        if np.max(np.abs(m @ m.conj().T - np.eye(2))) > _UNITARITY_TOL:
-            raise ValueError("raw gate matrix is not unitary within 1e-10")
+        m = unitary_matrix(self.matrix_values, 2, "raw gate matrix")
         m.setflags(write=False)
         object.__setattr__(self, "matrix_values", m)
 
@@ -299,9 +295,7 @@ def exact_expectation(circuit: Circuit, observable: Observable) -> float:
 
 def gate_based_cost(u: PauliCoeffs | Iterable[complex]) -> float:
     """G = (sum_a |d_a|)^2, the sampling cost of the overlap route."""
-    if not isinstance(u, PauliCoeffs):
-        u = PauliCoeffs(np.asarray(list(u), dtype=complex))
-    return float(np.sum(np.abs(u.values)) ** 2)
+    return float(np.sum(np.abs(PauliCoeffs.coerce(u).values)) ** 2)
 
 
 def gate_based_estimate(

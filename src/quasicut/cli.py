@@ -11,8 +11,8 @@ Subcommands:
 
 Angles are radians. Exit codes: 0 success, 1 verification failure, 2 malformed
 input (bad flags, unparsable documents, values of the wrong JSON type), 3
-semantically invalid input (bad qubit indices, non-unit axes, mismatched
-widths, more shots than ``sampler.MAX_SHOTS``). The estimate seed defaults
+semantically invalid input (bad qubit indices, non-unit axes, NaN or infinite
+parameters, mismatched widths, more shots than ``sampler.MAX_SHOTS``). The estimate seed defaults
 to 0, can be set with --seed, or with the QUASICUT_SEED environment variable.
 """
 
@@ -50,10 +50,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decompose", help="emit the decomposition of one gate")
     _add_theta(p_dec)
     p_dec.add_argument("--output", help="write JSON here instead of stdout")
+    p_dec.set_defaults(func=cmd_decompose)
 
     p_ver = sub.add_parser("verify", help="compare reconstruction to the exact PTM")
     _add_theta(p_ver)
     p_ver.add_argument("--from-file", dest="from_file", help="verify a stored decomposition")
+    p_ver.set_defaults(func=cmd_verify)
 
     p_est = sub.add_parser("estimate", help="Monte-Carlo observable estimate")
     p_est.add_argument("--circuit", required=True, help="circuit JSON file")
@@ -64,21 +66,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--seed", type=int, default=None)
     p_est.add_argument("--mode", choices=["exact", "sample"], default="exact")
     p_est.add_argument("--output", help="write JSON here instead of stdout")
+    p_est.set_defaults(func=cmd_estimate)
 
     p_plan = sub.add_parser("plan", help="Hoeffding shot count")
     p_plan.add_argument("epsilon", type=float)
     p_plan.add_argument("delta", type=float)
     p_plan.add_argument("o_max", type=float)
     p_plan.add_argument("w", type=float)
+    p_plan.set_defaults(func=cmd_plan)
 
     p_sweep = sub.add_parser("sweep", help="cost survey over the tetrahedron")
     p_sweep.add_argument("points", type=int, help="lattice points per axis")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.add_argument("--output", help="write here instead of stdout")
+    p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="cost row at one point")
     _add_theta(p_cmp)
     p_cmp.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_cmp.set_defaults(func=cmd_compare)
 
     return parser
 
@@ -92,27 +98,13 @@ def _add_theta(parser: argparse.ArgumentParser) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.func(args)
     except (FormatError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "decompose":
-        return cmd_decompose(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "estimate":
-        return cmd_estimate(args)
-    if args.command == "plan":
-        return cmd_plan(args)
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    return cmd_compare(args)
 
 
 def _theta_of(args: argparse.Namespace) -> ThetaVector:

@@ -103,8 +103,7 @@ def decompose(u: PauliCoeffs | Iterable[complex]) -> QPDecomposition:
     with |c| < 1e-14 are dropped. The weight is >= 1, with equality only for
     a single nonzero u_a (a local gate).
     """
-    u = _coerce_coeffs(u)
-    vals = u.values
+    vals = PauliCoeffs.coerce(u).values
     terms: list[QPTerm] = []
     for a in range(4):
         c = float(np.abs(vals[a]) ** 2)
@@ -131,7 +130,7 @@ def decompose(u: PauliCoeffs | Iterable[complex]) -> QPDecomposition:
 
 def weight_formula(u: PauliCoeffs | Iterable[complex]) -> float:
     """W(U) evaluated directly from the closed formula (no term construction)."""
-    vals = _coerce_coeffs(u).values
+    vals = PauliCoeffs.coerce(u).values
     w = 1.0
     for a in range(4):
         for b in range(4):
@@ -210,12 +209,6 @@ def legacy_cost(theta: ThetaVector | Iterable[float]) -> float:
     for angle in ThetaVector.coerce(theta):
         cost *= 1.0 + 2.0 * abs(sin(2.0 * angle))
     return cost
-
-
-def _coerce_coeffs(u: PauliCoeffs | Iterable[complex]) -> PauliCoeffs:
-    if isinstance(u, PauliCoeffs):
-        return u
-    return PauliCoeffs(np.asarray(list(u), dtype=complex))
 
 
 # --- JSON document form ---------------------------------------------------

@@ -31,10 +31,12 @@ The programs (sigma_a sigma_a' = i eps sigma_a'', eps the Levi-Civita sign):
 
 Every program has total quasiprobability mass exactly 1: averaging
 weight x (post state) over the program's randomness reproduces the channel.
-Every sampled run weighs exactly +-1. ``run_program`` runs a program once,
-for ``realize``; ``run_branches`` runs it for many shots that share one
-input state, for the sampler, and does each branch's work once. Both take
-the same draws in the same order and apply the same kernels.
+Every sampled run weighs exactly +-1. ``run_program`` runs one program on
+one qubit once, for ``realize``. ``run_branches`` runs a sequence of
+(qubit, step) pairs, such as the programs of a cut term's left and right
+channels one after the other, for many shots that share one input state,
+for the sampler, and does each branch's work once. Both take the same
+draws in the same order and apply the same kernels.
 """
 
 from __future__ import annotations
@@ -45,10 +47,8 @@ from math import sqrt
 
 import numpy as np
 
-from .algebra import PAULIS, QuantumState, ptm_from_action
+from .algebra import PAULIS, QuantumState, ptm_from_action, unit_axis, unitary_matrix
 from .circuit import apply_1q
-
-_AXIS_TOL = 1e-12
 
 # (alpha, alpha') -> (eps, alpha'') with sigma_a sigma_a' = i eps sigma_a''
 _LEVI_CIVITA = {(1, 2): (1, 3), (1, 3): (-1, 2), (2, 3): (1, 1)}
@@ -129,9 +129,7 @@ class Unitary:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2) or np.max(np.abs(m @ m.conj().T - np.eye(2))) > 1e-10:
-            raise ValueError("realization step needs a 2x2 unitary")
+        m = unitary_matrix(self.matrix, 2, "realization step matrix")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -145,9 +143,7 @@ class SignedMeasurement:
     projector_matrix: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        ax = tuple(float(x) for x in self.axis)
-        if len(ax) != 3 or abs(sum(x * x for x in ax) - 1.0) > _AXIS_TOL:
-            raise ValueError("measurement axis must be a unit 3-vector")
+        ax = unit_axis(self.axis, "measurement axis")
         object.__setattr__(self, "axis", ax)
         matrix = projector(ax)
         matrix.setflags(write=False)
@@ -274,19 +270,19 @@ def run_program(
 
 
 def run_branches(
-    psi: np.ndarray, program, qubit: int, num_qubits: int, draw, shots: np.ndarray
+    psi: np.ndarray, steps, num_qubits: int, draw, shots: np.ndarray
 ) -> list[tuple[np.ndarray, float, np.ndarray]]:
-    """Run ``program`` once per shot in ``shots``, all from the state ``psi``.
+    """Run the ``(qubit, step)`` sequence ``steps`` once per shot in ``shots``.
 
-    ``shots`` is an index array and ``draw(shots)`` returns one uniform in
-    [0, 1) per listed shot. Shots that draw the same outcomes share a
-    branch, and each branch's state is computed once, exactly as
-    ``run_program`` computes it for each of its shots, which also draws
-    what ``run_program`` draws. Returns (post state, weight +-1.0, shots)
-    per branch reached.
+    Every shot starts from the state ``psi``. ``shots`` is an index array
+    and ``draw(shots)`` returns one uniform in [0, 1) per listed shot.
+    Shots that draw the same outcomes share a branch, and each branch's
+    state is computed once, exactly as ``run_program`` computes it, step by
+    step, for each of its shots, which also draws what ``run_program``
+    draws. Returns (post state, weight +-1.0, shots) per branch reached.
     """
     branches = [(psi, 1.0, shots)]
-    for step in program:
+    for qubit, step in steps:
         if isinstance(step, Unitary):
             branches = [(apply_1q(s, step.matrix, qubit, num_qubits), w, i) for s, w, i in branches]
             continue

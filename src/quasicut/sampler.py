@@ -24,19 +24,18 @@ and the uncut gates up to the next cut or the end. The observable is read per
 Pauli string on the final states.
 
 Every step a shot takes is picked from a small discrete set: the term, the
-coin sides and measurement outcomes of its programs, and at the end the
+coin sides and measurement outcomes of its steps, and at the end the
 observable term. So a shot's state depends only on its branch path, at most
 about 100 paths per cut, not on the draws themselves. The shots of an
-estimate walk a branch tree together (``_walk``): a node holds the state of
-every shot on one path, and each node's work (its programs' unitaries,
-coins and measurements, the uncut gates after its cut, the observable) is
-done once, not once per shot. Only the open frontier holds states, and the
-shots run in chunks of 2^16, so memory does not grow with the tree or the
-shot count beyond one value per shot. A shot draws exactly what the
-per-gate simulation would, in the same order, so neither the plan nor the
-tree changes a result beyond rounding, and a shot's value does not depend
-on the other shots of its chunk. ``run_shot`` compiles a plan on every
-call and walks one path of its tree.
+estimate walk a branch tree together (``_walk``), and each node's work (a
+drawn term's (qubit, step) sequence, the uncut gates after its cut, the
+observable) is done once, not once per shot. Only the open frontier holds
+states, and the shots run in chunks of 2^16, so memory does not grow with
+the tree or the shot count beyond one value per shot. A shot draws exactly
+what the per-gate simulation would, in the same order, so neither the plan
+nor the tree changes a result beyond rounding, and a shot's value does not
+depend on the other shots of its chunk. ``run_shot`` compiles a plan on
+every call and walks one path of its tree.
 
 Shot counts for a target (epsilon, delta) follow the two-sided Hoeffding
 bound for samples bounded by W * o_max:
@@ -60,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from math import ceil, log, sqrt
+from math import ceil, isfinite, log, sqrt
 from numbers import Real
 from typing import Callable, Mapping
 
@@ -230,10 +229,10 @@ def plan_shots(epsilon: float, delta: float, o_max: float, w_total: float) -> in
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not o_max > 0:
-        raise ValueError(f"o_max must be positive, got {o_max}")
-    if not w_total >= 1:
-        raise ValueError(f"w_total must be >= 1, got {w_total}")
+    if not (o_max > 0 and isfinite(o_max)):
+        raise ValueError(f"o_max must be positive and finite, got {o_max}")
+    if not (w_total >= 1 and isfinite(w_total)):
+        raise ValueError(f"w_total must be finite and >= 1, got {w_total}")
     try:
         return max(1, ceil(2.0 * (w_total * o_max / epsilon) ** 2 * log(2.0 / delta)))
     except OverflowError as exc:
@@ -245,17 +244,16 @@ class _Cut:
     """One cut gate's sampling table and the uncut segment that follows it.
 
     ``cums`` are cumulative |coefficient| cut points for the term draw,
-    ``phases`` the unit phases c/|c|, and ``programs`` per term the
-    realization programs in run order as (side, program) pairs, side 0 for
-    the gate's first qubit. ``after`` holds the uncut gates up to the next
-    cut, or to the end of the circuit after the last cut.
+    ``phases`` the unit phases c/|c|, and ``steps`` per term one run of
+    (qubit, step) pairs: the steps of its left channels on the gate's first
+    qubit, then those of its right channels on the second. ``after`` holds
+    the uncut gates up to the next cut, or to the end of the circuit.
     """
 
-    qubits: tuple[int, int]
     weight: float
     cums: tuple[float, ...]
     phases: tuple[complex, ...]
-    programs: tuple[tuple[tuple[int, tuple[RealizationStep, ...]], ...], ...]
+    steps: tuple[tuple[tuple[int, RealizationStep], ...], ...]
     after: tuple[Gate, ...]
 
 
@@ -311,13 +309,16 @@ def _compile(
         w_total *= decomp.weight
         cuts.append(
             _Cut(
-                qubits=qubits,
                 weight=decomp.weight,
                 cums=tuple(accumulate(abs(t.coefficient) for t in decomp.terms)),
                 phases=tuple(t.coefficient / abs(t.coefficient) for t in decomp.terms),
-                programs=tuple(
-                    tuple((0, realization_program(cid)) for cid in t.left)
-                    + tuple((1, realization_program(cid)) for cid in t.right)
+                steps=tuple(
+                    tuple(
+                        (qubit, step)
+                        for qubit, channels in zip(qubits, (t.left, t.right))
+                        for cid in channels
+                        for step in realization_program(cid)
+                    )
                     for t in decomp.terms
                 ),
                 after=tuple(after),
@@ -344,51 +345,41 @@ def _walk(
     """Run ``shots`` shots down the plan's branch tree: (phase, o', x) arrays.
 
     ``draw(idx)`` returns one uniform per shot listed in the index array
-    ``idx`` and advances each listed shot's stream by one. At a node before
-    a cut its shots draw their terms, and each term runs its side-0, then
-    side-1 programs once per branch for the shots that drew it
-    (``run_branches``). The node's children are stacked, the uncut gates
-    after the cut act on the stack, and the walk descends into each child
-    in turn (depth first across cuts), so only the open frontier holds
-    states. After the last cut the stack holds the leaves; in sample mode
-    each drawn observable term is evaluated once, on the leaves of the
-    shots that drew it.
+    ``idx`` and advances each listed shot's stream by one. ``descend``
+    starts at a one-row stack, the prefix with every shot. Before cut k
+    each row's shots draw their terms, each drawn term's steps run once per
+    branch (``run_branches``), and the branches are stacked for the uncut
+    gates after the cut and the next descent, so only the open frontier
+    holds states. After the last cut the stack holds the leaves; in sample
+    mode each drawn observable term is evaluated once, on its leaves.
     """
     n = plan.num_qubits
     phase = np.empty(shots, dtype=complex)
     o_value = np.empty(shots)
 
-    def descend(k: int, psi: np.ndarray, path_phase: complex, idx: np.ndarray) -> None:
-        # psi is the state before cut k of the shots idx
-        cut = plan.cuts[k]
-        states, paths = [], []
-        for term, drew in _draw_terms(draw, idx, cut.cums, cut.weight):
-            branches = [(psi, path_phase * cut.phases[term], idx[drew])]
-            for side, program in cut.programs[term]:
-                qubit = cut.qubits[side]
-                branches = [
-                    (state, p * w, taken)
-                    for s, p, i in branches
-                    for state, w, taken in run_branches(s, program, qubit, n, draw, i)
-                ]
-            states.extend(s for s, _, _ in branches)
-            paths.extend((p, i) for _, p, i in branches)
-        stack = _stack(states, n)
-        del states  # only the stack stays on the frontier
-        for gate in cut.after:
-            stack = apply_gate(stack, gate, n)
-        if k + 1 < len(plan.cuts):
-            for row, (p, i) in zip(stack, paths):
-                descend(k + 1, row, p, i)
-        else:
+    def descend(k: int, stack: np.ndarray, paths: list[tuple[complex, np.ndarray]]) -> None:
+        # row r of stack is the state before cut k of the shots paths[r][1]
+        if k == len(plan.cuts):
             leaves(stack, paths)
+            return
+        cut = plan.cuts[k]
+        for psi, (path_phase, idx) in zip(stack, paths):
+            states, children = [], []
+            for term, drew in _draw_terms(draw, idx, cut.cums, cut.weight):
+                for state, w, taken in run_branches(psi, cut.steps[term], n, draw, idx[drew]):
+                    states.append(state)
+                    children.append((path_phase * cut.phases[term] * w, taken))
+            child = _stack(states, n)
+            del states  # only the stack stays on the frontier
+            for gate in cut.after:
+                child = apply_gate(child, gate, n)
+            descend(k + 1, child, children)
 
     def leaves(stack: np.ndarray, paths: list[tuple[complex, np.ndarray]]) -> None:
         for p, i in paths:
             phase[i] = p
         if plan.mode is MeasureMode.EXACT_TRACE:
-            terms = plan.observable.terms
-            means = sum(coeff * _row_means(stack, pauli, n) for coeff, pauli in terms)
+            means = sum(c * _row_means(stack, pauli, n) for c, pauli in plan.observable.terms)
             for leaf, (_, i) in enumerate(paths):
                 o_value[i] = means[leaf]
             return
@@ -399,16 +390,13 @@ def _walk(
             sign, pauli = plan.terms[term]
             used = np.unique(at)
             means = np.empty(len(paths))
-            means[used] = _row_means(_stack(stack[used], n), pauli, n)[: len(used)]
+            # a Pauli string's entries are 0, +-1 or +-i: exact in any row position
+            means[used] = _row_means(stack[used], pauli, n)
             p_plus = np.clip(0.5 * (1.0 + means[at]), 0.0, 1.0)
             eig = np.where(draw(taken) < p_plus, 1.0, -1.0)
             o_value[taken] = sign * eig * plan.observable.o_max
 
-    everyone = np.arange(shots)
-    if plan.cuts:
-        descend(0, plan.prefix, 1.0 + 0.0j, everyone)
-    else:
-        leaves(_stack([plan.prefix], n), [(1.0 + 0.0j, everyone)])
+    descend(0, _stack([plan.prefix], n), [(1.0 + 0.0j, np.arange(shots))])
     x = plan.w_total * (phase.real * o_value)
     bound = plan.w_total * plan.observable.o_max
     over = np.abs(x) > bound + _BOUND_SLACK

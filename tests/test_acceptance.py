@@ -17,7 +17,13 @@ from quasicut.analysis import compare_costs, find_max_w
 from quasicut.canonical import ThetaVector, canonical_unitary, pauli_coefficients
 from quasicut.circuit import CanonicalGate, Circuit, Observable, SingleGate
 from quasicut.decomposition import compose, decompose, legacy_decompose, reconstruct_ptm
-from quasicut.local_basis import ALL_CHANNELS, channel_action, realize
+from quasicut.local_basis import (
+    ALL_CHANNELS,
+    Unitary,
+    channel_action,
+    realization_program,
+    run_branches,
+)
 from quasicut.sampler import EstimatorConfig, MeasureMode, estimate
 
 PI = np.pi
@@ -197,21 +203,38 @@ CARDINAL_STATES = {
 
 
 def test_criterion_8_channel_realizations():
-    """Sampled weight x density means reproduce every channel on every axis state."""
+    """Sampled weight x density means reproduce every channel on every axis state.
+
+    Each cell runs its 1e5 samples through the batched interpreter. A
+    program takes one draw per coin or measurement, so drawing all of a
+    cell's uniforms at once takes the generator's values in the order
+    ``realize`` called in a loop would, and gives the same samples.
+    """
     shots = 100_000
     rng = np.random.default_rng(108)
     worst_sigma = 0.0
     ok = True
     for channel in ALL_CHANNELS:
+        program = realization_program(channel)
+        steps = tuple((0, step) for step in program)
+        k = sum(not isinstance(step, Unitary) for step in program)
         for name, vec in CARDINAL_STATES.items():
             state = QuantumState.pure(vec)
             target = channel_action(channel, state.density_matrix())
+            u = rng.random((shots, k)) if k else np.empty((shots, 0))
+            used = np.zeros(shots, dtype=int)
+
+            def draw(idx):
+                out = u[idx, used[idx]]
+                used[idx] += 1
+                return out
+
             vectors = np.empty((shots, 2), dtype=complex)
             weights = np.empty(shots, dtype=complex)
-            for s in range(shots):
-                out = realize(channel, state, rng)
-                vectors[s] = out.state.vector
-                weights[s] = out.weight
+            all_shots = np.arange(shots)
+            for vector, weight, taken in run_branches(state.vector, steps, 1, draw, all_shots):
+                vectors[taken] = vector
+                weights[taken] = weight
             samples = weights[:, None, None] * (
                 vectors[:, :, None] * vectors.conj()[:, None, :]
             )

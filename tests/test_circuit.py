@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quasicut.algebra import kron, pauli_matrix
-from quasicut.canonical import ThetaVector, canonical_unitary, pauli_coefficients
+from quasicut.canonical import PauliCoeffs, ThetaVector, canonical_unitary, pauli_coefficients
 from quasicut.circuit import (
     CanonicalGate,
     Circuit,
@@ -26,6 +26,7 @@ from quasicut.circuit import (
     pauli_string_matrix,
     statevector,
 )
+from quasicut.local_basis import Unitary
 
 PI = np.pi
 
@@ -177,6 +178,31 @@ def test_circuit_validation():
         Circuit(2, (CanonicalGate((0, 0), ThetaVector(0.1, 0, 0)),))
     with pytest.raises(ValueError):
         exact_expectation(Circuit(1, ()), ZZ)  # width mismatch
+
+
+def test_gate_parameters_must_be_finite():
+    nan, inf = float("nan"), float("inf")
+    for build in (
+        lambda: SingleGate(0, Y_AXIS, nan),
+        lambda: SingleGate(0, Y_AXIS, inf),
+        lambda: SingleGate(0, (nan, 0.0, 0.0), 0.3),
+        lambda: SingleGate(0, (inf, 0.0, 0.0), 0.3),
+        lambda: Raw1QGate(0, np.array([[nan, 0.0], [0.0, 1.0]])),
+        lambda: Raw1QGate(0, np.array([[inf, 0.0], [0.0, 1.0]])),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+    assert type(SingleGate(0, Y_AXIS, 1).theta) is float
+
+
+def test_validated_matrices_leave_the_callers_arrays_writable():
+    """Gates, steps and coefficients freeze their own copies, not the arrays passed in."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    u = np.array([0.6, 0.8j, 0, 0], dtype=complex)
+    frozen = (Raw1QGate(0, x).matrix_values, Unitary(x).matrix, PauliCoeffs(u).values)
+    assert not any(a.flags.writeable for a in frozen)
+    x[0, 0] = 0.0  # the caller's arrays used to be frozen in place
+    u[2] = 0.0
 
 
 def test_qubit_indices_must_be_integers():

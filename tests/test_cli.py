@@ -109,6 +109,10 @@ def test_plan_rejects_bad_arguments(capsys):
     assert code == 3 and "epsilon" in err
     code, _, err = run_cli(capsys, "plan", "1e-300", "0.05", "1.0", "1.0")  # float overflow
     assert code == 3 and "epsilon" in err
+    code, _, err = run_cli(capsys, "plan", "0.1", "0.05", "inf", "1")
+    assert code == 3 and "o_max" in err
+    code, _, err = run_cli(capsys, "plan", "0.1", "0.05", "1", "inf")
+    assert code == 3 and "w_total" in err
 
 
 def test_estimate_runs_and_reports(tmp_path, capsys):
@@ -226,6 +230,31 @@ def test_estimate_exit_codes(tmp_path, capsys):
         "--shots", "10", "--epsilon", "0.1", "--delta", "0.1",
     )
     assert code == 3  # over-specified accuracy target
+
+
+NON_FINITE_GATES = {
+    "theta NaN": {"type": "single", "q": 0, "axis": [0.0, 1.0, 0.0], "theta": float("nan")},
+    "theta Infinity": {"type": "single", "q": 0, "axis": [0.0, 1.0, 0.0], "theta": float("inf")},
+    "axis NaN": {"type": "single", "q": 0, "axis": [float("nan"), 0.0, 0.0], "theta": 0.3},
+    "raw1q NaN": {
+        "type": "raw1q",
+        "q": 0,
+        "matrix": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    },
+}
+
+
+@pytest.mark.parametrize("gate", NON_FINITE_GATES.values(), ids=NON_FINITE_GATES.keys())
+def test_estimate_rejects_non_finite_gate_parameters(tmp_path, capsys, gate):
+    """A document with NaN or Infinity (Python's json reads both) exits 3, printing nothing."""
+    doc = json.loads(json.dumps(CIRCUIT_DOC))
+    doc["gates"][0] = gate
+    circuit = write_json(tmp_path / "c.json", doc)
+    observable = write_json(tmp_path / "o.json", OBSERVABLE_DOC)
+    code, out, err = run_cli(
+        capsys, "estimate", "--circuit", circuit, "--observable", observable, "--shots", "10"
+    )
+    assert code == 3 and out == "" and "finite" in err
 
 
 @pytest.mark.parametrize(

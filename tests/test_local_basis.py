@@ -293,6 +293,10 @@ def test_realize_monte_carlo_means_match_channels():
 def test_signed_measurement_validation():
     with pytest.raises(ValueError):
         SignedMeasurement((0.0, 0.0, 2.0))  # axis not unit
+    with pytest.raises(ValueError, match="finite"):
+        SignedMeasurement((float("nan"), 0.0, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        Unitary(np.array([[float("nan"), 0.0], [0.0, 1.0]]))
     m = SignedMeasurement((0.0, 0.0, 1.0))
     np.testing.assert_allclose(m.projector_matrix, np.diag([1.0, 0.0]), atol=1e-15)
 
@@ -309,37 +313,71 @@ def test_coin_sides_must_be_unitary_steps():
 def test_interpreters_reject_unknown_steps():
     psi = np.array([1.0, 0.0], dtype=complex)
     program = (Unitary(PAULIS[1]), np.eye(2))
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="unknown realization step"):
         run_program(psi, program, 0, 1, FixedDraws([]))
-    with pytest.raises(TypeError):
-        run_branches(psi, program, 0, 1, lambda idx: np.zeros(len(idx)), np.arange(3))
+    steps = tuple((0, step) for step in program)
+    with pytest.raises(TypeError, match="unknown realization step"):
+        run_branches(psi, steps, 1, lambda idx: np.zeros(len(idx)), np.arange(3))
 
 
-@pytest.mark.parametrize("channel", ALL_CHANNELS, ids=str)
-def test_branches_match_one_run_per_shot(channel):
-    """``run_branches`` gives every shot what ``run_program`` gives it, bit for bit."""
-    rng = np.random.default_rng(17)
-    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-    psi /= np.linalg.norm(psi)
-    program = realization_program(channel)
-    draws = rng.random((12, 2))
-    used = np.zeros(12, dtype=int)
+def branches_against_run_program(psi, sides, draws):
+    """``run_branches`` on the (qubit, program) ``sides`` next to ``run_program``.
+
+    The sequence is every program's steps on its qubit, in order. Each shot
+    (a row of ``draws``) must get the state and weight that ``run_program``
+    gives it, one side after the other, bit for bit, from the same draws.
+    """
+    shots, num_qubits = len(draws), int(len(psi)).bit_length() - 1
+    used = np.zeros(shots, dtype=int)
 
     def draw(idx):
         out = draws[idx, used[idx]]
         used[idx] += 1
         return out
 
-    branches = run_branches(psi, program, 1, 3, draw, np.arange(12))
-    assert sorted(i for _, _, shots in branches for i in shots.tolist()) == list(range(12))
-    for state, weight, shots in branches:
-        for shot in shots.tolist():
+    steps = tuple((qubit, step) for qubit, program in sides for step in program)
+    branches = run_branches(psi, steps, num_qubits, draw, np.arange(shots))
+    assert sorted(i for _, _, taken in branches for i in taken.tolist()) == list(range(shots))
+    for state, weight, taken in branches:
+        for shot in taken.tolist():
             ref_rng = FixedDraws(draws[shot])
-            ref, ref_weight = run_program(psi, program, 1, 3, ref_rng)
+            ref, ref_weight = psi, 1.0
+            for qubit, program in sides:
+                ref, w = run_program(ref, program, qubit, num_qubits, ref_rng)
+                ref_weight *= w
             assert weight == ref_weight
             assert np.array_equal(state, ref)
             # the same number of draws
             assert used[shot] == len(draws[shot]) - len(ref_rng._draws)
+
+
+def random_state(rng, num_qubits):
+    psi = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("channel", ALL_CHANNELS, ids=str)
+def test_branches_match_one_run_per_shot(channel):
+    """``run_branches`` gives every shot what ``run_program`` gives it, bit for bit."""
+    rng = np.random.default_rng(17)
+    psi = random_state(rng, 3)
+    branches_against_run_program(psi, [(1, realization_program(channel))], rng.random((12, 2)))
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [("A12", "B13"), ("s2,B02", "A03,B12,s1"), ("B23,A01", "s0")],
+)
+def test_one_sequence_spans_two_qubits(left, right):
+    """A cut term's left channels on qubit 0, then its right ones on qubit 2."""
+    rng = np.random.default_rng(23)
+    psi = random_state(rng, 3)
+    sides = [
+        (qubit, realization_program(BasisChannelId.from_label(label)))
+        for qubit, labels in ((0, left), (2, right))
+        for label in labels.split(",")
+    ]
+    branches_against_run_program(psi, sides, rng.random((40, len(sides))))
 
 
 def test_projector_formula():

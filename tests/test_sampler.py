@@ -188,6 +188,11 @@ def test_plan_shots_validation():
         plan_shots(0.1, 0.05, 0.0, 1.0)
     with pytest.raises(ValueError):
         plan_shots(0.1, 0.05, 1.0, 0.5)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="o_max"):
+            plan_shots(0.1, 0.05, bad, 1.0)
+        with pytest.raises(ValueError, match="w_total"):
+            plan_shots(0.1, 0.05, 1.0, bad)
 
 
 def test_config_requires_exactly_one_target():
