@@ -179,6 +179,8 @@ class Observable:
         object.__setattr__(self, "_o_max", float(sum(abs(c) for c, _ in self.terms)))
         if self._o_max <= 0.0:
             raise ValueError("observable must have a nonzero coefficient")
+        if not np.isfinite(self._o_max):
+            raise ValueError("observable's o_max, the sum of |coeff|, overflows")
 
     @property
     def o_max(self) -> float:

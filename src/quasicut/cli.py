@@ -120,7 +120,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:

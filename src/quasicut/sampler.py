@@ -28,14 +28,17 @@ coin sides and measurement outcomes of its steps, and at the end the
 observable term. So a shot's state depends only on its branch path, at most
 about 100 paths per cut, not on the draws themselves. The shots of an
 estimate walk a branch tree together (``_walk``), and each node's work (a
-drawn term's (qubit, step) sequence, the uncut gates after its cut, the
-observable) is done once, not once per shot. Only the open frontier holds
-states, and the shots run in chunks of 2^16, so memory does not grow with
-the tree or the shot count beyond one value per shot. A shot draws exactly
-what the per-gate simulation would, in the same order, so neither the plan
-nor the tree changes a result beyond rounding, and a shot's value does not
-depend on the other shots of its chunk. ``run_shot`` compiles a plan on
-every call and walks one path of its tree.
+drawn term's (qubit, step) sequence) is done once, not once per shot. The
+children of a cut's nodes are stacked in batches across nodes, so the
+uncut gates after the cut and the observable run once per batch, not once
+per node. Only the open frontier holds states, at most one batch and one
+node's children per cut, and the shots run in chunks of 2^16, so memory
+does not grow with the tree or the shot count beyond one value per shot.
+A shot draws exactly what the per-gate simulation would, in the same
+order, so neither the plan nor the tree changes a result beyond rounding,
+and a shot's value does not depend on the other shots of its chunk or
+batch. ``run_shot`` compiles a plan on every call and walks one path of
+its tree.
 
 Shot counts for a target (epsilon, delta) follow the two-sided Hoeffding
 bound for samples bounded by W * o_max:
@@ -43,15 +46,19 @@ bound for samples bounded by W * o_max:
     S = ceil( 2 (W * o_max / epsilon)^2 * ln(2 / delta) ).
 
 An estimate keeps one value per shot, so more than MAX_SHOTS shots, requested
-or planned, raise ValueError before any are sampled.
+or planned, raise ValueError before any are sampled, as does an o_max so
+large that S (2 W o_max)^2 overflows, which bounds both the sum behind the
+mean and the squares behind the standard error.
 
 Reproducibility: every shot draws from its own uniform stream derived from
 (seed, shot_index) by a fixed 64-bit mix (murmur-style initialization, then a
 SplitMix64 walk). A result is therefore a pure function of the seed and
 the inputs; the stream values themselves are pinned by test vectors.
-``ShotStream`` is one shot's stream on Python ints; ``estimate`` keeps the
-streams of a chunk as one uint64 array, and a tree node advances all its
-shots' streams in one array operation, with the same draws bit for bit.
+``ShotStream`` is one shot's stream on Python ints. SplitMix64 is
+counter-based, so ``estimate`` computes a chunk's streams up front as one
+table, each shot's first ``draws`` uniforms (the most any shot of the plan
+takes), and a tree node reads the next entry of each of its shots with one
+gather: the same draws bit for bit.
 """
 
 from __future__ import annotations
@@ -76,7 +83,7 @@ from .circuit import (
 )
 from .decomposition import QPDecomposition, decompose
 from .canonical import pauli_coefficients
-from .local_basis import RealizationStep, realization_program, run_branches
+from .local_basis import RealizationStep, Unitary, realization_program, run_branches
 
 _BOUND_SLACK = 1e-9
 
@@ -84,8 +91,15 @@ _BOUND_SLACK = 1e-9
 _BELOW_ONE = 1.0 - 2.0**-53
 
 # estimate walks its shots in chunks of this many; a chunk holds about 100
-# bytes per shot (stream state, phase, o', x, indices) next to its tree
+# bytes per shot (draw counter, phase, o', x, indices) and 8 per entry of
+# its stream table next to its tree
 _CHUNK_SHOTS = 1 << 16
+
+# a cut's children are stacked and simulated in batches of about this many
+# amplitudes (1 MiB of complex128): one call per batch instead of one per
+# parent row, while each tree level holds at most one batch plus one
+# parent's children
+_BATCH_AMPS = 1 << 16
 
 # an estimate keeps one float per shot: 800 MB at this count
 MAX_SHOTS = 100_000_000
@@ -143,19 +157,27 @@ class ShotStream:
 class _StreamArray:
     """The ``ShotStream`` of every shot in ``range(start, start + count)``.
 
-    One uint64 state per shot; ``draw(idx)`` advances the listed shots
-    (positions in the range) by one draw each, as one array operation, and
-    returns their uniforms, bit for bit what ``ShotStream.random`` returns.
+    SplitMix64 is counter-based: a shot's j-th uniform is the finalizer of
+    its start state plus (j + 1) increments. So the table of the first
+    ``draws`` uniforms of every shot is computed in one pass, and
+    ``draw(idx)`` gathers the next one of each listed shot (positions in
+    the range) and steps that shot's counter, bit for bit what
+    ``ShotStream.random`` returns. A shot drawing past ``draws`` raises
+    IndexError.
     """
 
-    def __init__(self, seed: int, start: int, count: int) -> None:
-        self._z = _stream_start(seed, np.arange(start, start + count, dtype=np.uint64))
+    def __init__(self, seed: int, start: int, count: int, draws: int) -> None:
+        z0 = _stream_start(seed, np.arange(start, start + count, dtype=np.uint64))
+        steps = np.arange(1, draws + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        # uint64 -> float64 rounds to nearest, as int / float does
+        table = _stream_output(z0[:, None] + steps) / 18446744073709551616.0
+        self._table = np.minimum(table, _BELOW_ONE, out=table)
+        self._next = np.zeros(count, dtype=np.intp)
 
     def draw(self, idx: np.ndarray) -> np.ndarray:
-        z = self._z[idx] + np.uint64(_GAMMA)
-        self._z[idx] = z
-        # uint64 -> float64 rounds to nearest, as int / float does
-        return np.minimum(_stream_output(z) / 18446744073709551616.0, _BELOW_ONE)
+        j = self._next[idx]
+        self._next[idx] = j + 1
+        return self._table[idx, j]
 
 
 def _draw_from(rngs) -> Callable[[np.ndarray], np.ndarray]:
@@ -265,7 +287,9 @@ class _ShotPlan:
     first cut, the root of every walk's branch tree. Exact mode reads
     ``observable`` per Pauli string on a stack of leaf states at once.
     Sample mode draws one of ``terms``, (sign, Pauli string), per shot with
-    cut points ``term_cums``.
+    cut points ``term_cums``. ``draws`` is the most uniforms any shot takes:
+    per cut one for the term and one per coin or measurement of its
+    busiest term, and in sample mode two more.
     """
 
     num_qubits: int
@@ -276,6 +300,7 @@ class _ShotPlan:
     observable: Observable
     terms: tuple[tuple[float, str], ...]
     term_cums: tuple[float, ...]
+    draws: int
 
 
 def _compile(
@@ -303,29 +328,32 @@ def _compile(
         prefix = apply_gate(prefix, gate, n)
     prefix.setflags(write=False)
 
+    exact = mode is MeasureMode.EXACT_TRACE
     cuts = []
     w_total = 1.0
+    draws = 0 if exact else 2  # the observable term and its eigenvalue
     for (qubits, decomp), after in zip(cut_decomps, segments[1:]):
         w_total *= decomp.weight
+        steps = tuple(
+            tuple(
+                (qubit, step)
+                for qubit, channels in zip(qubits, (t.left, t.right))
+                for cid in channels
+                for step in realization_program(cid)
+            )
+            for t in decomp.terms
+        )
+        draws += 1 + max(sum(not isinstance(s, Unitary) for _, s in seq) for seq in steps)
         cuts.append(
             _Cut(
                 weight=decomp.weight,
                 cums=tuple(accumulate(abs(t.coefficient) for t in decomp.terms)),
                 phases=tuple(t.coefficient / abs(t.coefficient) for t in decomp.terms),
-                steps=tuple(
-                    tuple(
-                        (qubit, step)
-                        for qubit, channels in zip(qubits, (t.left, t.right))
-                        for cid in channels
-                        for step in realization_program(cid)
-                    )
-                    for t in decomp.terms
-                ),
+                steps=steps,
                 after=tuple(after),
             )
         )
 
-    exact = mode is MeasureMode.EXACT_TRACE
     live = () if exact else tuple((c, p) for c, p in observable.terms if c != 0.0)
     return _ShotPlan(
         num_qubits=n,
@@ -336,6 +364,7 @@ def _compile(
         observable=observable,
         terms=tuple((1.0 if c > 0 else -1.0, p) for c, p in live),
         term_cums=tuple(accumulate(abs(c) for c, _ in live)),
+        draws=draws,
     )
 
 
@@ -347,11 +376,15 @@ def _walk(
     ``draw(idx)`` returns one uniform per shot listed in the index array
     ``idx`` and advances each listed shot's stream by one. ``descend``
     starts at a one-row stack, the prefix with every shot. Before cut k
-    each row's shots draw their terms, each drawn term's steps run once per
-    branch (``run_branches``), and the branches are stacked for the uncut
-    gates after the cut and the next descent, so only the open frontier
-    holds states. After the last cut the stack holds the leaves; in sample
-    mode each drawn observable term is evaluated once, on its leaves.
+    each row's shots draw their terms and each drawn term's steps run once
+    per branch (``run_branches``). ``batches`` collects the branches of
+    consecutive rows until they hold ``_BATCH_AMPS`` amplitudes or the rows
+    run out; each batch is stacked for the uncut gates after the cut and
+    the next descent, so only the open frontier holds states. After the
+    last cut the stack holds the leaves; in sample mode each drawn
+    observable term is evaluated once, on its leaves. Each shot draws from
+    its own stream in its own order, so batching leaves the draws as they
+    were.
     """
     n = plan.num_qubits
     phase = np.empty(shots, dtype=complex)
@@ -362,18 +395,26 @@ def _walk(
         if k == len(plan.cuts):
             leaves(stack, paths)
             return
-        cut = plan.cuts[k]
+        for states, children in batches(plan.cuts[k], stack, paths):
+            child = _stack(states, n)
+            states.clear()  # only the stack stays on the frontier
+            for gate in plan.cuts[k].after:
+                child = apply_gate(child, gate, n)
+            descend(k + 1, child, children)
+
+    def batches(cut: _Cut, stack: np.ndarray, paths: list[tuple[complex, np.ndarray]]):
+        # the children of consecutive rows, cut off once they hold _BATCH_AMPS
+        states, children = [], []
         for psi, (path_phase, idx) in zip(stack, paths):
-            states, children = [], []
             for term, drew in _draw_terms(draw, idx, cut.cums, cut.weight):
                 for state, w, taken in run_branches(psi, cut.steps[term], n, draw, idx[drew]):
                     states.append(state)
                     children.append((path_phase * cut.phases[term] * w, taken))
-            child = _stack(states, n)
-            del states  # only the stack stays on the frontier
-            for gate in cut.after:
-                child = apply_gate(child, gate, n)
-            descend(k + 1, child, children)
+            if len(states) << n >= _BATCH_AMPS:
+                yield states, children
+                states, children = [], []
+        if states:
+            yield states, children
 
     def leaves(stack: np.ndarray, paths: list[tuple[complex, np.ndarray]]) -> None:
         for p, i in paths:
@@ -485,11 +526,18 @@ def estimate(
         shots = plan_shots(config.epsilon, config.delta, o_max, plan.w_total)
     if shots > MAX_SHOTS:
         raise ValueError(f"{shots} shots exceed the limit of {MAX_SHOTS} per estimate")
+    # bounds both the sum in the mean and the sum of squares in the std error
+    spread = 2.0 * plan.w_total * o_max
+    if not isfinite(shots * spread * spread):
+        raise ValueError(
+            f"o_max {o_max} is too large: {shots} shot values up to W_total * o_max "
+            f"= {plan.w_total * o_max} overflow the mean or its standard error"
+        )
 
     values = np.empty(shots, dtype=float)
     for start in range(0, shots, _CHUNK_SHOTS):
         count = min(_CHUNK_SHOTS, shots - start)
-        streams = _StreamArray(config.seed, start, count)
+        streams = _StreamArray(config.seed, start, count, plan.draws)
         values[start : start + count] = _walk(plan, streams.draw, count)[2]
 
     mean = float(values.mean())

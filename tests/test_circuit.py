@@ -146,6 +146,8 @@ def test_observable_requires_consistent_terms():
         Observable(((0.0, "Z"),))
     with pytest.raises(ValueError):
         Observable(((np.inf, "Z"),))
+    with pytest.raises(ValueError, match="o_max"):
+        Observable(((1e308, "ZZ"), (1e308, "ZI")))
 
 
 def test_observable_o_max_and_matrix():

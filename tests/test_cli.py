@@ -257,6 +257,25 @@ def test_estimate_rejects_non_finite_gate_parameters(tmp_path, capsys, gate):
     assert code == 3 and out == "" and "finite" in err
 
 
+OVERFLOWING_OBSERVABLES = {
+    "o_max overflows": [{"coeff": 1e308, "pauli": "ZZ"}, {"coeff": 1e308, "pauli": "ZI"}],
+    "squares overflow": [{"coeff": 1e200, "pauli": "ZZ"}],
+}
+
+
+@pytest.mark.parametrize(
+    "terms", OVERFLOWING_OBSERVABLES.values(), ids=OVERFLOWING_OBSERVABLES.keys()
+)
+def test_estimate_rejects_an_observable_whose_statistics_overflow(tmp_path, capsys, terms):
+    """Shot values whose sum or squares overflow exit 3 before sampling, printing nothing."""
+    circuit = write_json(tmp_path / "c.json", CIRCUIT_DOC)
+    observable = write_json(tmp_path / "o.json", {"format": 1, "terms": terms})
+    code, out, err = run_cli(
+        capsys, "estimate", "--circuit", circuit, "--observable", observable, "--shots", "10"
+    )
+    assert code == 3 and out == "" and "o_max" in err
+
+
 @pytest.mark.parametrize(
     "target",
     [

@@ -6,6 +6,8 @@ computed through a different code path than the per-term channel PTMs.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasicut.algebra import ptm_of_unitary
 from quasicut.analysis import sweep
@@ -63,6 +65,17 @@ def test_reconstruction_equals_exact_gate_ptm():
         d = decompose(pauli_coefficients(theta))
         target = ptm_of_unitary(canonical_unitary(theta), 2)
         np.testing.assert_allclose(reconstruct_ptm(d), target, atol=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+def test_decompose_is_exact_at_any_finite_angle(theta):
+    """Inside or outside the Weyl domain: the gate's PTM to 1e-9, W from its formula."""
+    u = pauli_coefficients(ThetaVector(*theta))
+    d = decompose(u)
+    target = ptm_of_unitary(canonical_unitary(ThetaVector(*theta)), 2)
+    np.testing.assert_allclose(reconstruct_ptm(d), target, rtol=0, atol=1e-9)
+    assert d.weight == pytest.approx(weight_formula(u), rel=1e-12, abs=0)
 
 
 def test_frozen_terms_at_quarter_pi():

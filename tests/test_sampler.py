@@ -121,21 +121,28 @@ def test_stream_random_stays_below_one():
     assert stream.random() < 1.0
 
 
-# --- the numpy port of the stream, one uint64 state per shot -----------------
+# --- the numpy port of the stream, a table of draws per shot ----------------
 
 
 def test_stream_array_matches_the_pinned_vectors():
     for (seed, shot), draws in STREAM_VECTORS.items():
-        streams = sampler_module._StreamArray(seed, shot, 1)
+        streams = sampler_module._StreamArray(seed, shot, 1, 3)
         assert [float(streams.draw(np.array([0]))[0]) for _ in range(3)] == draws
 
 
-def test_stream_array_clamps_the_largest_output_like_shot_stream():
+def test_stream_array_clamps_the_largest_output_like_shot_stream(monkeypatch):
     stream = ShotStream(0, 0)
-    stream._z = state_before_the_largest_output()
-    streams = sampler_module._StreamArray(0, 0, 3)
-    streams._z[1] = stream._z
+    stream._z = z = state_before_the_largest_output()
     expected = [ShotStream(0, 0).random(), stream.random(), ShotStream(0, 2).random()]
+    start = sampler_module._stream_start
+
+    def one_start_before_the_largest_output(seed, shot_index):
+        starts = start(seed, shot_index)
+        starts[1] = z
+        return starts
+
+    monkeypatch.setattr(sampler_module, "_stream_start", one_start_before_the_largest_output)
+    streams = sampler_module._StreamArray(0, 0, 3, 1)
     got = streams.draw(np.arange(3)).tolist()
     assert got == expected
     assert got[1] == 1.0 - 2.0**-53
@@ -149,15 +156,21 @@ def test_stream_array_clamps_the_largest_output_like_shot_stream():
     rounds=st.lists(st.lists(st.integers(0, 5), min_size=1, unique=True), max_size=6),
 )
 def test_stream_array_equals_shot_stream_draw_for_draw(seed, last, count, rounds):
-    """Any seed reduces mod 2**64 as the int arithmetic does; only listed shots advance."""
+    """Any seed reduces mod 2**64 as the int arithmetic does; only listed shots advance.
+
+    The table holds as many draws as the busiest shot takes; its next one raises.
+    """
     start = max(0, last - count + 1)
     count = last - start + 1
-    streams = sampler_module._StreamArray(seed, start, count)
+    rounds = [[i for i in listed if i < count] or [0] for listed in rounds + [list(range(count))]]
+    taken = [sum(i in listed for listed in rounds) for i in range(count)]
+    streams = sampler_module._StreamArray(seed, start, count, max(taken))
     refs = [ShotStream(seed, start + i) for i in range(count)]
-    for listed in rounds + [list(range(count))]:
-        listed = [i for i in listed if i < count] or [0]
+    for listed in rounds:
         got = streams.draw(np.array(listed))
         assert got.tolist() == [refs[i].random() for i in listed]
+    with pytest.raises(IndexError):
+        streams.draw(np.array([taken.index(max(taken))]))
 
 
 # --- shot planning ----------------------------------------------------------
@@ -253,7 +266,8 @@ def test_run_shot_is_the_estimate_shot_bit_for_bit(mode):
         circuit, observable = oracle_instance(n, LAYOUTS["two cuts"], 2)
         decomps = cut_decomps(circuit)
         plan = sampler_module._compile(circuit, observable, decomps, mode)
-        x = sampler_module._walk(plan, sampler_module._StreamArray(8, 0, shots).draw, shots)[2]
+        streams = sampler_module._StreamArray(8, 0, shots, plan.draws)
+        x = sampler_module._walk(plan, streams.draw, shots)[2]
         for s in range(shots):
             assert run_shot(circuit, observable, decomps, ShotStream(8, s), mode).value == x[s]
 
@@ -512,6 +526,20 @@ def test_run_shot_matches_per_gate_reference(layout, num_qubits, mode):
     shot_against_reference(circuit, observable, mode)
 
 
+@pytest.mark.parametrize("mode", list(MeasureMode))
+def test_plan_draws_bound_every_shot_and_are_reached(mode):
+    """``plan.draws`` sizes the stream table: no shot takes more, some take that many."""
+    circuit, observable = oracle_instance(3, LAYOUTS["two cuts"], 2)
+    decomps = cut_decomps(circuit)
+    plan = sampler_module._compile(circuit, observable, decomps, mode)
+    taken = []
+    for s in range(40):
+        stream = CountingStream(ShotStream(3, s))
+        run_shot(circuit, observable, decomps, stream, mode)
+        taken.append(stream.draws)
+    assert max(taken) == plan.draws
+
+
 def walk_against_reference(circuit, observable, mode, seed, rows):
     """One walk of ``rows`` shots, one stream each, next to the reference shot by shot.
 
@@ -580,7 +608,12 @@ def test_estimates_are_pinned_bit_for_bit(key):
 
 @pytest.mark.parametrize("mode", list(MeasureMode))
 def test_estimate_is_independent_of_the_block_size(monkeypatch, mode):
-    """Chunks of 5 shots give every shot the value one chunk gives it, bit for bit."""
+    """Chunks of 5 shots give every shot the value one chunk gives it, bit for bit.
+
+    So do chunks of 5 whose batches hold one 3-qubit row, where every
+    parent's children are simulated as a stack of their own, not batched
+    with the next parent's.
+    """
     circuit, observable = oracle_instance(3, LAYOUTS["two cuts"], 2)
     config = EstimatorConfig(shots=23, seed=4, mode=mode)
     chunks = []
@@ -595,10 +628,13 @@ def test_estimate_is_independent_of_the_block_size(monkeypatch, mode):
     whole = estimate(circuit, observable, config)
     assert [len(x) for x in chunks] == [23]
     monkeypatch.setattr(sampler_module, "_CHUNK_SHOTS", 5)
-    split = estimate(circuit, observable, config)
-    assert [len(x) for x in chunks[1:]] == [5, 5, 5, 5, 3]
-    assert np.concatenate(chunks[1:]).tobytes() == chunks[0].tobytes()
-    assert split.to_doc() == whole.to_doc()
+    for batch_amps in (sampler_module._BATCH_AMPS, 1 << 3):
+        monkeypatch.setattr(sampler_module, "_BATCH_AMPS", batch_amps)
+        del chunks[1:]
+        split = estimate(circuit, observable, config)
+        assert [len(x) for x in chunks[1:]] == [5, 5, 5, 5, 3]
+        assert np.concatenate(chunks[1:]).tobytes() == chunks[0].tobytes()
+        assert split.to_doc() == whole.to_doc()
 
 
 def test_walk_memory_stays_on_the_frontier():
