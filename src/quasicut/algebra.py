@@ -40,13 +40,6 @@ _AXIS_TOL = 1e-12
 _UNITARITY_TOL = 1e-10
 
 
-def pauli_matrix(alpha: int) -> np.ndarray:
-    """Single-qubit Pauli sigma_alpha, alpha in 0..3 (read-only view)."""
-    if alpha not in (0, 1, 2, 3):
-        raise ValueError(f"Pauli index must be 0..3, got {alpha}")
-    return PAULIS[alpha]
-
-
 def unit_axis(axis, what: str) -> tuple[float, float, float]:
     """``axis`` as three floats; ValueError unless finite and of unit length to 1e-12."""
     ax = tuple(float(x) for x in axis)
@@ -60,14 +53,11 @@ def unitary_matrix(matrix, dim: int, what: str) -> np.ndarray:
     m = np.array(matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise ValueError(f"{what} must be {dim}x{dim}, got shape {m.shape}")
-    if not np.isfinite(m).all() or np.abs(m @ m.conj().T - np.eye(dim)).max() > _UNITARITY_TOL:
+    # a unitary's entries have modulus <= 1; the bound rejects NaN and inf and keeps m m^+ finite
+    bounded = (np.abs(m) <= 1.0 + _UNITARITY_TOL).all()
+    if not bounded or np.abs(m @ m.conj().T - np.eye(dim)).max() > _UNITARITY_TOL:
         raise ValueError(f"{what} is not a finite unitary within 1e-10")
     return m
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, left factor = lower qubit index."""
-    return np.kron(a, b)
 
 
 def pauli_basis(num_qubits: int) -> list[np.ndarray]:
@@ -80,7 +70,7 @@ def pauli_basis(num_qubits: int) -> list[np.ndarray]:
     return basis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumState:
     """Dense n-qubit pure state vector."""
 

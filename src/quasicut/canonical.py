@@ -32,13 +32,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .algebra import PAULIS, kron, unitary_matrix
+from .algebra import PAULIS, unitary_matrix
 
 _NORMALIZATION_TOL = 1e-12
 _DOMAIN_TOL = 1e-12
 
 # sigma_a (x) sigma_a for a = 0..3, the generators' matrix forms
-_SIGMA_SIGMA = tuple(kron(p, p) for p in PAULIS)
+_SIGMA_SIGMA = tuple(np.kron(p, p) for p in PAULIS)
 for _m in _SIGMA_SIGMA:
     _m.setflags(write=False)
 
@@ -65,14 +65,11 @@ class ThetaVector:
             raise ValueError(f"expected 3 angles, got {len(items)}")
         return cls(*items)
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.theta1, self.theta2, self.theta3)
-
     def __iter__(self) -> Iterator[float]:
-        return iter(self.as_tuple())
+        return iter((self.theta1, self.theta2, self.theta3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PauliCoeffs:
     """Coefficients u_a of U = sum_a u_a sigma_a (x) sigma_a.
 
@@ -86,9 +83,11 @@ class PauliCoeffs:
         vals = np.array(self.values, dtype=complex)
         if vals.shape != (4,):
             raise ValueError(f"expected 4 coefficients, got shape {vals.shape}")
-        if not np.isfinite(vals).all():
-            raise ValueError("non-finite coefficients")
-        norm = float(np.sum(np.abs(vals) ** 2))
+        mags = np.abs(vals)
+        # normalized, every |u_a| <= 1; the bound rejects NaN and inf and keeps the squares finite
+        if not (mags <= 1.0 + _NORMALIZATION_TOL).all():
+            raise ValueError(f"coefficients must be finite with |u_a| <= 1, got {vals}")
+        norm = float(np.sum(mags ** 2))
         if abs(norm - 1.0) > _NORMALIZATION_TOL:
             raise ValueError(f"coefficients not normalized: sum |u|^2 = {norm}")
         vals.setflags(write=False)
@@ -102,22 +101,6 @@ class PauliCoeffs:
 
     def __getitem__(self, alpha: int) -> complex:
         return complex(self.values[alpha])
-
-    @property
-    def u0(self) -> complex:
-        return complex(self.values[0])
-
-    @property
-    def u1(self) -> complex:
-        return complex(self.values[1])
-
-    @property
-    def u2(self) -> complex:
-        return complex(self.values[2])
-
-    @property
-    def u3(self) -> complex:
-        return complex(self.values[3])
 
 
 def canonical_unitary(theta: ThetaVector | Iterable[float]) -> np.ndarray:
@@ -140,20 +123,18 @@ def pauli_coefficients(theta: ThetaVector | Iterable[float]) -> PauliCoeffs:
     return PauliCoeffs(coeffs)
 
 
-def in_weyl_domain(theta: ThetaVector | Iterable[float], tol: float = _DOMAIN_TOL) -> bool:
-    """True iff theta lies in the tetrahedron pi/4 >= t1 >= t2 >= t3 >= 0."""
+def in_weyl_domain(theta: ThetaVector | Iterable[float]) -> bool:
+    """True iff theta lies in the tetrahedron pi/4 >= t1 >= t2 >= t3 >= 0, to 1e-12."""
     t1, t2, t3 = ThetaVector.coerce(theta)
     return (
-        t1 <= pi / 4 + tol
-        and t1 >= t2 - tol
-        and t2 >= t3 - tol
-        and t3 >= -tol
+        t1 <= pi / 4 + _DOMAIN_TOL
+        and t1 >= t2 - _DOMAIN_TOL
+        and t2 >= t3 - _DOMAIN_TOL
+        and t3 >= -_DOMAIN_TOL
     )
 
 
-def in_mirrored_weyl_domain(
-    theta: ThetaVector | Iterable[float], tol: float = _DOMAIN_TOL
-) -> bool:
+def in_mirrored_weyl_domain(theta: ThetaVector | Iterable[float]) -> bool:
     """True iff (-t1, t2, t3) lies in the principal tetrahedron (t1 <= 0 half)."""
     t1, t2, t3 = ThetaVector.coerce(theta)
-    return in_weyl_domain((-t1, t2, t3), tol=tol)
+    return in_weyl_domain((-t1, t2, t3))

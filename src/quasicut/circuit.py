@@ -32,13 +32,14 @@ NaN or infinite angle or matrix entry, too many qubits) raise ValueError.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite
+from numbers import Real
 from typing import Iterable
 
 import numpy as np
 
-from .algebra import PAULIS, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, kron, unit_axis, unitary_matrix
+from .algebra import PAULIS, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, unit_axis, unitary_matrix
 from .canonical import PauliCoeffs, ThetaVector, canonical_unitary, pauli_coefficients
 
 MAX_QUBITS = 12
@@ -69,6 +70,8 @@ class SingleGate:
     qubit: int
     axis: tuple[float, float, float]
     theta: float
+    # the gate's 2x2 unitary (read-only), built once
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubit", _integer(self.qubit, "qubit index"))
@@ -77,16 +80,11 @@ class SingleGate:
         if not isfinite(theta):
             raise ValueError(f"non-finite angle {theta}")
         object.__setattr__(self, "theta", theta)
-
-    def matrix(self) -> np.ndarray:
-        cached = self.__dict__.get("_matrix")
-        if cached is None:
-            nx, ny, nz = self.axis
-            n_sigma = nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z
-            cached = np.cos(self.theta) * SIGMA_0 - 1j * np.sin(self.theta) * n_sigma
-            cached.setflags(write=False)
-            object.__setattr__(self, "_matrix", cached)
-        return cached
+        nx, ny, nz = self.axis
+        n_sigma = nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z
+        matrix = np.cos(theta) * SIGMA_0 - 1j * np.sin(theta) * n_sigma
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
 
 
 @dataclass(frozen=True)
@@ -96,38 +94,34 @@ class CanonicalGate:
     qubits: tuple[int, int]
     theta: ThetaVector
     cut: bool = False
+    # the gate's 4x4 unitary (read-only), built once
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         qs = tuple(_integer(q, "qubit index") for q in self.qubits)
         if len(qs) != 2 or qs[0] == qs[1]:
             raise ValueError(f"canonical gate needs two distinct qubits, got {qs}")
+        if not isinstance(self.cut, bool):
+            raise ValueError(f"cut must be a bool, got {self.cut!r}")
         object.__setattr__(self, "qubits", qs)
         object.__setattr__(self, "theta", ThetaVector.coerce(self.theta))
-
-    def matrix(self) -> np.ndarray:
-        cached = self.__dict__.get("_matrix")
-        if cached is None:
-            cached = canonical_unitary(self.theta)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_matrix", cached)
-        return cached
+        matrix = canonical_unitary(self.theta)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Raw1QGate:
     """An explicit 2x2 unitary on one qubit."""
 
     qubit: int
-    matrix_values: np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubit", _integer(self.qubit, "qubit index"))
-        m = unitary_matrix(self.matrix_values, 2, "raw gate matrix")
+        m = unitary_matrix(self.matrix, 2, "raw gate matrix")
         m.setflags(write=False)
-        object.__setattr__(self, "matrix_values", m)
-
-    def matrix(self) -> np.ndarray:
-        return self.matrix_values
+        object.__setattr__(self, "matrix", m)
 
 
 Gate = SingleGate | CanonicalGate | Raw1QGate
@@ -140,6 +134,7 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "num_qubits", _integer(self.num_qubits, "num_qubits"))
+        object.__setattr__(self, "gates", tuple(self.gates))
         if not 1 <= self.num_qubits <= MAX_QUBITS:
             raise ValueError(f"num_qubits must be 1..{MAX_QUBITS}, got {self.num_qubits}")
         for gate in self.gates:
@@ -166,25 +161,26 @@ class Observable:
     """A real combination of Pauli strings; o_max = sum |coeff| bounds it."""
 
     terms: tuple[tuple[float, str], ...]
+    o_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.terms:
+        terms = tuple(self.terms)
+        if not terms:
             raise ValueError("observable needs at least one term")
-        width = len(self.terms[0][1])
-        for coeff, pauli in self.terms:
-            if not np.isfinite(coeff):
-                raise ValueError("non-finite observable coefficient")
-            if len(pauli) != width or any(ch not in "IXYZ" for ch in pauli):
+        for coeff, pauli in terms:
+            if isinstance(coeff, bool) or not isinstance(coeff, Real) or not isfinite(coeff):
+                raise ValueError(f"observable coefficient must be a finite real, got {coeff!r}")
+            if not isinstance(pauli, str) or not pauli or any(ch not in "IXYZ" for ch in pauli):
                 raise ValueError(f"bad Pauli string {pauli!r}")
-        object.__setattr__(self, "_o_max", float(sum(abs(c) for c, _ in self.terms)))
-        if self._o_max <= 0.0:
+            if len(pauli) != len(terms[0][1]):
+                raise ValueError(f"Pauli string {pauli!r} is not {len(terms[0][1])} qubits wide")
+        object.__setattr__(self, "terms", tuple((float(c), p) for c, p in terms))
+        o_max = float(sum(abs(c) for c, _ in self.terms))
+        if o_max <= 0.0:
             raise ValueError("observable must have a nonzero coefficient")
-        if not np.isfinite(self._o_max):
+        if not isfinite(o_max):
             raise ValueError("observable's o_max, the sum of |coeff|, overflows")
-
-    @property
-    def o_max(self) -> float:
-        return self._o_max
+        object.__setattr__(self, "o_max", o_max)
 
     @property
     def num_qubits(self) -> int:
@@ -241,8 +237,8 @@ def apply_2q(
 
 def apply_gate(psi: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
     if isinstance(gate, CanonicalGate):
-        return apply_2q(psi, gate.matrix(), gate.qubits[0], gate.qubits[1], num_qubits)
-    return apply_1q(psi, gate.matrix(), gate.qubit, num_qubits)
+        return apply_2q(psi, gate.matrix, gate.qubits[0], gate.qubits[1], num_qubits)
+    return apply_1q(psi, gate.matrix, gate.qubit, num_qubits)
 
 
 def statevector(circuit: Circuit) -> np.ndarray:
@@ -256,7 +252,7 @@ def statevector(circuit: Circuit) -> np.ndarray:
 def pauli_string_matrix(pauli: str) -> np.ndarray:
     block = np.eye(1, dtype=complex)
     for ch in pauli:
-        block = kron(block, SIGMA_0 if ch == "I" else _PAULI_BY_CHAR[ch])
+        block = np.kron(block, SIGMA_0 if ch == "I" else _PAULI_BY_CHAR[ch])
     return block
 
 
@@ -334,7 +330,7 @@ def gate_based_estimate(
     # final states of the four substituted circuits, and O applied to each
     states = []
     for alpha in range(4):
-        sub = kron(PAULIS[alpha], PAULIS[alpha])
+        sub = np.kron(PAULIS[alpha], PAULIS[alpha])
         psi = initial_state(circuit.num_qubits)
         for i, g in enumerate(circuit.gates):
             if i == gate_index:
@@ -374,7 +370,7 @@ def circuit_to_doc(circuit: Circuit) -> dict:
                 {
                     "type": "canonical",
                     "qs": list(gate.qubits),
-                    "theta": list(gate.theta.as_tuple()),
+                    "theta": list(gate.theta),
                     "cut": gate.cut,
                 }
             )
@@ -383,7 +379,7 @@ def circuit_to_doc(circuit: Circuit) -> dict:
                 {
                     "type": "raw1q",
                     "q": gate.qubit,
-                    "matrix": [[[v.real, v.imag] for v in row] for row in gate.matrix_values],
+                    "matrix": [[[v.real, v.imag] for v in row] for row in gate.matrix],
                 }
             )
     return {"format": 1, "qubits": circuit.num_qubits, "gates": gates}
@@ -404,15 +400,15 @@ def circuit_from_doc(doc: dict) -> Circuit:
                 gates.append(
                     SingleGate(
                         _typed(entry["q"], int, "q"),
-                        tuple(_typed(x, _NUMBER, "axis") for x in entry["axis"]),
-                        float(_typed(entry["theta"], _NUMBER, "theta")),
+                        tuple(_number(x, "axis") for x in entry["axis"]),
+                        _number(entry["theta"], "theta"),
                     )
                 )
             elif kind == "canonical":
                 gates.append(
                     CanonicalGate(
                         tuple(_typed(q, int, "qs") for q in entry["qs"]),
-                        ThetaVector.coerce([_typed(t, _NUMBER, "theta") for t in entry["theta"]]),
+                        ThetaVector.coerce([_number(t, "theta") for t in entry["theta"]]),
                         _typed(entry.get("cut", False), bool, "cut"),
                     )
                 )
@@ -440,7 +436,7 @@ def observable_from_doc(doc: dict) -> Observable:
     _require_format(doc)
     try:
         terms = tuple(
-            (float(_typed(t["coeff"], _NUMBER, "coeff")), _typed(t["pauli"], str, "pauli"))
+            (_number(t["coeff"], "coeff"), _typed(t["pauli"], str, "pauli"))
             for t in doc["terms"]
         )
     except (KeyError, TypeError) as exc:
@@ -462,8 +458,16 @@ def _typed(value, kind, field: str):
     return value
 
 
+def _number(value, field: str) -> float:
+    """A JSON number as a float; an integer too large for a float raises ValueError."""
+    try:
+        return float(_typed(value, _NUMBER, field))
+    except OverflowError as exc:
+        raise ValueError(f"{field} is too large for a float") from exc
+
+
 def _complex_pair(value, field: str) -> complex:
     """A complex number stored as a JSON ``[re, im]`` pair of numbers."""
     if not isinstance(value, list) or len(value) != 2:
         raise FormatError(f"{field} entry must be an [re, im] pair, got {value!r}")
-    return complex(_typed(value[0], _NUMBER, field), _typed(value[1], _NUMBER, field))
+    return complex(_number(value[0], field), _number(value[1], field))

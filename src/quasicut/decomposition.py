@@ -32,9 +32,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .algebra import kron
 from .canonical import PauliCoeffs, ThetaVector, pauli_coefficients
-from .circuit import _NUMBER, FormatError, _complex_pair, _typed
+from .circuit import FormatError, _complex_pair, _number, _typed
 from .local_basis import BasisChannelId, a_channel, b_channel, basis_ptm, pauli_channel
 
 _IMAG_TOL = 1e-12
@@ -60,12 +59,6 @@ class QPTerm:
             raise ValueError("channel label sequences must be non-empty")
         if self.coefficient == 0:
             raise ValueError("zero-coefficient terms must be dropped, not stored")
-
-    @classmethod
-    def single(
-        cls, coefficient: complex, left: BasisChannelId, right: BasisChannelId
-    ) -> QPTerm:
-        return cls(coefficient, (left,), (right,))
 
 
 @dataclass(frozen=True)
@@ -108,7 +101,7 @@ def decompose(u: PauliCoeffs | Iterable[complex]) -> QPDecomposition:
     for a in range(4):
         c = float(np.abs(vals[a]) ** 2)
         if c >= _COEFF_DROP:
-            terms.append(QPTerm.single(complex(c), pauli_channel(a), pauli_channel(a)))
+            terms.append(QPTerm(complex(c), (pauli_channel(a),), (pauli_channel(a),)))
     for a in range(4):
         for b in range(a + 1, 4):
             x = vals[a] * np.conj(vals[b])
@@ -119,11 +112,11 @@ def decompose(u: PauliCoeffs | Iterable[complex]) -> QPDecomposition:
             r, s = float(r.real), float(s.real)
             aa, bb = a_channel(a, b), b_channel(a, b)
             if abs(r) >= _COEFF_DROP:
-                terms.append(QPTerm.single(complex(r), aa, aa))
-                terms.append(QPTerm.single(complex(-r), bb, bb))
+                terms.append(QPTerm(complex(r), (aa,), (aa,)))
+                terms.append(QPTerm(complex(-r), (bb,), (bb,)))
             if abs(s) >= _COEFF_DROP:
-                terms.append(QPTerm.single(complex(s), aa, bb))
-                terms.append(QPTerm.single(complex(s), bb, aa))
+                terms.append(QPTerm(complex(s), (aa,), (bb,)))
+                terms.append(QPTerm(complex(s), (bb,), (aa,)))
     weight = float(sum(abs(t.coefficient) for t in terms))
     return QPDecomposition(tuple(terms), weight)
 
@@ -149,7 +142,7 @@ def reconstruct_ptm(decomposition: QPDecomposition) -> np.ndarray:
     """
     out = np.zeros((16, 16))
     for term in decomposition.terms:
-        block = kron(_sequence_ptm(term.left), _sequence_ptm(term.right))
+        block = np.kron(_sequence_ptm(term.left), _sequence_ptm(term.right))
         coeff = complex(term.coefficient)
         if abs(coeff.imag) > _IMAG_TOL:
             raise ValueError("complex coefficients cannot form a real PTM")
@@ -252,7 +245,7 @@ def decomposition_from_doc(doc: dict) -> tuple[QPDecomposition, PauliCoeffs | No
             )
             for entry in _typed(doc["terms"], list, "terms")
         )
-        weight = float(_typed(doc["W"], _NUMBER, "W"))
+        weight = _number(doc["W"], "W")
         u_field = doc.get("u")
         u_values = None
         if u_field is not None:

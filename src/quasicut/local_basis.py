@@ -124,7 +124,7 @@ ALL_CHANNELS: tuple[BasisChannelId, ...] = tuple(
 # --- realization steps ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Unitary:
     matrix: np.ndarray
 
@@ -190,19 +190,6 @@ def channel_action(channel: BasisChannelId, matrix: np.ndarray) -> np.ndarray:
     return (sa @ matrix @ sb - sb @ matrix @ sa) / 2.0j
 
 
-_PTM_CACHE: dict[BasisChannelId, np.ndarray] = {}
-
-
-def basis_ptm(channel: BasisChannelId) -> np.ndarray:
-    """4x4 real PTM of the channel's exact action (cached, read-only)."""
-    cached = _PTM_CACHE.get(channel)
-    if cached is None:
-        cached = ptm_from_action(lambda m: channel_action(channel, m), 1)
-        cached.setflags(write=False)
-        _PTM_CACHE[channel] = cached
-    return cached
-
-
 def _build_program(channel: BasisChannelId) -> tuple[RealizationStep, ...]:
     a = channel.alpha
     if channel.kind is ChannelKind.PAULI:
@@ -231,6 +218,18 @@ def _build_program(channel: BasisChannelId) -> tuple[RealizationStep, ...]:
 _PROGRAMS: dict[BasisChannelId, tuple[RealizationStep, ...]] = {
     channel: _build_program(channel) for channel in ALL_CHANNELS
 }
+
+_PTMS: dict[BasisChannelId, np.ndarray] = {
+    channel: ptm_from_action(lambda m: channel_action(channel, m), 1)
+    for channel in ALL_CHANNELS
+}
+for _ptm in _PTMS.values():
+    _ptm.setflags(write=False)
+
+
+def basis_ptm(channel: BasisChannelId) -> np.ndarray:
+    """4x4 real PTM of the channel's exact action (built once at import, read-only)."""
+    return _PTMS[channel]
 
 
 def realization_program(channel: BasisChannelId) -> tuple[RealizationStep, ...]:

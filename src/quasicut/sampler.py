@@ -279,7 +279,7 @@ class _Cut:
     after: tuple[Gate, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _ShotPlan:
     """What every shot of one estimate shares, compiled once.
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quasicut.algebra import kron, pauli_matrix
+from quasicut.algebra import PAULIS
 from quasicut.canonical import PauliCoeffs, ThetaVector, canonical_unitary, pauli_coefficients
 from quasicut.circuit import (
     CanonicalGate,
@@ -76,7 +76,11 @@ def test_apply_1q_positions_against_kron():
     q, _ = np.linalg.qr(g)
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)
     eye = np.eye(2, dtype=complex)
-    full = [kron(kron(q, eye), eye), kron(kron(eye, q), eye), kron(kron(eye, eye), q)]
+    full = [
+        np.kron(np.kron(q, eye), eye),
+        np.kron(np.kron(eye, q), eye),
+        np.kron(np.kron(eye, eye), q),
+    ]
     for qubit in range(3):
         np.testing.assert_allclose(
             apply_1q(psi, q, qubit, 3), full[qubit] @ psi, atol=1e-12
@@ -90,7 +94,7 @@ def test_apply_2q_general_placement():
     eye = np.eye(2, dtype=complex)
     # act on qubits (0, 2) of three: compare against an explicit embedding
     swap12 = np.eye(8)[[0, 2, 1, 3, 4, 6, 5, 7]]
-    embedded = swap12 @ kron(u, eye) @ swap12
+    embedded = swap12 @ np.kron(u, eye) @ swap12
     np.testing.assert_allclose(apply_2q(psi, u, 0, 2, 3), embedded @ psi, atol=1e-12)
 
 
@@ -108,7 +112,7 @@ def test_apply_2q_matches_kron_on_every_ordered_pair():
             # P^T (u (x) I) P
             order = [a, b] + [q for q in range(4) if q not in (a, b)]
             perm = np.eye(16).reshape([2] * 4 + [16]).transpose(order + [4]).reshape(16, 16)
-            full = perm.T @ kron(u, np.eye(4)) @ perm
+            full = perm.T @ np.kron(u, np.eye(4)) @ perm
             np.testing.assert_allclose(apply_2q(psi, u, a, b, 4), full @ psi, rtol=0, atol=1e-14)
 
 
@@ -148,15 +152,21 @@ def test_observable_requires_consistent_terms():
         Observable(((np.inf, "Z"),))
     with pytest.raises(ValueError, match="o_max"):
         Observable(((1e308, "ZZ"), (1e308, "ZI")))
+    for terms in (((True, "Z"),), (("1.0", "Z"),), ((1.0, ""),), ((1.0, 3),)):
+        with pytest.raises(ValueError):
+            Observable(terms)
+    # the observable keeps its own tuple: a term appended to the caller's list later is not in it
+    terms = [(1.0, "Z")]
+    obs = Observable(terms)
+    terms.append((float("nan"), "Q"))
+    assert obs.terms == ((1.0, "Z"),) and obs.o_max == 1.0
 
 
 def test_observable_o_max_and_matrix():
     obs = Observable(((0.5, "XX"), (-1.5, "ZZ")))
     assert obs.o_max == 2.0
     assert obs.num_qubits == 2
-    expected = 0.5 * kron(pauli_matrix(1), pauli_matrix(1)) - 1.5 * kron(
-        pauli_matrix(3), pauli_matrix(3)
-    )
+    expected = 0.5 * np.kron(PAULIS[1], PAULIS[1]) - 1.5 * np.kron(PAULIS[3], PAULIS[3])
     np.testing.assert_allclose(obs.matrix(), expected, atol=0)
 
 
@@ -179,7 +189,15 @@ def test_circuit_validation():
     with pytest.raises(ValueError):
         Circuit(2, (CanonicalGate((0, 0), ThetaVector(0.1, 0, 0)),))
     with pytest.raises(ValueError):
+        CanonicalGate((0, 1), ThetaVector(0.1, 0, 0), cut="no")  # truthy, but not a bool
+    with pytest.raises(ValueError):
         exact_expectation(Circuit(1, ()), ZZ)  # width mismatch
+    # the circuit keeps its own tuple: a gate appended to the caller's list later is not in it
+    gates = [SingleGate(0, Y_AXIS, 0.1)]
+    circuit = Circuit(1, gates)
+    gates.append(SingleGate(5, Y_AXIS, 0.1))
+    assert circuit.gates == (SingleGate(0, Y_AXIS, 0.1),)
+    assert abs(exact_expectation(circuit, Observable(((1.0, "Z"),))) - np.cos(0.2)) < 1e-12
 
 
 def test_gate_parameters_must_be_finite():
@@ -191,6 +209,7 @@ def test_gate_parameters_must_be_finite():
         lambda: SingleGate(0, (inf, 0.0, 0.0), 0.3),
         lambda: Raw1QGate(0, np.array([[nan, 0.0], [0.0, 1.0]])),
         lambda: Raw1QGate(0, np.array([[inf, 0.0], [0.0, 1.0]])),
+        lambda: Raw1QGate(0, np.array([[1e200, 1e200], [1e200, -1e200]])),  # m m^+ overflows
     ):
         with pytest.raises(ValueError, match="finite"):
             build()
@@ -201,7 +220,7 @@ def test_validated_matrices_leave_the_callers_arrays_writable():
     """Gates, steps and coefficients freeze their own copies, not the arrays passed in."""
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     u = np.array([0.6, 0.8j, 0, 0], dtype=complex)
-    frozen = (Raw1QGate(0, x).matrix_values, Unitary(x).matrix, PauliCoeffs(u).values)
+    frozen = (Raw1QGate(0, x).matrix, Unitary(x).matrix, PauliCoeffs(u).values)
     assert not any(a.flags.writeable for a in frozen)
     x[0, 0] = 0.0  # the caller's arrays used to be frozen in place
     u[2] = 0.0

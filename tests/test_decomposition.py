@@ -215,7 +215,7 @@ def test_term_validation():
     with pytest.raises(ValueError):
         QPTerm(1.0, (), (pauli_channel(0),))
     with pytest.raises(ValueError):
-        QPDecomposition((QPTerm.single(1.0, pauli_channel(0), pauli_channel(0)),), 0.0)
+        QPDecomposition((QPTerm(1.0, (pauli_channel(0),), (pauli_channel(0),)),), 0.0)
     # the weight is the one-norm sum |c| = 5.593..., to a relative 1e-9
     terms = decompose(pauli_coefficients((0.5, 0.3, 0.1))).terms
     norm = sum(abs(t.coefficient) for t in terms)
@@ -237,7 +237,7 @@ def test_every_construction_keeps_its_one_norm_on_the_sweep_lattice():
 
 def test_reconstruct_rejects_complex_coefficients():
     bad = QPDecomposition(
-        (QPTerm.single(1j, a_channel(0, 1), b_channel(0, 1)),), 1.0
+        (QPTerm(1j, (a_channel(0, 1),), (b_channel(0, 1),)),), 1.0
     )
     with pytest.raises(ValueError):
         reconstruct_ptm(bad)

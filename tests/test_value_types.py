@@ -1,0 +1,94 @@
+"""One rule for the package's dataclasses: frozen, data set once, comparable.
+
+Derived data such as a gate's matrix is a declared field built in
+``__post_init__``; a class that holds an array in a compared field compares
+by identity (``eq=False``), since numpy's elementwise ``==`` has no truth
+value. Every public value type therefore supports ``==`` and ``hash``.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import numpy as np
+
+import quasicut
+from quasicut.algebra import QuantumState
+from quasicut.canonical import PauliCoeffs, ThetaVector
+from quasicut.circuit import CanonicalGate, Circuit, Observable, Raw1QGate, SingleGate, statevector
+from quasicut.decomposition import QPDecomposition, QPTerm
+from quasicut.local_basis import Coin, SignedMeasurement, Unitary, a_channel, pauli_channel
+
+Y_AXIS = (0.0, 1.0, 0.0)
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+def package_dataclasses():
+    for info in pkgutil.iter_modules(quasicut.__path__):
+        module = importlib.import_module(f"quasicut.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):
+                yield cls
+
+
+def test_every_dataclass_is_frozen_and_compares_no_array():
+    classes = list(package_dataclasses())
+    assert {SingleGate, Observable, QuantumState, QPDecomposition} <= set(classes)
+    for cls in classes:
+        params = cls.__dataclass_params__
+        assert params.frozen, cls.__name__
+        if params.eq:
+            compared = [
+                f.name for f in dataclasses.fields(cls) if f.compare and "ndarray" in str(f.type)
+            ]
+            assert not compared, (cls.__name__, compared)
+
+
+def gates():
+    return (
+        SingleGate(0, Y_AXIS, 0.3),
+        CanonicalGate((0, 1), ThetaVector(0.3, 0.2, 0.1), cut=True),
+        Raw1QGate(1, HADAMARD),
+    )
+
+
+# one factory per public frozen type; each call builds a new, equal-valued instance
+VALUES = {
+    "SingleGate": lambda: gates()[0],
+    "CanonicalGate": lambda: gates()[1],
+    "Raw1QGate": lambda: gates()[2],
+    "Circuit": lambda: Circuit(2, gates()),
+    "Observable": lambda: Observable(((0.5, "XZ"), (-1.0, "ZI"))),
+    "QuantumState": lambda: QuantumState.pure(np.array([1.0, 0.0])),
+    "PauliCoeffs": lambda: PauliCoeffs([1.0, 0.0, 0.0, 0.0]),
+    "Unitary": lambda: Unitary(HADAMARD),
+    "Coin": lambda: Coin(Unitary(np.eye(2)), Unitary(HADAMARD)),
+    "SignedMeasurement": lambda: SignedMeasurement((0.0, 0.0, 1.0)),
+    "QPTerm": lambda: QPTerm(0.5, (a_channel(0, 1),), (pauli_channel(2),)),
+    "QPDecomposition": lambda: QPDecomposition(
+        (QPTerm(1.0, (pauli_channel(0),), (pauli_channel(0),)),), 1.0
+    ),
+}
+
+# these hold an array in a compared field (or a value that does): identity
+BY_IDENTITY = {"Raw1QGate", "Circuit", "QuantumState", "PauliCoeffs", "Unitary", "Coin"}
+
+
+def test_equality_and_hash_never_raise():
+    for name, build in VALUES.items():
+        first, second = build(), build()
+        assert first == first and hash(first) == hash(first), name
+        # a circuit with a raw gate compares that gate, and so itself, by identity
+        assert (first == second) is (name not in BY_IDENTITY), name
+        if first == second:
+            assert hash(first) == hash(second), name
+
+
+def test_running_a_gate_leaves_it_unchanged():
+    circuit = Circuit(2, gates())
+    before = [set(vars(g)) for g in circuit.gates]
+    statevector(circuit)
+    assert [set(vars(g)) for g in circuit.gates] == before
+    for gate in circuit.gates:
+        assert not gate.matrix.flags.writeable
