@@ -9,13 +9,12 @@ Pauli transfer matrices verify every piece; the analysis module surveys W
 against a per-factor legacy cost and the gate-based overlap cost G.
 """
 
-from .algebra import PAULIS, QuantumState, expectation, ptm_from_action, ptm_of_unitary
+from .algebra import PAULIS, QuantumState, ptm_from_action, ptm_of_unitary
 from .analysis import SweepRow, compare_costs, find_max_w, rows_to_csv, rows_to_json, sweep
 from .canonical import (
     PauliCoeffs,
     ThetaVector,
     canonical_unitary,
-    in_mirrored_weyl_domain,
     in_weyl_domain,
     pauli_coefficients,
 )
@@ -106,11 +105,9 @@ __all__ = [
     "decomposition_to_doc",
     "estimate",
     "exact_expectation",
-    "expectation",
     "find_max_w",
     "gate_based_cost",
     "gate_based_estimate",
-    "in_mirrored_weyl_domain",
     "in_weyl_domain",
     "legacy_decompose",
     "observable_from_doc",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from numbers import Real
 
 import numpy as np
 
@@ -40,11 +41,24 @@ _AXIS_TOL = 1e-12
 _UNITARITY_TOL = 1e-10
 
 
+def finite_real(value, what: str) -> float:
+    """``value`` as a float; ValueError unless a finite real number that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{what} is too large for a float") from exc
+    if not isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x}")
+    return x
+
+
 def unit_axis(axis, what: str) -> tuple[float, float, float]:
-    """``axis`` as three floats; ValueError unless finite and of unit length to 1e-12."""
-    ax = tuple(float(x) for x in axis)
-    if len(ax) != 3 or not all(map(isfinite, ax)) or abs(sum(x * x for x in ax) - 1.0) > _AXIS_TOL:
-        raise ValueError(f"{what} must be a finite unit 3-vector, got {ax}")
+    """``axis`` as three finite floats; ValueError unless of unit length to 1e-12."""
+    ax = tuple(finite_real(x, f"{what} entry") for x in axis)
+    if len(ax) != 3 or abs(sum(x * x for x in ax) - 1.0) > _AXIS_TOL:
+        raise ValueError(f"{what} must be a unit 3-vector, got {ax}")
     return ax
 
 
@@ -72,7 +86,7 @@ def pauli_basis(num_qubits: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Dense n-qubit pure state vector."""
+    """Dense n-qubit pure state vector, read-only: a writable vector is copied."""
 
     num_qubits: int
     vector: np.ndarray
@@ -83,10 +97,15 @@ class QuantumState:
             raise ValueError(f"vector shape {self.vector.shape}, expected ({dim},)")
         if not np.isfinite(self.vector).all():
             raise ValueError("non-finite state entries")
+        if self.vector.flags.writeable:
+            vec = self.vector.copy()
+            vec.setflags(write=False)
+            object.__setattr__(self, "vector", vec)
 
     @classmethod
     def pure(cls, vector: np.ndarray) -> QuantumState:
-        vec = np.asarray(vector, dtype=complex)
+        vec = np.array(vector, dtype=complex)
+        vec.setflags(write=False)
         dim = vec.shape[0]
         n = int(dim).bit_length() - 1
         if dim < 2 or 2**n != dim:
@@ -98,21 +117,6 @@ class QuantumState:
     def density_matrix(self) -> np.ndarray:
         """The state's outer product |psi><psi|."""
         return np.outer(self.vector, self.vector.conj())
-
-
-def expectation(state: QuantumState, operator: np.ndarray) -> float:
-    """<psi|O|psi> for a Hermitian operator, as a real number.
-
-    A residual imaginary part above 1e-10 means the operator was not
-    Hermitian and raises.
-    """
-    dim = 2**state.num_qubits
-    if operator.shape != (dim, dim):
-        raise ValueError(f"operator shape {operator.shape} does not match {dim}")
-    val = complex(np.vdot(state.vector, operator @ state.vector))
-    if abs(val.imag) > _PTM_IMAG_TOL * max(1.0, abs(val.real)):
-        raise ValueError(f"expectation has imaginary residue {val.imag}")
-    return val.real
 
 
 def ptm_from_action(apply, num_qubits: int) -> np.ndarray:

@@ -31,6 +31,10 @@ from .canonical import ThetaVector, pauli_coefficients
 from .circuit import gate_based_cost
 from .decomposition import legacy_cost, weight_formula
 
+# find_max_w's grid resolution per axis and its number of refinement starts
+_GRID_POINTS = 50
+_RESTARTS = 3
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -82,28 +86,24 @@ def sweep(points_per_axis: int) -> list[SweepRow]:
     return [compare_costs(point) for point in _lattice(points_per_axis)]
 
 
-def find_max_w(grid_points: int = 50, restarts: int = 3) -> tuple[ThetaVector, float]:
+def find_max_w() -> tuple[ThetaVector, float]:
     """Locate the weight maximum over the tetrahedron.
 
-    Grid stage: >= 50 points per axis including the t1 = pi/4 face.
-    Refinement: derivative-free Nelder-Mead from the ``restarts`` best grid
+    Grid stage: ``_GRID_POINTS`` per axis, the t1 = pi/4 face included.
+    Refinement: derivative-free Nelder-Mead from the ``_RESTARTS`` best grid
     points, box-bounded to [0, pi/4]^3, simplex tolerance below 1e-8.
     """
-    if grid_points < 50:
-        raise ValueError("grid must have at least 50 points per axis")
-    if restarts < 1:
-        raise ValueError("need at least one refinement start")
 
     def objective(t: np.ndarray) -> float:
         return -weight_formula(pauli_coefficients(t))
 
     scored = sorted(
-        ((objective(point), point) for point in _lattice(grid_points)), key=lambda item: item[0]
+        ((objective(point), point) for point in _lattice(_GRID_POINTS)), key=lambda item: item[0]
     )
 
     best_w = -np.inf
     best_t = np.array(scored[0][1])
-    for _, start in scored[:restarts]:
+    for _, start in scored[:_RESTARTS]:
         result = minimize(
             objective,
             np.array(start),

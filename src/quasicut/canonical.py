@@ -19,20 +19,18 @@ are pinned against this projection in the tests.
 
 The parameter domain is the tetrahedron with vertices O = (0,0,0),
 A1 = (pi/4,0,0), A2 = (pi/4,pi/4,0), A3 = (pi/4,pi/4,pi/4), equivalently
-pi/4 >= t1 >= t2 >= t3 >= 0. Its mirror image under t1 -> -t1 is accepted by
-a separate predicate but everything downstream (sweeps, max search) uses the
-principal tetrahedron only.
+pi/4 >= t1 >= t2 >= t3 >= 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, pi
+from math import pi
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .algebra import PAULIS, unitary_matrix
+from .algebra import PAULIS, finite_real, unitary_matrix
 
 _NORMALIZATION_TOL = 1e-12
 _DOMAIN_TOL = 1e-12
@@ -52,15 +50,14 @@ class ThetaVector:
     theta3: float
 
     def __post_init__(self) -> None:
-        for t in (self.theta1, self.theta2, self.theta3):
-            if not isfinite(t):
-                raise ValueError(f"non-finite angle {t}")
+        for name in ("theta1", "theta2", "theta3"):
+            object.__setattr__(self, name, finite_real(getattr(self, name), name))
 
     @classmethod
     def coerce(cls, value: ThetaVector | Iterable[float]) -> ThetaVector:
         if isinstance(value, ThetaVector):
             return value
-        items = [float(v) for v in value]
+        items = list(value)
         if len(items) != 3:
             raise ValueError(f"expected 3 angles, got {len(items)}")
         return cls(*items)
@@ -132,9 +129,3 @@ def in_weyl_domain(theta: ThetaVector | Iterable[float]) -> bool:
         and t2 >= t3 - _DOMAIN_TOL
         and t3 >= -_DOMAIN_TOL
     )
-
-
-def in_mirrored_weyl_domain(theta: ThetaVector | Iterable[float]) -> bool:
-    """True iff (-t1, t2, t3) lies in the principal tetrahedron (t1 <= 0 half)."""
-    t1, t2, t3 = ThetaVector.coerce(theta)
-    return in_weyl_domain((-t1, t2, t3))

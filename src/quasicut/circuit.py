@@ -34,12 +34,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from math import isfinite
-from numbers import Real
 from typing import Iterable
 
 import numpy as np
 
-from .algebra import PAULIS, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, unit_axis, unitary_matrix
+from .algebra import PAULIS, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .algebra import finite_real, unit_axis, unitary_matrix
 from .canonical import PauliCoeffs, ThetaVector, canonical_unitary, pauli_coefficients
 
 MAX_QUBITS = 12
@@ -76,13 +76,10 @@ class SingleGate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubit", _integer(self.qubit, "qubit index"))
         object.__setattr__(self, "axis", unit_axis(self.axis, "rotation axis"))
-        theta = float(self.theta)
-        if not isfinite(theta):
-            raise ValueError(f"non-finite angle {theta}")
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta", finite_real(self.theta, "angle"))
         nx, ny, nz = self.axis
         n_sigma = nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z
-        matrix = np.cos(theta) * SIGMA_0 - 1j * np.sin(theta) * n_sigma
+        matrix = np.cos(self.theta) * SIGMA_0 - 1j * np.sin(self.theta) * n_sigma
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
@@ -138,7 +135,9 @@ class Circuit:
         if not 1 <= self.num_qubits <= MAX_QUBITS:
             raise ValueError(f"num_qubits must be 1..{MAX_QUBITS}, got {self.num_qubits}")
         for gate in self.gates:
-            for q in _gate_qubits(gate):
+            if not isinstance(gate, Gate):
+                raise ValueError(f"circuit entry {gate!r} is not a gate")
+            for q in gate.qubits if isinstance(gate, CanonicalGate) else (gate.qubit,):
                 if not 0 <= q < self.num_qubits:
                     raise ValueError(f"gate qubit {q} outside 0..{self.num_qubits - 1}")
 
@@ -148,12 +147,6 @@ class Circuit:
             for i, g in enumerate(self.gates)
             if isinstance(g, CanonicalGate) and g.cut
         )
-
-
-def _gate_qubits(gate: Gate) -> tuple[int, ...]:
-    if isinstance(gate, CanonicalGate):
-        return gate.qubits
-    return (gate.qubit,)
 
 
 @dataclass(frozen=True)
@@ -167,14 +160,13 @@ class Observable:
         terms = tuple(self.terms)
         if not terms:
             raise ValueError("observable needs at least one term")
-        for coeff, pauli in terms:
-            if isinstance(coeff, bool) or not isinstance(coeff, Real) or not isfinite(coeff):
-                raise ValueError(f"observable coefficient must be a finite real, got {coeff!r}")
+        for _, pauli in terms:
             if not isinstance(pauli, str) or not pauli or any(ch not in "IXYZ" for ch in pauli):
                 raise ValueError(f"bad Pauli string {pauli!r}")
             if len(pauli) != len(terms[0][1]):
                 raise ValueError(f"Pauli string {pauli!r} is not {len(terms[0][1])} qubits wide")
-        object.__setattr__(self, "terms", tuple((float(c), p) for c, p in terms))
+        terms = tuple((finite_real(c, "observable coefficient"), p) for c, p in terms)
+        object.__setattr__(self, "terms", terms)
         o_max = float(sum(abs(c) for c, _ in self.terms))
         if o_max <= 0.0:
             raise ValueError("observable must have a nonzero coefficient")
@@ -185,13 +177,6 @@ class Observable:
     @property
     def num_qubits(self) -> int:
         return len(self.terms[0][1])
-
-    def matrix(self) -> np.ndarray:
-        dim = 2**self.num_qubits
-        out = np.zeros((dim, dim), dtype=complex)
-        for coeff, pauli in self.terms:
-            out += coeff * pauli_string_matrix(pauli)
-        return out
 
 
 # --- dense statevector simulation ----------------------------------------
@@ -459,11 +444,8 @@ def _typed(value, kind, field: str):
 
 
 def _number(value, field: str) -> float:
-    """A JSON number as a float; an integer too large for a float raises ValueError."""
-    try:
-        return float(_typed(value, _NUMBER, field))
-    except OverflowError as exc:
-        raise ValueError(f"{field} is too large for a float") from exc
+    """A JSON number as a float; one too large for a float, NaN or infinite raises ValueError."""
+    return finite_real(_typed(value, _NUMBER, field), field)
 
 
 def _complex_pair(value, field: str) -> complex:

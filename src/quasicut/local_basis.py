@@ -330,6 +330,7 @@ def realize(channel: BasisChannelId, state: QuantumState, rng) -> RealizationOut
     if state.num_qubits != 1:
         raise ValueError("realize acts on single-qubit states")
     psi, weight = run_program(state.vector, realization_program(channel), 0, 1, rng)
+    psi.setflags(write=False)  # fresh, so QuantumState keeps it without a copy
     return RealizationOutcome(QuantumState(num_qubits=1, vector=psi), complex(weight))
 
 

@@ -17,11 +17,11 @@ real part is a refinement that only removes noise, since the imaginary part
 has zero mean for a unitary target. |x_s| <= W_total * o_max holds per shot
 and is asserted.
 
-``estimate`` compiles (circuit, observable, decompositions, mode) once into a
-shot plan and runs every shot from it: the state after the uncut gates before
-the first cut, simulated once, and per cut its qubits, weight, sampling table
-and the uncut gates up to the next cut or the end. The observable is read per
-Pauli string on the final states.
+``estimate`` compiles (circuit, observable, mode) once into a shot plan,
+decomposing each cut gate, and runs every shot from it: the state after the
+uncut gates before the first cut, simulated once, and per cut its qubits,
+weight, sampling table and the uncut gates up to the next cut or the end.
+The observable is read per Pauli string on the final states.
 
 Every step a shot takes is picked from a small discrete set: the term, the
 coin sides and measurement outcomes of its steps, and at the end the
@@ -37,8 +37,8 @@ does not grow with the tree or the shot count beyond one value per shot.
 A shot draws exactly what the per-gate simulation would, in the same
 order, so neither the plan nor the tree changes a result beyond rounding,
 and a shot's value does not depend on the other shots of its chunk or
-batch. ``run_shot`` compiles a plan on every call and walks one path of
-its tree.
+batch. ``run_shot(..., seed, s)`` compiles a plan and walks shot s alone
+from the same stream table, so it is shot s of ``estimate`` with that seed.
 
 Shot counts for a target (epsilon, delta) follow the two-sided Hoeffding
 bound for samples bounded by W * o_max:
@@ -68,7 +68,7 @@ from enum import Enum
 from itertools import accumulate
 from math import ceil, isfinite, log, sqrt
 from numbers import Real
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -81,7 +81,7 @@ from .circuit import (
     initial_state,
     pauli_string_apply,
 )
-from .decomposition import QPDecomposition, decompose
+from .decomposition import decompose
 from .canonical import pauli_coefficients
 from .local_basis import RealizationStep, Unitary, realization_program, run_branches
 
@@ -180,11 +180,6 @@ class _StreamArray:
         return self._table[idx, j]
 
 
-def _draw_from(rngs) -> Callable[[np.ndarray], np.ndarray]:
-    """A ``draw`` over objects with ``random()``: shot i draws from ``rngs[i]``."""
-    return lambda idx: np.array([rngs[i].random() for i in idx.tolist()], dtype=float)
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Either a fixed shot count or an (epsilon, delta) accuracy target."""
@@ -197,9 +192,8 @@ class EstimatorConfig:
 
     def __post_init__(self) -> None:
         fixed = self.shots is not None
-        for name, value in (("shots", self.shots if fixed else 0), ("seed", self.seed)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        _check_int(self.shots if fixed else 0, "shots")
+        _check_int(self.seed, "seed")
         for name, value in (("epsilon", self.epsilon), ("delta", self.delta)):
             if value is not None and (isinstance(value, bool) or not isinstance(value, Real)):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
@@ -214,6 +208,11 @@ class EstimatorConfig:
 def _check_mode(mode) -> None:
     if not isinstance(mode, MeasureMode):
         raise ValueError(f"mode must be a MeasureMode, got {mode!r}")
+
+
+def _check_int(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -303,24 +302,19 @@ class _ShotPlan:
     draws: int
 
 
-def _compile(
-    circuit: Circuit,
-    observable: Observable,
-    decompositions: Mapping[int, QPDecomposition],
-    mode: MeasureMode,
-) -> _ShotPlan:
-    """Split the circuit at its cuts and precompute everything shot-independent."""
+def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _ShotPlan:
+    """Decompose each cut, split the circuit there and precompute the shot-independent rest."""
+    _check_mode(mode)
+    if observable.num_qubits != circuit.num_qubits:
+        raise ValueError("observable width does not match circuit")
     n = circuit.num_qubits
     segments: list[list[Gate]] = [[]]
-    cut_decomps: list[tuple[tuple[int, int], QPDecomposition]] = []
-    for idx, gate in enumerate(circuit.gates):
+    cut_decomps = []
+    for gate in circuit.gates:
         if not (isinstance(gate, CanonicalGate) and gate.cut):
             segments[-1].append(gate)
             continue
-        decomp = decompositions.get(idx)
-        if decomp is None:
-            raise ValueError(f"no decomposition provided for cut gate at index {idx}")
-        cut_decomps.append((gate.qubits, decomp))
+        cut_decomps.append((gate.qubits, decompose(pauli_coefficients(gate.theta))))
         segments.append([])
 
     prefix = initial_state(n)
@@ -479,23 +473,24 @@ def _row_means(psi: np.ndarray, pauli: str, n: int) -> np.ndarray:
 def run_shot(
     circuit: Circuit,
     observable: Observable,
-    decompositions: Mapping[int, QPDecomposition],
-    rng,
+    seed: int,
+    shot_index: int,
     mode: MeasureMode = MeasureMode.EXACT_TRACE,
 ) -> ShotRecord:
-    """One Monte-Carlo shot. ``decompositions`` maps cut gate index -> QPD.
+    """Shot ``shot_index`` of ``estimate`` with ``seed``, alone.
 
-    ``rng`` needs only a ``random()`` method. Every call compiles a fresh
-    shot plan (prefix state, sampling tables, uncut segments) and walks
-    one path of its branch tree, so a loop over shots should call
-    ``estimate``, which compiles once and walks all its shots together.
-    With ``ShotStream(seed, s)`` the record's value is bit for bit shot s
-    of ``estimate`` with that seed.
+    ``shot_index`` lies in ``range(MAX_SHOTS)``, the shots an estimate can
+    run. Every call compiles a fresh shot plan (decompositions, prefix
+    state, sampling tables, uncut segments) and walks one path of its
+    branch tree, so a loop over shots should call ``estimate``, which
+    compiles once and walks all its shots together.
     """
-    _check_mode(mode)
-    phase, o_value, x = _walk(
-        _compile(circuit, observable, decompositions, mode), _draw_from([rng]), 1
-    )
+    _check_int(seed, "seed")
+    _check_int(shot_index, "shot_index")
+    if not 0 <= shot_index < MAX_SHOTS:
+        raise ValueError(f"shot_index must lie in 0..{MAX_SHOTS - 1}, got {shot_index}")
+    plan = _compile(circuit, observable, mode)
+    phase, o_value, x = _walk(plan, _StreamArray(seed, shot_index, 1, plan.draws).draw, 1)
     return ShotRecord(
         phase=complex(phase[0]), observable_value=float(o_value[0]), value=float(x[0])
     )
@@ -512,13 +507,7 @@ def estimate(
     observable, config). More than ``MAX_SHOTS`` shots, requested or
     planned, raise ValueError before anything is sampled.
     """
-    if observable.num_qubits != circuit.num_qubits:
-        raise ValueError("observable width does not match circuit")
-    decomps = {
-        idx: decompose(pauli_coefficients(circuit.gates[idx].theta))
-        for idx in circuit.cut_indices()
-    }
-    plan = _compile(circuit, observable, decomps, config.mode)
+    plan = _compile(circuit, observable, config.mode)
     o_max = observable.o_max
     if config.shots is not None:
         shots = config.shots

@@ -10,7 +10,6 @@ from quasicut.algebra import (
     SIGMA_Y,
     SIGMA_Z,
     QuantumState,
-    expectation,
     pauli_basis,
     ptm_from_action,
     ptm_of_unitary,
@@ -66,18 +65,17 @@ def test_state_validation_rejects_bad_input():
         QuantumState.pure(np.array([1.0, 0.0, 0.0]))
 
 
-def test_expectation_basics():
-    plus = QuantumState.pure(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    assert abs(expectation(plus, SIGMA_X) - 1.0) < 1e-12
-    assert abs(expectation(plus, SIGMA_Z)) < 1e-12
-    zero_ket = QuantumState.pure(np.array([1.0, 0.0]))
-    assert abs(expectation(zero_ket, SIGMA_Z) - 1.0) < 1e-12
-
-
-def test_expectation_rejects_imaginary_trace():
-    state = QuantumState.pure(np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        expectation(state, 1j * SIGMA_0)
+def test_state_keeps_its_own_read_only_vector():
+    v = np.array([1, 0], dtype=complex)
+    s = QuantumState.pure(v)
+    v[0] = 5
+    assert s.vector.tolist() == [1, 0] and not s.vector.flags.writeable
+    w = np.array([0, 1], dtype=complex)
+    t = QuantumState(num_qubits=1, vector=w)
+    w[1] = 5
+    assert t.vector.tolist() == [0, 1] and not t.vector.flags.writeable
+    # a read-only vector cannot change under the state, so it is kept, not copied
+    assert QuantumState(num_qubits=1, vector=s.vector).vector is s.vector
 
 
 def test_ptm_of_pauli_x_conjugation():

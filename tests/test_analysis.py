@@ -81,7 +81,7 @@ def test_json_rows_roundtrip():
 
 
 def test_find_max_w_lands_on_the_known_peak():
-    theta, w = find_max_w(grid_points=50, restarts=2)
+    theta, w = find_max_w()
     # the interior maximum sits near (pi/4, 0.202 pi, 0.136 pi)
     assert 8.85 <= w <= 8.89
     assert abs(theta.theta1 - PI / 4) < 1e-3
@@ -89,10 +89,3 @@ def test_find_max_w_lands_on_the_known_peak():
     assert abs(theta.theta3 - 0.1363 * PI) < 0.01 * PI
     assert in_weyl_domain(theta)
     assert theta.theta1 >= theta.theta2 >= theta.theta3
-
-
-def test_find_max_w_validates_arguments():
-    with pytest.raises(ValueError):
-        find_max_w(grid_points=2)
-    with pytest.raises(ValueError):
-        find_max_w(restarts=0)

@@ -1,0 +1,117 @@
+"""The package names that the benchmark in ``perfbench/`` reads.
+
+The benchmark runs the committed package, so a name it calls, traces or
+reads a field of must not disappear in a refactor. Each name below is one
+that ``perfbench/`` uses; removing or renaming it fails here, in tier 1,
+before a benchmark run fails or a traced layer silently reads zero.
+"""
+
+import dataclasses
+import importlib
+
+import pytest
+
+BENCHMARK_NAMES = (
+    # selftest.py traces this and checks the tracer restores it
+    "quasicut.sampler.run_shot",
+    # probe.py
+    "quasicut.cli",
+    "quasicut.circuit_from_doc",
+    "quasicut.observable_from_doc",
+    "quasicut.EstimatorConfig",
+    "quasicut.MeasureMode",
+    "quasicut.estimate",
+    "quasicut.decompose",
+    "quasicut.pauli_coefficients",
+    "quasicut.reconstruct_ptm",
+    "quasicut.canonical_unitary",
+    "quasicut.ptm_of_unitary",
+    "quasicut.QuantumState.pure",
+    "quasicut.ALL_CHANNELS",
+    "quasicut.realize",
+    # run.py: calls
+    "quasicut.cli.main",
+    "quasicut.exact_expectation",
+    "quasicut.weight_formula",
+    "quasicut.plan_shots",
+    "quasicut.legacy_decompose",
+    "quasicut.local_basis.channel_action",
+    "quasicut.sweep",
+    "quasicut.find_max_w",
+    "quasicut.Circuit.cut_indices",
+    "quasicut.QPDecomposition.num_terms",
+    # run.py: fields of the values it checks
+    "quasicut.Circuit.gates",
+    "quasicut.CanonicalGate.theta",
+    "quasicut.Observable.o_max",
+    "quasicut.EstimatorResult.mean",
+    "quasicut.EstimatorResult.std_error",
+    "quasicut.EstimatorResult.shots",
+    "quasicut.EstimatorResult.w_total",
+    "quasicut.QPDecomposition.weight",
+    "quasicut.RealizationOutcome.state",
+    "quasicut.RealizationOutcome.weight",
+    "quasicut.QuantumState.vector",
+    "quasicut.QuantumState.density_matrix",
+    "quasicut.ThetaVector.theta1",
+    "quasicut.SweepRow.theta1",
+    "quasicut.SweepRow.w",
+    "quasicut.SweepRow.legacy",
+    "quasicut.SweepRow.g",
+    # tracing.py: the call sites whose spans feed the per-layer metrics
+    "quasicut.sampler.ShotStream.__init__",
+    "quasicut.sampler.ShotStream.random",
+    "quasicut.sampler.initial_state",
+    "quasicut.sampler.apply_gate",
+    "quasicut.sampler.decompose",
+    "quasicut.sampler.pauli_coefficients",
+    "quasicut.cli.estimate",
+    "quasicut.cli.exact_expectation",
+    "quasicut.cli.circuit_from_doc",
+    "quasicut.cli.observable_from_doc",
+    "quasicut.cli.decompose",
+    "quasicut.cli.reconstruct_ptm",
+    "quasicut.cli.pauli_coefficients",
+    "quasicut.cli.canonical_unitary",
+    "quasicut.cli.ptm_of_unitary",
+    "quasicut.cli.sweep",
+    "quasicut.analysis.weight_formula",
+    "quasicut.analysis.pauli_coefficients",
+    "quasicut.analysis.gate_based_cost",
+    "quasicut.decomposition.pauli_coefficients",
+    "quasicut.decomposition.basis_ptm",
+)
+
+
+def resolves(dotted: str) -> bool:
+    """True iff ``dotted`` names a module, an attribute in one, or a dataclass field."""
+    parts = dotted.split(".")
+    # the longest prefix that imports is the module; the rest are attributes
+    cut = len(parts)
+    while True:
+        try:
+            owner = importlib.import_module(".".join(parts[:cut]))
+            break
+        except ImportError:
+            cut -= 1
+    if cut == len(parts):
+        return True
+    *path, leaf = parts[cut:]
+    for name in path:
+        owner = getattr(owner, name, None)
+    fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) else ()
+    return hasattr(owner, leaf) or leaf in fields
+
+
+@pytest.mark.parametrize("dotted", BENCHMARK_NAMES)
+def test_benchmark_name_resolves(dotted):
+    assert resolves(dotted), f"{dotted} is read by perfbench/ but no longer exists"
+
+
+def test_a_missing_name_does_not_resolve():
+    for dotted in (
+        "quasicut.no_such_name",
+        "quasicut.sampler.no_such_name",
+        "quasicut.EstimatorResult.no_such_field",
+    ):
+        assert not resolves(dotted)

@@ -13,7 +13,6 @@ from quasicut.canonical import (
     PauliCoeffs,
     ThetaVector,
     canonical_unitary,
-    in_mirrored_weyl_domain,
     in_weyl_domain,
     pauli_coefficients,
 )
@@ -46,9 +45,15 @@ def test_theta_vector_coercion_and_iteration():
     assert list(tv) == [0.1, 0.2, 0.3]
     assert ThetaVector.coerce(tv) is tv
     with pytest.raises(ValueError):
-        ThetaVector(np.nan, 0.0, 0.0)
-    with pytest.raises(ValueError):
         ThetaVector.coerce((0.1, 0.2))
+    for bad in (np.nan, np.inf, 10**400, "a", True, 1j, None):
+        with pytest.raises(ValueError):
+            ThetaVector(bad, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            ThetaVector.coerce((0.0, 0.0, bad))
+    # every angle is stored as a float
+    tv = ThetaVector(1, np.float32(0.5), np.int64(0))
+    assert [type(t) for t in tv] == [float, float, float] and tuple(tv) == (1.0, 0.5, 0.0)
 
 
 def test_canonical_unitary_matches_matrix_exponential():
@@ -134,8 +139,3 @@ def test_weyl_domain_predicate():
     assert in_weyl_domain((PI / 4 + 1e-13, 0.0, 0.0))
 
 
-def test_mirrored_weyl_domain_predicate():
-    assert in_mirrored_weyl_domain((-PI / 4, 0.0, 0.0))
-    assert in_mirrored_weyl_domain((-0.3, 0.2, 0.1))
-    assert not in_mirrored_weyl_domain((0.3, 0.2, 0.1))
-    assert in_mirrored_weyl_domain((0.0, 0.0, 0.0))

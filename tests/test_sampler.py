@@ -243,7 +243,7 @@ def test_mode_must_be_a_measure_mode():
     with pytest.raises(ValueError):
         EstimatorConfig(shots=200, seed=1, mode="exact")
     with pytest.raises(ValueError):
-        run_shot(bell_cut(), ZZ, cut_decomps(bell_cut()), ShotStream(0, 0), "exact")
+        run_shot(bell_cut(), ZZ, 0, 0, "exact")
     assert EstimatorConfig(shots=5, mode=MeasureMode("sample")).mode is MeasureMode.EIGENVALUE_SAMPLE
 
 
@@ -252,10 +252,7 @@ def test_mode_must_be_a_measure_mode():
 
 def test_run_shot_is_reproducible():
     circuit = bell_cut()
-    decomps = cut_decomps(circuit)
-    a = run_shot(circuit, ZZ, decomps, ShotStream(7, 5))
-    b = run_shot(circuit, ZZ, decomps, ShotStream(7, 5))
-    assert a == b
+    assert run_shot(circuit, ZZ, 7, 5) == run_shot(circuit, ZZ, 7, 5)
 
 
 @pytest.mark.parametrize("mode", list(MeasureMode))
@@ -264,17 +261,20 @@ def test_run_shot_is_the_estimate_shot_bit_for_bit(mode):
     # 3 qubits pads stacks to an even row count; 6 and 8 pad nothing
     for n in (3, 6, 8):
         circuit, observable = oracle_instance(n, LAYOUTS["two cuts"], 2)
-        decomps = cut_decomps(circuit)
-        plan = sampler_module._compile(circuit, observable, decomps, mode)
+        plan = sampler_module._compile(circuit, observable, mode)
         streams = sampler_module._StreamArray(8, 0, shots, plan.draws)
         x = sampler_module._walk(plan, streams.draw, shots)[2]
         for s in range(shots):
-            assert run_shot(circuit, observable, decomps, ShotStream(8, s), mode).value == x[s]
+            assert run_shot(circuit, observable, 8, s, mode).value == x[s]
 
 
-def test_run_shot_requires_decompositions():
-    with pytest.raises(ValueError):
-        run_shot(bell_cut(), ZZ, {}, ShotStream(0, 0))
+def test_run_shot_rejects_a_bad_stream_key():
+    """An int seed, and a shot index that names one of the shots an estimate can run."""
+    circuit = Circuit(2, ())
+    for seed, shot_index in ((True, 0), (1.5, 0), (0, False), (0, 1.0), (0, -1), (0, MAX_SHOTS)):
+        with pytest.raises(ValueError):
+            run_shot(circuit, ZZ, seed, shot_index)
+    assert run_shot(circuit, ZZ, -(2**70), MAX_SHOTS - 1).value == 1.0
 
 
 def test_shot_phases_stay_real():
@@ -282,19 +282,17 @@ def test_shot_phases_stay_real():
     circuit = Circuit(
         2, (CanonicalGate((0, 1), ThetaVector(0.3, 0.2, 0.1), cut=True),)
     )
-    decomps = cut_decomps(circuit)
     for s in range(100):
-        record = run_shot(circuit, ZZ, decomps, ShotStream(11, s))
+        record = run_shot(circuit, ZZ, 11, s)
         assert record.phase.imag == 0.0
         assert record.phase.real in (1.0, -1.0)
 
 
 def test_shot_values_respect_the_bound():
     circuit = bell_cut()
-    decomps = cut_decomps(circuit)
-    w = decomps[0].weight
+    w = 3.0  # the weight of the CNOT-class cut
     for s in range(200):
-        record = run_shot(circuit, ZZ, decomps, ShotStream(13, s), MeasureMode.EIGENVALUE_SAMPLE)
+        record = run_shot(circuit, ZZ, 13, s, MeasureMode.EIGENVALUE_SAMPLE)
         assert abs(record.value) <= w * ZZ.o_max + 1e-9
         # eigenvalue mode only ever produces +-W o_max
         assert record.value in (w, -w)
@@ -308,10 +306,9 @@ def test_identity_cut_is_exact_every_shot():
             CanonicalGate((0, 1), ThetaVector(0.0, 0.0, 0.0), cut=True),
         ),
     )
-    decomps = cut_decomps(circuit)
     exact = exact_expectation(circuit, ZZ)
     for s in range(20):
-        record = run_shot(circuit, ZZ, decomps, ShotStream(1, s))
+        record = run_shot(circuit, ZZ, 1, s)
         assert abs(record.value - exact) < 1e-12
 
 
@@ -351,6 +348,9 @@ def test_estimate_plans_shots_from_accuracy_target():
 def test_estimate_checks_widths():
     with pytest.raises(ValueError):
         estimate(Circuit(1, ()), ZZ, EstimatorConfig(shots=10))
+    # a narrower observable is not read as padded with identities
+    with pytest.raises(ValueError, match="width"):
+        run_shot(Circuit(2, ()), Observable(((1.0, "Z"),)), 0, 0)
 
 
 def test_single_shot_standard_error_is_zero():
@@ -506,13 +506,11 @@ def touched_instance(layout, seed):
 
 
 def shot_against_reference(circuit, observable, mode):
-    """12 ``run_shot`` shots next to the reference: equal draws, (phase, o', x) to 1e-12."""
+    """12 ``run_shot`` shots next to the reference: (phase, o', x) to 1e-12."""
     decomps = cut_decomps(circuit)
     for s in range(12):
-        ours, ref = CountingStream(ShotStream(5, s)), CountingStream(ShotStream(5, s))
-        record = run_shot(circuit, observable, decomps, ours, mode)
-        phase, o_value, x = reference_shot(circuit, observable, decomps, ref, mode)
-        assert ours.draws == ref.draws
+        record = run_shot(circuit, observable, 5, s, mode)
+        phase, o_value, x = reference_shot(circuit, observable, decomps, ShotStream(5, s), mode)
         assert abs(record.phase - phase) < 1e-12
         assert abs(record.observable_value - o_value) < 1e-12
         assert abs(record.value - x) < 1e-12
@@ -528,16 +526,16 @@ def test_run_shot_matches_per_gate_reference(layout, num_qubits, mode):
 
 @pytest.mark.parametrize("mode", list(MeasureMode))
 def test_plan_draws_bound_every_shot_and_are_reached(mode):
-    """``plan.draws`` sizes the stream table: no shot takes more, some take that many."""
+    """``plan.draws`` sizes the stream table: no shot takes more, some take that many.
+
+    A shot drawing past the table raises IndexError, so the walk itself
+    checks the upper bound.
+    """
     circuit, observable = oracle_instance(3, LAYOUTS["two cuts"], 2)
-    decomps = cut_decomps(circuit)
-    plan = sampler_module._compile(circuit, observable, decomps, mode)
-    taken = []
-    for s in range(40):
-        stream = CountingStream(ShotStream(3, s))
-        run_shot(circuit, observable, decomps, stream, mode)
-        taken.append(stream.draws)
-    assert max(taken) == plan.draws
+    plan = sampler_module._compile(circuit, observable, mode)
+    streams = sampler_module._StreamArray(3, 0, 40, plan.draws)
+    sampler_module._walk(plan, streams.draw, 40)
+    assert streams._next.max() == plan.draws
 
 
 def walk_against_reference(circuit, observable, mode, seed, rows):
@@ -546,12 +544,12 @@ def walk_against_reference(circuit, observable, mode, seed, rows):
     Asserts equal draws per row and equal (phase, o', x) to 1e-12; returns x.
     """
     decomps = cut_decomps(circuit)
-    plan = sampler_module._compile(circuit, observable, decomps, mode)
-    ours = [CountingStream(ShotStream(seed, s)) for s in range(rows)]
+    plan = sampler_module._compile(circuit, observable, mode)
+    streams = sampler_module._StreamArray(seed, 0, rows, plan.draws)
     refs = [CountingStream(ShotStream(seed, s)) for s in range(rows)]
-    phase, o_value, x = sampler_module._walk(plan, sampler_module._draw_from(ours), rows)
+    phase, o_value, x = sampler_module._walk(plan, streams.draw, rows)
     expected = [reference_shot(circuit, observable, decomps, ref, mode) for ref in refs]
-    assert [s.draws for s in ours] == [r.draws for r in refs]
+    assert streams._next.tolist() == [r.draws for r in refs]
     for i, (ref_phase, ref_o, ref_x) in enumerate(expected):
         assert abs(phase[i] - ref_phase) < 1e-12
         assert abs(o_value[i] - ref_o) < 1e-12
