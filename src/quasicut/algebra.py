@@ -21,6 +21,7 @@ averages over samples, which verification forms from ``density_matrix()``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import isfinite
 from numbers import Real
@@ -41,6 +42,16 @@ _AXIS_TOL = 1e-12
 _UNITARITY_TOL = 1e-10
 
 
+def integer(value, what: str) -> int:
+    """``value`` as a plain int; bools and non-integers raise ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def finite_real(value, what: str) -> float:
     """``value`` as a float; ValueError unless a finite real number that is not a bool."""
     if isinstance(value, bool) or not isinstance(value, Real):
@@ -56,7 +67,10 @@ def finite_real(value, what: str) -> float:
 
 def unit_axis(axis, what: str) -> tuple[float, float, float]:
     """``axis`` as three finite floats; ValueError unless of unit length to 1e-12."""
-    ax = tuple(finite_real(x, f"{what} entry") for x in axis)
+    try:
+        ax = tuple(finite_real(x, f"{what} entry") for x in axis)
+    except TypeError as exc:
+        raise ValueError(f"{what} must be a unit 3-vector, got {axis!r}") from exc
     if len(ax) != 3 or abs(sum(x * x for x in ax) - 1.0) > _AXIS_TOL:
         raise ValueError(f"{what} must be a unit 3-vector, got {ax}")
     return ax
@@ -86,33 +100,35 @@ def pauli_basis(num_qubits: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Dense n-qubit pure state vector, read-only: a writable vector is copied."""
+    """Dense n-qubit pure state: its own read-only complex copy of a finite 2^n-vector."""
 
     num_qubits: int
     vector: np.ndarray
 
     def __post_init__(self) -> None:
-        dim = 2**self.num_qubits
-        if self.vector.shape != (dim,):
-            raise ValueError(f"vector shape {self.vector.shape}, expected ({dim},)")
-        if not np.isfinite(self.vector).all():
-            raise ValueError("non-finite state entries")
-        if self.vector.flags.writeable:
-            vec = self.vector.copy()
-            vec.setflags(write=False)
-            object.__setattr__(self, "vector", vec)
+        n = integer(self.num_qubits, "num_qubits")
+        try:
+            vec = np.array(self.vector, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"state vector must be a complex vector, got {self.vector!r}") from exc
+        # count_nonzero costs less than .all() on the 2-vectors that realize returns
+        if vec.shape != (2**n,) or np.count_nonzero(np.isfinite(vec)) < vec.size:
+            raise ValueError(f"state vector must be finite of shape ({2**n},), got {vec!r}")
+        vec.setflags(write=False)
+        object.__setattr__(self, "num_qubits", n)
+        object.__setattr__(self, "vector", vec)
 
     @classmethod
-    def pure(cls, vector: np.ndarray) -> QuantumState:
-        vec = np.array(vector, dtype=complex)
-        vec.setflags(write=False)
-        dim = vec.shape[0]
-        n = int(dim).bit_length() - 1
+    def pure(cls, vector) -> QuantumState:
+        """The state of ``vector``, whose length 2^n gives n; ValueError if all zero."""
+        dim = np.size(vector)
+        n = dim.bit_length() - 1
         if dim < 2 or 2**n != dim:
             raise ValueError(f"dimension {dim} is not a power of two")
-        if not np.any(vec):
+        state = cls(num_qubits=n, vector=vector)
+        if not state.vector.any():
             raise ValueError("the all-zero vector is not a state")
-        return cls(num_qubits=n, vector=vec)
+        return state
 
     def density_matrix(self) -> np.ndarray:
         """The state's outer product |psi><psi|."""

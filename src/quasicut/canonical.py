@@ -57,7 +57,7 @@ class ThetaVector:
     def coerce(cls, value: ThetaVector | Iterable[float]) -> ThetaVector:
         if isinstance(value, ThetaVector):
             return value
-        items = list(value)
+        items = list(value) if isinstance(value, Iterable) else [value]
         if len(items) != 3:
             raise ValueError(f"expected 3 angles, got {len(items)}")
         return cls(*items)

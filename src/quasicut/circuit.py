@@ -31,7 +31,6 @@ NaN or infinite angle or matrix entry, too many qubits) raise ValueError.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from math import isfinite
 from typing import Iterable
@@ -39,7 +38,7 @@ from typing import Iterable
 import numpy as np
 
 from .algebra import PAULIS, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .algebra import finite_real, unit_axis, unitary_matrix
+from .algebra import finite_real, integer, unit_axis, unitary_matrix
 from .canonical import PauliCoeffs, ThetaVector, canonical_unitary, pauli_coefficients
 
 MAX_QUBITS = 12
@@ -53,16 +52,6 @@ class FormatError(ValueError):
     """A document is structurally malformed (bad schema, not bad physics)."""
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as a plain int; bools and non-integers raise ValueError."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SingleGate:
     """Rotation exp(-i theta n . sigma) on one qubit; axis unit, theta finite."""
@@ -74,7 +63,7 @@ class SingleGate:
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubit", _integer(self.qubit, "qubit index"))
+        object.__setattr__(self, "qubit", integer(self.qubit, "qubit index"))
         object.__setattr__(self, "axis", unit_axis(self.axis, "rotation axis"))
         object.__setattr__(self, "theta", finite_real(self.theta, "angle"))
         nx, ny, nz = self.axis
@@ -95,7 +84,7 @@ class CanonicalGate:
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        qs = tuple(_integer(q, "qubit index") for q in self.qubits)
+        qs = tuple(integer(q, "qubit index") for q in self.qubits)
         if len(qs) != 2 or qs[0] == qs[1]:
             raise ValueError(f"canonical gate needs two distinct qubits, got {qs}")
         if not isinstance(self.cut, bool):
@@ -115,7 +104,7 @@ class Raw1QGate:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubit", _integer(self.qubit, "qubit index"))
+        object.__setattr__(self, "qubit", integer(self.qubit, "qubit index"))
         m = unitary_matrix(self.matrix, 2, "raw gate matrix")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -130,7 +119,7 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "num_qubits", _integer(self.num_qubits, "num_qubits"))
+        object.__setattr__(self, "num_qubits", integer(self.num_qubits, "num_qubits"))
         object.__setattr__(self, "gates", tuple(self.gates))
         if not 1 <= self.num_qubits <= MAX_QUBITS:
             raise ValueError(f"num_qubits must be 1..{MAX_QUBITS}, got {self.num_qubits}")
@@ -157,7 +146,10 @@ class Observable:
     o_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        terms = tuple(self.terms)
+        try:
+            terms = tuple((c, p) for c, p in self.terms)
+        except TypeError as exc:
+            raise ValueError(f"terms must be (coeff, pauli) pairs, got {self.terms!r}") from exc
         if not terms:
             raise ValueError("observable needs at least one term")
         for _, pauli in terms:

@@ -35,8 +35,9 @@ Every sampled run weighs exactly +-1. ``run_program`` runs one program on
 one qubit once, for ``realize``. ``run_branches`` runs a sequence of
 (qubit, step) pairs, such as the programs of a cut term's left and right
 channels one after the other, for many shots that share one input state,
-for the sampler, and does each branch's work once. Both take the same
-draws in the same order and apply the same kernels.
+for the sampler; it reads each shot's uniforms from a row of a given
+matrix, and does each branch's work once. Both take the same draws in the
+same order and apply the same kernels.
 """
 
 from __future__ import annotations
@@ -269,45 +270,47 @@ def run_program(
 
 
 def run_branches(
-    psi: np.ndarray, steps, num_qubits: int, draw, shots: np.ndarray
+    psi: np.ndarray, steps, num_qubits: int, u: np.ndarray
 ) -> list[tuple[np.ndarray, float, np.ndarray]]:
-    """Run the ``(qubit, step)`` sequence ``steps`` once per shot in ``shots``.
+    """Run the ``(qubit, step)`` sequence ``steps`` once per row of ``u``.
 
-    Every shot starts from the state ``psi``. ``shots`` is an index array
-    and ``draw(shots)`` returns one uniform in [0, 1) per listed shot.
-    Shots that draw the same outcomes share a branch, and each branch's
-    state is computed once, exactly as ``run_program`` computes it, step by
-    step, for each of its shots, which also draws what ``run_program``
-    draws. Returns (post state, weight +-1.0, shots) per branch reached.
+    Every row starts from the state ``psi``, and its i-th coin or
+    measurement reads column i of ``u``, a uniform in [0, 1). Rows that
+    draw the same outcomes share a branch, and each branch's state is
+    computed once, exactly as ``run_program`` computes it, step by step,
+    for each of its rows, from the uniforms ``run_program`` would draw.
+    Returns (post state, weight +-1.0, rows of ``u``) per branch reached.
     """
-    branches = [(psi, 1.0, shots)]
+    branches = [(psi, 1.0, np.arange(len(u)))]
+    column = 0
     for qubit, step in steps:
         if isinstance(step, Unitary):
-            branches = [(apply_1q(s, step.matrix, qubit, num_qubits), w, i) for s, w, i in branches]
+            branches = [(apply_1q(s, step.matrix, qubit, num_qubits), w, r) for s, w, r in branches]
             continue
         split = []
-        for state, weight, taken in branches:
+        for state, weight, rows in branches:
             # only reached outcomes are computed: p_plus may be 0 or 1
             if isinstance(step, Coin):
-                plus = draw(taken) < 0.5
+                plus = u[rows, column] < 0.5
                 if plus.any():
                     up = apply_1q(state, step.plus.matrix, qubit, num_qubits)
-                    split.append((up, weight, taken[plus]))
+                    split.append((up, weight, rows[plus]))
                 if not plus.all():
                     down = apply_1q(state, step.minus.matrix, qubit, num_qubits)
-                    split.append((down, -weight, taken[~plus]))
+                    split.append((down, -weight, rows[~plus]))
             elif isinstance(step, SignedMeasurement):
                 projected = apply_1q(state, step.projector_matrix, qubit, num_qubits)
                 p_plus = float(np.real(np.vdot(projected, projected)))
-                plus = draw(taken) < p_plus
+                plus = u[rows, column] < p_plus
                 if plus.any():
-                    split.append((projected / sqrt(p_plus), weight, taken[plus]))
+                    split.append((projected / sqrt(p_plus), weight, rows[plus]))
                 if not plus.all():
                     down = (state - projected) / sqrt(1.0 - p_plus)
-                    split.append((down, -weight, taken[~plus]))
+                    split.append((down, -weight, rows[~plus]))
             else:
                 raise TypeError(f"unknown realization step {step!r}")
         branches = split
+        column += 1
     return branches
 
 
@@ -330,7 +333,6 @@ def realize(channel: BasisChannelId, state: QuantumState, rng) -> RealizationOut
     if state.num_qubits != 1:
         raise ValueError("realize acts on single-qubit states")
     psi, weight = run_program(state.vector, realization_program(channel), 0, 1, rng)
-    psi.setflags(write=False)  # fresh, so QuantumState keeps it without a copy
     return RealizationOutcome(QuantumState(num_qubits=1, vector=psi), complex(weight))
 
 

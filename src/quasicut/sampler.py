@@ -37,8 +37,10 @@ does not grow with the tree or the shot count beyond one value per shot.
 A shot draws exactly what the per-gate simulation would, in the same
 order, so neither the plan nor the tree changes a result beyond rounding,
 and a shot's value does not depend on the other shots of its chunk or
-batch. ``run_shot(..., seed, s)`` compiles a plan and walks shot s alone
-from the same stream table, so it is shot s of ``estimate`` with that seed.
+batch. All shots at a node have taken the same number of draws, so the
+node alone fixes which of their uniforms it reads. ``run_shot(..., seed,
+s)`` compiles a plan and walks shot s alone from the same stream table, so
+it is shot s of ``estimate`` with that seed.
 
 Shot counts for a target (epsilon, delta) follow the two-sided Hoeffding
 bound for samples bounded by W * o_max:
@@ -57,7 +59,7 @@ the inputs; the stream values themselves are pinned by test vectors.
 ``ShotStream`` is one shot's stream on Python ints. SplitMix64 is
 counter-based, so ``estimate`` computes a chunk's streams up front as one
 table, each shot's first ``draws`` uniforms (the most any shot of the plan
-takes), and a tree node reads the next entry of each of its shots with one
+takes), and a tree node reads one column for all its shots with one
 gather: the same draws bit for bit.
 """
 
@@ -67,11 +69,10 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from math import ceil, isfinite, log, sqrt
-from numbers import Real
-from typing import Callable
 
 import numpy as np
 
+from .algebra import finite_real, integer
 from .circuit import (
     CanonicalGate,
     Circuit,
@@ -91,8 +92,8 @@ _BOUND_SLACK = 1e-9
 _BELOW_ONE = 1.0 - 2.0**-53
 
 # estimate walks its shots in chunks of this many; a chunk holds about 100
-# bytes per shot (draw counter, phase, o', x, indices) and 8 per entry of
-# its stream table next to its tree
+# bytes per shot (phase, o', x, indices) and 8 per entry of its stream
+# table next to its tree
 _CHUNK_SHOTS = 1 << 16
 
 # a cut's children are stacked and simulated in batches of about this many
@@ -154,30 +155,20 @@ class ShotStream:
         return u if u < 1.0 else _BELOW_ONE
 
 
-class _StreamArray:
-    """The ``ShotStream`` of every shot in ``range(start, start + count)``.
+def _uniforms(seed: int, start: int, count: int, draws: int) -> np.ndarray:
+    """The first ``draws`` uniforms of every shot in ``range(start, start + count)``.
 
-    SplitMix64 is counter-based: a shot's j-th uniform is the finalizer of
-    its start state plus (j + 1) increments. So the table of the first
-    ``draws`` uniforms of every shot is computed in one pass, and
-    ``draw(idx)`` gathers the next one of each listed shot (positions in
-    the range) and steps that shot's counter, bit for bit what
-    ``ShotStream.random`` returns. A shot drawing past ``draws`` raises
-    IndexError.
+    Row i, column j holds the (j+1)-th ``ShotStream(seed, start + i).random()``,
+    bit for bit: its start state plus (j + 1) increments, finalized. Built
+    one column at a time, in place. Reading past ``draws`` raises IndexError.
     """
-
-    def __init__(self, seed: int, start: int, count: int, draws: int) -> None:
-        z0 = _stream_start(seed, np.arange(start, start + count, dtype=np.uint64))
-        steps = np.arange(1, draws + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z = _stream_start(seed, np.arange(start, start + count, dtype=np.uint64))
+    table = np.empty((count, draws))
+    for j in range(draws):
+        z += np.uint64(_GAMMA)
         # uint64 -> float64 rounds to nearest, as int / float does
-        table = _stream_output(z0[:, None] + steps) / 18446744073709551616.0
-        self._table = np.minimum(table, _BELOW_ONE, out=table)
-        self._next = np.zeros(count, dtype=np.intp)
-
-    def draw(self, idx: np.ndarray) -> np.ndarray:
-        j = self._next[idx]
-        self._next[idx] = j + 1
-        return self._table[idx, j]
+        np.divide(_stream_output(z), 18446744073709551616.0, out=table[:, j])
+    return np.minimum(table, _BELOW_ONE, out=table)
 
 
 @dataclass(frozen=True)
@@ -191,12 +182,11 @@ class EstimatorConfig:
     mode: MeasureMode = MeasureMode.EXACT_TRACE
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
+        for name, read in (("shots", integer), ("epsilon", finite_real), ("delta", finite_real)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, read(getattr(self, name), name))
         fixed = self.shots is not None
-        _check_int(self.shots if fixed else 0, "shots")
-        _check_int(self.seed, "seed")
-        for name, value in (("epsilon", self.epsilon), ("delta", self.delta)):
-            if value is not None and (isinstance(value, bool) or not isinstance(value, Real)):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
         targeted = self.epsilon is not None or self.delta is not None
         if fixed == targeted or (targeted and (self.epsilon is None or self.delta is None)):
             raise ValueError("set exactly one of shots or (epsilon, delta)")
@@ -208,11 +198,6 @@ class EstimatorConfig:
 def _check_mode(mode) -> None:
     if not isinstance(mode, MeasureMode):
         raise ValueError(f"mode must be a MeasureMode, got {mode!r}")
-
-
-def _check_int(value, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -246,8 +231,8 @@ class EstimatorResult:
 
 def plan_shots(epsilon: float, delta: float, o_max: float, w_total: float) -> int:
     """Shots needed for |estimate - truth| < epsilon with confidence 1 - delta."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (epsilon > 0 and isfinite(epsilon)):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if not (o_max > 0 and isfinite(o_max)):
@@ -267,14 +252,16 @@ class _Cut:
     ``cums`` are cumulative |coefficient| cut points for the term draw,
     ``phases`` the unit phases c/|c|, and ``steps`` per term one run of
     (qubit, step) pairs: the steps of its left channels on the gate's first
-    qubit, then those of its right channels on the second. ``after`` holds
-    the uncut gates up to the next cut, or to the end of the circuit.
+    qubit, then those of its right channels on the second, and ``draws``
+    per term their coins and measurements. ``after`` holds the uncut gates
+    up to the next cut, or to the end of the circuit.
     """
 
     weight: float
     cums: tuple[float, ...]
     phases: tuple[complex, ...]
     steps: tuple[tuple[tuple[int, RealizationStep], ...], ...]
+    draws: tuple[int, ...]
     after: tuple[Gate, ...]
 
 
@@ -337,13 +324,15 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
             )
             for t in decomp.terms
         )
-        draws += 1 + max(sum(not isinstance(s, Unitary) for _, s in seq) for seq in steps)
+        term_draws = tuple(sum(not isinstance(s, Unitary) for _, s in seq) for seq in steps)
+        draws += 1 + max(term_draws)
         cuts.append(
             _Cut(
                 weight=decomp.weight,
                 cums=tuple(accumulate(abs(t.coefficient) for t in decomp.terms)),
                 phases=tuple(t.coefficient / abs(t.coefficient) for t in decomp.terms),
                 steps=steps,
+                draws=term_draws,
                 after=tuple(after),
             )
         )
@@ -362,29 +351,28 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
     )
 
 
-def _walk(
-    plan: _ShotPlan, draw: Callable[[np.ndarray], np.ndarray], shots: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run ``shots`` shots down the plan's branch tree: (phase, o', x) arrays.
+def _walk(plan: _ShotPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the shot of each row of uniforms ``table`` down the plan's branch tree.
 
-    ``draw(idx)`` returns one uniform per shot listed in the index array
-    ``idx`` and advances each listed shot's stream by one. ``descend``
-    starts at a one-row stack, the prefix with every shot. Before cut k
-    each row's shots draw their terms and each drawn term's steps run once
-    per branch (``run_branches``). ``batches`` collects the branches of
-    consecutive rows until they hold ``_BATCH_AMPS`` amplitudes or the rows
-    run out; each batch is stacked for the uncut gates after the cut and
-    the next descent, so only the open frontier holds states. After the
-    last cut the stack holds the leaves; in sample mode each drawn
-    observable term is evaluated once, on its leaves. Each shot draws from
-    its own stream in its own order, so batching leaves the draws as they
-    were.
+    Returns (phase, o', x) arrays. A path ``(phase, shots, j)`` is a node:
+    the shots (rows) that reached it, each having taken j draws, so it
+    reads column j. ``descend`` starts at a one-row stack, the prefix.
+    Before cut k each row's shots draw their terms from column j, each
+    drawn term's steps run once per branch (``run_branches``) on its next
+    ``cut.draws[term]`` columns, and its children start after them.
+    ``batches`` collects the branches of consecutive rows until they hold
+    ``_BATCH_AMPS`` amplitudes or the rows run out; each batch is stacked
+    for the uncut gates after the cut and the next descent, so only the
+    open frontier holds states. In sample mode a leaf's shots draw their
+    observable term and eigenvalue from its column and the next, and each
+    drawn term is evaluated once, on its leaves.
     """
     n = plan.num_qubits
+    shots = len(table)
     phase = np.empty(shots, dtype=complex)
     o_value = np.empty(shots)
 
-    def descend(k: int, stack: np.ndarray, paths: list[tuple[complex, np.ndarray]]) -> None:
+    def descend(k: int, stack: np.ndarray, paths: list[tuple[complex, np.ndarray, int]]) -> None:
         # row r of stack is the state before cut k of the shots paths[r][1]
         if k == len(plan.cuts):
             leaves(stack, paths)
@@ -396,31 +384,32 @@ def _walk(
                 child = apply_gate(child, gate, n)
             descend(k + 1, child, children)
 
-    def batches(cut: _Cut, stack: np.ndarray, paths: list[tuple[complex, np.ndarray]]):
+    def batches(cut: _Cut, stack: np.ndarray, paths: list[tuple[complex, np.ndarray, int]]):
         # the children of consecutive rows, cut off once they hold _BATCH_AMPS
         states, children = [], []
-        for psi, (path_phase, idx) in zip(stack, paths):
-            for term, drew in _draw_terms(draw, idx, cut.cums, cut.weight):
-                for state, w, taken in run_branches(psi, cut.steps[term], n, draw, idx[drew]):
+        for psi, (path_phase, idx, j) in zip(stack, paths):
+            for term, drew in _draw_terms(table[idx, j], cut.cums, cut.weight):
+                taken, end = idx[drew], j + 1 + cut.draws[term]
+                u = table[taken, j + 1 : end]
+                for state, w, rows in run_branches(psi, cut.steps[term], n, u):
                     states.append(state)
-                    children.append((path_phase * cut.phases[term] * w, taken))
+                    children.append((path_phase * cut.phases[term] * w, taken[rows], end))
             if len(states) << n >= _BATCH_AMPS:
                 yield states, children
                 states, children = [], []
         if states:
             yield states, children
 
-    def leaves(stack: np.ndarray, paths: list[tuple[complex, np.ndarray]]) -> None:
-        for p, i in paths:
-            phase[i] = p
+    def leaves(stack: np.ndarray, paths: list[tuple[complex, np.ndarray, int]]) -> None:
+        idx = np.concatenate([i for _, i, _ in paths])
+        leaf_of = np.repeat(np.arange(len(paths)), [len(i) for _, i, _ in paths])
+        phase[idx] = np.array([p for p, _, _ in paths])[leaf_of]
         if plan.mode is MeasureMode.EXACT_TRACE:
             means = sum(c * _row_means(stack, pauli, n) for c, pauli in plan.observable.terms)
-            for leaf, (_, i) in enumerate(paths):
-                o_value[i] = means[leaf]
+            o_value[idx] = means[leaf_of]
             return
-        idx = np.concatenate([i for _, i in paths])
-        leaf_of = np.repeat(np.arange(len(paths)), [len(i) for _, i in paths])
-        for term, drew in _draw_terms(draw, idx, plan.term_cums, plan.term_cums[-1]):
+        col = np.array([j for _, _, j in paths])[leaf_of]
+        for term, drew in _draw_terms(table[idx, col], plan.term_cums, plan.term_cums[-1]):
             taken, at = idx[drew], leaf_of[drew]
             sign, pauli = plan.terms[term]
             used = np.unique(at)
@@ -428,10 +417,10 @@ def _walk(
             # a Pauli string's entries are 0, +-1 or +-i: exact in any row position
             means[used] = _row_means(stack[used], pauli, n)
             p_plus = np.clip(0.5 * (1.0 + means[at]), 0.0, 1.0)
-            eig = np.where(draw(taken) < p_plus, 1.0, -1.0)
+            eig = np.where(table[taken, col[drew] + 1] < p_plus, 1.0, -1.0)
             o_value[taken] = sign * eig * plan.observable.o_max
 
-    descend(0, _stack([plan.prefix], n), [(1.0 + 0.0j, np.arange(shots))])
+    descend(0, _stack([plan.prefix], n), [(1.0 + 0.0j, np.arange(shots), 0)])
     x = plan.w_total * (phase.real * o_value)
     bound = plan.w_total * plan.observable.o_max
     over = np.abs(x) > bound + _BOUND_SLACK
@@ -440,13 +429,13 @@ def _walk(
     return phase, o_value, x
 
 
-def _draw_terms(draw, idx: np.ndarray, cums: tuple[float, ...], total: float):
-    """Each shot in ``idx`` draws a term by its cumulative weights ``cums``.
+def _draw_terms(u: np.ndarray, cums: tuple[float, ...], total: float):
+    """Draw a term per uniform in ``u`` by the cumulative weights ``cums``.
 
-    Returns (term, mask over ``idx``) for every term drawn, as
-    ``bisect_right(cums, u * total)`` per shot would pick them.
+    Returns (term, mask over ``u``) for every term drawn, as
+    ``bisect_right(cums, u * total)`` per uniform would pick them.
     """
-    picks = np.minimum(np.searchsorted(cums, draw(idx) * total, side="right"), len(cums) - 1)
+    picks = np.minimum(np.searchsorted(cums, u * total, side="right"), len(cums) - 1)
     return [(term, picks == term) for term in np.unique(picks).tolist()]
 
 
@@ -485,15 +474,13 @@ def run_shot(
     branch tree, so a loop over shots should call ``estimate``, which
     compiles once and walks all its shots together.
     """
-    _check_int(seed, "seed")
-    _check_int(shot_index, "shot_index")
+    seed = integer(seed, "seed")
+    shot_index = integer(shot_index, "shot_index")
     if not 0 <= shot_index < MAX_SHOTS:
         raise ValueError(f"shot_index must lie in 0..{MAX_SHOTS - 1}, got {shot_index}")
     plan = _compile(circuit, observable, mode)
-    phase, o_value, x = _walk(plan, _StreamArray(seed, shot_index, 1, plan.draws).draw, 1)
-    return ShotRecord(
-        phase=complex(phase[0]), observable_value=float(o_value[0]), value=float(x[0])
-    )
+    table = _uniforms(seed, shot_index, 1, plan.draws)
+    return ShotRecord(*(values[0].item() for values in _walk(plan, table)))
 
 
 def estimate(
@@ -526,8 +513,8 @@ def estimate(
     values = np.empty(shots, dtype=float)
     for start in range(0, shots, _CHUNK_SHOTS):
         count = min(_CHUNK_SHOTS, shots - start)
-        streams = _StreamArray(config.seed, start, count, plan.draws)
-        values[start : start + count] = _walk(plan, streams.draw, count)[2]
+        table = _uniforms(config.seed, start, count, plan.draws)
+        values[start : start + count] = _walk(plan, table)[2]
 
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / sqrt(shots)) if shots > 1 else 0.0

@@ -222,19 +222,11 @@ def test_criterion_8_channel_realizations():
             state = QuantumState.pure(vec)
             target = channel_action(channel, state.density_matrix())
             u = rng.random((shots, k)) if k else np.empty((shots, 0))
-            used = np.zeros(shots, dtype=int)
-
-            def draw(idx):
-                out = u[idx, used[idx]]
-                used[idx] += 1
-                return out
-
             vectors = np.empty((shots, 2), dtype=complex)
             weights = np.empty(shots, dtype=complex)
-            all_shots = np.arange(shots)
-            for vector, weight, taken in run_branches(state.vector, steps, 1, draw, all_shots):
-                vectors[taken] = vector
-                weights[taken] = weight
+            for vector, weight, rows in run_branches(state.vector, steps, 1, u):
+                vectors[rows] = vector
+                weights[rows] = weight
             samples = weights[:, None, None] * (
                 vectors[:, :, None] * vectors.conj()[:, None, :]
             )

@@ -63,6 +63,21 @@ def test_state_validation_rejects_bad_input():
         QuantumState.pure(np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
         QuantumState.pure(np.array([1.0, 0.0, 0.0]))
+    for bad in (
+        {"num_qubits": 1, "vector": [1, 0, 0]},
+        {"num_qubits": 1, "vector": [[1, 0]]},
+        {"num_qubits": 1, "vector": ["a", 0]},
+        {"num_qubits": 1, "vector": 5},
+        {"num_qubits": 1, "vector": [np.inf, 0]},
+        {"num_qubits": 1.0, "vector": [1, 0]},
+    ):
+        with pytest.raises(ValueError):
+            QuantumState(**bad)
+    for bad in (5, [[1, 0], [0, 1]], [1, [0]]):
+        with pytest.raises(ValueError):
+            QuantumState.pure(bad)
+    # a list is a vector too
+    assert QuantumState(num_qubits=1, vector=[1, 0]).vector.tolist() == [1, 0]
 
 
 def test_state_keeps_its_own_read_only_vector():
@@ -74,8 +89,16 @@ def test_state_keeps_its_own_read_only_vector():
     t = QuantumState(num_qubits=1, vector=w)
     w[1] = 5
     assert t.vector.tolist() == [0, 1] and not t.vector.flags.writeable
-    # a read-only vector cannot change under the state, so it is kept, not copied
-    assert QuantumState(num_qubits=1, vector=s.vector).vector is s.vector
+    # a read-only view of a writable array still changes under it, so it is copied too
+    x = np.array([1, 0], dtype=complex)
+    view = x[:]
+    view.setflags(write=False)
+    u = QuantumState(num_qubits=1, vector=view)
+    x[0] = 5
+    assert u.vector.tolist() == [1, 0] and not u.vector.flags.writeable
+    # so is a list
+    items = [0, 1]
+    assert QuantumState(num_qubits=1, vector=items).vector.dtype == complex
 
 
 def test_ptm_of_pauli_x_conjugation():

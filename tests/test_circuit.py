@@ -196,6 +196,11 @@ def test_circuit_validation():
         lambda: SingleGate(0, Y_AXIS, "0.3"),
         lambda: SingleGate(0, (0, 0, 10**400), 0.3),
         lambda: CanonicalGate((0, 1), (10**400, 0, 0)),
+        # a number where a container belongs
+        lambda: CanonicalGate((0, 1), 5),
+        lambda: SingleGate(0, 5, 0.1),
+        lambda: Observable(5),
+        lambda: Observable((5,)),
     ):
         with pytest.raises(ValueError):
             build()

@@ -109,6 +109,8 @@ def test_plan_rejects_bad_arguments(capsys):
     assert code == 3 and "epsilon" in err
     code, _, err = run_cli(capsys, "plan", "1e-300", "0.05", "1.0", "1.0")  # float overflow
     assert code == 3 and "epsilon" in err
+    code, _, err = run_cli(capsys, "plan", "inf", "0.05", "1.0", "1.0")
+    assert code == 3 and "epsilon" in err
     code, _, err = run_cli(capsys, "plan", "0.1", "0.05", "inf", "1")
     assert code == 3 and "o_max" in err
     code, _, err = run_cli(capsys, "plan", "0.1", "0.05", "1", "inf")
@@ -184,6 +186,16 @@ def test_estimate_accuracy_target(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["shots"] == 100
+    # an infinite epsilon used to plan one shot
+    code, out, err = run_cli(
+        capsys,
+        "estimate",
+        "--circuit", circuit,
+        "--observable", observable,
+        "--epsilon", "inf",
+        "--delta", "0.5",
+    )
+    assert code == 3 and out == "" and "epsilon" in err
 
 
 def test_estimate_exit_codes(tmp_path, capsys):

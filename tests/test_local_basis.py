@@ -317,29 +317,24 @@ def test_interpreters_reject_unknown_steps():
         run_program(psi, program, 0, 1, FixedDraws([]))
     steps = tuple((0, step) for step in program)
     with pytest.raises(TypeError, match="unknown realization step"):
-        run_branches(psi, steps, 1, lambda idx: np.zeros(len(idx)), np.arange(3))
+        run_branches(psi, steps, 1, np.zeros((3, 1)))
 
 
-def branches_against_run_program(psi, sides, draws):
+def branches_against_run_program(psi, sides, draws, read_marks):
     """``run_branches`` on the (qubit, program) ``sides`` next to ``run_program``.
 
     The sequence is every program's steps on its qubit, in order. Each shot
     (a row of ``draws``) must get the state and weight that ``run_program``
     gives it, one side after the other, bit for bit, from the same draws.
     """
-    shots, num_qubits = len(draws), int(len(psi)).bit_length() - 1
-    used = np.zeros(shots, dtype=int)
-
-    def draw(idx):
-        out = draws[idx, used[idx]]
-        used[idx] += 1
-        return out
-
+    num_qubits = int(len(psi)).bit_length() - 1
+    u = read_marks(draws)
     steps = tuple((qubit, step) for qubit, program in sides for step in program)
-    branches = run_branches(psi, steps, num_qubits, draw, np.arange(shots))
-    assert sorted(i for _, _, taken in branches for i in taken.tolist()) == list(range(shots))
-    for state, weight, taken in branches:
-        for shot in taken.tolist():
+    branches = run_branches(psi, steps, num_qubits, u)
+    used = u.counts()
+    assert sorted(i for _, _, rows in branches for i in rows.tolist()) == list(range(len(draws)))
+    for state, weight, rows in branches:
+        for shot in rows.tolist():
             ref_rng = FixedDraws(draws[shot])
             ref, ref_weight = psi, 1.0
             for qubit, program in sides:
@@ -357,18 +352,19 @@ def random_state(rng, num_qubits):
 
 
 @pytest.mark.parametrize("channel", ALL_CHANNELS, ids=str)
-def test_branches_match_one_run_per_shot(channel):
+def test_branches_match_one_run_per_shot(channel, read_marks):
     """``run_branches`` gives every shot what ``run_program`` gives it, bit for bit."""
     rng = np.random.default_rng(17)
     psi = random_state(rng, 3)
-    branches_against_run_program(psi, [(1, realization_program(channel))], rng.random((12, 2)))
+    sides = [(1, realization_program(channel))]
+    branches_against_run_program(psi, sides, rng.random((12, 2)), read_marks)
 
 
 @pytest.mark.parametrize(
     "left, right",
     [("A12", "B13"), ("s2,B02", "A03,B12,s1"), ("B23,A01", "s0")],
 )
-def test_one_sequence_spans_two_qubits(left, right):
+def test_one_sequence_spans_two_qubits(left, right, read_marks):
     """A cut term's left channels on qubit 0, then its right ones on qubit 2."""
     rng = np.random.default_rng(23)
     psi = random_state(rng, 3)
@@ -377,7 +373,7 @@ def test_one_sequence_spans_two_qubits(left, right):
         for qubit, labels in ((0, left), (2, right))
         for label in labels.split(",")
     ]
-    branches_against_run_program(psi, sides, rng.random((40, len(sides))))
+    branches_against_run_program(psi, sides, rng.random((40, len(sides))), read_marks)
 
 
 def test_projector_formula():

@@ -1,5 +1,6 @@
 """Shot streams, shot planning, and the Monte-Carlo estimator."""
 
+import hashlib
 import tracemalloc
 from bisect import bisect_right
 
@@ -126,8 +127,7 @@ def test_stream_random_stays_below_one():
 
 def test_stream_array_matches_the_pinned_vectors():
     for (seed, shot), draws in STREAM_VECTORS.items():
-        streams = sampler_module._StreamArray(seed, shot, 1, 3)
-        assert [float(streams.draw(np.array([0]))[0]) for _ in range(3)] == draws
+        assert sampler_module._uniforms(seed, shot, 1, 3)[0].tolist() == draws
 
 
 def test_stream_array_clamps_the_largest_output_like_shot_stream(monkeypatch):
@@ -142,8 +142,7 @@ def test_stream_array_clamps_the_largest_output_like_shot_stream(monkeypatch):
         return starts
 
     monkeypatch.setattr(sampler_module, "_stream_start", one_start_before_the_largest_output)
-    streams = sampler_module._StreamArray(0, 0, 3, 1)
-    got = streams.draw(np.arange(3)).tolist()
+    got = sampler_module._uniforms(0, 0, 3, 1)[:, 0].tolist()
     assert got == expected
     assert got[1] == 1.0 - 2.0**-53
 
@@ -153,24 +152,34 @@ def test_stream_array_clamps_the_largest_output_like_shot_stream(monkeypatch):
     seed=st.integers(-(2**70), 2**70),
     last=st.integers(0, MAX_SHOTS - 1),
     count=st.integers(1, 6),
-    rounds=st.lists(st.lists(st.integers(0, 5), min_size=1, unique=True), max_size=6),
+    draws=st.integers(0, 6),
 )
-def test_stream_array_equals_shot_stream_draw_for_draw(seed, last, count, rounds):
-    """Any seed reduces mod 2**64 as the int arithmetic does; only listed shots advance.
+def test_stream_array_equals_shot_stream_draw_for_draw(seed, last, count, draws):
+    """Any seed reduces mod 2**64 as the int arithmetic does.
 
-    The table holds as many draws as the busiest shot takes; its next one raises.
+    The table holds ``draws`` uniforms per shot; reading the next one raises.
     """
     start = max(0, last - count + 1)
     count = last - start + 1
-    rounds = [[i for i in listed if i < count] or [0] for listed in rounds + [list(range(count))]]
-    taken = [sum(i in listed for listed in rounds) for i in range(count)]
-    streams = sampler_module._StreamArray(seed, start, count, max(taken))
-    refs = [ShotStream(seed, start + i) for i in range(count)]
-    for listed in rounds:
-        got = streams.draw(np.array(listed))
-        assert got.tolist() == [refs[i].random() for i in listed]
+    table = sampler_module._uniforms(seed, start, count, draws)
+    for i in range(count):
+        ref = ShotStream(seed, start + i)
+        assert table[i].tolist() == [ref.random() for _ in range(draws)]
     with pytest.raises(IndexError):
-        streams.draw(np.array([taken.index(max(taken))]))
+        table[count - 1, draws]
+
+
+def test_stream_table_build_holds_little_beyond_the_table():
+    """The table is filled in place: its build holds at most four columns more."""
+    count, draws = 2**16, 12
+    tracemalloc.start()
+    try:
+        table = sampler_module._uniforms(3, 5, count, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (count, draws)
+    assert peak - table.nbytes <= 4 * 8 * count
 
 
 # --- shot planning ----------------------------------------------------------
@@ -202,6 +211,8 @@ def test_plan_shots_validation():
     with pytest.raises(ValueError):
         plan_shots(0.1, 0.05, 1.0, 0.5)
     for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            plan_shots(bad, 0.05, 1.0, 1.0)
         with pytest.raises(ValueError, match="o_max"):
             plan_shots(0.1, 0.05, bad, 1.0)
         with pytest.raises(ValueError, match="w_total"):
@@ -231,11 +242,22 @@ def test_config_rejects_mistyped_shots_and_seed():
         {"epsilon": "0.5", "delta": 0.5},
         {"epsilon": 0.5, "delta": False},
         {"epsilon": 0.5, "delta": 0.5j},
+        {"epsilon": float("inf"), "delta": 0.5},
+        {"epsilon": 0.5, "delta": float("nan")},
     ):
         with pytest.raises(ValueError):
             EstimatorConfig(**kwargs)
-    # any real number passes; its range is checked where shots are planned
+    # any finite real number passes; its range is checked where shots are planned
     assert EstimatorConfig(epsilon=np.float64(0.5), delta=1).delta == 1
+
+
+def test_config_reads_numpy_integers_as_ints():
+    circuit = bell_cut()
+    numpy_config = EstimatorConfig(shots=np.int64(40), seed=np.uint8(3))
+    assert type(numpy_config.shots) is int and type(numpy_config.seed) is int
+    result = estimate(circuit, ZZ, numpy_config)
+    assert result.to_doc() == estimate(circuit, ZZ, EstimatorConfig(shots=40, seed=3)).to_doc()
+    assert run_shot(circuit, ZZ, np.int32(3), np.int64(5)) == run_shot(circuit, ZZ, 3, 5)
 
 
 def test_mode_must_be_a_measure_mode():
@@ -262,8 +284,7 @@ def test_run_shot_is_the_estimate_shot_bit_for_bit(mode):
     for n in (3, 6, 8):
         circuit, observable = oracle_instance(n, LAYOUTS["two cuts"], 2)
         plan = sampler_module._compile(circuit, observable, mode)
-        streams = sampler_module._StreamArray(8, 0, shots, plan.draws)
-        x = sampler_module._walk(plan, streams.draw, shots)[2]
+        x = sampler_module._walk(plan, sampler_module._uniforms(8, 0, shots, plan.draws))[2]
         for s in range(shots):
             assert run_shot(circuit, observable, 8, s, mode).value == x[s]
 
@@ -528,28 +549,29 @@ def test_run_shot_matches_per_gate_reference(layout, num_qubits, mode):
 def test_plan_draws_bound_every_shot_and_are_reached(mode):
     """``plan.draws`` sizes the stream table: no shot takes more, some take that many.
 
-    A shot drawing past the table raises IndexError, so the walk itself
-    checks the upper bound.
+    A shot reading past the table's columns raises IndexError, so the walk
+    itself checks the upper bound, and one column fewer is read past.
     """
     circuit, observable = oracle_instance(3, LAYOUTS["two cuts"], 2)
     plan = sampler_module._compile(circuit, observable, mode)
-    streams = sampler_module._StreamArray(3, 0, 40, plan.draws)
-    sampler_module._walk(plan, streams.draw, 40)
-    assert streams._next.max() == plan.draws
+    table = sampler_module._uniforms(3, 0, 40, plan.draws)
+    sampler_module._walk(plan, table)
+    with pytest.raises(IndexError):
+        sampler_module._walk(plan, table[:, :-1])
 
 
-def walk_against_reference(circuit, observable, mode, seed, rows):
+def walk_against_reference(circuit, observable, mode, seed, rows, read_marks):
     """One walk of ``rows`` shots, one stream each, next to the reference shot by shot.
 
     Asserts equal draws per row and equal (phase, o', x) to 1e-12; returns x.
     """
     decomps = cut_decomps(circuit)
     plan = sampler_module._compile(circuit, observable, mode)
-    streams = sampler_module._StreamArray(seed, 0, rows, plan.draws)
+    table = read_marks(sampler_module._uniforms(seed, 0, rows, plan.draws))
     refs = [CountingStream(ShotStream(seed, s)) for s in range(rows)]
-    phase, o_value, x = sampler_module._walk(plan, streams.draw, rows)
+    phase, o_value, x = sampler_module._walk(plan, table)
     expected = [reference_shot(circuit, observable, decomps, ref, mode) for ref in refs]
-    assert streams._next.tolist() == [r.draws for r in refs]
+    assert table.counts().tolist() == [r.draws for r in refs]
     for i, (ref_phase, ref_o, ref_x) in enumerate(expected):
         assert abs(phase[i] - ref_phase) < 1e-12
         assert abs(o_value[i] - ref_o) < 1e-12
@@ -560,19 +582,19 @@ def walk_against_reference(circuit, observable, mode, seed, rows):
 @pytest.mark.parametrize("mode", list(MeasureMode))
 @pytest.mark.parametrize("num_qubits", [3, 6, 9])
 @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
-def test_block_rows_match_the_per_gate_reference(layout, num_qubits, mode):
+def test_block_rows_match_the_per_gate_reference(layout, num_qubits, mode, read_marks):
     circuit, observable = oracle_instance(num_qubits, layout, len(layout))
-    walk_against_reference(circuit, observable, mode, 5, 7)
+    walk_against_reference(circuit, observable, mode, 5, 7, read_marks)
 
 
 @pytest.mark.parametrize("mode", list(MeasureMode))
 @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
-def test_wide_shots_match_the_reference_on_touched_qubits(layout, mode):
+def test_wide_shots_match_the_reference_on_touched_qubits(layout, mode, read_marks):
     """Wide shots against the reference on observables that do not vanish."""
     circuit, observable = touched_instance(layout, len(layout))
     assert abs(exact_expectation(circuit, observable)) >= 0.05
     shot_against_reference(circuit, observable, mode)
-    x = walk_against_reference(circuit, observable, mode, 5, 40)
+    x = walk_against_reference(circuit, observable, mode, 5, 40, read_marks)
     # a shot whose path carries an imaginary phase is 0 by design
     assert np.count_nonzero(np.abs(x) > 1e-3) >= 10
 
@@ -604,6 +626,25 @@ def test_estimates_are_pinned_bit_for_bit(key):
     assert (result.mean.hex(), result.std_error.hex()) == PINNED_ESTIMATES[key]
 
 
+# sha256 of _walk's (phase, o', x) bytes over n in (3, 6, 9), LAYOUTS and
+# MeasureMode, in that loop order, 64 shots each from stream seed 17
+WALK_DIGEST = "2f3477bd4e146158ee6332a5b567170b75d4c89398b69d0c9ecc0d33bbf82f7e"
+
+
+def test_walk_is_pinned_shot_for_shot():
+    """Every shot's phase, o' and x, bit for bit, on 18 instances in both modes."""
+    digest = hashlib.sha256()
+    for n in (3, 6, 9):
+        for layout in LAYOUTS.values():
+            circuit, observable = oracle_instance(n, layout, len(layout))
+            for mode in MeasureMode:
+                plan = sampler_module._compile(circuit, observable, mode)
+                table = sampler_module._uniforms(17, 0, 64, plan.draws)
+                for values in sampler_module._walk(plan, table):
+                    digest.update(values.tobytes())
+    assert digest.hexdigest() == WALK_DIGEST
+
+
 @pytest.mark.parametrize("mode", list(MeasureMode))
 def test_estimate_is_independent_of_the_block_size(monkeypatch, mode):
     """Chunks of 5 shots give every shot the value one chunk gives it, bit for bit.
@@ -617,8 +658,8 @@ def test_estimate_is_independent_of_the_block_size(monkeypatch, mode):
     chunks = []
     walk = sampler_module._walk
 
-    def recorded(plan, draw, shots):
-        out = walk(plan, draw, shots)
+    def recorded(plan, table):
+        out = walk(plan, table)
         chunks.append(out[2])
         return out
 
