@@ -14,7 +14,10 @@ The weight maximum is located by a coarse grid (which includes the
 t1 = pi/4 face, where the maximum lives) followed by Nelder-Mead refinement
 from the best grid points. W is invariant under coordinate permutations, so
 the box-constrained search is equivalent to the tetrahedron search and the
-refined point is sorted into canonical order.
+refined point is sorted into canonical order. scipy is imported inside
+``find_max_w``, its only user, so importing this module (and every CLI
+command) loads only numpy; the first ``find_max_w`` call in a process pays
+the ``scipy.optimize`` import.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from math import pi
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .canonical import ThetaVector, pauli_coefficients
 from .circuit import gate_based_cost
@@ -92,7 +94,9 @@ def find_max_w() -> tuple[ThetaVector, float]:
     Grid stage: ``_GRID_POINTS`` per axis, the t1 = pi/4 face included.
     Refinement: derivative-free Nelder-Mead from the ``_RESTARTS`` best grid
     points, box-bounded to [0, pi/4]^3, simplex tolerance below 1e-8.
+    The first call in a process also pays the ``scipy.optimize`` import.
     """
+    from scipy.optimize import minimize
 
     def objective(t: np.ndarray) -> float:
         return -weight_formula(pauli_coefficients(t))

@@ -84,6 +84,8 @@ class CanonicalGate:
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.qubits, Iterable):
+            raise ValueError(f"canonical gate needs a pair of qubits, got {self.qubits!r}")
         qs = tuple(integer(q, "qubit index") for q in self.qubits)
         if len(qs) != 2 or qs[0] == qs[1]:
             raise ValueError(f"canonical gate needs two distinct qubits, got {qs}")
@@ -120,6 +122,8 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "num_qubits", integer(self.num_qubits, "num_qubits"))
+        if not isinstance(self.gates, Iterable):
+            raise ValueError(f"gates must be a sequence of gates, got {self.gates!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
         if not 1 <= self.num_qubits <= MAX_QUBITS:
             raise ValueError(f"num_qubits must be 1..{MAX_QUBITS}, got {self.num_qubits}")
@@ -287,6 +291,8 @@ def gate_based_estimate(
     expectation; deterministic (every shot equal) when the gate is a
     single Pauli pair, e.g. the identity.
     """
+    shots = integer(shots, "shots")
+    gate_index = integer(gate_index, "gate index")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if not 0 <= gate_index < len(circuit.gates):

@@ -42,12 +42,28 @@ _COEFF_DROP = 1e-14
 ChannelSequence = tuple[BasisChannelId, ...]
 
 
+def _channel_ids(labels, side: str) -> ChannelSequence:
+    """``labels`` as a non-empty tuple of channel ids; ValueError otherwise."""
+    try:
+        ids = tuple(labels)
+    except TypeError:
+        ids = ()
+    # a plain loop: all() over a generator costs about 3x as much per label
+    for channel in ids:
+        if not isinstance(channel, BasisChannelId):
+            break
+    else:
+        if ids:
+            return ids
+    raise ValueError(f"{side} must be a non-empty tuple of channel ids, got {labels!r}")
+
+
 @dataclass(frozen=True)
 class QPTerm:
     """One quasiprobability term: coefficient and per-qubit channel labels.
 
-    ``left`` and ``right`` are sequences of basis-channel ids, applied in
-    order; single-gate decompositions use length-1 sequences.
+    ``left`` and ``right`` are stored as non-empty tuples of basis-channel
+    ids, applied in order; single-gate decompositions use length-1 tuples.
     """
 
     coefficient: complex
@@ -55,8 +71,11 @@ class QPTerm:
     right: ChannelSequence
 
     def __post_init__(self) -> None:
-        if not self.left or not self.right:
-            raise ValueError("channel label sequences must be non-empty")
+        for side in ("left", "right"):
+            labels = getattr(self, side)
+            ids = _channel_ids(labels, side)
+            if ids is not labels:  # tuple() of a tuple is itself: no setattr then
+                object.__setattr__(self, side, ids)
         if self.coefficient == 0:
             raise ValueError("zero-coefficient terms must be dropped, not stored")
 

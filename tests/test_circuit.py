@@ -198,6 +198,8 @@ def test_circuit_validation():
         lambda: CanonicalGate((0, 1), (10**400, 0, 0)),
         # a number where a container belongs
         lambda: CanonicalGate((0, 1), 5),
+        lambda: CanonicalGate(5, (0.1, 0, 0)),
+        lambda: Circuit(1, 5),
         lambda: SingleGate(0, 5, 0.1),
         lambda: Observable(5),
         lambda: Observable((5,)),
@@ -313,6 +315,10 @@ def test_gate_based_estimate_validates_index():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         gate_based_estimate(circuit, 5, ZZ, 10, rng)
+    # shots and the index are read as integers, not left to numpy
+    for shots, index in ((2.5, 0), (True, 0), (10, 0.0)):
+        with pytest.raises(ValueError, match="integer"):
+            gate_based_estimate(circuit, index, ZZ, shots, rng)
     bad = Circuit(2, (SingleGate(0, Y_AXIS, 0.1),))
     with pytest.raises(ValueError):
         gate_based_estimate(bad, 0, ZZ, 10, rng)

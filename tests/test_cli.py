@@ -1,6 +1,8 @@
 """End-to-end CLI behavior through main(), including exit codes."""
 
 import json
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -372,3 +374,35 @@ def test_compare_formats(capsys):
 def test_domain_violation_is_semantic_error(capsys):
     code, _, err = run_cli(capsys, "decompose", "nan", "0", "0")
     assert code == 3 and "error" in err
+
+
+# Runs in a fresh interpreter: imports the package and the CLI, runs each
+# command once, and reports the exit codes and whether scipy got loaded.
+_IMPORT_GRAPH_SCRIPT = """
+import contextlib, io, json, sys
+import quasicut
+from quasicut import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
+"""
+
+
+def test_no_command_imports_scipy(tmp_path):
+    """Only find_max_w needs scipy, and no command calls it: a CLI process loads numpy alone."""
+    circuit = write_json(tmp_path / "circuit.json", CIRCUIT_DOC)
+    observable = write_json(tmp_path / "observable.json", OBSERVABLE_DOC)
+    commands = [
+        ["decompose", PI_4, "0", "0"],
+        ["verify", "0.3", "0.2", "0.1"],
+        ["plan", "0.1", "0.01", "1", "3"],
+        ["compare", "0.3", "0.2", "0.1"],
+        ["sweep", "2"],
+        ["estimate", "--circuit", circuit, "--observable", observable, "--shots", "100"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH_SCRIPT, json.dumps(commands)],
+        capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * len(commands), "scipy": False}

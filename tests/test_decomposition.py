@@ -214,6 +214,20 @@ def test_term_validation():
         QPTerm(0.0, (pauli_channel(0),), (pauli_channel(0),))
     with pytest.raises(ValueError):
         QPTerm(1.0, (), (pauli_channel(0),))
+    # labels that are not channel ids fail here, not later in reconstruct_ptm
+    for build in (
+        lambda: QPTerm(1.0, 5, 5),
+        lambda: QPTerm(1.0, ("x",), ("y",)),
+        lambda: QPTerm(1.0, (pauli_channel(0),), "s0"),
+        lambda: QPDecomposition((QPTerm(1.0, 5, 5),), 1.0),
+    ):
+        with pytest.raises(ValueError, match="channel ids"):
+            build()
+    # any sequence of ids is stored as the term's own tuple
+    labels = [pauli_channel(1)]
+    term = QPTerm(1.0, labels, (pauli_channel(2),))
+    labels.append(pauli_channel(3))
+    assert term.left == (pauli_channel(1),)
     with pytest.raises(ValueError):
         QPDecomposition((QPTerm(1.0, (pauli_channel(0),), (pauli_channel(0),)),), 0.0)
     # the weight is the one-norm sum |c| = 5.593..., to a relative 1e-9
