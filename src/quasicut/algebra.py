@@ -54,6 +54,8 @@ def integer(value, what: str) -> int:
 
 def finite_real(value, what: str) -> float:
     """``value`` as a float; ValueError unless a finite real number that is not a bool."""
+    if type(value) is float and isfinite(value):  # the common case, without the ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
     try:

@@ -29,6 +29,7 @@ from math import pi
 
 import numpy as np
 
+from .algebra import integer
 from .canonical import ThetaVector, pauli_coefficients
 from .circuit import gate_based_cost
 from .decomposition import legacy_cost, weight_formula
@@ -36,6 +37,9 @@ from .decomposition import legacy_cost, weight_formula
 # find_max_w's grid resolution per axis and its number of refinement starts
 _GRID_POINTS = 50
 _RESTARTS = 3
+
+# a sweep row costs about 0.1-0.2 ms and 300 bytes: at this count, minutes and 300 MB
+MAX_SWEEP_ROWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -82,10 +86,19 @@ def _lattice(points_per_axis: int):
 
 
 def sweep(points_per_axis: int) -> list[SweepRow]:
-    """All lattice points of the tetrahedron at the given axis resolution."""
-    if points_per_axis < 2:
+    """All lattice points of the tetrahedron at the given axis resolution.
+
+    ``points_per_axis`` is an integer of at least 2 whose lattice has at
+    most ``MAX_SWEEP_ROWS`` rows (180 points per axis or fewer); anything
+    else raises ValueError before a row is computed.
+    """
+    m = integer(points_per_axis, "points per axis")
+    if m < 2:
         raise ValueError("need at least 2 points per axis")
-    return [compare_costs(point) for point in _lattice(points_per_axis)]
+    rows = m * (m + 1) * (m + 2) // 6
+    if rows > MAX_SWEEP_ROWS:
+        raise ValueError(f"{m} points per axis make {rows} rows, over the limit {MAX_SWEEP_ROWS}")
+    return [compare_costs(point) for point in _lattice(m)]
 
 
 def find_max_w() -> tuple[ThetaVector, float]:

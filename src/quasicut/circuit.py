@@ -246,16 +246,17 @@ def pauli_string_apply(psi: np.ndarray, pauli: str, num_qubits: int) -> np.ndarr
     return out
 
 
-def pauli_string_expectation(psi: np.ndarray, pauli: str, num_qubits: int) -> float:
-    return float(np.real(np.vdot(psi, pauli_string_apply(psi, pauli, num_qubits))))
+def pauli_string_expectation(psi: np.ndarray, pauli: str, num_qubits: int) -> np.ndarray:
+    """Re <psi|P|psi> per state on the last axis of ``psi``; leading axes are a batch."""
+    applied = pauli_string_apply(psi, pauli, num_qubits)
+    return np.einsum("...j,...j->...", psi.conj(), applied).real
 
 
-def observable_expectation(psi: np.ndarray, observable: Observable, num_qubits: int) -> float:
-    return float(
-        sum(
-            coeff * pauli_string_expectation(psi, pauli, num_qubits)
-            for coeff, pauli in observable.terms
-        )
+def observable_expectation(psi: np.ndarray, observable: Observable, num_qubits: int) -> np.ndarray:
+    """<psi|O|psi> per state on the last axis of ``psi``; leading axes are a batch."""
+    return sum(
+        coeff * pauli_string_expectation(psi, pauli, num_qubits)
+        for coeff, pauli in observable.terms
     )
 
 
@@ -265,8 +266,7 @@ def exact_expectation(circuit: Circuit, observable: Observable) -> float:
         raise ValueError(
             f"observable width {observable.num_qubits} != circuit width {circuit.num_qubits}"
         )
-    psi = statevector(circuit)
-    return observable_expectation(psi, observable, circuit.num_qubits)
+    return float(observable_expectation(statevector(circuit), observable, circuit.num_qubits))
 
 
 # --- gate-based estimation ------------------------------------------------

@@ -12,8 +12,9 @@ Subcommands:
 Angles are radians. Exit codes: 0 success, 1 verification failure, 2 malformed
 input (bad flags, unparsable documents, values of the wrong JSON type), 3
 semantically invalid input (bad qubit indices, non-unit axes, NaN or infinite
-parameters, mismatched widths, more shots than ``sampler.MAX_SHOTS``). The estimate seed defaults
-to 0, can be set with --seed, or with the QUASICUT_SEED environment variable.
+parameters, mismatched widths, more shots than ``sampler.MAX_SHOTS``, more sweep
+rows than ``analysis.MAX_SWEEP_ROWS``). The estimate seed defaults to 0, can be
+set with --seed, or with the QUASICUT_SEED environment variable.
 """
 
 from __future__ import annotations

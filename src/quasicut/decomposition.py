@@ -7,8 +7,8 @@ of the local basis channels:
               + sum_{a<b} r_ab ( A_ab (x) A_ab - B_ab (x) B_ab )[rho]
               + sum_{a<b} s_ab ( A_ab (x) B_ab + B_ab (x) A_ab )[rho]
 
-with r_ab = u_a u_b* + u_b u_a* and s_ab = i (u_a u_b* - u_b u_a*), both real
-for any u (the construction asserts |Im| < 1e-12 and stores the real part).
+with r_ab = u_a u_b* + u_b u_a* = 2 Re(u_a u_b*) and
+s_ab = i (u_a u_b* - u_b u_a*) = -2 Im(u_a u_b*): every coefficient is real.
 The one-norm of the coefficients is the sampling weight
 
     W(U) = 1 + sum_{a != b} ( |u_a u_b* + u_b u_a*| + |u_a u_b* - u_b u_a*| ),
@@ -32,11 +32,11 @@ from typing import Iterable
 
 import numpy as np
 
+from .algebra import finite_real
 from .canonical import PauliCoeffs, ThetaVector, pauli_coefficients
 from .circuit import FormatError, _complex_pair, _number, _typed
 from .local_basis import BasisChannelId, a_channel, b_channel, basis_ptm, pauli_channel
 
-_IMAG_TOL = 1e-12
 _COEFF_DROP = 1e-14
 
 ChannelSequence = tuple[BasisChannelId, ...]
@@ -60,17 +60,20 @@ def _channel_ids(labels, side: str) -> ChannelSequence:
 
 @dataclass(frozen=True)
 class QPTerm:
-    """One quasiprobability term: coefficient and per-qubit channel labels.
+    """One quasiprobability term: a finite, nonzero float and per-qubit channel labels.
 
     ``left`` and ``right`` are stored as non-empty tuples of basis-channel
     ids, applied in order; single-gate decompositions use length-1 tuples.
     """
 
-    coefficient: complex
+    coefficient: float
     left: ChannelSequence
     right: ChannelSequence
 
     def __post_init__(self) -> None:
+        coefficient = finite_real(self.coefficient, "coefficient")
+        if coefficient is not self.coefficient:  # a float is read as itself: no setattr then
+            object.__setattr__(self, "coefficient", coefficient)
         for side in ("left", "right"):
             labels = getattr(self, side)
             ids = _channel_ids(labels, side)
@@ -120,22 +123,18 @@ def decompose(u: PauliCoeffs | Iterable[complex]) -> QPDecomposition:
     for a in range(4):
         c = float(np.abs(vals[a]) ** 2)
         if c >= _COEFF_DROP:
-            terms.append(QPTerm(complex(c), (pauli_channel(a),), (pauli_channel(a),)))
+            terms.append(QPTerm(c, (pauli_channel(a),), (pauli_channel(a),)))
     for a in range(4):
         for b in range(a + 1, 4):
-            x = vals[a] * np.conj(vals[b])
-            r = x + np.conj(x)
-            s = 1j * (x - np.conj(x))
-            if abs(r.imag) > _IMAG_TOL or abs(s.imag) > _IMAG_TOL:
-                raise ValueError("pair coefficients failed the reality check")
-            r, s = float(r.real), float(s.real)
+            x = complex(vals[a] * np.conj(vals[b]))
+            r, s = 2.0 * x.real, -2.0 * x.imag
             aa, bb = a_channel(a, b), b_channel(a, b)
             if abs(r) >= _COEFF_DROP:
-                terms.append(QPTerm(complex(r), (aa,), (aa,)))
-                terms.append(QPTerm(complex(-r), (bb,), (bb,)))
+                terms.append(QPTerm(r, (aa,), (aa,)))
+                terms.append(QPTerm(-r, (bb,), (bb,)))
             if abs(s) >= _COEFF_DROP:
-                terms.append(QPTerm(complex(s), (aa,), (bb,)))
-                terms.append(QPTerm(complex(s), (bb,), (aa,)))
+                terms.append(QPTerm(s, (aa,), (bb,)))
+                terms.append(QPTerm(s, (bb,), (aa,)))
     weight = float(sum(abs(t.coefficient) for t in terms))
     return QPDecomposition(tuple(terms), weight)
 
@@ -161,11 +160,7 @@ def reconstruct_ptm(decomposition: QPDecomposition) -> np.ndarray:
     """
     out = np.zeros((16, 16))
     for term in decomposition.terms:
-        block = np.kron(_sequence_ptm(term.left), _sequence_ptm(term.right))
-        coeff = complex(term.coefficient)
-        if abs(coeff.imag) > _IMAG_TOL:
-            raise ValueError("complex coefficients cannot form a real PTM")
-        out += coeff.real * block
+        out += term.coefficient * np.kron(_sequence_ptm(term.left), _sequence_ptm(term.right))
     return out
 
 
@@ -229,11 +224,11 @@ def legacy_cost(theta: ThetaVector | Iterable[float]) -> float:
 def decomposition_to_doc(
     decomposition: QPDecomposition, u: PauliCoeffs | None = None
 ) -> dict:
-    """Plain-JSON document: complex numbers become [re, im] pairs."""
+    """Plain-JSON document: numbers become [re, im] pairs, a coefficient's im 0.0."""
     doc: dict = {
         "terms": [
             {
-                "c": [term.coefficient.real, term.coefficient.imag],
+                "c": [term.coefficient, 0.0],
                 "left": ",".join(cid.label() for cid in term.left),
                 "right": ",".join(cid.label() for cid in term.right),
             }
@@ -251,14 +246,14 @@ def decomposition_from_doc(doc: dict) -> tuple[QPDecomposition, PauliCoeffs | No
 
     Raises FormatError on structural problems (missing fields, values of the
     wrong JSON type, unknown channel labels) and ValueError on semantically
-    invalid ones (a zero coefficient, a non-positive weight).
+    invalid ones (a zero or complex coefficient, a non-positive weight).
     """
     if not isinstance(doc, dict):
         raise FormatError("decomposition document must be a JSON object")
     try:
         terms = tuple(
             QPTerm(
-                _complex_pair(entry["c"], "c"),
+                _real_pair(entry["c"], "c"),
                 _channel_sequence(entry["left"], "left"),
                 _channel_sequence(entry["right"], "right"),
             )
@@ -273,6 +268,14 @@ def decomposition_from_doc(doc: dict) -> tuple[QPDecomposition, PauliCoeffs | No
         raise FormatError(f"malformed decomposition document: {exc}") from exc
     u = None if u_values is None else PauliCoeffs(np.array(u_values))
     return QPDecomposition(terms, weight), u
+
+
+def _real_pair(value, field: str) -> float:
+    """A real number stored as a JSON ``[re, im]`` pair; ValueError unless im is 0."""
+    c = _complex_pair(value, field)
+    if c.imag != 0.0:
+        raise ValueError(f"{field} must be real, got imaginary part {c.imag}")
+    return c.real
 
 
 def _channel_sequence(value, field: str) -> ChannelSequence:

@@ -171,7 +171,7 @@ class RealizationOutcome:
     """One sampled run of a program: post state and accumulated weight."""
 
     state: QuantumState
-    weight: complex
+    weight: float
 
 
 def projector(axis: tuple[float, float, float] | np.ndarray) -> np.ndarray:
@@ -333,7 +333,7 @@ def realize(channel: BasisChannelId, state: QuantumState, rng) -> RealizationOut
     if state.num_qubits != 1:
         raise ValueError("realize acts on single-qubit states")
     psi, weight = run_program(state.vector, realization_program(channel), 0, 1, rng)
-    return RealizationOutcome(QuantumState(num_qubits=1, vector=psi), complex(weight))
+    return RealizationOutcome(QuantumState(num_qubits=1, vector=psi), weight)
 
 
 def check_basis_completeness() -> bool:

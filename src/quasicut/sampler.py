@@ -4,24 +4,23 @@ Each shot runs the circuit once. An uncut gate is applied exactly. A cut
 canonical gate is replaced by one term of its quasiprobability decomposition,
 drawn proportionally to |coefficient|; the term's channel labels are realized
 on the two qubits (projective branches and coin flips included) and the
-coefficient's phase together with the realization weights, each +-1,
-accumulate into a unit-modulus shot phase. The shot value is
+coefficient's sign together with the realization weights, each +-1,
+multiply into the shot sign s_s = +-1. The shot value is
 
-    x_s = W_total * Re(phase_s * o_s'),
+    x_s = W_total * s_s * o_s',
 
 where W_total is the product of the cut weights and o_s' is either the exact
 trace of the observable on the realized state (EXACT_TRACE) or a sampled
 joint eigenvalue of one observable term scaled by o_max (EIGENVALUE_SAMPLE).
-Averaged over shots this is unbiased for the exact expectation; taking the
-real part is a refinement that only removes noise, since the imaginary part
-has zero mean for a unitary target. |x_s| <= W_total * o_max holds per shot
-and is asserted.
+Averaged over shots this is unbiased for the exact expectation.
+|x_s| <= W_total * o_max holds per shot and is asserted.
 
 ``estimate`` compiles (circuit, observable, mode) once into a shot plan,
 decomposing each cut gate, and runs every shot from it: the state after the
 uncut gates before the first cut, simulated once, and per cut its qubits,
 weight, sampling table and the uncut gates up to the next cut or the end.
-The observable is read per Pauli string on the final states.
+The oracle's own ``observable_expectation`` and ``pauli_string_expectation``
+read the observable on a stack of final states at once.
 
 Every step a shot takes is picked from a small discrete set: the term, the
 coin sides and measurement outcomes of its steps, and at the end the
@@ -80,7 +79,8 @@ from .circuit import (
     Observable,
     apply_gate,
     initial_state,
-    pauli_string_apply,
+    observable_expectation,
+    pauli_string_expectation,
 )
 from .decomposition import decompose
 from .canonical import pauli_coefficients
@@ -92,7 +92,7 @@ _BOUND_SLACK = 1e-9
 _BELOW_ONE = 1.0 - 2.0**-53
 
 # estimate walks its shots in chunks of this many; a chunk holds about 100
-# bytes per shot (phase, o', x, indices) and 8 per entry of its stream
+# bytes per shot (sign, o', x, indices) and 8 per entry of its stream
 # table next to its tree
 _CHUNK_SHOTS = 1 << 16
 
@@ -202,9 +202,9 @@ def _check_mode(mode) -> None:
 
 @dataclass(frozen=True)
 class ShotRecord:
-    """One shot: accumulated phase, observable sample o', and x = W Re(phase o')."""
+    """One shot: its sign +-1, observable sample o', and x = W * sign * o'."""
 
-    phase: complex
+    sign: float
     observable_value: float
     value: float
 
@@ -250,16 +250,16 @@ class _Cut:
     """One cut gate's sampling table and the uncut segment that follows it.
 
     ``cums`` are cumulative |coefficient| cut points for the term draw,
-    ``phases`` the unit phases c/|c|, and ``steps`` per term one run of
-    (qubit, step) pairs: the steps of its left channels on the gate's first
-    qubit, then those of its right channels on the second, and ``draws``
-    per term their coins and measurements. ``after`` holds the uncut gates
-    up to the next cut, or to the end of the circuit.
+    ``signs`` the coefficients' signs c/|c|, each +-1.0, and ``steps`` per
+    term one run of (qubit, step) pairs: the steps of its left channels on
+    the gate's first qubit, then those of its right channels on the second,
+    and ``draws`` per term their coins and measurements. ``after`` holds the
+    uncut gates up to the next cut, or to the end of the circuit.
     """
 
     weight: float
     cums: tuple[float, ...]
-    phases: tuple[complex, ...]
+    signs: tuple[float, ...]
     steps: tuple[tuple[tuple[int, RealizationStep], ...], ...]
     draws: tuple[int, ...]
     after: tuple[Gate, ...]
@@ -330,7 +330,7 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
             _Cut(
                 weight=decomp.weight,
                 cums=tuple(accumulate(abs(t.coefficient) for t in decomp.terms)),
-                phases=tuple(t.coefficient / abs(t.coefficient) for t in decomp.terms),
+                signs=tuple(t.coefficient / abs(t.coefficient) for t in decomp.terms),
                 steps=steps,
                 draws=term_draws,
                 after=tuple(after),
@@ -354,7 +354,7 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
 def _walk(plan: _ShotPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the shot of each row of uniforms ``table`` down the plan's branch tree.
 
-    Returns (phase, o', x) arrays. A path ``(phase, shots, j)`` is a node:
+    Returns (sign, o', x) arrays. A path ``(sign, shots, j)`` is a node:
     the shots (rows) that reached it, each having taken j draws, so it
     reads column j. ``descend`` starts at a one-row stack, the prefix.
     Before cut k each row's shots draw their terms from column j, each
@@ -369,10 +369,10 @@ def _walk(plan: _ShotPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     """
     n = plan.num_qubits
     shots = len(table)
-    phase = np.empty(shots, dtype=complex)
+    sign = np.empty(shots)
     o_value = np.empty(shots)
 
-    def descend(k: int, stack: np.ndarray, paths: list[tuple[complex, np.ndarray, int]]) -> None:
+    def descend(k: int, stack: np.ndarray, paths: list[tuple[float, np.ndarray, int]]) -> None:
         # row r of stack is the state before cut k of the shots paths[r][1]
         if k == len(plan.cuts):
             leaves(stack, paths)
@@ -384,49 +384,48 @@ def _walk(plan: _ShotPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
                 child = apply_gate(child, gate, n)
             descend(k + 1, child, children)
 
-    def batches(cut: _Cut, stack: np.ndarray, paths: list[tuple[complex, np.ndarray, int]]):
+    def batches(cut: _Cut, stack: np.ndarray, paths: list[tuple[float, np.ndarray, int]]):
         # the children of consecutive rows, cut off once they hold _BATCH_AMPS
         states, children = [], []
-        for psi, (path_phase, idx, j) in zip(stack, paths):
+        for psi, (path_sign, idx, j) in zip(stack, paths):
             for term, drew in _draw_terms(table[idx, j], cut.cums, cut.weight):
                 taken, end = idx[drew], j + 1 + cut.draws[term]
                 u = table[taken, j + 1 : end]
                 for state, w, rows in run_branches(psi, cut.steps[term], n, u):
                     states.append(state)
-                    children.append((path_phase * cut.phases[term] * w, taken[rows], end))
+                    children.append((path_sign * cut.signs[term] * w, taken[rows], end))
             if len(states) << n >= _BATCH_AMPS:
                 yield states, children
                 states, children = [], []
         if states:
             yield states, children
 
-    def leaves(stack: np.ndarray, paths: list[tuple[complex, np.ndarray, int]]) -> None:
+    def leaves(stack: np.ndarray, paths: list[tuple[float, np.ndarray, int]]) -> None:
         idx = np.concatenate([i for _, i, _ in paths])
         leaf_of = np.repeat(np.arange(len(paths)), [len(i) for _, i, _ in paths])
-        phase[idx] = np.array([p for p, _, _ in paths])[leaf_of]
+        sign[idx] = np.array([s for s, _, _ in paths])[leaf_of]
         if plan.mode is MeasureMode.EXACT_TRACE:
-            means = sum(c * _row_means(stack, pauli, n) for c, pauli in plan.observable.terms)
-            o_value[idx] = means[leaf_of]
+            o_value[idx] = observable_expectation(stack, plan.observable, n)[leaf_of]
             return
         col = np.array([j for _, _, j in paths])[leaf_of]
         for term, drew in _draw_terms(table[idx, col], plan.term_cums, plan.term_cums[-1]):
             taken, at = idx[drew], leaf_of[drew]
-            sign, pauli = plan.terms[term]
+            term_sign, pauli = plan.terms[term]
             used = np.unique(at)
             means = np.empty(len(paths))
             # a Pauli string's entries are 0, +-1 or +-i: exact in any row position
-            means[used] = _row_means(stack[used], pauli, n)
+            means[used] = pauli_string_expectation(stack[used], pauli, n)
             p_plus = np.clip(0.5 * (1.0 + means[at]), 0.0, 1.0)
             eig = np.where(table[taken, col[drew] + 1] < p_plus, 1.0, -1.0)
-            o_value[taken] = sign * eig * plan.observable.o_max
+            o_value[taken] = term_sign * eig * plan.observable.o_max
 
-    descend(0, _stack([plan.prefix], n), [(1.0 + 0.0j, np.arange(shots), 0)])
-    x = plan.w_total * (phase.real * o_value)
+    descend(0, _stack([plan.prefix], n), [(1.0, np.arange(shots), 0)])
+    x = plan.w_total * (sign * o_value)
     bound = plan.w_total * plan.observable.o_max
     over = np.abs(x) > bound + _BOUND_SLACK
     if over.any():
         raise AssertionError(f"shot value {x[over][0]} exceeds bound {bound}")
-    return phase, o_value, x
+    return sign, o_value, x
 
 
 def _draw_terms(u: np.ndarray, cums: tuple[float, ...], total: float):
@@ -452,11 +451,6 @@ def _stack(states, n: int) -> np.ndarray:
     rows = list(states)
     quantum = max(16 >> n, 1)
     return np.stack(rows + rows[:1] * (-len(rows) % quantum))
-
-
-def _row_means(psi: np.ndarray, pauli: str, n: int) -> np.ndarray:
-    """Re <psi_i|P|psi_i> for each row i of ``psi`` and the Pauli string P."""
-    return np.einsum("ij,ij->i", psi.conj(), pauli_string_apply(psi, pauli, n)).real
 
 
 def run_shot(

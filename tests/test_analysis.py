@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from quasicut import analysis
 from quasicut.analysis import compare_costs, find_max_w, rows_to_csv, rows_to_json, sweep
 from quasicut.canonical import ThetaVector, in_weyl_domain
 
@@ -53,6 +54,28 @@ def test_sweep_rows_stay_in_domain_and_ordered():
 def test_sweep_rejects_degenerate_grid():
     with pytest.raises(ValueError):
         sweep(1)
+    # the resolution is an integer, never truncated or parsed
+    for bad in (2.5, 3.0, "3", True, None):
+        with pytest.raises(ValueError, match="integer"):
+            sweep(bad)
+    assert len(sweep(np.int64(3))) == 10
+
+
+def test_sweep_refuses_a_lattice_over_the_row_limit_before_any_row(monkeypatch):
+    def no_rows(point):
+        raise AssertionError("a refused sweep computed a row")
+
+    monkeypatch.setattr(analysis, "compare_costs", no_rows)
+    # 181 points per axis make 1004731 rows, 180 make 988260
+    for points in (181, 1000, 10**9):
+        with pytest.raises(ValueError, match="limit"):
+            sweep(points)
+    # the limit counts rows, m (m + 1) (m + 2) / 6, not points per axis
+    monkeypatch.setattr(analysis, "compare_costs", compare_costs)
+    monkeypatch.setattr(analysis, "MAX_SWEEP_ROWS", 10)
+    assert len(sweep(3)) == 10
+    with pytest.raises(ValueError, match="limit"):
+        sweep(4)
 
 
 def test_csv_output_is_frozen():

@@ -63,6 +63,8 @@ BENCHMARK_NAMES = (
     "quasicut.sampler.ShotStream.random",
     "quasicut.sampler.initial_state",
     "quasicut.sampler.apply_gate",
+    "quasicut.sampler.observable_expectation",
+    "quasicut.sampler.pauli_string_expectation",
     "quasicut.sampler.decompose",
     "quasicut.sampler.pauli_coefficients",
     "quasicut.cli.estimate",

@@ -99,6 +99,19 @@ def test_verify_rejects_a_weight_that_is_not_the_one_norm(tmp_path, capsys):
     assert code == 3 and out == "" and "one-norm" in err
 
 
+def test_verify_rejects_a_complex_coefficient(tmp_path, capsys):
+    stored = tmp_path / "d.json"
+    main(["decompose", "0.3", "0.2", "0.1", "--output", str(stored)])
+    capsys.readouterr()
+    doc = json.loads(stored.read_text(encoding="utf-8"))
+    doc["terms"][0]["c"][1] = 0.5
+    write_json(stored, doc)
+    code, out, err = run_cli(
+        capsys, "verify", "0.3", "0.2", "0.1", "--from-file", str(stored)
+    )
+    assert code == 3 and out == "" and "real" in err
+
+
 def test_plan_frozen_shot_counts(capsys):
     code, out, _ = run_cli(capsys, "plan", "1.0", "0.2706705664732254", "1.0", "1.0")
     assert code == 0 and out.strip() == "4"
@@ -356,6 +369,12 @@ def test_sweep_csv_and_json(tmp_path, capsys):
 def test_sweep_rejects_tiny_grid(capsys):
     code, _, _ = run_cli(capsys, "sweep", "1")
     assert code == 3
+
+
+def test_sweep_over_the_row_limit_exits_3_at_once(capsys):
+    # 1000 points per axis would be 1.67e8 rows: hours and tens of GB
+    code, out, err = run_cli(capsys, "sweep", "1000")
+    assert code == 3 and out == "" and "limit" in err
 
 
 def test_compare_formats(capsys):

@@ -111,7 +111,7 @@ def test_identity_decomposes_to_single_term():
     d = decompose(pauli_coefficients(ThetaVector(0.0, 0.0, 0.0)))
     assert d.num_terms == 1
     term = d.terms[0]
-    assert term.coefficient == 1.0 + 0.0j
+    assert term.coefficient == 1.0
     assert term.left == (pauli_channel(0),) and term.right == (pauli_channel(0),)
 
 
@@ -212,6 +212,12 @@ def test_identity_legacy_is_trivial():
 def test_term_validation():
     with pytest.raises(ValueError):
         QPTerm(0.0, (pauli_channel(0),), (pauli_channel(0),))
+    # a coefficient is a finite real number, never coerced from another type
+    for coefficient in (1j, float("nan"), float("inf"), True, "1.0"):
+        with pytest.raises(ValueError, match="coefficient"):
+            QPTerm(coefficient, (pauli_channel(0),), (pauli_channel(0),))
+    term = QPTerm(np.float64(0.5), (pauli_channel(0),), (pauli_channel(0),))
+    assert type(term.coefficient) is float
     with pytest.raises(ValueError):
         QPTerm(1.0, (), (pauli_channel(0),))
     # labels that are not channel ids fail here, not later in reconstruct_ptm
@@ -250,10 +256,11 @@ def test_every_construction_keeps_its_one_norm_on_the_sweep_lattice():
 
 
 def test_reconstruct_rejects_complex_coefficients():
-    bad = QPDecomposition(
-        (QPTerm(1j, (a_channel(0, 1),), (b_channel(0, 1),)),), 1.0
-    )
+    # the term itself refuses the coefficient, before any PTM is formed
     with pytest.raises(ValueError):
+        bad = QPDecomposition(
+            (QPTerm(1j, (a_channel(0, 1),), (b_channel(0, 1),)),), 1.0
+        )
         reconstruct_ptm(bad)
 
 
@@ -322,3 +329,9 @@ def test_doc_semantic_errors_stay_value_errors():
     with pytest.raises(ValueError) as info:
         decomposition_from_doc(dict(_term(), W=-1.0))
     assert not isinstance(info.value, FormatError)
+    # a coefficient is real: a nonzero imaginary part is invalid, not malformed
+    with pytest.raises(ValueError, match="real") as info:
+        decomposition_from_doc(_term(c=[1.0, 0.5]))
+    assert not isinstance(info.value, FormatError)
+    decomposition, _ = decomposition_from_doc(_term(c=[1.0, -0.0]))
+    assert decomposition.terms[0].coefficient == 1.0

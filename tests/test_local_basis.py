@@ -211,7 +211,7 @@ def ket(*amps):
 
 def test_realize_pauli_flip():
     out = realize(pauli_channel(1), ket(1.0, 0.0), FixedDraws([]))
-    assert out.weight == 1.0 + 0.0j
+    assert out.weight == 1.0
     np.testing.assert_allclose(out.state.vector, [0.0, 1.0], atol=0)
 
 
@@ -226,19 +226,19 @@ def test_realize_measurement_branches():
     # A(0,3) on |+>: draw below 1/2 projects onto |0> with weight +1,
     # a high draw projects onto |1> with weight -1
     plus_branch = realize(a_channel(0, 3), ket(r, r), FixedDraws([0.2]))
-    assert plus_branch.weight == 1.0 + 0.0j
+    assert plus_branch.weight == 1.0
     np.testing.assert_allclose(plus_branch.state.vector, [1.0, 0.0], atol=1e-12)
     minus_branch = realize(a_channel(0, 3), ket(r, r), FixedDraws([0.9]))
-    assert minus_branch.weight == -1.0 + 0.0j
+    assert minus_branch.weight == -1.0
     np.testing.assert_allclose(minus_branch.state.vector, [0.0, 1.0], atol=1e-12)
 
 
 def test_realize_measurement_on_eigenstates_is_deterministic():
     up = realize(a_channel(0, 3), ket(1.0, 0.0), FixedDraws([0.999999]))
-    assert up.weight == 1.0 + 0.0j
+    assert up.weight == 1.0
     np.testing.assert_allclose(up.state.vector, [1.0, 0.0], atol=1e-12)
     down = realize(a_channel(0, 3), ket(0.0, 1.0), FixedDraws([0.0]))
-    assert down.weight == -1.0 + 0.0j
+    assert down.weight == -1.0
     np.testing.assert_allclose(down.state.vector, [0.0, 1.0], atol=1e-12)
 
 
@@ -254,8 +254,8 @@ def test_realize_coin_branches():
     heads = realize(a_channel(1, 2), state, FixedDraws([0.1]))
     edge = realize(a_channel(1, 2), state, FixedDraws([0.5]))
     tails = realize(a_channel(1, 2), state, FixedDraws([0.9]))
-    assert heads.weight == 1.0 + 0.0j
-    assert edge.weight == tails.weight == -1.0 + 0.0j
+    assert heads.weight == 1.0
+    assert edge.weight == tails.weight == -1.0
     np.testing.assert_allclose(heads.state.vector, u_plus @ [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(tails.state.vector, u_minus @ [1.0, 0.0], atol=1e-12)
 
@@ -264,7 +264,7 @@ def test_realize_b_mixed_channel():
     # B(1,2): measure along -z (signs +1/-1), then apply X
     out = realize(b_channel(1, 2), ket(1.0, 0.0), FixedDraws([0.5]))
     # |0> has zero overlap with the -z projector, so the minus branch fires
-    assert out.weight == -1.0 + 0.0j
+    assert out.weight == -1.0
     np.testing.assert_allclose(out.state.vector, [0.0, 1.0], atol=1e-12)
 
 

@@ -16,6 +16,7 @@ from quasicut.circuit import (
     Circuit,
     Observable,
     SingleGate,
+    apply_1q,
     apply_gate,
     exact_expectation,
     initial_state,
@@ -24,7 +25,7 @@ from quasicut.circuit import (
     statevector,
 )
 from quasicut.decomposition import decompose
-from quasicut.local_basis import realization_program, run_program
+from quasicut.local_basis import Coin, Unitary, realization_program, run_program
 from quasicut.sampler import (
     MAX_SHOTS,
     EstimatorConfig,
@@ -298,15 +299,15 @@ def test_run_shot_rejects_a_bad_stream_key():
     assert run_shot(circuit, ZZ, -(2**70), MAX_SHOTS - 1).value == 1.0
 
 
-def test_shot_phases_stay_real():
-    # every decomposition coefficient and branch weight is real here
-    circuit = Circuit(
-        2, (CanonicalGate((0, 1), ThetaVector(0.3, 0.2, 0.1), cut=True),)
-    )
-    for s in range(100):
-        record = run_shot(circuit, ZZ, 11, s)
-        assert record.phase.imag == 0.0
-        assert record.phase.real in (1.0, -1.0)
+def test_shot_signs_are_float_plus_or_minus_one():
+    # real coefficients and +-1 program weights multiply into a +-1 sign
+    circuit, observable = oracle_instance(3, LAYOUTS["two cuts"], 2)
+    for mode in MeasureMode:
+        plan = sampler_module._compile(circuit, observable, mode)
+        sign = sampler_module._walk(plan, sampler_module._uniforms(11, 0, 200, plan.draws))[0]
+        assert sign.dtype == np.float64
+        assert sorted(set(sign.tolist())) == [-1.0, 1.0]
+        assert type(run_shot(circuit, observable, 11, 0, mode).sign) is float
 
 
 def test_shot_values_respect_the_bound():
@@ -428,6 +429,84 @@ def test_estimator_is_unbiased_on_random_circuits(mode):
         )
 
 
+# --- the expected shot value, enumerated exactly ------------------------------
+
+
+def step_outcomes(states, qubit, step, n):
+    """Every outcome of one realization step on each row: (states, probabilities, weight)."""
+    if isinstance(step, Unitary):
+        return [(apply_1q(states, step.matrix, qubit, n), np.ones(len(states)), 1.0)]
+    if isinstance(step, Coin):
+        half = np.full(len(states), 0.5)
+        return [
+            (apply_1q(states, step.plus.matrix, qubit, n), half, 1.0),
+            (apply_1q(states, step.minus.matrix, qubit, n), half, -1.0),
+        ]
+    projected = apply_1q(states, step.projector_matrix, qubit, n)
+    p_plus = np.einsum("ij,ij->i", projected.conj(), projected).real
+    # an outcome a row cannot reach has probability 0: its state is left unscaled
+    return [
+        (post / np.sqrt(np.where(p > 0.0, p, 1.0))[:, None], p, w)
+        for post, p, w in ((projected, p_plus, 1.0), (states - projected, 1.0 - p_plus, -1.0))
+    ]
+
+
+def expected_shot_value(circuit, observable, mode):
+    """sum p * W * s * o' over every path a shot can take, with sum p checked to be 1.
+
+    A path picks a term of each cut (probability |c|/W), a side of each
+    coin (1/2) and an outcome of each signed measurement (||Pi psi||^2); s
+    is the product of its terms' signs and its outcomes' weights, +-1. o'
+    is the expected observable sample on the path's final state: its
+    trace, or in sample mode sum_k c_k (2 p_k - 1), where p_k is the
+    probability that term k's Pauli string measures +1.
+    """
+    n = circuit.num_qubits
+    states, probs, signs, w_total = initial_state(n)[None, :], np.ones(1), np.ones(1), 1.0
+    for gate in circuit.gates:
+        if not (isinstance(gate, CanonicalGate) and gate.cut):
+            states = apply_gate(states, gate, n)
+            continue
+        decomp = decompose(pauli_coefficients(gate.theta))
+        w_total *= decomp.weight
+        paths = []
+        for term in decomp.terms:
+            c = term.coefficient
+            branches = [(states, probs * abs(c) / decomp.weight, signs * np.sign(c))]
+            for qubit, channels in zip(gate.qubits, (term.left, term.right)):
+                for step in [step for cid in channels for step in realization_program(cid)]:
+                    branches = [
+                        (post, p * p_step, s * w)
+                        for st, p, s in branches
+                        for post, p_step, w in step_outcomes(st, qubit, step, n)
+                    ]
+            paths += branches
+        states, probs, signs = (np.concatenate(column) for column in zip(*paths))
+    assert abs(probs.sum() - 1.0) < 1e-12
+    assert set(signs.tolist()) <= {1.0, -1.0}
+    if mode is MeasureMode.EXACT_TRACE:
+        o_value = observable_expectation(states, observable, n)
+    else:
+        p_plus = [
+            np.clip(0.5 * (1.0 + pauli_string_expectation(states, pauli, n)), 0.0, 1.0)
+            for _, pauli in observable.terms
+        ]
+        o_value = sum(c * (2.0 * p - 1.0) for (c, _), p in zip(observable.terms, p_plus))
+    return float(np.sum(probs * w_total * signs * o_value))
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+@pytest.mark.parametrize(
+    "num_qubits, layout, seed",
+    [(3, "one cut", 1), (4, "one cut", 2), (3, "two cuts", 2), (4, "adjacent cuts", 3)],
+)
+def test_expected_shot_value_is_the_exact_expectation(num_qubits, layout, seed, mode):
+    """Unbiasedness at machine precision: the shots' expected value, summed over their paths."""
+    circuit, observable = oracle_instance(num_qubits, LAYOUTS[layout], seed)
+    expected = expected_shot_value(circuit, observable, mode)
+    assert abs(expected - exact_expectation(circuit, observable)) < 1e-10
+
+
 # --- the compiled shot plan against per-gate re-simulation ------------------
 
 
@@ -441,9 +520,9 @@ class CountingStream:
 
 
 def reference_shot(circuit, observable, decomps, rng, mode):
-    """Every gate re-simulated in circuit order: (phase, o', x)."""
+    """Every gate re-simulated in circuit order: (sign, o', x)."""
     n = circuit.num_qubits
-    psi, phase, w_total = initial_state(n), 1.0 + 0.0j, 1.0
+    psi, sign, w_total = initial_state(n), 1.0, 1.0
     for idx, gate in enumerate(circuit.gates):
         if not (isinstance(gate, CanonicalGate) and gate.cut):
             psi = apply_gate(psi, gate, n)
@@ -452,10 +531,10 @@ def reference_shot(circuit, observable, decomps, rng, mode):
         w_total *= decomp.weight
         mags = np.cumsum([abs(t.coefficient) for t in decomp.terms])
         term = decomp.terms[min(bisect_right(mags, rng.random() * decomp.weight), len(mags) - 1)]
-        phase *= term.coefficient / abs(term.coefficient)
+        sign *= term.coefficient / abs(term.coefficient)
         for side, cid in [(0, c) for c in term.left] + [(1, c) for c in term.right]:
             psi, w = run_program(psi, realization_program(cid), gate.qubits[side], n, rng)
-            phase *= w
+            sign *= w
     if mode is MeasureMode.EXACT_TRACE:
         o_value = observable_expectation(psi, observable, n)
     else:
@@ -464,7 +543,7 @@ def reference_shot(circuit, observable, decomps, rng, mode):
         coeff, pauli = live[min(bisect_right(cums, rng.random() * cums[-1]), len(live) - 1)]
         p_plus = min(1.0, max(0.0, 0.5 * (1.0 + pauli_string_expectation(psi, pauli, n))))
         o_value = np.sign(coeff) * (1.0 if rng.random() < p_plus else -1.0) * observable.o_max
-    return phase, o_value, w_total * (phase.real * o_value)
+    return sign, o_value, w_total * (sign * o_value)
 
 
 def oracle_instance(num_qubits, layout, seed):
@@ -527,12 +606,12 @@ def touched_instance(layout, seed):
 
 
 def shot_against_reference(circuit, observable, mode):
-    """12 ``run_shot`` shots next to the reference: (phase, o', x) to 1e-12."""
+    """12 ``run_shot`` shots next to the reference: equal signs, (o', x) to 1e-12."""
     decomps = cut_decomps(circuit)
     for s in range(12):
         record = run_shot(circuit, observable, 5, s, mode)
-        phase, o_value, x = reference_shot(circuit, observable, decomps, ShotStream(5, s), mode)
-        assert abs(record.phase - phase) < 1e-12
+        sign, o_value, x = reference_shot(circuit, observable, decomps, ShotStream(5, s), mode)
+        assert record.sign == sign
         assert abs(record.observable_value - o_value) < 1e-12
         assert abs(record.value - x) < 1e-12
 
@@ -563,17 +642,17 @@ def test_plan_draws_bound_every_shot_and_are_reached(mode):
 def walk_against_reference(circuit, observable, mode, seed, rows, read_marks):
     """One walk of ``rows`` shots, one stream each, next to the reference shot by shot.
 
-    Asserts equal draws per row and equal (phase, o', x) to 1e-12; returns x.
+    Asserts equal draws and signs per row and equal (o', x) to 1e-12; returns x.
     """
     decomps = cut_decomps(circuit)
     plan = sampler_module._compile(circuit, observable, mode)
     table = read_marks(sampler_module._uniforms(seed, 0, rows, plan.draws))
     refs = [CountingStream(ShotStream(seed, s)) for s in range(rows)]
-    phase, o_value, x = sampler_module._walk(plan, table)
+    sign, o_value, x = sampler_module._walk(plan, table)
     expected = [reference_shot(circuit, observable, decomps, ref, mode) for ref in refs]
     assert table.counts().tolist() == [r.draws for r in refs]
-    for i, (ref_phase, ref_o, ref_x) in enumerate(expected):
-        assert abs(phase[i] - ref_phase) < 1e-12
+    for i, (ref_sign, ref_o, ref_x) in enumerate(expected):
+        assert sign[i] == ref_sign
         assert abs(o_value[i] - ref_o) < 1e-12
         assert abs(x[i] - ref_x) < 1e-12
     return x
@@ -595,7 +674,7 @@ def test_wide_shots_match_the_reference_on_touched_qubits(layout, mode, read_mar
     assert abs(exact_expectation(circuit, observable)) >= 0.05
     shot_against_reference(circuit, observable, mode)
     x = walk_against_reference(circuit, observable, mode, 5, 40, read_marks)
-    # a shot whose path carries an imaginary phase is 0 by design
+    # these observables do not vanish, so most shots are far from 0
     assert np.count_nonzero(np.abs(x) > 1e-3) >= 10
 
 
@@ -626,13 +705,15 @@ def test_estimates_are_pinned_bit_for_bit(key):
     assert (result.mean.hex(), result.std_error.hex()) == PINNED_ESTIMATES[key]
 
 
-# sha256 of _walk's (phase, o', x) bytes over n in (3, 6, 9), LAYOUTS and
-# MeasureMode, in that loop order, 64 shots each from stream seed 17
-WALK_DIGEST = "2f3477bd4e146158ee6332a5b567170b75d4c89398b69d0c9ecc0d33bbf82f7e"
+# sha256 of _walk's (sign, o', x) bytes over n in (3, 6, 9), LAYOUTS and
+# MeasureMode, in that loop order, 64 shots each from stream seed 17; the
+# same bytes as the real part of the complex shot phase, o' and x before
+# the sign was made real
+WALK_DIGEST = "94542c84be5d5f8d9cd824f04d878067d850dad2e0c64b08d8612cddff1f7333"
 
 
 def test_walk_is_pinned_shot_for_shot():
-    """Every shot's phase, o' and x, bit for bit, on 18 instances in both modes."""
+    """Every shot's sign, o' and x, bit for bit, on 18 instances in both modes."""
     digest = hashlib.sha256()
     for n in (3, 6, 9):
         for layout in LAYOUTS.values():

@@ -45,6 +45,17 @@ def test_every_dataclass_is_frozen_and_compares_no_array():
             assert not compared, (cls.__name__, compared)
 
 
+def test_no_field_is_complex():
+    """Coefficients, weights and shot signs are real numbers, so no field is complex."""
+    fields = [
+        f"{cls.__name__}.{f.name}"
+        for cls in package_dataclasses()
+        for f in dataclasses.fields(cls)
+        if "complex" in str(f.type)
+    ]
+    assert not fields
+
+
 def gates():
     return (
         SingleGate(0, Y_AXIS, 0.3),
