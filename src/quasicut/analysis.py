@@ -10,14 +10,11 @@ t1 >= t2 >= t3 in lexicographic index order. Boundary points that are
 locally equivalent to each other (different theta, same gate up to local
 rotations) are reported as distinct rows; no deduplication is attempted.
 
-The weight maximum is located by a coarse grid (which includes the
-t1 = pi/4 face, where the maximum lives) followed by Nelder-Mead refinement
-from the best grid points. W is invariant under coordinate permutations, so
-the box-constrained search is equivalent to the tetrahedron search and the
-refined point is sorted into canonical order. scipy is imported inside
-``find_max_w``, its only user, so importing this module (and every CLI
-command) loads only numpy; the first ``find_max_w`` call in a process pays
-the ``scipy.optimize`` import.
+The weight maximum is located by a compass search over the box [0, pi/4]^3,
+started from the best point of a coarse lattice (which includes the
+t1 = pi/4 face, where the maximum lives). W is invariant under coordinate
+permutations, so the box search is equivalent to the tetrahedron search and
+the refined point is sorted into canonical order.
 """
 
 from __future__ import annotations
@@ -34,9 +31,8 @@ from .canonical import ThetaVector, pauli_coefficients
 from .circuit import gate_based_cost
 from .decomposition import legacy_cost, weight_formula
 
-# find_max_w's grid resolution per axis and its number of refinement starts
-_GRID_POINTS = 50
-_RESTARTS = 3
+# find_max_w's seed lattice resolution per axis
+_GRID_POINTS = 10
 
 # a sweep row costs about 0.1-0.2 ms and 300 bytes: at this count, minutes and 300 MB
 MAX_SWEEP_ROWS = 1_000_000
@@ -104,33 +100,27 @@ def sweep(points_per_axis: int) -> list[SweepRow]:
 def find_max_w() -> tuple[ThetaVector, float]:
     """Locate the weight maximum over the tetrahedron.
 
-    Grid stage: ``_GRID_POINTS`` per axis, the t1 = pi/4 face included.
-    Refinement: derivative-free Nelder-Mead from the ``_RESTARTS`` best grid
-    points, box-bounded to [0, pi/4]^3, simplex tolerance below 1e-8.
-    The first call in a process also pays the ``scipy.optimize`` import.
+    Compass search: start at the best point of the ``_GRID_POINTS``-per-axis
+    lattice; each round, try a step of +-h along each axis, clipped to
+    [0, pi/4]^3, and move to the best of the six neighbours while W rises,
+    else halve h. Stops once h < 1e-10.
     """
-    from scipy.optimize import minimize
 
-    def objective(t: np.ndarray) -> float:
-        return -weight_formula(pauli_coefficients(t))
+    def w_at(t) -> float:
+        return weight_formula(pauli_coefficients(t))
 
-    scored = sorted(
-        ((objective(point), point) for point in _lattice(_GRID_POINTS)), key=lambda item: item[0]
-    )
-
-    best_w = -np.inf
-    best_t = np.array(scored[0][1])
-    for _, start in scored[:_RESTARTS]:
-        result = minimize(
-            objective,
-            np.array(start),
-            method="Nelder-Mead",
-            bounds=[(0.0, pi / 4.0)] * 3,
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 5000},
-        )
-        if -result.fun > best_w:
-            best_w = -result.fun
-            best_t = result.x
+    best_w, best_t = max((w_at(point), point) for point in _lattice(_GRID_POINTS))
+    best_t = np.array(best_t)
+    steps = np.vstack([np.eye(3), -np.eye(3)])
+    h = pi / 4.0 / (_GRID_POINTS - 1)  # the lattice spacing
+    while h >= 1e-10:
+        neighbours = np.clip(best_t + h * steps, 0.0, pi / 4.0)
+        scores = [w_at(t) for t in neighbours]
+        k = int(np.argmax(scores))
+        if scores[k] > best_w:
+            best_w, best_t = scores[k], neighbours[k]
+        else:
+            h /= 2.0
     ordered = np.sort(best_t)[::-1]
     return ThetaVector(*ordered), float(best_w)
 

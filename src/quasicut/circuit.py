@@ -24,7 +24,8 @@ JSON formats (all documents carry "format": 1):
                   {"type": "raw1q", "q": 2, "matrix": [[[re, im], ...], ...]}]}
     observable: {"format": 1, "terms": [{"coeff": 1.0, "pauli": "ZZI"}]}
 
-Structural problems, a value of the wrong JSON type among them, raise
+Structural problems, a value of the wrong JSON type or a field outside the
+ones shown (``cut`` is optional and false by default) among them, raise
 FormatError; semantically invalid values (bad qubit index, non-unit axis, a
 NaN or infinite angle or matrix entry, too many qubits) raise ValueError.
 """
@@ -368,8 +369,15 @@ def circuit_to_doc(circuit: Circuit) -> dict:
     return {"format": 1, "qubits": circuit.num_qubits, "gates": gates}
 
 
+_GATE_FIELDS = {
+    "single": frozenset({"type", "q", "axis", "theta"}),
+    "canonical": frozenset({"type", "qs", "theta", "cut"}),
+    "raw1q": frozenset({"type", "q", "matrix"}),
+}
+
+
 def circuit_from_doc(doc: dict) -> Circuit:
-    _require_format(doc)
+    _require_format(doc, {"format", "qubits", "gates"})
     try:
         num_qubits = _typed(doc["qubits"], int, "qubits")
         raw_gates = list(doc["gates"])
@@ -379,6 +387,9 @@ def circuit_from_doc(doc: dict) -> Circuit:
     for entry in raw_gates:
         try:
             kind = entry["type"]
+            if kind not in _GATE_FIELDS:
+                raise FormatError(f"unknown gate type {kind!r}")
+            _known_fields(entry, _GATE_FIELDS[kind], f"{kind} gate")
             if kind == "single":
                 gates.append(
                     SingleGate(
@@ -395,14 +406,12 @@ def circuit_from_doc(doc: dict) -> Circuit:
                         _typed(entry.get("cut", False), bool, "cut"),
                     )
                 )
-            elif kind == "raw1q":
+            else:
                 rows = entry["matrix"]
                 if [len(row) for row in rows] != [2, 2]:
                     raise FormatError(f"raw1q matrix must be 2 x 2, got {rows!r}")
                 matrix = np.array([[_complex_pair(v, "matrix") for v in row] for row in rows])
                 gates.append(Raw1QGate(_typed(entry["q"], int, "q"), matrix))
-            else:
-                raise FormatError(f"unknown gate type {kind!r}")
         except (KeyError, TypeError, IndexError) as exc:
             raise FormatError(f"malformed gate entry {entry!r}: {exc}") from exc
     return Circuit(num_qubits, tuple(gates))
@@ -416,22 +425,30 @@ def observable_to_doc(observable: Observable) -> dict:
 
 
 def observable_from_doc(doc: dict) -> Observable:
-    _require_format(doc)
+    _require_format(doc, {"format", "terms"})
     try:
-        terms = tuple(
-            (_number(t["coeff"], "coeff"), _typed(t["pauli"], str, "pauli"))
-            for t in doc["terms"]
-        )
+        terms = []
+        for t in doc["terms"]:
+            _known_fields(t, {"coeff", "pauli"}, "observable term")
+            terms.append((_number(t["coeff"], "coeff"), _typed(t["pauli"], str, "pauli")))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed observable document: {exc}") from exc
-    return Observable(terms)
+    return Observable(tuple(terms))
 
 
-def _require_format(doc: dict) -> None:
-    if not isinstance(doc, dict):
-        raise FormatError("document must be a JSON object")
+def _require_format(doc: dict, fields) -> None:
+    _known_fields(doc, fields, "document")
     if doc.get("format") != 1:
         raise FormatError(f"unsupported document format {doc.get('format')!r}")
+
+
+def _known_fields(obj, fields, what: str) -> None:
+    """FormatError unless ``obj`` is a JSON object with no key outside ``fields``."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be a JSON object, got {obj!r}")
+    unknown = [key for key in obj if key not in fields]
+    if unknown:
+        raise FormatError(f"unknown {what} fields: {unknown!r}")
 
 
 def _typed(value, kind, field: str):

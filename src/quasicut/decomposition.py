@@ -34,7 +34,7 @@ import numpy as np
 
 from .algebra import finite_real
 from .canonical import PauliCoeffs, ThetaVector, pauli_coefficients
-from .circuit import FormatError, _complex_pair, _number, _typed
+from .circuit import FormatError, _complex_pair, _known_fields, _number, _typed
 from .local_basis import BasisChannelId, a_channel, b_channel, basis_ptm, pauli_channel
 
 _COEFF_DROP = 1e-14
@@ -244,21 +244,13 @@ def decomposition_to_doc(
 def decomposition_from_doc(doc: dict) -> tuple[QPDecomposition, PauliCoeffs | None]:
     """Inverse of decomposition_to_doc.
 
-    Raises FormatError on structural problems (missing fields, values of the
-    wrong JSON type, unknown channel labels) and ValueError on semantically
+    Raises FormatError on structural problems (missing or unknown fields,
+    values of the wrong JSON type, unknown channel labels) and ValueError on semantically
     invalid ones (a zero or complex coefficient, a non-positive weight).
     """
-    if not isinstance(doc, dict):
-        raise FormatError("decomposition document must be a JSON object")
+    _known_fields(doc, {"terms", "W", "u"}, "decomposition document")
     try:
-        terms = tuple(
-            QPTerm(
-                _real_pair(entry["c"], "c"),
-                _channel_sequence(entry["left"], "left"),
-                _channel_sequence(entry["right"], "right"),
-            )
-            for entry in _typed(doc["terms"], list, "terms")
-        )
+        terms = tuple(_term_from_doc(entry) for entry in _typed(doc["terms"], list, "terms"))
         weight = _number(doc["W"], "W")
         u_field = doc.get("u")
         u_values = None
@@ -268,6 +260,15 @@ def decomposition_from_doc(doc: dict) -> tuple[QPDecomposition, PauliCoeffs | No
         raise FormatError(f"malformed decomposition document: {exc}") from exc
     u = None if u_values is None else PauliCoeffs(np.array(u_values))
     return QPDecomposition(terms, weight), u
+
+
+def _term_from_doc(entry) -> QPTerm:
+    _known_fields(entry, {"c", "left", "right"}, "decomposition term")
+    return QPTerm(
+        _real_pair(entry["c"], "c"),
+        _channel_sequence(entry["left"], "left"),
+        _channel_sequence(entry["right"], "right"),
+    )
 
 
 def _real_pair(value, field: str) -> float:

@@ -134,3 +134,5 @@ def test_ptm_rejects_non_pauli_preserving_maps():
         ptm_from_action(lambda m: 1j * m, 1)
     with pytest.raises(ValueError):
         ptm_from_action(lambda m: np.full((2, 2), np.nan), 1)
+    with pytest.raises(ValueError, match="num_qubits"):
+        ptm_from_action(lambda m: m, 0)

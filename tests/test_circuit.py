@@ -229,6 +229,8 @@ def test_gate_parameters_must_be_finite():
     ):
         with pytest.raises(ValueError, match="finite"):
             build()
+    with pytest.raises(ValueError, match="2x2"):
+        Raw1QGate(0, np.eye(3))
     assert type(SingleGate(0, Y_AXIS, 1).theta) is float
 
 
@@ -322,6 +324,10 @@ def test_gate_based_estimate_validates_index():
     bad = Circuit(2, (SingleGate(0, Y_AXIS, 0.1),))
     with pytest.raises(ValueError):
         gate_based_estimate(bad, 0, ZZ, 10, rng)
+    with pytest.raises(ValueError, match="shots"):
+        gate_based_estimate(circuit, 0, ZZ, 0, rng)
+    with pytest.raises(ValueError, match="width"):
+        gate_based_estimate(circuit, 0, Observable(((1.0, "Z"),)), 10, rng)
 
 
 # --- documents --------------------------------------------------------------
@@ -386,8 +392,10 @@ def _canonical(**fields):
     return {"format": 1, "qubits": 2, "gates": [gate]}
 
 
-def _raw1q(matrix):
-    return {"format": 1, "qubits": 1, "gates": [{"type": "raw1q", "q": 0, "matrix": matrix}]}
+def _raw1q(matrix, **fields):
+    gate = {"type": "raw1q", "q": 0, "matrix": matrix}
+    gate.update(fields)
+    return {"format": 1, "qubits": 1, "gates": [gate]}
 
 
 @pytest.mark.parametrize(
@@ -412,10 +420,25 @@ def _raw1q(matrix):
         (circuit_from_doc, _raw1q([[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]])),
         (circuit_from_doc, _raw1q([[[1, 0], [0, 0]], [[0, 0]]])),
         (circuit_from_doc, _raw1q([[[1, 0], [0, 0]]])),
+        # an unknown field at any level is malformed too: a misspelt "cut"
+        # must not parse as an uncut gate
+        (
+            circuit_from_doc,
+            {
+                "format": 1,
+                "qubits": 2,
+                "gates": [{"type": "canonical", "qs": [0, 1], "theta": [0.1, 0, 0], "cutt": True}],
+            },
+        ),
+        (circuit_from_doc, _single(cut=True)),
+        (circuit_from_doc, _raw1q([[[1, 0], [0, 0]], [[0, 0], [1, 0]]], axis=[0, 0, 1])),
+        (circuit_from_doc, dict(_single(), gate_count=1)),
+        (observable_from_doc, {"format": 1, "terms": [{"coeff": 1.0, "pauli": "Z"}], "o_max": 1}),
+        (observable_from_doc, {"format": 1, "terms": [{"coeff": 1.0, "pauli": "Z", "q": 0}]}),
     ],
 )
 def test_docs_reject_mistyped_values(parse, doc):
-    """Wrong JSON types are malformed input, never coerced."""
+    """Wrong JSON types and unknown fields are malformed input, never coerced or ignored."""
     with pytest.raises(FormatError):
         parse(doc)
 

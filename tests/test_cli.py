@@ -97,6 +97,12 @@ def test_verify_rejects_a_weight_that_is_not_the_one_norm(tmp_path, capsys):
         capsys, "verify", "0.5", "0.3", "0.1", "--from-file", str(stored)
     )
     assert code == 3 and out == "" and "one-norm" in err
+    # a decomposition with no terms is invalid, not malformed
+    write_json(stored, {"terms": [], "W": 1.0})
+    code, out, err = run_cli(
+        capsys, "verify", "0.5", "0.3", "0.1", "--from-file", str(stored)
+    )
+    assert code == 3 and out == "" and "at least one term" in err
 
 
 def test_verify_rejects_a_complex_coefficient(tmp_path, capsys):
@@ -241,6 +247,16 @@ def test_estimate_exit_codes(tmp_path, capsys):
         "--shots", "10",
     )
     assert code == 2
+
+    # a misspelt "cut" is an unknown field, not an uncut gate
+    typo = json.loads(json.dumps(CIRCUIT_DOC))
+    typo["gates"][-1]["cutt"] = typo["gates"][-1].pop("cut")
+    misspelt = write_json(tmp_path / "m.json", typo)
+    code, out, err = run_cli(
+        capsys, "estimate", "--circuit", misspelt, "--observable", observable,
+        "--shots", "10",
+    )
+    assert code == 2 and out == "" and "cutt" in err
 
     bad_qubit = json.loads(json.dumps(CIRCUIT_DOC))
     bad_qubit["gates"][0]["q"] = 9
@@ -396,19 +412,21 @@ def test_domain_violation_is_semantic_error(capsys):
 
 
 # Runs in a fresh interpreter: imports the package and the CLI, runs each
-# command once, and reports the exit codes and whether scipy got loaded.
+# command once and find_max_w, and reports the exit codes and whether scipy
+# got loaded.
 _IMPORT_GRAPH_SCRIPT = """
 import contextlib, io, json, sys
 import quasicut
 from quasicut import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+quasicut.find_max_w()
 print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
 """
 
 
 def test_no_command_imports_scipy(tmp_path):
-    """Only find_max_w needs scipy, and no command calls it: a CLI process loads numpy alone."""
+    """numpy is the only runtime dependency: no command, nor find_max_w, loads scipy."""
     circuit = write_json(tmp_path / "circuit.json", CIRCUIT_DOC)
     observable = write_json(tmp_path / "observable.json", OBSERVABLE_DOC)
     commands = [

@@ -236,6 +236,8 @@ def test_term_validation():
     assert term.left == (pauli_channel(1),)
     with pytest.raises(ValueError):
         QPDecomposition((QPTerm(1.0, (pauli_channel(0),), (pauli_channel(0),)),), 0.0)
+    with pytest.raises(ValueError, match="at least one term"):
+        QPDecomposition((), 1.0)
     # the weight is the one-norm sum |c| = 5.593..., to a relative 1e-9
     terms = decompose(pauli_coefficients((0.5, 0.3, 0.1))).terms
     norm = sum(abs(t.coefficient) for t in terms)
@@ -314,10 +316,12 @@ def _term(**fields):
         _term(right=["s0"]),
         _term(left="nope"),
         dict(_term(), u=[[1.0, 0.0], ["0", 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        dict(_term(), format=1),
+        _term(weight=1.0),
     ],
 )
 def test_doc_structural_errors_are_format_errors(doc):
-    """Missing fields and wrong JSON types are malformed input, never coerced."""
+    """Missing or unknown fields and wrong JSON types are malformed input, never coerced."""
     with pytest.raises(FormatError):
         decomposition_from_doc(doc)
 

@@ -297,6 +297,8 @@ def test_signed_measurement_validation():
         SignedMeasurement((float("nan"), 0.0, 0.0))
     with pytest.raises(ValueError, match="finite"):
         Unitary(np.array([[float("nan"), 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="2x2"):
+        Unitary(np.eye(4))
     m = SignedMeasurement((0.0, 0.0, 1.0))
     np.testing.assert_allclose(m.projector_matrix, np.diag([1.0, 0.0]), atol=1e-15)
 
