@@ -15,34 +15,35 @@ from .canonical import (
     PauliCoeffs,
     ThetaVector,
     canonical_unitary,
-    in_weyl_domain,
     pauli_coefficients,
 )
 from .circuit import (
     CanonicalGate,
     Circuit,
-    FormatError,
     Observable,
     Raw1QGate,
     SingleGate,
-    circuit_from_doc,
-    circuit_to_doc,
     exact_expectation,
     gate_based_cost,
     gate_based_estimate,
-    observable_from_doc,
-    observable_to_doc,
 )
 from .decomposition import (
     QPDecomposition,
     QPTerm,
     compose,
     decompose,
-    decomposition_from_doc,
-    decomposition_to_doc,
     legacy_decompose,
     reconstruct_ptm,
     weight_formula,
+)
+from .documents import (
+    FormatError,
+    circuit_from_doc,
+    circuit_to_doc,
+    decomposition_from_doc,
+    decomposition_to_doc,
+    observable_from_doc,
+    observable_to_doc,
 )
 from .local_basis import (
     ALL_CHANNELS,
@@ -52,7 +53,6 @@ from .local_basis import (
     a_channel,
     b_channel,
     basis_ptm,
-    check_basis_completeness,
     pauli_channel,
     realization_program,
     realize,
@@ -95,7 +95,6 @@ __all__ = [
     "b_channel",
     "basis_ptm",
     "canonical_unitary",
-    "check_basis_completeness",
     "circuit_from_doc",
     "circuit_to_doc",
     "compare_costs",
@@ -108,7 +107,6 @@ __all__ = [
     "find_max_w",
     "gate_based_cost",
     "gate_based_estimate",
-    "in_weyl_domain",
     "legacy_decompose",
     "observable_from_doc",
     "observable_to_doc",

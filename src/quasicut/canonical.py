@@ -25,7 +25,6 @@ pi/4 >= t1 >= t2 >= t3 >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -33,7 +32,6 @@ import numpy as np
 from .algebra import PAULIS, finite_real, unitary_matrix
 
 _NORMALIZATION_TOL = 1e-12
-_DOMAIN_TOL = 1e-12
 
 # sigma_a (x) sigma_a for a = 0..3, the generators' matrix forms
 _SIGMA_SIGMA = tuple(np.kron(p, p) for p in PAULIS)
@@ -118,14 +116,3 @@ def pauli_coefficients(theta: ThetaVector | Iterable[float]) -> PauliCoeffs:
     u = canonical_unitary(theta)
     coeffs = np.array([np.trace(m @ u) / 4.0 for m in _SIGMA_SIGMA])
     return PauliCoeffs(coeffs)
-
-
-def in_weyl_domain(theta: ThetaVector | Iterable[float]) -> bool:
-    """True iff theta lies in the tetrahedron pi/4 >= t1 >= t2 >= t3 >= 0, to 1e-12."""
-    t1, t2, t3 = ThetaVector.coerce(theta)
-    return (
-        t1 <= pi / 4 + _DOMAIN_TOL
-        and t1 >= t2 - _DOMAIN_TOL
-        and t2 >= t3 - _DOMAIN_TOL
-        and t3 >= -_DOMAIN_TOL
-    )

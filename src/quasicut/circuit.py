@@ -14,20 +14,6 @@ Pauli pairs on both sides of the overlap: with U = sum_a d_a sigma_a sigma_a,
 where V_a is the circuit with the gate replaced by sigma_a (x) sigma_a.
 Sampling (a, a') proportional to |d_a' d_a| and weighting by the phase gives
 an unbiased estimate at cost G = (sum_a |d_a|)^2.
-
-JSON formats (all documents carry "format": 1):
-
-    circuit:    {"format": 1, "qubits": n, "gates": [
-                  {"type": "single", "q": 0, "axis": [x, y, z], "theta": t},
-                  {"type": "canonical", "qs": [a, b], "theta": [t1, t2, t3],
-                   "cut": true},
-                  {"type": "raw1q", "q": 2, "matrix": [[[re, im], ...], ...]}]}
-    observable: {"format": 1, "terms": [{"coeff": 1.0, "pauli": "ZZI"}]}
-
-Structural problems, a value of the wrong JSON type or a field outside the
-ones shown (``cut`` is optional and false by default) among them, raise
-FormatError; semantically invalid values (bad qubit index, non-unit axis, a
-NaN or infinite angle or matrix entry, too many qubits) raise ValueError.
 """
 
 from __future__ import annotations
@@ -44,13 +30,7 @@ from .canonical import PauliCoeffs, ThetaVector, canonical_unitary, pauli_coeffi
 
 MAX_QUBITS = 12
 
-_NUMBER = (int, float)
-
 _PAULI_BY_CHAR = {"I": None, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
-
-
-class FormatError(ValueError):
-    """A document is structurally malformed (bad schema, not bad physics)."""
 
 
 @dataclass(frozen=True)
@@ -231,13 +211,6 @@ def statevector(circuit: Circuit) -> np.ndarray:
     return psi
 
 
-def pauli_string_matrix(pauli: str) -> np.ndarray:
-    block = np.eye(1, dtype=complex)
-    for ch in pauli:
-        block = np.kron(block, SIGMA_0 if ch == "I" else _PAULI_BY_CHAR[ch])
-    return block
-
-
 def pauli_string_apply(psi: np.ndarray, pauli: str, num_qubits: int) -> np.ndarray:
     out = psi
     for q, ch in enumerate(pauli):
@@ -337,134 +310,3 @@ def gate_based_estimate(
     ket = rng.choice(4, size=shots, p=probs)
     bra = rng.choice(4, size=shots, p=probs)
     return float(values[bra, ket].mean())
-
-
-# --- JSON documents --------------------------------------------------------
-
-
-def circuit_to_doc(circuit: Circuit) -> dict:
-    gates = []
-    for gate in circuit.gates:
-        if isinstance(gate, SingleGate):
-            gates.append(
-                {"type": "single", "q": gate.qubit, "axis": list(gate.axis), "theta": gate.theta}
-            )
-        elif isinstance(gate, CanonicalGate):
-            gates.append(
-                {
-                    "type": "canonical",
-                    "qs": list(gate.qubits),
-                    "theta": list(gate.theta),
-                    "cut": gate.cut,
-                }
-            )
-        else:
-            gates.append(
-                {
-                    "type": "raw1q",
-                    "q": gate.qubit,
-                    "matrix": [[[v.real, v.imag] for v in row] for row in gate.matrix],
-                }
-            )
-    return {"format": 1, "qubits": circuit.num_qubits, "gates": gates}
-
-
-_GATE_FIELDS = {
-    "single": frozenset({"type", "q", "axis", "theta"}),
-    "canonical": frozenset({"type", "qs", "theta", "cut"}),
-    "raw1q": frozenset({"type", "q", "matrix"}),
-}
-
-
-def circuit_from_doc(doc: dict) -> Circuit:
-    _require_format(doc, {"format", "qubits", "gates"})
-    try:
-        num_qubits = _typed(doc["qubits"], int, "qubits")
-        raw_gates = list(doc["gates"])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"circuit document missing field: {exc}") from exc
-    gates: list[Gate] = []
-    for entry in raw_gates:
-        try:
-            kind = entry["type"]
-            if kind not in _GATE_FIELDS:
-                raise FormatError(f"unknown gate type {kind!r}")
-            _known_fields(entry, _GATE_FIELDS[kind], f"{kind} gate")
-            if kind == "single":
-                gates.append(
-                    SingleGate(
-                        _typed(entry["q"], int, "q"),
-                        tuple(_number(x, "axis") for x in entry["axis"]),
-                        _number(entry["theta"], "theta"),
-                    )
-                )
-            elif kind == "canonical":
-                gates.append(
-                    CanonicalGate(
-                        tuple(_typed(q, int, "qs") for q in entry["qs"]),
-                        ThetaVector.coerce([_number(t, "theta") for t in entry["theta"]]),
-                        _typed(entry.get("cut", False), bool, "cut"),
-                    )
-                )
-            else:
-                rows = entry["matrix"]
-                if [len(row) for row in rows] != [2, 2]:
-                    raise FormatError(f"raw1q matrix must be 2 x 2, got {rows!r}")
-                matrix = np.array([[_complex_pair(v, "matrix") for v in row] for row in rows])
-                gates.append(Raw1QGate(_typed(entry["q"], int, "q"), matrix))
-        except (KeyError, TypeError, IndexError) as exc:
-            raise FormatError(f"malformed gate entry {entry!r}: {exc}") from exc
-    return Circuit(num_qubits, tuple(gates))
-
-
-def observable_to_doc(observable: Observable) -> dict:
-    return {
-        "format": 1,
-        "terms": [{"coeff": c, "pauli": p} for c, p in observable.terms],
-    }
-
-
-def observable_from_doc(doc: dict) -> Observable:
-    _require_format(doc, {"format", "terms"})
-    try:
-        terms = []
-        for t in doc["terms"]:
-            _known_fields(t, {"coeff", "pauli"}, "observable term")
-            terms.append((_number(t["coeff"], "coeff"), _typed(t["pauli"], str, "pauli")))
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed observable document: {exc}") from exc
-    return Observable(tuple(terms))
-
-
-def _require_format(doc: dict, fields) -> None:
-    _known_fields(doc, fields, "document")
-    if doc.get("format") != 1:
-        raise FormatError(f"unsupported document format {doc.get('format')!r}")
-
-
-def _known_fields(obj, fields, what: str) -> None:
-    """FormatError unless ``obj`` is a JSON object with no key outside ``fields``."""
-    if not isinstance(obj, dict):
-        raise FormatError(f"{what} must be a JSON object, got {obj!r}")
-    unknown = [key for key in obj if key not in fields]
-    if unknown:
-        raise FormatError(f"unknown {what} fields: {unknown!r}")
-
-
-def _typed(value, kind, field: str):
-    """``value`` if its JSON type is ``kind``: never truncated or converted."""
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-        raise FormatError(f"{field} has the wrong JSON type: {value!r}")
-    return value
-
-
-def _number(value, field: str) -> float:
-    """A JSON number as a float; one too large for a float, NaN or infinite raises ValueError."""
-    return finite_real(_typed(value, _NUMBER, field), field)
-
-
-def _complex_pair(value, field: str) -> complex:
-    """A complex number stored as a JSON ``[re, im]`` pair of numbers."""
-    if not isinstance(value, list) or len(value) != 2:
-        raise FormatError(f"{field} entry must be an [re, im] pair, got {value!r}")
-    return complex(_number(value[0], field), _number(value[1], field))

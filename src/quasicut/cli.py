@@ -29,12 +29,14 @@ import numpy as np
 from .algebra import ptm_of_unitary
 from .analysis import compare_costs, rows_to_csv, rows_to_json, sweep
 from .canonical import ThetaVector, canonical_unitary, pauli_coefficients
-from .circuit import FormatError, circuit_from_doc, exact_expectation, observable_from_doc
-from .decomposition import (
-    decompose,
+from .circuit import exact_expectation
+from .decomposition import decompose, reconstruct_ptm
+from .documents import (
+    FormatError,
+    circuit_from_doc,
     decomposition_from_doc,
     decomposition_to_doc,
-    reconstruct_ptm,
+    observable_from_doc,
 )
 from .sampler import EstimatorConfig, MeasureMode, estimate, plan_shots
 

@@ -34,7 +34,6 @@ import numpy as np
 
 from .algebra import finite_real
 from .canonical import PauliCoeffs, ThetaVector, pauli_coefficients
-from .circuit import FormatError, _complex_pair, _known_fields, _number, _typed
 from .local_basis import BasisChannelId, a_channel, b_channel, basis_ptm, pauli_channel
 
 _COEFF_DROP = 1e-14
@@ -216,73 +215,3 @@ def legacy_cost(theta: ThetaVector | Iterable[float]) -> float:
     for angle in ThetaVector.coerce(theta):
         cost *= 1.0 + 2.0 * abs(sin(2.0 * angle))
     return cost
-
-
-# --- JSON document form ---------------------------------------------------
-
-
-def decomposition_to_doc(
-    decomposition: QPDecomposition, u: PauliCoeffs | None = None
-) -> dict:
-    """Plain-JSON document: numbers become [re, im] pairs, a coefficient's im 0.0."""
-    doc: dict = {
-        "terms": [
-            {
-                "c": [term.coefficient, 0.0],
-                "left": ",".join(cid.label() for cid in term.left),
-                "right": ",".join(cid.label() for cid in term.right),
-            }
-            for term in decomposition.terms
-        ],
-        "W": decomposition.weight,
-    }
-    if u is not None:
-        doc["u"] = [[complex(v).real, complex(v).imag] for v in u.values]
-    return doc
-
-
-def decomposition_from_doc(doc: dict) -> tuple[QPDecomposition, PauliCoeffs | None]:
-    """Inverse of decomposition_to_doc.
-
-    Raises FormatError on structural problems (missing or unknown fields,
-    values of the wrong JSON type, unknown channel labels) and ValueError on semantically
-    invalid ones (a zero or complex coefficient, a non-positive weight).
-    """
-    _known_fields(doc, {"terms", "W", "u"}, "decomposition document")
-    try:
-        terms = tuple(_term_from_doc(entry) for entry in _typed(doc["terms"], list, "terms"))
-        weight = _number(doc["W"], "W")
-        u_field = doc.get("u")
-        u_values = None
-        if u_field is not None:
-            u_values = [_complex_pair(v, "u") for v in _typed(u_field, list, "u")]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed decomposition document: {exc}") from exc
-    u = None if u_values is None else PauliCoeffs(np.array(u_values))
-    return QPDecomposition(terms, weight), u
-
-
-def _term_from_doc(entry) -> QPTerm:
-    _known_fields(entry, {"c", "left", "right"}, "decomposition term")
-    return QPTerm(
-        _real_pair(entry["c"], "c"),
-        _channel_sequence(entry["left"], "left"),
-        _channel_sequence(entry["right"], "right"),
-    )
-
-
-def _real_pair(value, field: str) -> float:
-    """A real number stored as a JSON ``[re, im]`` pair; ValueError unless im is 0."""
-    c = _complex_pair(value, field)
-    if c.imag != 0.0:
-        raise ValueError(f"{field} must be real, got imaginary part {c.imag}")
-    return c.real
-
-
-def _channel_sequence(value, field: str) -> ChannelSequence:
-    """Comma-separated channel labels, e.g. ``"A01,s2"``."""
-    labels = _typed(value, str, field).split(",")
-    try:
-        return tuple(BasisChannelId.from_label(p) for p in labels)
-    except ValueError as exc:
-        raise FormatError(f"{field}: {exc}") from exc

@@ -6,7 +6,7 @@ The basis consists of, for alpha < alpha':
     A_aa'       :  rho -> (sigma_a rho sigma_a' + sigma_a' rho sigma_a) / 2
     B_aa'       :  rho -> (sigma_a rho sigma_a' - sigma_a' rho sigma_a) / (2i)
 
-These 16 maps are linearly independent (rank-16 completeness check below), so
+These 16 maps are linearly independent (their PTMs have rank 16), so
 any single-qubit linear map is a real combination of them. Under index swap,
 A is symmetric and B is antisymmetric, so restricting to alpha < alpha' loses
 nothing.
@@ -334,9 +334,3 @@ def realize(channel: BasisChannelId, state: QuantumState, rng) -> RealizationOut
         raise ValueError("realize acts on single-qubit states")
     psi, weight = run_program(state.vector, realization_program(channel), 0, 1, rng)
     return RealizationOutcome(QuantumState(num_qubits=1, vector=psi), weight)
-
-
-def check_basis_completeness() -> bool:
-    """True iff the 16 channel PTMs span all single-qubit linear maps."""
-    stack = np.stack([basis_ptm(c).ravel() for c in ALL_CHANNELS])
-    return int(np.linalg.matrix_rank(stack)) == 16

@@ -7,7 +7,7 @@ import pytest
 
 from quasicut import analysis
 from quasicut.analysis import compare_costs, find_max_w, rows_to_csv, rows_to_json, sweep
-from quasicut.canonical import ThetaVector, in_weyl_domain
+from quasicut.canonical import ThetaVector
 
 PI = np.pi
 
@@ -44,7 +44,7 @@ def test_sweep_counts_ordered_lattice_points():
     assert len(sweep(5)) == 35
 
 
-def test_sweep_rows_stay_in_domain_and_ordered():
+def test_sweep_rows_stay_in_domain_and_ordered(in_weyl_domain):
     rows = sweep(4)
     for row in rows:
         assert in_weyl_domain((row.theta1, row.theta2, row.theta3))
@@ -103,7 +103,7 @@ def test_json_rows_roundtrip():
     assert len(parsed) == 4
 
 
-def test_find_max_w_lands_on_the_known_peak():
+def test_find_max_w_lands_on_the_known_peak(in_weyl_domain):
     theta, w = find_max_w()
     # the interior maximum sits at (pi/4, 0.63355377, 0.42817605); the best
     # point of a 50-point lattice alone gives W = 8.87306, so these bounds

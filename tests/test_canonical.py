@@ -13,7 +13,6 @@ from quasicut.canonical import (
     PauliCoeffs,
     ThetaVector,
     canonical_unitary,
-    in_weyl_domain,
     pauli_coefficients,
 )
 
@@ -127,7 +126,7 @@ def test_pauli_coeffs_validation():
             PauliCoeffs([big, 0.0, 0.0, 0.0])
 
 
-def test_weyl_domain_predicate():
+def test_weyl_domain_predicate(in_weyl_domain):
     assert in_weyl_domain((0.0, 0.0, 0.0))
     assert in_weyl_domain((PI / 4, 0.0, 0.0))
     assert in_weyl_domain((PI / 4, PI / 4, PI / 4))

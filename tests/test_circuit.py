@@ -3,27 +3,29 @@
 import numpy as np
 import pytest
 
+from quasicut.algebra import PAULIS
 from quasicut.canonical import PauliCoeffs, ThetaVector, canonical_unitary, pauli_coefficients
 from quasicut.circuit import (
     CanonicalGate,
     Circuit,
-    FormatError,
     Observable,
     Raw1QGate,
     SingleGate,
     apply_1q,
     apply_2q,
-    circuit_from_doc,
-    circuit_to_doc,
     exact_expectation,
     gate_based_cost,
     gate_based_estimate,
     initial_state,
+    pauli_string_expectation,
+    statevector,
+)
+from quasicut.documents import (
+    FormatError,
+    circuit_from_doc,
+    circuit_to_doc,
     observable_from_doc,
     observable_to_doc,
-    pauli_string_expectation,
-    pauli_string_matrix,
-    statevector,
 )
 from quasicut.local_basis import Unitary
 
@@ -166,6 +168,14 @@ def test_observable_o_max_and_matrix():
     assert obs.terms == ((0.5, "XX"), (-1.5, "ZZ"))
     assert obs.o_max == 2.0
     assert obs.num_qubits == 2
+
+
+def pauli_string_matrix(pauli):
+    """The dense Kronecker product of a Pauli string, qubit 0 the leftmost factor."""
+    block = np.eye(1, dtype=complex)
+    for ch in pauli:
+        block = np.kron(block, PAULIS["IXYZ".index(ch)])
+    return block
 
 
 def test_pauli_string_matrix_matches_expectation_route():
@@ -435,6 +445,22 @@ def _raw1q(matrix, **fields):
         (circuit_from_doc, dict(_single(), gate_count=1)),
         (observable_from_doc, {"format": 1, "terms": [{"coeff": 1.0, "pauli": "Z"}], "o_max": 1}),
         (observable_from_doc, {"format": 1, "terms": [{"coeff": 1.0, "pauli": "Z", "q": 0}]}),
+        # an object or a string where an array belongs is not an empty sequence
+        (circuit_from_doc, {"format": 1, "qubits": 3, "gates": {}}),
+        (circuit_from_doc, {"format": 1, "qubits": 3, "gates": ""}),
+        (circuit_from_doc, _single(axis={})),
+        (circuit_from_doc, _single(axis="")),
+        (circuit_from_doc, _canonical(qs={})),
+        (circuit_from_doc, _canonical(qs="")),
+        (circuit_from_doc, _canonical(theta={})),
+        (circuit_from_doc, _canonical(theta="")),
+        (observable_from_doc, {"format": 1, "terms": {}}),
+        (observable_from_doc, {"format": 1, "terms": ""}),
+        # "format" is the JSON integer 1, not a value equal to it
+        (circuit_from_doc, {"format": True, "qubits": 2, "gates": []}),
+        (circuit_from_doc, {"format": 1.0, "qubits": 2, "gates": []}),
+        (observable_from_doc, {"format": True, "terms": [{"coeff": 1.0, "pauli": "Z"}]}),
+        (observable_from_doc, {"format": 1.0, "terms": [{"coeff": 1.0, "pauli": "Z"}]}),
     ],
 )
 def test_docs_reject_mistyped_values(parse, doc):

@@ -258,6 +258,16 @@ def test_estimate_exit_codes(tmp_path, capsys):
     )
     assert code == 2 and out == "" and "cutt" in err
 
+    # "format" is the integer 1 and "gates" an array: this is not an empty circuit
+    not_a_circuit = write_json(
+        tmp_path / "e.json", {"format": True, "qubits": 2, "gates": ""}
+    )
+    code, out, _ = run_cli(
+        capsys, "estimate", "--circuit", not_a_circuit, "--observable", observable,
+        "--shots", "10",
+    )
+    assert code == 2 and out == ""
+
     bad_qubit = json.loads(json.dumps(CIRCUIT_DOC))
     bad_qubit["gates"][0]["q"] = 9
     semantic = write_json(tmp_path / "s.json", bad_qubit)

@@ -12,18 +12,16 @@ from hypothesis import strategies as st
 from quasicut.algebra import ptm_of_unitary
 from quasicut.analysis import sweep
 from quasicut.canonical import PauliCoeffs, ThetaVector, canonical_unitary, pauli_coefficients
-from quasicut.circuit import FormatError
 from quasicut.decomposition import (
     QPDecomposition,
     QPTerm,
     compose,
     decompose,
-    decomposition_from_doc,
-    decomposition_to_doc,
     legacy_decompose,
     reconstruct_ptm,
     weight_formula,
 )
+from quasicut.documents import FormatError, decomposition_from_doc, decomposition_to_doc
 from quasicut.local_basis import a_channel, b_channel, pauli_channel
 
 PI = np.pi
@@ -316,6 +314,7 @@ def _term(**fields):
         _term(right=["s0"]),
         _term(left="nope"),
         dict(_term(), u=[[1.0, 0.0], ["0", 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        dict(_term(), u=None),
         dict(_term(), format=1),
         _term(weight=1.0),
     ],

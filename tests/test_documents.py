@@ -3,8 +3,9 @@
 On any JSON value, and on valid documents with one value replaced or one key
 dropped, ``circuit_from_doc``, ``observable_from_doc`` and
 ``decomposition_from_doc`` raise only ``FormatError`` or ``ValueError``, the
-two exceptions the CLI maps to exit codes 2 and 3. Valid documents survive a
-trip through JSON text bit for bit.
+two exceptions the CLI maps to exit codes 2 and 3. A value replaced by one of
+another JSON kind (null, bool, number, string, array, object) is always a
+``FormatError``. Valid documents survive a trip through JSON text bit for bit.
 """
 
 import copy
@@ -16,25 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasicut.canonical import pauli_coefficients
-from quasicut.circuit import (
-    CanonicalGate,
-    Circuit,
+from quasicut.circuit import CanonicalGate, Circuit, Observable, Raw1QGate, SingleGate, statevector
+from quasicut.decomposition import compose, decompose, reconstruct_ptm
+from quasicut.documents import (
     FormatError,
-    Observable,
-    Raw1QGate,
-    SingleGate,
     circuit_from_doc,
     circuit_to_doc,
-    observable_from_doc,
-    observable_to_doc,
-    statevector,
-)
-from quasicut.decomposition import (
-    compose,
-    decompose,
     decomposition_from_doc,
     decomposition_to_doc,
-    reconstruct_ptm,
+    observable_from_doc,
+    observable_to_doc,
 )
 
 FUZZ = settings(max_examples=300, deadline=None)
@@ -102,9 +94,23 @@ def decompositions(draw):
     return compose(second, first), None
 
 
+def json_kind(value) -> str:
+    """null, bool, number, string, array or object; a bool is not a number."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "bool"
+    return {int: "number", float: "number", str: "string", list: "array", dict: "object"}[
+        type(value)
+    ]
+
+
 @st.composite
 def near_valid(draw, documents):
-    """A valid document with one value, reached by a random path, replaced or its key dropped."""
+    """A valid document with one value, reached by a random path, replaced or its key dropped.
+
+    Returns the document and whether the replacement is of another JSON kind.
+    """
     doc = copy.deepcopy(draw(documents))
     parent, key = None, None
     node = doc
@@ -112,13 +118,14 @@ def near_valid(draw, documents):
         parent = node
         key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
         node = parent[key]
-    if parent is None:
-        return draw(JSON_VALUES)
     if isinstance(parent, dict) and draw(st.booleans()):
         del parent[key]
-    else:
-        parent[key] = draw(JSON_VALUES)
-    return doc
+        return doc, False
+    value = draw(JSON_VALUES)
+    if parent is None:
+        return value, json_kind(value) != json_kind(doc)
+    parent[key] = value
+    return doc, json_kind(value) != json_kind(node)
 
 
 def through_json(doc):
@@ -130,29 +137,40 @@ OBSERVABLE_DOCS = observables().map(observable_to_doc)
 DECOMPOSITION_DOCS = decompositions().map(lambda d: decomposition_to_doc(*d))
 
 
-def raises_only_documented_errors(parse, doc):
+def any_value_or_near_valid(documents):
+    """A JSON value (any outcome allowed), or a near-valid document."""
+    return st.one_of(JSON_VALUES.map(lambda value: (value, False)), near_valid(documents))
+
+
+def raises_only_documented_errors(parse, case):
+    """FormatError or ValueError at most, and FormatError if a value changed its JSON kind."""
+    doc, kind_changed = case
     try:
         parse(doc)
-    except (FormatError, ValueError):
-        pass
+    except FormatError:
+        return
+    except ValueError:
+        assert not kind_changed, "a value of the wrong JSON kind raised ValueError"
+        return
+    assert not kind_changed, "a value of the wrong JSON kind was parsed"
 
 
 @FUZZ
-@given(st.one_of(JSON_VALUES, near_valid(CIRCUIT_DOCS)))
-def test_circuit_parser_raises_only_format_or_value_errors(doc):
-    raises_only_documented_errors(circuit_from_doc, doc)
+@given(any_value_or_near_valid(CIRCUIT_DOCS))
+def test_circuit_parser_raises_only_format_or_value_errors(case):
+    raises_only_documented_errors(circuit_from_doc, case)
 
 
 @FUZZ
-@given(st.one_of(JSON_VALUES, near_valid(OBSERVABLE_DOCS)))
-def test_observable_parser_raises_only_format_or_value_errors(doc):
-    raises_only_documented_errors(observable_from_doc, doc)
+@given(any_value_or_near_valid(OBSERVABLE_DOCS))
+def test_observable_parser_raises_only_format_or_value_errors(case):
+    raises_only_documented_errors(observable_from_doc, case)
 
 
 @FUZZ
-@given(st.one_of(JSON_VALUES, near_valid(DECOMPOSITION_DOCS)))
-def test_decomposition_parser_raises_only_format_or_value_errors(doc):
-    raises_only_documented_errors(decomposition_from_doc, doc)
+@given(any_value_or_near_valid(DECOMPOSITION_DOCS))
+def test_decomposition_parser_raises_only_format_or_value_errors(case):
+    raises_only_documented_errors(decomposition_from_doc, case)
 
 
 BIG = 10**400  # a JSON integer that float() cannot convert
