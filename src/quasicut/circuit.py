@@ -54,6 +54,15 @@ class SingleGate:
         object.__setattr__(self, "matrix", matrix)
 
 
+def _qubit_pair(qubits, what: str) -> tuple[int, int]:
+    if not isinstance(qubits, Iterable):
+        raise ValueError(f"{what} needs a pair of qubits, got {qubits!r}")
+    qs = tuple(integer(q, "qubit index") for q in qubits)
+    if len(qs) != 2 or qs[0] == qs[1]:
+        raise ValueError(f"{what} needs two distinct qubits, got {qs}")
+    return qs
+
+
 @dataclass(frozen=True)
 class CanonicalGate:
     """Two-qubit canonical gate; ``cut`` marks it for channel sampling."""
@@ -65,11 +74,7 @@ class CanonicalGate:
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.qubits, Iterable):
-            raise ValueError(f"canonical gate needs a pair of qubits, got {self.qubits!r}")
-        qs = tuple(integer(q, "qubit index") for q in self.qubits)
-        if len(qs) != 2 or qs[0] == qs[1]:
-            raise ValueError(f"canonical gate needs two distinct qubits, got {qs}")
+        qs = _qubit_pair(self.qubits, "canonical gate")
         if not isinstance(self.cut, bool):
             raise ValueError(f"cut must be a bool, got {self.cut!r}")
         object.__setattr__(self, "qubits", qs)
@@ -89,6 +94,24 @@ class Raw1QGate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubit", integer(self.qubit, "qubit index"))
         m = unitary_matrix(self.matrix, 2, "raw gate matrix")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+
+@dataclass(frozen=True, eq=False)
+class Raw2QGate:
+    """An explicit 4x4 unitary on an ordered pair of qubits, in that factor order.
+
+    Not a circuit gate: the sampler builds these when it fuses the uncut
+    gates of a circuit into 2-qubit products.
+    """
+
+    qubits: tuple[int, int]
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "qubits", _qubit_pair(self.qubits, "raw 2-qubit gate"))
+        m = unitary_matrix(self.matrix, 4, "raw 2-qubit gate matrix")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -197,8 +220,8 @@ def apply_2q(
     return out.transpose(2, 0, 3, 1, 4).reshape(psi.shape)
 
 
-def apply_gate(psi: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
-    if isinstance(gate, CanonicalGate):
+def apply_gate(psi: np.ndarray, gate: Gate | Raw2QGate, num_qubits: int) -> np.ndarray:
+    if isinstance(gate, (CanonicalGate, Raw2QGate)):
         return apply_2q(psi, gate.matrix, gate.qubits[0], gate.qubits[1], num_qubits)
     return apply_1q(psi, gate.matrix, gate.qubit, num_qubits)
 

@@ -19,7 +19,10 @@ JSON array. Structural problems raise FormatError: a missing or unknown
 field, a value of the wrong JSON kind, an unknown gate type or channel label.
 Semantically invalid values raise ValueError: a bad qubit index, a non-unit
 axis, a NaN, infinite or too large number, too many qubits, a zero or
-complex coefficient, a weight that is not the coefficients' one-norm.
+complex coefficient, a weight that is not the coefficients' one-norm. Each
+object's fields are checked, missing and unknown alike, before any of its
+values is read, so an object with a structural fault raises FormatError
+even when one of its values is also invalid.
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ from .local_basis import BasisChannelId
 
 _NUMBER = (int, float)
 
+# per gate type, its (required, optional) fields
 _GATE_FIELDS = {
-    "single": frozenset({"type", "q", "axis", "theta"}),
-    "canonical": frozenset({"type", "qs", "theta", "cut"}),
-    "raw1q": frozenset({"type", "q", "matrix"}),
+    "single": (("type", "q", "axis", "theta"), ()),
+    "canonical": (("type", "qs", "theta"), ("cut",)),
+    "raw1q": (("type", "q", "matrix"), ()),
 }
 
 
@@ -65,9 +69,9 @@ def circuit_to_doc(circuit: Circuit) -> dict:
 
 
 def circuit_from_doc(doc: dict) -> Circuit:
-    _require_format(doc, {"format", "qubits", "gates"}, "circuit document")
-    num_qubits = _typed(_field(doc, "qubits", "circuit document"), int, "qubits")
-    raw_gates = _typed(_field(doc, "gates", "circuit document"), list, "gates")
+    _require_format(doc, ("format", "qubits", "gates"), "circuit document")
+    num_qubits = _typed(doc["qubits"], int, "qubits")
+    raw_gates = _typed(doc["gates"], list, "gates")
     return Circuit(num_qubits, tuple(_gate_from_doc(entry) for entry in raw_gates))
 
 
@@ -75,25 +79,22 @@ def _gate_from_doc(entry) -> Gate:
     kind = entry.get("type") if isinstance(entry, dict) else None
     if not isinstance(kind, str) or kind not in _GATE_FIELDS:
         raise FormatError(f"gate {entry!r} is not a JSON object with a known type")
-    what = f"{kind} gate"
-    _known_fields(entry, _GATE_FIELDS[kind], what)
+    required, optional = _GATE_FIELDS[kind]
+    _fields(entry, required, f"{kind} gate", optional)
     if kind == "single":
-        q = _typed(_field(entry, "q", what), int, "q")
-        axis = _typed(_field(entry, "axis", what), list, "axis")
-        axis = tuple(_number(x, "axis") for x in axis)
-        return SingleGate(q, axis, _number(_field(entry, "theta", what), "theta"))
+        q = _typed(entry["q"], int, "q")
+        axis = tuple(_number(x, "axis") for x in _typed(entry["axis"], list, "axis"))
+        return SingleGate(q, axis, _number(entry["theta"], "theta"))
     if kind == "canonical":
-        qs = _typed(_field(entry, "qs", what), list, "qs")
-        qubits = tuple(_typed(q, int, "qs") for q in qs)
-        theta = _typed(_field(entry, "theta", what), list, "theta")
+        qubits = tuple(_typed(q, int, "qs") for q in _typed(entry["qs"], list, "qs"))
+        theta = _typed(entry["theta"], list, "theta")
         theta = ThetaVector.coerce([_number(t, "theta") for t in theta])
         return CanonicalGate(qubits, theta, _typed(entry.get("cut", False), bool, "cut"))
-    rows = _typed(_field(entry, "matrix", what), list, "matrix")
-    rows = [_typed(row, list, "matrix") for row in rows]
+    rows = [_typed(row, list, "matrix") for row in _typed(entry["matrix"], list, "matrix")]
     if [len(row) for row in rows] != [2, 2]:
         raise FormatError(f"raw1q matrix must be 2 x 2, got {rows!r}")
     matrix = np.array([[_complex_pair(v, "matrix") for v in row] for row in rows])
-    return Raw1QGate(_typed(_field(entry, "q", what), int, "q"), matrix)
+    return Raw1QGate(_typed(entry["q"], int, "q"), matrix)
 
 
 def observable_to_doc(observable: Observable) -> dict:
@@ -104,12 +105,11 @@ def observable_to_doc(observable: Observable) -> dict:
 
 
 def observable_from_doc(doc: dict) -> Observable:
-    _require_format(doc, {"format", "terms"}, "observable document")
+    _require_format(doc, ("format", "terms"), "observable document")
     terms = []
-    for t in _typed(_field(doc, "terms", "observable document"), list, "terms"):
-        _known_fields(t, {"coeff", "pauli"}, "observable term")
-        coeff = _number(_field(t, "coeff", "observable term"), "coeff")
-        terms.append((coeff, _typed(_field(t, "pauli", "observable term"), str, "pauli")))
+    for t in _typed(doc["terms"], list, "terms"):
+        _fields(t, ("coeff", "pauli"), "observable term")
+        terms.append((_number(t["coeff"], "coeff"), _typed(t["pauli"], str, "pauli")))
     return Observable(tuple(terms))
 
 
@@ -138,11 +138,9 @@ def decomposition_to_doc(
 
 def decomposition_from_doc(doc: dict) -> tuple[QPDecomposition, PauliCoeffs | None]:
     """Inverse of decomposition_to_doc."""
-    what = "decomposition document"
-    _known_fields(doc, {"terms", "W", "u"}, what)
-    entries = _typed(_field(doc, "terms", what), list, "terms")
-    terms = tuple(_term_from_doc(entry) for entry in entries)
-    weight = _number(_field(doc, "W", what), "W")
+    _fields(doc, ("terms", "W"), "decomposition document", optional=("u",))
+    terms = tuple(_term_from_doc(entry) for entry in _typed(doc["terms"], list, "terms"))
+    weight = _number(doc["W"], "W")
     u = None
     if "u" in doc:
         u = PauliCoeffs(np.array([_complex_pair(v, "u") for v in _typed(doc["u"], list, "u")]))
@@ -150,15 +148,12 @@ def decomposition_from_doc(doc: dict) -> tuple[QPDecomposition, PauliCoeffs | No
 
 
 def _term_from_doc(entry) -> QPTerm:
-    what = "decomposition term"
-    _known_fields(entry, {"c", "left", "right"}, what)
-    c = _complex_pair(_field(entry, "c", what), "c")
+    _fields(entry, ("c", "left", "right"), "decomposition term")
+    c = _complex_pair(entry["c"], "c")
     if c.imag != 0.0:
         raise ValueError(f"c must be real, got imaginary part {c.imag}")
     return QPTerm(
-        c.real,
-        _channel_sequence(_field(entry, "left", what), "left"),
-        _channel_sequence(_field(entry, "right", what), "right"),
+        c.real, _channel_sequence(entry["left"], "left"), _channel_sequence(entry["right"], "right")
     )
 
 
@@ -166,26 +161,27 @@ def _term_from_doc(entry) -> QPTerm:
 
 
 def _require_format(doc, fields, what: str) -> None:
-    """FormatError unless ``doc`` has only ``fields`` and "format" is the integer 1."""
-    _known_fields(doc, fields, what)
-    if _typed(_field(doc, "format", what), int, "format") != 1:
+    """FormatError unless ``doc`` has exactly ``fields`` and "format" is the integer 1."""
+    _fields(doc, fields, what)
+    if _typed(doc["format"], int, "format") != 1:
         raise FormatError(f"unsupported document format {doc['format']!r}")
 
 
-def _known_fields(obj, fields, what: str) -> None:
-    """FormatError unless ``obj`` is a JSON object with no key outside ``fields``."""
+def _fields(obj, required, what: str, optional=()) -> None:
+    """FormatError unless ``obj`` is a JSON object with every key of ``required``
+    and none outside ``required`` and ``optional``.
+
+    Called before any value of ``obj`` is read, so that a structural fault is
+    reported before an invalid value.
+    """
     if not isinstance(obj, dict):
         raise FormatError(f"{what} must be a JSON object, got {obj!r}")
-    unknown = [key for key in obj if key not in fields]
+    unknown = [key for key in obj if key not in required and key not in optional]
     if unknown:
         raise FormatError(f"unknown {what} fields: {unknown!r}")
-
-
-def _field(obj: dict, key: str, what: str):
-    """The value of the required field ``key``, once ``_known_fields`` passed ``obj``."""
-    if key not in obj:
-        raise FormatError(f"{what} is missing field {key!r}")
-    return obj[key]
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise FormatError(f"{what} is missing fields {missing!r}")
 
 
 def _typed(value, kind, field: str):

@@ -16,11 +16,21 @@ Averaged over shots this is unbiased for the exact expectation.
 |x_s| <= W_total * o_max holds per shot and is asserted.
 
 ``estimate`` compiles (circuit, observable, mode) once into a shot plan,
-decomposing each cut gate, and runs every shot from it: the state after the
-uncut gates before the first cut, simulated once, and per cut its qubits,
-weight, sampling table and the uncut gates up to the next cut or the end.
-The oracle's own ``observable_expectation`` and ``pauli_string_expectation``
-read the observable on a stack of final states at once.
+decomposing each distinct cut angle once, and runs every shot from it: the
+state after the uncut gates before the first cut, simulated once, and per
+cut its qubits, weight, sampling table and the uncut gates up to the next
+cut or the end. The segments after the cuts, which run once per batch of
+states, are fused at compile time (``_fuse``): every 1-qubit gate is
+multiplied into a 2-qubit gate on its qubit, so a segment becomes one 4x4
+product per 2-qubit gate, plus one 2x2 product per qubit that no 2-qubit
+gate of the segment touches. The prefix runs once, on one state, where
+fusing costs more than it saves, so it is applied gate by gate; the same
+loop of ``apply_gate`` calls runs both. The fused products round
+differently from gate-by-gate application, in the last bits only; the
+oracle (``statevector``, ``exact_expectation``) is not fused, so the
+sampler is still judged against gate-by-gate simulation. The oracle's own
+``observable_expectation`` and ``pauli_string_expectation`` read the
+observable on a stack of final states at once.
 
 Every step a shot takes is picked from a small discrete set: the term, the
 coin sides and measurement outcomes of its steps, and at the end the
@@ -72,18 +82,20 @@ from math import ceil, isfinite, log, sqrt
 import numpy as np
 
 from .algebra import finite_real, integer
+from .canonical import ThetaVector, pauli_coefficients
 from .circuit import (
     CanonicalGate,
     Circuit,
     Gate,
     Observable,
+    Raw1QGate,
+    Raw2QGate,
     apply_gate,
     initial_state,
     observable_expectation,
     pauli_string_expectation,
 )
 from .decomposition import decompose
-from .canonical import pauli_coefficients
 from .local_basis import RealizationStep, Unitary, realization_program, run_branches
 
 _BOUND_SLACK = 1e-9
@@ -104,6 +116,12 @@ _BATCH_AMPS = 1 << 16
 
 # an estimate keeps one float per shot: 800 MB at this count
 MAX_SHOTS = 100_000_000
+
+_EYE = np.eye(2, dtype=complex)
+_EYE.setflags(write=False)
+
+# one step of a fused uncut segment
+_FusedStep = Raw1QGate | Raw2QGate
 
 
 class MeasureMode(Enum):
@@ -253,8 +271,10 @@ class _Cut:
     ``signs`` the coefficients' signs c/|c|, each +-1.0, and ``steps`` per
     term one run of (qubit, step) pairs: the steps of its left channels on
     the gate's first qubit, then those of its right channels on the second,
-    and ``draws`` per term their coins and measurements. ``after`` holds the
-    uncut gates up to the next cut, or to the end of the circuit.
+    and ``draws`` per term their coins and measurements. Cuts with the same
+    angle share one ``cums`` and one ``signs``. ``after`` holds the uncut
+    gates up to the next cut, or to the end of the circuit, fused into
+    steps by ``_fuse``.
     """
 
     weight: float
@@ -262,7 +282,7 @@ class _Cut:
     signs: tuple[float, ...]
     steps: tuple[tuple[tuple[int, RealizationStep], ...], ...]
     draws: tuple[int, ...]
-    after: tuple[Gate, ...]
+    after: tuple[_FusedStep, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,35 +310,44 @@ class _ShotPlan:
 
 
 def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _ShotPlan:
-    """Decompose each cut, split the circuit there and precompute the shot-independent rest."""
+    """Decompose each cut angle once, split the circuit at its cuts, fuse the later segments."""
     _check_mode(mode)
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable width does not match circuit")
     n = circuit.num_qubits
     segments: list[list[Gate]] = [[]]
-    cut_decomps = []
+    cut_gates = []
     for gate in circuit.gates:
         if not (isinstance(gate, CanonicalGate) and gate.cut):
             segments[-1].append(gate)
             continue
-        cut_decomps.append((gate.qubits, decompose(pauli_coefficients(gate.theta))))
+        cut_gates.append(gate)
         segments.append([])
 
-    prefix = initial_state(n)
-    for gate in segments[0]:
-        prefix = apply_gate(prefix, gate, n)
+    # the prefix runs once, on one state: fusing it would cost more than it saves
+    prefix = _apply_steps(initial_state(n), segments[0], n)
     prefix.setflags(write=False)
 
     exact = mode is MeasureMode.EXACT_TRACE
+    # cuts that share an angle share a decomposition and its tables
+    tables: dict[ThetaVector, tuple] = {}
     cuts = []
     w_total = 1.0
     draws = 0 if exact else 2  # the observable term and its eigenvalue
-    for (qubits, decomp), after in zip(cut_decomps, segments[1:]):
+    for gate, after in zip(cut_gates, segments[1:]):
+        if gate.theta not in tables:
+            decomp = decompose(pauli_coefficients(gate.theta))
+            tables[gate.theta] = (
+                decomp,
+                tuple(accumulate(abs(t.coefficient) for t in decomp.terms)),
+                tuple(t.coefficient / abs(t.coefficient) for t in decomp.terms),
+            )
+        decomp, cums, signs = tables[gate.theta]
         w_total *= decomp.weight
         steps = tuple(
             tuple(
                 (qubit, step)
-                for qubit, channels in zip(qubits, (t.left, t.right))
+                for qubit, channels in zip(gate.qubits, (t.left, t.right))
                 for cid in channels
                 for step in realization_program(cid)
             )
@@ -329,11 +358,11 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
         cuts.append(
             _Cut(
                 weight=decomp.weight,
-                cums=tuple(accumulate(abs(t.coefficient) for t in decomp.terms)),
-                signs=tuple(t.coefficient / abs(t.coefficient) for t in decomp.terms),
+                cums=cums,
+                signs=signs,
                 steps=steps,
                 draws=term_draws,
-                after=tuple(after),
+                after=_fuse(after),
             )
         )
 
@@ -349,6 +378,54 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
         term_cums=tuple(accumulate(abs(c) for c, _ in live)),
         draws=draws,
     )
+
+
+def _fuse(segment: list[Gate]) -> tuple[_FusedStep, ...]:
+    """The uncut gates ``segment`` as fewer steps: products on one or two qubits.
+
+    Each qubit's 1-qubit gates multiply into its next 2-qubit gate from the
+    right, and those after its last 2-qubit gate into that gate from the
+    left. A qubit with no 2-qubit gate keeps one 1-qubit product, applied
+    after the 2-qubit steps (which do not touch it). Applying the steps in
+    order is applying ``segment``, up to rounding.
+    """
+    pending: dict[int, np.ndarray] = {}  # per qubit, its 1-qubit gates not yet placed
+    pairs: list[tuple[int, int]] = []
+    products: list[np.ndarray] = []
+    last: dict[int, int] = {}  # per qubit, its last 2-qubit product
+    for gate in segment:
+        if isinstance(gate, CanonicalGate):
+            a, b = gate.qubits
+            product = gate.matrix
+            if a in pending or b in pending:
+                product = product @ _kron(pending.pop(a, _EYE), pending.pop(b, _EYE))
+            last[a] = last[b] = len(products)
+            pairs.append(gate.qubits)
+            products.append(product)
+        else:
+            held = pending.get(gate.qubit)
+            pending[gate.qubit] = gate.matrix if held is None else gate.matrix @ held
+    alone = []
+    for qubit, u in pending.items():
+        if qubit not in last:
+            alone.append(Raw1QGate(qubit, u))
+            continue
+        i = last[qubit]
+        left = _kron(u, _EYE) if pairs[i][0] == qubit else _kron(_EYE, u)
+        products[i] = left @ products[i]
+    return tuple(Raw2QGate(p, m) for p, m in zip(pairs, products)) + tuple(alone)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b for 2x2 a and b, by broadcasting: a fraction of np.kron's cost."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
+def _apply_steps(stack: np.ndarray, steps, n: int) -> np.ndarray:
+    """Gates or fused steps, applied in order to a state or a stack of states."""
+    for step in steps:
+        stack = apply_gate(stack, step, n)
+    return stack
 
 
 def _walk(plan: _ShotPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -380,9 +457,7 @@ def _walk(plan: _ShotPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         for states, children in batches(plan.cuts[k], stack, paths):
             child = _stack(states, n)
             states.clear()  # only the stack stays on the frontier
-            for gate in plan.cuts[k].after:
-                child = apply_gate(child, gate, n)
-            descend(k + 1, child, children)
+            descend(k + 1, _apply_steps(child, plan.cuts[k].after, n), children)
 
     def batches(cut: _Cut, stack: np.ndarray, paths: list[tuple[float, np.ndarray, int]]):
         # the children of consecutive rows, cut off once they hold _BATCH_AMPS
@@ -443,8 +518,9 @@ def _stack(states, n: int) -> np.ndarray:
 
     A row of a stacked product rounds alike wherever it sits in the stack,
     except that OpenBLAS's zgemm rounds the columns of a trailing partial
-    group of four differently. A gate on a stack of n-qubit states has
-    2^(n-2) or more columns per row, so stacks of a multiple of
+    group of four differently. A gate or fused step, on one qubit or two,
+    has 2^(n-2) or more columns per row of a stack of n-qubit states, so
+    stacks of a multiple of
     max(16 >> n, 1) rows avoid it, and a shot's value depends on its path
     alone, not on the other shots of its chunk.
     """
@@ -464,7 +540,7 @@ def run_shot(
 
     ``shot_index`` lies in ``range(MAX_SHOTS)``, the shots an estimate can
     run. Every call compiles a fresh shot plan (decompositions, prefix
-    state, sampling tables, uncut segments) and walks one path of its
+    state, sampling tables, fused uncut segments) and walks one path of its
     branch tree, so a loop over shots should call ``estimate``, which
     compiles once and walks all its shots together.
     """

@@ -10,6 +10,7 @@ from quasicut.circuit import (
     Circuit,
     Observable,
     Raw1QGate,
+    Raw2QGate,
     SingleGate,
     apply_1q,
     apply_2q,
@@ -244,6 +245,27 @@ def test_gate_parameters_must_be_finite():
     assert type(SingleGate(0, Y_AXIS, 1).theta) is float
 
 
+def test_raw_two_qubit_gate_is_a_checked_read_only_unitary():
+    nan, inf = float("nan"), float("inf")
+    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    gate = Raw2QGate((3, 1), swap)
+    assert gate.qubits == (3, 1) and not gate.matrix.flags.writeable
+    assert swap.flags.writeable
+    for matrix in (
+        2.0 * np.eye(4),
+        np.eye(4)[[0, 0, 1, 2]],
+        np.diag([1.0, 1.0, 1.0, nan]),
+        np.diag([1.0, inf, 1.0, 1.0]),
+        np.full((4, 4), 1e200),  # m m^+ overflows
+        np.eye(2),
+    ):
+        with pytest.raises(ValueError):
+            Raw2QGate((0, 1), matrix)
+    for qubits in ((1, 1), (0,), (0, 1, 2), 3, (0.0, 1)):
+        with pytest.raises(ValueError):
+            Raw2QGate(qubits, swap)
+
+
 def test_validated_matrices_leave_the_callers_arrays_writable():
     """Gates, steps and coefficients freeze their own copies, not the arrays passed in."""
     x = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -461,6 +483,12 @@ def _raw1q(matrix, **fields):
         (circuit_from_doc, {"format": 1.0, "qubits": 2, "gates": []}),
         (observable_from_doc, {"format": True, "terms": [{"coeff": 1.0, "pauli": "Z"}]}),
         (observable_from_doc, {"format": 1.0, "terms": [{"coeff": 1.0, "pauli": "Z"}]}),
+        # a missing field is reported before an invalid value
+        (circuit_from_doc, {"format": 1, "qubits": 1, "gates": [
+            {"type": "single", "q": 0, "axis": [float("nan"), 0.0, 0.0]}]}),
+        (circuit_from_doc, {"format": 1, "gates": [
+            {"type": "single", "q": 5, "axis": [0, 1, 0], "theta": 0.1}]}),
+        (observable_from_doc, {"format": 1, "terms": [{"coeff": float("inf")}]}),
     ],
 )
 def test_docs_reject_mistyped_values(parse, doc):

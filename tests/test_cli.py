@@ -268,6 +268,18 @@ def test_estimate_exit_codes(tmp_path, capsys):
     )
     assert code == 2 and out == ""
 
+    # no "theta": malformed, although the NaN axis is invalid too
+    no_theta = write_json(
+        tmp_path / "n.json",
+        {"format": 1, "qubits": 2, "gates": [
+            {"type": "single", "q": 0, "axis": [float("nan"), 0.0, 0.0]}]},
+    )
+    code, out, _ = run_cli(
+        capsys, "estimate", "--circuit", no_theta, "--observable", observable,
+        "--shots", "10",
+    )
+    assert code == 2 and out == ""
+
     bad_qubit = json.loads(json.dumps(CIRCUIT_DOC))
     bad_qubit["gates"][0]["q"] = 9
     semantic = write_json(tmp_path / "s.json", bad_qubit)
@@ -353,7 +365,12 @@ def test_estimate_over_the_shot_limit_exits_3(tmp_path, capsys, target):
 
 
 def test_verify_malformed_decomposition_file_exits_2(tmp_path, capsys):
-    for doc in ({"W": 1.0}, {"terms": [{"c": [1.0, 0.0], "left": "s0", "right": "s0"}], "W": "1"}):
+    for doc in (
+        {"W": 1.0},
+        {"terms": [{"c": [1.0, 0.0], "left": "s0", "right": "s0"}], "W": "1"},
+        # no "W": malformed, although the zero coefficient is invalid too
+        {"terms": [{"c": [0.0, 0.0], "left": "s0", "right": "s0"}]},
+    ):
         stored = write_json(tmp_path / "d.json", doc)
         code, _, err = run_cli(capsys, "verify", "0.1", "0", "0", "--from-file", stored)
         assert code == 2 and err.startswith("error:")

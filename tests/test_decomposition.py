@@ -317,6 +317,9 @@ def _term(**fields):
         dict(_term(), u=None),
         dict(_term(), format=1),
         _term(weight=1.0),
+        # a missing field is reported before an invalid value
+        {"terms": [{"c": [0.0, 0.0], "left": "s0", "right": "s0"}]},
+        {"terms": [{"c": [0.0, 0.0], "left": "s0"}], "W": 1.0},
     ],
 )
 def test_doc_structural_errors_are_format_errors(doc):
