@@ -387,7 +387,9 @@ def _fuse(segment: list[Gate]) -> tuple[_FusedStep, ...]:
     right, and those after its last 2-qubit gate into that gate from the
     left. A qubit with no 2-qubit gate keeps one 1-qubit product, applied
     after the 2-qubit steps (which do not touch it). Applying the steps in
-    order is applying ``segment``, up to rounding.
+    order is applying ``segment``, up to rounding. The products are built
+    with ``product``, which does not check unitarity again: each gate
+    passed that check, and their deviations add up.
     """
     pending: dict[int, np.ndarray] = {}  # per qubit, its 1-qubit gates not yet placed
     pairs: list[tuple[int, int]] = []
@@ -408,12 +410,12 @@ def _fuse(segment: list[Gate]) -> tuple[_FusedStep, ...]:
     alone = []
     for qubit, u in pending.items():
         if qubit not in last:
-            alone.append(Raw1QGate(qubit, u))
+            alone.append(Raw1QGate.product(qubit, u))
             continue
         i = last[qubit]
         left = _kron(u, _EYE) if pairs[i][0] == qubit else _kron(_EYE, u)
         products[i] = left @ products[i]
-    return tuple(Raw2QGate(p, m) for p, m in zip(pairs, products)) + tuple(alone)
+    return tuple(Raw2QGate.product(p, m) for p, m in zip(pairs, products)) + tuple(alone)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -266,6 +266,27 @@ def test_raw_two_qubit_gate_is_a_checked_read_only_unitary():
             Raw2QGate(qubits, swap)
 
 
+def test_gate_products_check_shape_and_qubits_only():
+    """A product of validated gates skips the unitarity check but keeps the others."""
+    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    near = (1.0 + 1e-10) * swap  # off unitarity by 2e-10
+    gate = Raw2QGate.product((3, 1), near)
+    assert gate.qubits == (3, 1) and np.array_equal(gate.matrix, near)
+    assert not gate.matrix.flags.writeable and near.flags.writeable
+    single = Raw1QGate.product(np.int64(2), near[:2, :2])
+    assert single.qubit == 2 and type(single.qubit) is int
+    assert not single.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        Raw2QGate.product((0, 1), np.eye(2))
+    with pytest.raises(ValueError):
+        Raw1QGate.product(0, swap)
+    for qubits in ((1, 1), (0,), 3):
+        with pytest.raises(ValueError):
+            Raw2QGate.product(qubits, swap)
+    with pytest.raises(ValueError):
+        Raw1QGate.product("0", np.eye(2))
+
+
 def test_validated_matrices_leave_the_callers_arrays_writable():
     """Gates, steps and coefficients freeze their own copies, not the arrays passed in."""
     x = np.array([[0, 1], [1, 0]], dtype=complex)

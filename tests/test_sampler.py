@@ -559,6 +559,27 @@ def test_fused_segment_applies_its_gates(case):
     assert len(steps) == sum(isinstance(g, CanonicalGate) for g in gates) + len(lone)
 
 
+@pytest.mark.parametrize("mode", list(MeasureMode))
+@pytest.mark.parametrize("paired", [False, True], ids=["lone qubit", "paired qubit"])
+def test_fused_products_of_rounded_gates_are_accepted(paired, mode):
+    """Gates that each pass the 1e-10 unitarity check may multiply to one that misses it.
+
+    A Hadamard written to 10 digits is c H with c - 1 = 1.9e-11; three of
+    them after a cut multiply to a deviation of c^6 - 1 = 1.1e-10. Fusing
+    must accept such a circuit, as gate-by-gate simulation does.
+    """
+    rounded = np.round(np.array([[1, 1], [1, -1]]) / np.sqrt(2), 10)
+    gates = [CanonicalGate((0, 1), ThetaVector(0.3, 0.2, 0.1), cut=True)]
+    gates += [Raw1QGate(1, rounded) for _ in range(3)]
+    if paired:
+        gates.append(CanonicalGate((2, 1), ThetaVector(0.4, -0.1, 0.2)))
+    circuit = Circuit(3, tuple(gates))
+    observable = Observable(((0.6, "XZX"), (-0.3, "ZXI")))
+    (step,) = sampler_module._compile(circuit, observable, mode).cuts[0].after
+    assert np.abs(step.matrix @ step.matrix.conj().T - np.eye(len(step.matrix))).max() > 1e-10
+    shot_against_reference(circuit, observable, mode)
+
+
 def test_cut_angles_are_decomposed_once_per_compile(monkeypatch):
     """Cuts that share an angle share its decomposition and sampling tables."""
     circuit, observable = oracle_instance(3, LAYOUTS["two cuts"], 2)
