@@ -97,18 +97,16 @@ class Raw1QGate:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def product(cls, qubit: int, matrix: np.ndarray) -> Raw1QGate:
-        """A product of validated gates: shape and qubit checked, not unitarity."""
-        return _product(cls, matrix, 2, qubit=integer(qubit, "qubit index"))
-
 
 @dataclass(frozen=True, eq=False)
 class Raw2QGate:
-    """An explicit 4x4 unitary on an ordered pair of qubits, in that factor order.
+    """An explicit 4x4 matrix on an ordered pair of qubits, in that factor order.
 
-    Not a circuit gate: the sampler builds these, through ``product``, when
-    it fuses the uncut gates of a circuit into 2-qubit products.
+    Not a circuit gate: the sampler builds these when it fuses the uncut
+    gates of a circuit into 2-qubit products. Only the shape and the qubits
+    are checked, not unitarity: each factor of a product passed the 1e-10
+    unitarity check, but their deviations add up (three Hadamards written
+    to 10 digits multiply to a deviation of 1.1e-10).
     """
 
     qubits: tuple[int, int]
@@ -116,32 +114,11 @@ class Raw2QGate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubits", _qubit_pair(self.qubits, "raw 2-qubit gate"))
-        m = unitary_matrix(self.matrix, 4, "raw 2-qubit gate matrix")
+        m = np.array(self.matrix, dtype=complex)
+        if m.shape != (4, 4):
+            raise ValueError(f"raw 2-qubit gate matrix must be 4x4, got shape {m.shape}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def product(cls, qubits, matrix: np.ndarray) -> Raw2QGate:
-        """A product of validated gates: shape and qubits checked, not unitarity."""
-        return _product(cls, matrix, 4, qubits=_qubit_pair(qubits, "raw 2-qubit gate"))
-
-
-def _product(cls, matrix, dim: int, **fields):
-    """A ``cls`` gate with ``fields`` and a read-only copy of the dim x dim ``matrix``.
-
-    Each factor of a product passed the 1e-10 unitarity check, but their
-    deviations add up: three Hadamards written to 10 digits multiply to a
-    deviation of 1.1e-10. So a product is not checked again.
-    """
-    m = np.array(matrix, dtype=complex)
-    if m.shape != (dim, dim):
-        raise ValueError(f"gate product must be {dim}x{dim}, got shape {m.shape}")
-    m.setflags(write=False)
-    gate = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(gate, name, value)
-    object.__setattr__(gate, "matrix", m)
-    return gate
 
 
 Gate = SingleGate | CanonicalGate | Raw1QGate

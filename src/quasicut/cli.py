@@ -36,6 +36,7 @@ from .documents import (
     circuit_from_doc,
     decomposition_from_doc,
     decomposition_to_doc,
+    load,
     observable_from_doc,
 )
 from .sampler import EstimatorConfig, MeasureMode, estimate, plan_shots
@@ -136,8 +137,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     theta = _theta_of(args)
     if args.from_file:
-        with open(args.from_file, encoding="utf-8") as handle:
-            decomposition, _ = decomposition_from_doc(json.load(handle))
+        decomposition, _ = decomposition_from_doc(load(args.from_file))
     else:
         decomposition = decompose(pauli_coefficients(theta))
     target = ptm_of_unitary(canonical_unitary(theta), 2)
@@ -153,10 +153,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    with open(args.circuit, encoding="utf-8") as handle:
-        circuit = circuit_from_doc(json.load(handle))
-    with open(args.observable, encoding="utf-8") as handle:
-        observable = observable_from_doc(json.load(handle))
+    circuit = circuit_from_doc(load(args.circuit))
+    observable = observable_from_doc(load(args.observable))
     seed = args.seed
     if seed is None:
         text = os.environ.get("QUASICUT_SEED", "0")

@@ -19,13 +19,17 @@ JSON array. Structural problems raise FormatError: a missing or unknown
 field, a value of the wrong JSON kind, an unknown gate type or channel label.
 Semantically invalid values raise ValueError: a bad qubit index, a non-unit
 axis, a NaN, infinite or too large number, too many qubits, a zero or
-complex coefficient, a weight that is not the coefficients' one-norm. Each
-object's fields are checked, missing and unknown alike, before any of its
-values is read, so an object with a structural fault raises FormatError
-even when one of its values is also invalid.
+complex coefficient, a weight that is not the coefficients' one-norm. The
+whole document's structure is checked against its format's schema before
+any value is read, so a document with a structural fault anywhere raises
+FormatError even when one of its values is also invalid. ``load`` reads a
+file's JSON and rejects a key repeated in one object as malformed too, so
+a second "cut" cannot silently overrule the first.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -35,18 +39,106 @@ from .circuit import CanonicalGate, Circuit, Gate, Observable, Raw1QGate, Single
 from .decomposition import ChannelSequence, QPDecomposition, QPTerm
 from .local_basis import BasisChannelId
 
-_NUMBER = (int, float)
-
-# per gate type, its (required, optional) fields
-_GATE_FIELDS = {
-    "single": (("type", "q", "axis", "theta"), ()),
-    "canonical": (("type", "qs", "theta"), ("cut",)),
-    "raw1q": (("type", "q", "matrix"), ()),
-}
-
 
 class FormatError(ValueError):
     """A document is structurally malformed (bad schema, not bad physics)."""
+
+
+def load(path) -> object:
+    """The JSON value in the file ``path``; a key repeated in any object is a FormatError."""
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle, object_pairs_hook=_object)
+
+
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FormatError(f"JSON object key {key!r} is repeated")
+        obj[key] = value
+    return obj
+
+
+# --- the three formats' structure -------------------------------------------
+
+
+def _check(value, schema, where: str) -> None:
+    """FormatError unless ``value`` has the structure that ``schema`` declares.
+
+    A schema is one of:
+      * a JSON kind: ``str``, ``int``, ``bool`` or ``_NUMBER`` (a bool is
+        neither an int nor a number);
+      * a list: ``[item]`` is an array of any length whose entries match
+        ``item``, and ``[first, second, ...]`` an array of exactly those;
+      * a dict: an object with exactly these fields, where a name ending in
+        "?" may be left out; fields, missing and unknown alike, are checked
+        before their values;
+      * a function ``check(value, where)``.
+    """
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise FormatError(f"{where} must be a JSON object, got {value!r}")
+        fields = {name.rstrip("?"): item for name, item in schema.items()}
+        unknown = [key for key in value if key not in fields]
+        if unknown:
+            raise FormatError(f"{where} has unknown fields {unknown!r}")
+        missing = [name for name in schema if not name.endswith("?") and name not in value]
+        if missing:
+            raise FormatError(f"{where} is missing fields {missing!r}")
+        for key, item in value.items():
+            _check(item, fields[key], f"{where}.{key}")
+    elif isinstance(schema, list):
+        if not isinstance(value, list):
+            raise FormatError(f"{where} must be a JSON array, got {value!r}")
+        if len(schema) > 1 and len(value) != len(schema):
+            raise FormatError(f"{where} must have {len(schema)} entries, got {value!r}")
+        items = schema * len(value) if len(schema) == 1 else schema
+        for i, (entry, item) in enumerate(zip(value, items)):
+            _check(entry, item, f"{where}[{i}]")
+    elif isinstance(schema, (type, tuple)):
+        if isinstance(value, bool) != (schema is bool) or not isinstance(value, schema):
+            raise FormatError(f"{where} has the wrong JSON type: {value!r}")
+    else:
+        schema(value, where)
+
+
+def _format(value, where: str) -> None:
+    # the JSON integer 1, not a value equal to it
+    _check(value, int, where)
+    if value != 1:
+        raise FormatError(f"unsupported document format {value!r}")
+
+
+def _gate(value, where: str) -> None:
+    kind = value.get("type") if isinstance(value, dict) else None
+    if not isinstance(kind, str) or kind not in _GATES:
+        raise FormatError(f"{where} {value!r} is not a JSON object with a known gate type")
+    _check(value, _GATES[kind], f"{where} ({kind} gate)")
+
+
+def _channels(value, where: str) -> ChannelSequence:
+    """Comma-separated channel labels, e.g. ``"A01,s2"``."""
+    _check(value, str, where)
+    try:
+        return tuple(BasisChannelId.from_label(p) for p in value.split(","))
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+_NUMBER = (int, float)
+_PAIR = [_NUMBER, _NUMBER]  # a complex number, [re, im]
+_GATES = {
+    "single": {"type": str, "q": int, "axis": [_NUMBER], "theta": _NUMBER},
+    "canonical": {"type": str, "qs": [int], "theta": [_NUMBER], "cut?": bool},
+    "raw1q": {"type": str, "q": int, "matrix": [[_PAIR, _PAIR], [_PAIR, _PAIR]]},
+}
+_CIRCUIT = {"format": _format, "qubits": int, "gates": [_gate]}
+_OBSERVABLE = {"format": _format, "terms": [{"coeff": _NUMBER, "pauli": str}]}
+_DECOMPOSITION = {
+    "terms": [{"c": _PAIR, "left": _channels, "right": _channels}],
+    "W": _NUMBER,
+    "u?": [_PAIR],
+}
 
 
 # --- circuits and observables ---------------------------------------------
@@ -69,32 +161,19 @@ def circuit_to_doc(circuit: Circuit) -> dict:
 
 
 def circuit_from_doc(doc: dict) -> Circuit:
-    _require_format(doc, ("format", "qubits", "gates"), "circuit document")
-    num_qubits = _typed(doc["qubits"], int, "qubits")
-    raw_gates = _typed(doc["gates"], list, "gates")
-    return Circuit(num_qubits, tuple(_gate_from_doc(entry) for entry in raw_gates))
+    _check(doc, _CIRCUIT, "circuit")
+    return Circuit(doc["qubits"], tuple(_gate_from_doc(entry) for entry in doc["gates"]))
 
 
-def _gate_from_doc(entry) -> Gate:
-    kind = entry.get("type") if isinstance(entry, dict) else None
-    if not isinstance(kind, str) or kind not in _GATE_FIELDS:
-        raise FormatError(f"gate {entry!r} is not a JSON object with a known type")
-    required, optional = _GATE_FIELDS[kind]
-    _fields(entry, required, f"{kind} gate", optional)
-    if kind == "single":
-        q = _typed(entry["q"], int, "q")
-        axis = tuple(_number(x, "axis") for x in _typed(entry["axis"], list, "axis"))
-        return SingleGate(q, axis, _number(entry["theta"], "theta"))
-    if kind == "canonical":
-        qubits = tuple(_typed(q, int, "qs") for q in _typed(entry["qs"], list, "qs"))
-        theta = _typed(entry["theta"], list, "theta")
-        theta = ThetaVector.coerce([_number(t, "theta") for t in theta])
-        return CanonicalGate(qubits, theta, _typed(entry.get("cut", False), bool, "cut"))
-    rows = [_typed(row, list, "matrix") for row in _typed(entry["matrix"], list, "matrix")]
-    if [len(row) for row in rows] != [2, 2]:
-        raise FormatError(f"raw1q matrix must be 2 x 2, got {rows!r}")
-    matrix = np.array([[_complex_pair(v, "matrix") for v in row] for row in rows])
-    return Raw1QGate(_typed(entry["q"], int, "q"), matrix)
+def _gate_from_doc(entry: dict) -> Gate:
+    if entry["type"] == "single":
+        axis = tuple(finite_real(x, "axis") for x in entry["axis"])
+        return SingleGate(entry["q"], axis, finite_real(entry["theta"], "theta"))
+    if entry["type"] == "canonical":
+        theta = ThetaVector.coerce([finite_real(t, "theta") for t in entry["theta"]])
+        return CanonicalGate(tuple(entry["qs"]), theta, entry.get("cut", False))
+    matrix = np.array([[_complex(v, "matrix") for v in row] for row in entry["matrix"]])
+    return Raw1QGate(entry["q"], matrix)
 
 
 def observable_to_doc(observable: Observable) -> dict:
@@ -105,12 +184,10 @@ def observable_to_doc(observable: Observable) -> dict:
 
 
 def observable_from_doc(doc: dict) -> Observable:
-    _require_format(doc, ("format", "terms"), "observable document")
-    terms = []
-    for t in _typed(doc["terms"], list, "terms"):
-        _fields(t, ("coeff", "pauli"), "observable term")
-        terms.append((_number(t["coeff"], "coeff"), _typed(t["pauli"], str, "pauli")))
-    return Observable(tuple(terms))
+    _check(doc, _OBSERVABLE, "observable")
+    return Observable(
+        tuple((finite_real(t["coeff"], "coeff"), t["pauli"]) for t in doc["terms"])
+    )
 
 
 # --- decompositions --------------------------------------------------------
@@ -138,84 +215,28 @@ def decomposition_to_doc(
 
 def decomposition_from_doc(doc: dict) -> tuple[QPDecomposition, PauliCoeffs | None]:
     """Inverse of decomposition_to_doc."""
-    _fields(doc, ("terms", "W"), "decomposition document", optional=("u",))
-    terms = tuple(_term_from_doc(entry) for entry in _typed(doc["terms"], list, "terms"))
-    weight = _number(doc["W"], "W")
+    _check(doc, _DECOMPOSITION, "decomposition")
+    terms = tuple(_term_from_doc(entry) for entry in doc["terms"])
+    weight = finite_real(doc["W"], "W")
     u = None
     if "u" in doc:
-        u = PauliCoeffs(np.array([_complex_pair(v, "u") for v in _typed(doc["u"], list, "u")]))
+        u = PauliCoeffs(np.array([_complex(v, "u") for v in doc["u"]]))
     return QPDecomposition(terms, weight), u
 
 
-def _term_from_doc(entry) -> QPTerm:
-    _fields(entry, ("c", "left", "right"), "decomposition term")
-    c = _complex_pair(entry["c"], "c")
+def _term_from_doc(entry: dict) -> QPTerm:
+    c = _complex(entry["c"], "c")
     if c.imag != 0.0:
         raise ValueError(f"c must be real, got imaginary part {c.imag}")
-    return QPTerm(
-        c.real, _channel_sequence(entry["left"], "left"), _channel_sequence(entry["right"], "right")
-    )
+    return QPTerm(c.real, _channels(entry["left"], "left"), _channels(entry["right"], "right"))
 
 
-# --- field readers and writers ----------------------------------------------
-
-
-def _require_format(doc, fields, what: str) -> None:
-    """FormatError unless ``doc`` has exactly ``fields`` and "format" is the integer 1."""
-    _fields(doc, fields, what)
-    if _typed(doc["format"], int, "format") != 1:
-        raise FormatError(f"unsupported document format {doc['format']!r}")
-
-
-def _fields(obj, required, what: str, optional=()) -> None:
-    """FormatError unless ``obj`` is a JSON object with every key of ``required``
-    and none outside ``required`` and ``optional``.
-
-    Called before any value of ``obj`` is read, so that a structural fault is
-    reported before an invalid value.
-    """
-    if not isinstance(obj, dict):
-        raise FormatError(f"{what} must be a JSON object, got {obj!r}")
-    unknown = [key for key in obj if key not in required and key not in optional]
-    if unknown:
-        raise FormatError(f"unknown {what} fields: {unknown!r}")
-    missing = [key for key in required if key not in obj]
-    if missing:
-        raise FormatError(f"{what} is missing fields {missing!r}")
-
-
-def _typed(value, kind, field: str):
-    """``value`` if its JSON type is ``kind``: never truncated or converted.
-
-    With ``kind`` list, this is the reader of every array field.
-    """
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-        raise FormatError(f"{field} has the wrong JSON type: {value!r}")
-    return value
-
-
-def _number(value, field: str) -> float:
-    """A JSON number as a float; one too large for a float, NaN or infinite raises ValueError."""
-    return finite_real(_typed(value, _NUMBER, field), field)
-
-
-def _complex_pair(value, field: str) -> complex:
-    """A complex number stored as a JSON ``[re, im]`` pair of numbers."""
-    if len(_typed(value, list, field)) != 2:
-        raise FormatError(f"{field} entry must be an [re, im] pair, got {value!r}")
-    return complex(_number(value[0], field), _number(value[1], field))
+def _complex(pair: list, field: str) -> complex:
+    """A complex number from its checked ``[re, im]`` pair of JSON numbers."""
+    return complex(finite_real(pair[0], field), finite_real(pair[1], field))
 
 
 def _pair_doc(value) -> list[float]:
-    """The ``[re, im]`` pair that ``_complex_pair`` reads back."""
+    """The ``[re, im]`` pair that ``_complex`` reads back."""
     c = complex(value)
     return [c.real, c.imag]
-
-
-def _channel_sequence(value, field: str) -> ChannelSequence:
-    """Comma-separated channel labels, e.g. ``"A01,s2"``."""
-    labels = _typed(value, str, field).split(",")
-    try:
-        return tuple(BasisChannelId.from_label(p) for p in labels)
-    except ValueError as exc:
-        raise FormatError(f"{field}: {exc}") from exc

@@ -20,17 +20,17 @@ decomposing each distinct cut angle once, and runs every shot from it: the
 state after the uncut gates before the first cut, simulated once, and per
 cut its qubits, weight, sampling table and the uncut gates up to the next
 cut or the end. The segments after the cuts, which run once per batch of
-states, are fused at compile time (``_fuse``): every 1-qubit gate is
-multiplied into a 2-qubit gate on its qubit, so a segment becomes one 4x4
-product per 2-qubit gate, plus one 2x2 product per qubit that no 2-qubit
-gate of the segment touches. The prefix runs once, on one state, where
-fusing costs more than it saves, so it is applied gate by gate; the same
-loop of ``apply_gate`` calls runs both. The fused products round
-differently from gate-by-gate application, in the last bits only; the
-oracle (``statevector``, ``exact_expectation``) is not fused, so the
-sampler is still judged against gate-by-gate simulation. The oracle's own
-``observable_expectation`` and ``pauli_string_expectation`` read the
-observable on a stack of final states at once.
+states, are fused at compile time (``_fuse``): every 1-qubit gate on a
+qubit that a 2-qubit gate of the segment touches is multiplied into such a
+gate, so a segment becomes one 4x4 product per 2-qubit gate, followed by
+the 1-qubit gates of the other qubits as they are. The prefix runs once,
+on one state, where fusing costs more than it saves, so it is applied gate
+by gate; the same loop of ``apply_gate`` calls runs both. The fused
+products round differently from gate-by-gate application, in the last
+bits only; the oracle (``statevector``, ``exact_expectation``) is not
+fused, so the sampler is still judged against gate-by-gate simulation. The
+oracle's own ``observable_expectation`` and ``pauli_string_expectation``
+read the observable on a stack of final states at once.
 
 Every step a shot takes is picked from a small discrete set: the term, the
 coin sides and measurement outcomes of its steps, and at the end the
@@ -88,7 +88,6 @@ from .circuit import (
     Circuit,
     Gate,
     Observable,
-    Raw1QGate,
     Raw2QGate,
     apply_gate,
     initial_state,
@@ -119,9 +118,6 @@ MAX_SHOTS = 100_000_000
 
 _EYE = np.eye(2, dtype=complex)
 _EYE.setflags(write=False)
-
-# one step of a fused uncut segment
-_FusedStep = Raw1QGate | Raw2QGate
 
 
 class MeasureMode(Enum):
@@ -273,8 +269,8 @@ class _Cut:
     the gate's first qubit, then those of its right channels on the second,
     and ``draws`` per term their coins and measurements. Cuts with the same
     angle share one ``cums`` and one ``signs``. ``after`` holds the uncut
-    gates up to the next cut, or to the end of the circuit, fused into
-    steps by ``_fuse``.
+    gates up to the next cut, or to the end of the circuit, fused by
+    ``_fuse`` into 2-qubit products and lone-qubit gates.
     """
 
     weight: float
@@ -282,7 +278,7 @@ class _Cut:
     signs: tuple[float, ...]
     steps: tuple[tuple[tuple[int, RealizationStep], ...], ...]
     draws: tuple[int, ...]
-    after: tuple[_FusedStep, ...]
+    after: tuple[Raw2QGate | Gate, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,21 +376,22 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
     )
 
 
-def _fuse(segment: list[Gate]) -> tuple[_FusedStep, ...]:
-    """The uncut gates ``segment`` as fewer steps: products on one or two qubits.
+def _fuse(segment: list[Gate]) -> tuple[Raw2QGate | Gate, ...]:
+    """The uncut gates ``segment`` as fewer steps: one 4x4 product per 2-qubit gate.
 
     Each qubit's 1-qubit gates multiply into its next 2-qubit gate from the
     right, and those after its last 2-qubit gate into that gate from the
-    left. A qubit with no 2-qubit gate keeps one 1-qubit product, applied
-    after the 2-qubit steps (which do not touch it). Applying the steps in
-    order is applying ``segment``, up to rounding. The products are built
-    with ``product``, which does not check unitarity again: each gate
-    passed that check, and their deviations add up.
+    left. The 1-qubit gates of a qubit that no 2-qubit gate touches stay the
+    gates they are, applied in order after the 2-qubit steps (which do not
+    touch that qubit). Applying the steps in order is applying ``segment``,
+    up to rounding.
     """
-    pending: dict[int, np.ndarray] = {}  # per qubit, its 1-qubit gates not yet placed
+    paired = {q for gate in segment if isinstance(gate, CanonicalGate) for q in gate.qubits}
+    pending: dict[int, np.ndarray] = {}  # per paired qubit, its 1-qubit gates not yet placed
     pairs: list[tuple[int, int]] = []
     products: list[np.ndarray] = []
     last: dict[int, int] = {}  # per qubit, its last 2-qubit product
+    lone = []
     for gate in segment:
         if isinstance(gate, CanonicalGate):
             a, b = gate.qubits
@@ -404,18 +401,16 @@ def _fuse(segment: list[Gate]) -> tuple[_FusedStep, ...]:
             last[a] = last[b] = len(products)
             pairs.append(gate.qubits)
             products.append(product)
+        elif gate.qubit not in paired:
+            lone.append(gate)
         else:
             held = pending.get(gate.qubit)
             pending[gate.qubit] = gate.matrix if held is None else gate.matrix @ held
-    alone = []
     for qubit, u in pending.items():
-        if qubit not in last:
-            alone.append(Raw1QGate.product(qubit, u))
-            continue
         i = last[qubit]
         left = _kron(u, _EYE) if pairs[i][0] == qubit else _kron(_EYE, u)
         products[i] = left @ products[i]
-    return tuple(Raw2QGate.product(p, m) for p, m in zip(pairs, products)) + tuple(alone)
+    return tuple(Raw2QGate(p, m) for p, m in zip(pairs, products)) + tuple(lone)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

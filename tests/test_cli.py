@@ -370,10 +370,35 @@ def test_verify_malformed_decomposition_file_exits_2(tmp_path, capsys):
         {"terms": [{"c": [1.0, 0.0], "left": "s0", "right": "s0"}], "W": "1"},
         # no "W": malformed, although the zero coefficient is invalid too
         {"terms": [{"c": [0.0, 0.0], "left": "s0", "right": "s0"}]},
+        # the second term has no "right": malformed, although the first is invalid
+        {"terms": [
+            {"c": [0.0, 0.0], "left": "s0", "right": "s0"},
+            {"c": [1.0, 0.0], "left": "s0"},
+        ], "W": 1.0},
     ):
         stored = write_json(tmp_path / "d.json", doc)
         code, _, err = run_cli(capsys, "verify", "0.1", "0", "0", "--from-file", stored)
         assert code == 2 and err.startswith("error:")
+
+
+def test_a_repeated_key_exits_2(tmp_path, capsys):
+    """A key twice in one object is malformed, not last-one-wins, at any level."""
+    observable = write_json(tmp_path / "o.json", OBSERVABLE_DOC)
+    text = json.dumps(CIRCUIT_DOC).replace('"cut": true', '"cut": true, "cut": false')
+    assert text.count('"cut"') == 2
+    circuit = tmp_path / "c.json"
+    circuit.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "estimate", "--circuit", str(circuit), "--observable", observable,
+        "--shots", "10",
+    )
+    assert code == 2 and out == "" and "'cut'" in err
+
+    terms = '[{"c": [1.0, 0.0], "left": "s0", "right": "s0"}]'
+    stored = tmp_path / "d.json"
+    stored.write_text(f'{{"terms": [], "terms": {terms}, "W": 1.0}}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "0", "0", "0", "--from-file", str(stored))
+    assert code == 2 and out == "" and "'terms'" in err
 
 
 def test_missing_input_files_exit_2(tmp_path, capsys):

@@ -293,6 +293,10 @@ def test_doc_rejects_malformed_input():
         )
 
 
+# a well-formed term whose zero coefficient is invalid
+ZERO_TERM = {"c": [0.0, 0.0], "left": "s0", "right": "s0"}
+
+
 def _term(**fields):
     term = {"c": [1.0, 0.0], "left": "s0", "right": "s0"}
     term.update(fields)
@@ -320,6 +324,9 @@ def _term(**fields):
         # a missing field is reported before an invalid value
         {"terms": [{"c": [0.0, 0.0], "left": "s0", "right": "s0"}]},
         {"terms": [{"c": [0.0, 0.0], "left": "s0"}], "W": 1.0},
+        # and a structural fault anywhere before an invalid value anywhere else
+        {"terms": [ZERO_TERM, {"c": [1.0, 0.0], "left": "s0"}], "W": 1.0},
+        {"terms": [ZERO_TERM], "W": "x"},
     ],
 )
 def test_doc_structural_errors_are_format_errors(doc):

@@ -5,7 +5,8 @@ dropped, ``circuit_from_doc``, ``observable_from_doc`` and
 ``decomposition_from_doc`` raise only ``FormatError`` or ``ValueError``, the
 two exceptions the CLI maps to exit codes 2 and 3. A value replaced by one of
 another JSON kind (null, bool, number, string, array, object) is always a
-``FormatError``. Valid documents survive a trip through JSON text bit for bit.
+``FormatError``, even when a number in another object is NaN as well. Valid
+documents survive a trip through JSON text bit for bit.
 """
 
 import copy
@@ -13,7 +14,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasicut.canonical import pauli_coefficients
@@ -171,6 +172,64 @@ def test_observable_parser_raises_only_format_or_value_errors(case):
 @given(any_value_or_near_valid(DECOMPOSITION_DOCS))
 def test_decomposition_parser_raises_only_format_or_value_errors(case):
     raises_only_documented_errors(decomposition_from_doc, case)
+
+
+def entries(node, path=()):
+    """Every (path, value) below ``node``; a path is a tuple of keys and indices."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (key,), value
+            yield from entries(value, path + (key,))
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def owner(doc, path):
+    """The path of the innermost JSON object that holds the value at ``path``."""
+    return max((path[:i] for i in range(len(path)) if isinstance(at(doc, path[:i]), dict)), key=len)
+
+
+@st.composite
+def two_faults(draw, documents):
+    """A valid document with one number made NaN and, in another JSON object,
+    a value replaced by one of another JSON kind.
+
+    Each path is drawn from all of the document's values alike, so deep
+    leaves are reached as often as shallow ones.
+    """
+    doc = copy.deepcopy(draw(documents))
+    values = list(entries(doc))
+    number = draw(st.sampled_from([p for p, v in values if json_kind(v) == "number"]))
+    others = [
+        p for p, _ in values if owner(doc, p) != owner(doc, number) and number[: len(p)] != p
+    ]
+    assume(others)
+    target = draw(st.sampled_from(others))
+    kind = json_kind(at(doc, target))
+    at(doc, number[:-1])[number[-1]] = float("nan")
+    at(doc, target[:-1])[target[-1]] = draw(JSON_VALUES.filter(lambda v: json_kind(v) != kind))
+    return doc
+
+
+@pytest.mark.parametrize(
+    "parse, documents",
+    [
+        (circuit_from_doc, CIRCUIT_DOCS),
+        (observable_from_doc, OBSERVABLE_DOCS),
+        (decomposition_from_doc, DECOMPOSITION_DOCS),
+    ],
+    ids=["circuit", "observable", "decomposition"],
+)
+@FUZZ
+@given(data=st.data())
+def test_a_wrong_json_kind_anywhere_outranks_a_nan_elsewhere(parse, documents, data):
+    """The whole document's structure is checked before any of its values."""
+    with pytest.raises(FormatError):
+        parse(data.draw(two_faults(documents)))
 
 
 BIG = 10**400  # a JSON integer that float() cannot convert

@@ -10,6 +10,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 
@@ -103,3 +104,11 @@ def test_running_a_gate_leaves_it_unchanged():
     assert [set(vars(g)) for g in circuit.gates] == before
     for gate in circuit.gates:
         assert not gate.matrix.flags.writeable
+
+
+def test_no_module_builds_an_instance_past_its_post_init():
+    """``object.__new__`` would make a value whose ``__post_init__`` never ran."""
+    sources = sorted(Path(quasicut.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    callers = [path.name for path in sources if "__new__" in path.read_text(encoding="utf-8")]
+    assert not callers
