@@ -246,12 +246,21 @@ def test_gate_parameters_must_be_finite():
 
 
 def test_raw_two_qubit_gate_is_a_checked_read_only_unitary():
-    """A product of validated gates: shape and qubits checked, not unitarity, and read-only."""
     swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
     gate = Raw2QGate((3, 1), swap)
-    assert gate.qubits == (3, 1) and not gate.matrix.flags.writeable
-    assert swap.flags.writeable
+    assert gate.qubits == (3, 1) and np.array_equal(gate.matrix, swap)
+    assert not gate.matrix.flags.writeable and swap.flags.writeable
+    for qubits in ((1, 1), (0,), (0, 1, 2), 3, (0.0, 1)):
+        with pytest.raises(ValueError):
+            Raw2QGate(qubits, swap)
+
+
+def test_gate_products_check_shape_and_qubits_only():
+    """A product of validated gates skips the unitarity check but keeps the others."""
+    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
     near = (1.0 + 1e-10) * swap  # off unitarity by 2e-10
+    with pytest.raises(ValueError):
+        Raw1QGate(0, near[:2, :2])  # a circuit's own gate is still checked
     gate = Raw2QGate((np.int64(3), 1), near)
     assert gate.qubits == (3, 1) and type(gate.qubits[0]) is int
     assert np.array_equal(gate.matrix, near)
