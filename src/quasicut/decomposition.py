@@ -86,6 +86,7 @@ class QPTerm:
 class QPDecomposition:
     """A signed mixture of local-channel pairs representing a two-qubit map.
 
+    ``terms`` is stored as the decomposition's own tuple of ``QPTerm``s.
     ``weight`` is the one-norm sum |c| of the coefficients. It is stored
     rather than recomputed so that composition can set the product W2 * W1
     bit-exactly; construction rejects a weight further than a relative 1e-9
@@ -96,9 +97,16 @@ class QPDecomposition:
     weight: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.terms, Iterable):
+            raise ValueError(f"terms must be a sequence of QPTerms, got {self.terms!r}")
+        object.__setattr__(self, "terms", tuple(self.terms))
+        object.__setattr__(self, "weight", finite_real(self.weight, "weight"))
         if not self.terms:
             raise ValueError("a decomposition needs at least one term")
-        if not np.isfinite(self.weight) or self.weight <= 0:
+        for term in self.terms:
+            if not isinstance(term, QPTerm):
+                raise ValueError(f"decomposition entry {term!r} is not a QPTerm")
+        if self.weight <= 0:
             raise ValueError(f"bad weight {self.weight}")
         norm = sum(abs(t.coefficient) for t in self.terms)
         if not isclose(self.weight, norm, rel_tol=1e-9):

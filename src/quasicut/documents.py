@@ -23,8 +23,9 @@ complex coefficient, a weight that is not the coefficients' one-norm. The
 whole document's structure is checked against its format's schema before
 any value is read, so a document with a structural fault anywhere raises
 FormatError even when one of its values is also invalid. ``load`` reads a
-file's JSON and rejects a key repeated in one object as malformed too, so
-a second "cut" cannot silently overrule the first.
+file's JSON and rejects a file that is not UTF-8 text, and a key repeated
+in one object, as malformed too, so a second "cut" cannot silently
+overrule the first.
 """
 
 from __future__ import annotations
@@ -45,9 +46,12 @@ class FormatError(ValueError):
 
 
 def load(path) -> object:
-    """The JSON value in the file ``path``; a key repeated in any object is a FormatError."""
+    """The JSON value in the file ``path``; non-UTF-8 text or a repeated key is a FormatError."""
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle, object_pairs_hook=_object)
+        try:
+            return json.load(handle, object_pairs_hook=_object)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _object(pairs: list[tuple[str, object]]) -> dict:
@@ -217,11 +221,10 @@ def decomposition_from_doc(doc: dict) -> tuple[QPDecomposition, PauliCoeffs | No
     """Inverse of decomposition_to_doc."""
     _check(doc, _DECOMPOSITION, "decomposition")
     terms = tuple(_term_from_doc(entry) for entry in doc["terms"])
-    weight = finite_real(doc["W"], "W")
     u = None
     if "u" in doc:
         u = PauliCoeffs(np.array([_complex(v, "u") for v in doc["u"]]))
-    return QPDecomposition(terms, weight), u
+    return QPDecomposition(terms, doc["W"]), u
 
 
 def _term_from_doc(entry: dict) -> QPTerm:

@@ -48,7 +48,7 @@ from math import sqrt
 
 import numpy as np
 
-from .algebra import PAULIS, QuantumState, ptm_from_action, unit_axis, unitary_matrix
+from .algebra import PAULIS, QuantumState, integer, ptm_from_action, unit_axis, unitary_matrix
 from .circuit import apply_1q
 
 # (alpha, alpha') -> (eps, alpha'') with sigma_a sigma_a' = i eps sigma_a''
@@ -71,7 +71,9 @@ class ChannelKind(Enum):
 class BasisChannelId:
     """Identifier of one of the 16 basis channels.
 
-    PAULI uses ``alpha`` in 0..3 only; A and B need 0 <= alpha < alpha_prime <= 3.
+    ``kind`` is a ``ChannelKind`` and the indices are integers, stored as
+    plain ints. PAULI uses ``alpha`` in 0..3 only; A and B need
+    0 <= alpha < alpha_prime <= 3.
     """
 
     kind: ChannelKind
@@ -79,6 +81,12 @@ class BasisChannelId:
     alpha_prime: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, ChannelKind):
+            raise ValueError(f"kind must be a ChannelKind, got {self.kind!r}")
+        for name in ("alpha",) if self.alpha_prime is None else ("alpha", "alpha_prime"):
+            index = integer(getattr(self, name), name)
+            if index is not getattr(self, name):  # an int is read as itself: no setattr then
+                object.__setattr__(self, name, index)
         if self.kind is ChannelKind.PAULI:
             if self.alpha not in range(4) or self.alpha_prime is not None:
                 raise ValueError(f"bad Pauli channel id {self}")

@@ -18,8 +18,8 @@ Averaged over shots this is unbiased for the exact expectation.
 ``estimate`` compiles (circuit, observable, mode) once into a shot plan,
 decomposing each distinct cut angle once, and runs every shot from it: the
 state after the uncut gates before the first cut, simulated once, and per
-cut its qubits, weight, sampling table and the uncut gates up to the next
-cut or the end. The segments after the cuts, which run once per batch of
+cut its qubits, sampling table (whose total is its weight) and the uncut
+gates up to the next cut or the end. The segments after the cuts, which run once per batch of
 states, are fused at compile time (``_fuse``): every 1-qubit gate on a
 qubit that a 2-qubit gate of the segment touches is multiplied into such a
 gate, so a segment becomes one 4x4 product per 2-qubit gate, followed by
@@ -81,7 +81,7 @@ from math import ceil, isfinite, log, sqrt
 
 import numpy as np
 
-from .algebra import finite_real, integer
+from .algebra import SIGMA_0, finite_real, integer
 from .canonical import ThetaVector, pauli_coefficients
 from .circuit import (
     CanonicalGate,
@@ -115,9 +115,6 @@ _BATCH_AMPS = 1 << 16
 
 # an estimate keeps one float per shot: 800 MB at this count
 MAX_SHOTS = 100_000_000
-
-_EYE = np.eye(2, dtype=complex)
-_EYE.setflags(write=False)
 
 
 class MeasureMode(Enum):
@@ -263,8 +260,9 @@ def plan_shots(epsilon: float, delta: float, o_max: float, w_total: float) -> in
 class _Cut:
     """One cut gate's sampling table and the uncut segment that follows it.
 
-    ``cums`` are cumulative |coefficient| cut points for the term draw,
-    ``signs`` the coefficients' signs c/|c|, each +-1.0, and ``steps`` per
+    ``cums`` are cumulative |coefficient| cut points for the term draw, so
+    ``cums[-1]`` is the cut's weight W, ``signs`` the coefficients' signs
+    c/|c|, each +-1.0 (both built by ``_table``), and ``steps`` per
     term one run of (qubit, step) pairs: the steps of its left channels on
     the gate's first qubit, then those of its right channels on the second,
     and ``draws`` per term their coins and measurements. Cuts with the same
@@ -273,7 +271,6 @@ class _Cut:
     ``_fuse`` into 2-qubit products and lone-qubit gates.
     """
 
-    weight: float
     cums: tuple[float, ...]
     signs: tuple[float, ...]
     steps: tuple[tuple[tuple[int, RealizationStep], ...], ...]
@@ -333,13 +330,9 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
     for gate, after in zip(cut_gates, segments[1:]):
         if gate.theta not in tables:
             decomp = decompose(pauli_coefficients(gate.theta))
-            tables[gate.theta] = (
-                decomp,
-                tuple(accumulate(abs(t.coefficient) for t in decomp.terms)),
-                tuple(t.coefficient / abs(t.coefficient) for t in decomp.terms),
-            )
+            tables[gate.theta] = decomp, *_table([t.coefficient for t in decomp.terms])
         decomp, cums, signs = tables[gate.theta]
-        w_total *= decomp.weight
+        w_total *= cums[-1]
         steps = tuple(
             tuple(
                 (qubit, step)
@@ -353,7 +346,6 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
         draws += 1 + max(term_draws)
         cuts.append(
             _Cut(
-                weight=decomp.weight,
                 cums=cums,
                 signs=signs,
                 steps=steps,
@@ -363,6 +355,7 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
         )
 
     live = () if exact else tuple((c, p) for c, p in observable.terms if c != 0.0)
+    term_cums, term_signs = _table([c for c, _ in live])
     return _ShotPlan(
         num_qubits=n,
         mode=mode,
@@ -370,10 +363,16 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
         cuts=tuple(cuts),
         w_total=w_total,
         observable=observable,
-        terms=tuple((1.0 if c > 0 else -1.0, p) for c, p in live),
-        term_cums=tuple(accumulate(abs(c) for c, _ in live)),
+        terms=tuple(zip(term_signs, (p for _, p in live))),
+        term_cums=term_cums,
         draws=draws,
     )
+
+
+def _table(coefficients: list[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The sampling table of nonzero ``coefficients``: cumulative |c| and signs c/|c|."""
+    cums = tuple(accumulate(abs(c) for c in coefficients))
+    return cums, tuple(1.0 if c > 0 else -1.0 for c in coefficients)
 
 
 def _fuse(segment: list[Gate]) -> tuple[Raw2QGate | Gate, ...]:
@@ -397,7 +396,7 @@ def _fuse(segment: list[Gate]) -> tuple[Raw2QGate | Gate, ...]:
             a, b = gate.qubits
             product = gate.matrix
             if a in pending or b in pending:
-                product = product @ _kron(pending.pop(a, _EYE), pending.pop(b, _EYE))
+                product = product @ _kron(pending.pop(a, SIGMA_0), pending.pop(b, SIGMA_0))
             last[a] = last[b] = len(products)
             pairs.append(gate.qubits)
             products.append(product)
@@ -408,7 +407,7 @@ def _fuse(segment: list[Gate]) -> tuple[Raw2QGate | Gate, ...]:
             pending[gate.qubit] = gate.matrix if held is None else gate.matrix @ held
     for qubit, u in pending.items():
         i = last[qubit]
-        left = _kron(u, _EYE) if pairs[i][0] == qubit else _kron(_EYE, u)
+        left = _kron(u, SIGMA_0) if pairs[i][0] == qubit else _kron(SIGMA_0, u)
         products[i] = left @ products[i]
     return tuple(Raw2QGate(p, m) for p, m in zip(pairs, products)) + tuple(lone)
 
@@ -434,12 +433,13 @@ def _walk(plan: _ShotPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     Before cut k each row's shots draw their terms from column j, each
     drawn term's steps run once per branch (``run_branches``) on its next
     ``cut.draws[term]`` columns, and its children start after them.
-    ``batches`` collects the branches of consecutive rows until they hold
-    ``_BATCH_AMPS`` amplitudes or the rows run out; each batch is stacked
-    for the uncut gates after the cut and the next descent, so only the
-    open frontier holds states. In sample mode a leaf's shots draw their
-    observable term and eigenvalue from its column and the next, and each
-    drawn term is evaluated once, on its leaves.
+    ``descend`` collects the branches of consecutive rows until they hold
+    ``_BATCH_AMPS`` amplitudes or the last row is done. It then stacks the
+    batch, runs the uncut gates after the cut on it and descends from it
+    before drawing the next rows, so only the open frontier holds states.
+    In sample mode a leaf's shots draw their observable term and eigenvalue
+    from its column and the next, and each drawn term is evaluated once, on
+    its leaves.
     """
     n = plan.num_qubits
     shots = len(table)
@@ -451,26 +451,19 @@ def _walk(plan: _ShotPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         if k == len(plan.cuts):
             leaves(stack, paths)
             return
-        for states, children in batches(plan.cuts[k], stack, paths):
-            child = _stack(states, n)
-            states.clear()  # only the stack stays on the frontier
-            descend(k + 1, _apply_steps(child, plan.cuts[k].after, n), children)
-
-    def batches(cut: _Cut, stack: np.ndarray, paths: list[tuple[float, np.ndarray, int]]):
-        # the children of consecutive rows, cut off once they hold _BATCH_AMPS
+        cut, last = plan.cuts[k], len(paths) - 1
         states, children = [], []
-        for psi, (path_sign, idx, j) in zip(stack, paths):
-            for term, drew in _draw_terms(table[idx, j], cut.cums, cut.weight):
+        for row, (psi, (path_sign, idx, j)) in enumerate(zip(stack, paths)):
+            for term, drew in _draw_terms(table[idx, j], cut.cums):
                 taken, end = idx[drew], j + 1 + cut.draws[term]
                 u = table[taken, j + 1 : end]
                 for state, w, rows in run_branches(psi, cut.steps[term], n, u):
                     states.append(state)
                     children.append((path_sign * cut.signs[term] * w, taken[rows], end))
-            if len(states) << n >= _BATCH_AMPS:
-                yield states, children
-                states, children = [], []
-        if states:
-            yield states, children
+            if row == last or len(states) << n >= _BATCH_AMPS:
+                batch = _apply_steps(_stack(states, n), cut.after, n)
+                batch_paths, states, children = children, [], []
+                descend(k + 1, batch, batch_paths)
 
     def leaves(stack: np.ndarray, paths: list[tuple[float, np.ndarray, int]]) -> None:
         idx = np.concatenate([i for _, i, _ in paths])
@@ -480,7 +473,7 @@ def _walk(plan: _ShotPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
             o_value[idx] = observable_expectation(stack, plan.observable, n)[leaf_of]
             return
         col = np.array([j for _, _, j in paths])[leaf_of]
-        for term, drew in _draw_terms(table[idx, col], plan.term_cums, plan.term_cums[-1]):
+        for term, drew in _draw_terms(table[idx, col], plan.term_cums):
             taken, at = idx[drew], leaf_of[drew]
             term_sign, pauli = plan.terms[term]
             used = np.unique(at)
@@ -500,13 +493,13 @@ def _walk(plan: _ShotPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return sign, o_value, x
 
 
-def _draw_terms(u: np.ndarray, cums: tuple[float, ...], total: float):
+def _draw_terms(u: np.ndarray, cums: tuple[float, ...]):
     """Draw a term per uniform in ``u`` by the cumulative weights ``cums``.
 
     Returns (term, mask over ``u``) for every term drawn, as
-    ``bisect_right(cums, u * total)`` per uniform would pick them.
+    ``bisect_right(cums, u * cums[-1])`` per uniform would pick them.
     """
-    picks = np.minimum(np.searchsorted(cums, u * total, side="right"), len(cums) - 1)
+    picks = np.minimum(np.searchsorted(cums, u * cums[-1], side="right"), len(cums) - 1)
     return [(term, picks == term) for term in np.unique(picks).tolist()]
 
 

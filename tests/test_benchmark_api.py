@@ -3,13 +3,21 @@
 The benchmark runs the committed package, so a name it calls, traces or
 reads a field of must not disappear in a refactor. Each name below is one
 that ``perfbench/`` uses; removing or renaming it fails here, in tier 1,
-before a benchmark run fails or a traced layer silently reads zero.
+before a benchmark run fails or a traced layer silently reads zero. A name
+that still resolves can still be routed around, so each sampler call site
+that the tracer times must also be called by a small ``estimate``.
 """
 
 import dataclasses
 import importlib
+from collections import Counter
 
 import pytest
+
+from quasicut import sampler
+from quasicut.canonical import ThetaVector
+from quasicut.circuit import CanonicalGate, Circuit, Observable, SingleGate
+from quasicut.sampler import EstimatorConfig, MeasureMode, estimate
 
 BENCHMARK_NAMES = (
     # selftest.py traces this and checks the tracer restores it
@@ -117,3 +125,34 @@ def test_a_missing_name_does_not_resolve():
         "quasicut.EstimatorResult.no_such_field",
     ):
         assert not resolves(dotted)
+
+
+# the sampler-namespace call sites that perfbench/tracing.py times, per mode
+_TRACED_IN_BOTH = ("initial_state", "apply_gate", "decompose", "pauli_coefficients")
+TRACED_SAMPLER_CALLS = {
+    MeasureMode.EXACT_TRACE: _TRACED_IN_BOTH + ("observable_expectation",),
+    MeasureMode.EIGENVALUE_SAMPLE: _TRACED_IN_BOTH + ("pauli_string_expectation",),
+}
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+def test_every_traced_sampler_call_site_is_called(monkeypatch, mode):
+    """A name that resolves but that the walk routes around would read 0 in its layer."""
+    calls = Counter()
+    for name in TRACED_SAMPLER_CALLS[mode]:
+        real = getattr(sampler, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, name, counted)
+    y_axis = (0.0, 1.0, 0.0)
+    circuit = Circuit(2, (
+        SingleGate(0, y_axis, 0.3),
+        CanonicalGate((0, 1), ThetaVector(0.4, 0.2, 0.1), cut=True),
+        SingleGate(1, y_axis, 0.2),
+    ))
+    observable = Observable(((1.0, "ZZ"), (0.5, "XI")))
+    estimate(circuit, observable, EstimatorConfig(shots=16, seed=1, mode=mode))
+    assert {name: calls[name] for name in TRACED_SAMPLER_CALLS[mode] if not calls[name]} == {}

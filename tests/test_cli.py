@@ -401,6 +401,23 @@ def test_a_repeated_key_exits_2(tmp_path, capsys):
     assert code == 2 and out == "" and "'terms'" in err
 
 
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    """A UTF-16 file (bytes ff fe first) cannot be read as JSON text: malformed, not invalid."""
+    observable = write_json(tmp_path / "o.json", OBSERVABLE_DOC)
+    circuit = tmp_path / "c.json"
+    circuit.write_bytes(b"\xff\xfe" + json.dumps(CIRCUIT_DOC).encode("utf-16-le"))
+    code, out, err = run_cli(
+        capsys, "estimate", "--circuit", str(circuit), "--observable", observable,
+        "--shots", "10",
+    )
+    assert code == 2 and out == "" and "UTF-8" in err
+
+    stored = tmp_path / "d.json"
+    stored.write_bytes(b"\xff\xfe" + b'{"terms": [], "W": 1.0}')
+    code, out, err = run_cli(capsys, "verify", "0", "0", "0", "--from-file", str(stored))
+    assert code == 2 and out == "" and "UTF-8" in err
+
+
 def test_missing_input_files_exit_2(tmp_path, capsys):
     observable = write_json(tmp_path / "o.json", OBSERVABLE_DOC)
     code, _, err = run_cli(

@@ -243,6 +243,22 @@ def test_term_validation():
         with pytest.raises(ValueError, match="one-norm"):
             QPDecomposition(terms, weight)
     assert QPDecomposition(terms, norm * (1.0 + 1e-12)).weight > norm
+    # terms are stored as the decomposition's own tuple, so a generator is
+    # read once, by the norm check, and still holds every term afterwards
+    direct = QPDecomposition(terms, norm)
+    built = QPDecomposition((t for t in terms), norm)
+    assert built == direct and built.num_terms == len(terms)
+    np.testing.assert_array_equal(reconstruct_ptm(built), reconstruct_ptm(direct))
+    for container in (5, None, [1.0], (terms[0], "s0")):
+        with pytest.raises(ValueError, match="QPTerm"):
+            QPDecomposition(container, 1.0)
+    # the weight is a finite real number, read as a float
+    one = (QPTerm(1.0, (pauli_channel(0),), (pauli_channel(0),)),)
+    assert type(QPDecomposition(one, 1).weight) is float
+    assert type(QPDecomposition(one, np.float64(1.0)).weight) is float
+    for weight in (True, "1.0", None, 10**400, float("nan"), 1j):
+        with pytest.raises(ValueError, match="weight"):
+            QPDecomposition(one, weight)
 
 
 def test_every_construction_keeps_its_one_norm_on_the_sweep_lattice():
@@ -319,6 +335,8 @@ def _term(**fields):
         _term(left="nope"),
         dict(_term(), u=[[1.0, 0.0], ["0", 0.0], [0.0, 0.0], [0.0, 0.0]]),
         dict(_term(), u=None),
+        dict(_term(), u={}),
+        dict(_term(), u=""),
         dict(_term(), format=1),
         _term(weight=1.0),
         # a missing field is reported before an invalid value

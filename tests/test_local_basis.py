@@ -116,6 +116,20 @@ def test_id_validation():
         b_channel(3, 1)  # stored with alpha < alpha_prime
     with pytest.raises(ValueError):
         BasisChannelId(ChannelKind.PAULI, 1, 2)  # no second index on a Pauli
+    # indices are integers, never a bool or a float that would label "sTrue" or "A01.0"
+    for build in (
+        lambda: pauli_channel(True),
+        lambda: pauli_channel(1.0),
+        lambda: pauli_channel("1"),
+        lambda: a_channel(0, 1.0),
+        lambda: b_channel(False, 1),
+    ):
+        with pytest.raises(ValueError, match="integer"):
+            build()
+    assert type(pauli_channel(np.int64(2)).alpha) is int
+    assert a_channel(np.int64(0), np.int64(1)).label() == "A01"
+    with pytest.raises(ValueError, match="ChannelKind"):
+        BasisChannelId("pauli", 1)
 
 
 # --- exact channel maps ---------------------------------------------------

@@ -602,7 +602,7 @@ def test_cut_angles_are_decomposed_once_per_compile(monkeypatch):
     assert len(calls) == 1
     first, second = plan.cuts
     assert first.cums is second.cums and first.signs is second.signs
-    assert plan.w_total == first.weight**2
+    assert plan.w_total == first.cums[-1] ** 2
 
 
 # --- the compiled shot plan against per-gate re-simulation ------------------

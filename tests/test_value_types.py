@@ -97,6 +97,22 @@ def test_equality_and_hash_never_raise():
             assert hash(first) == hash(second), name
 
 
+def test_sequence_fields_are_their_own_tuples():
+    """A list or generator argument is stored as a tuple: later changes to it cannot leak in."""
+    cases = (
+        ("gates", lambda seq: Circuit(2, seq), list(gates())),
+        ("terms", Observable, [(0.5, "XZ"), (-1.0, "ZI")]),
+        ("left", lambda seq: QPTerm(0.5, seq, (pauli_channel(2),)), [a_channel(0, 1)]),
+        ("terms", lambda seq: QPDecomposition(seq, 0.5), [VALUES["QPTerm"]()]),
+    )
+    for field, build, items in cases:
+        from_generator = getattr(build(item for item in items), field)
+        listed = list(items)
+        value = build(listed)
+        listed.append(items[0])
+        assert getattr(value, field) == from_generator == tuple(items), (field, items)
+
+
 def test_running_a_gate_leaves_it_unchanged():
     circuit = Circuit(2, gates())
     before = [set(vars(g)) for g in circuit.gates]
