@@ -32,12 +32,13 @@ The programs (sigma_a sigma_a' = i eps sigma_a'', eps the Levi-Civita sign):
 Every program has total quasiprobability mass exactly 1: averaging
 weight x (post state) over the program's randomness reproduces the channel.
 Every sampled run weighs exactly +-1. ``run_program`` runs one program on
-one qubit once, for ``realize``. ``run_branches`` runs a sequence of
-(qubit, step) pairs, such as the programs of a cut term's left and right
-channels one after the other, for many shots that share one input state,
-for the sampler; it reads each shot's uniforms from a row of a given
-matrix, and does each branch's work once. Both take the same draws in the
-same order and apply the same kernels.
+one qubit once, for ``realize``. Every program takes at most one draw, so
+its runs have at most two outcomes, and ``outcome_table`` lists them, read
+off the same program at import: per outcome a 2x2 Kraus operator (the
+product of the steps the outcome takes) and its weight, and what draws
+the outcome (nothing, a fair coin, or a signed measurement with its
+projector). The sampler routes many shots through a cut term's two tables
+at once, on the 4x4 reduced density matrix of the cut pair.
 """
 
 from __future__ import annotations
@@ -182,6 +183,33 @@ class RealizationOutcome:
     weight: float
 
 
+@dataclass(frozen=True, eq=False)
+class OutcomeTable:
+    """The outcomes of one realization program.
+
+    Outcome i maps a state psi to ``kraus[i] @ psi`` (renormalized after a
+    measurement) with weight ``weights[i]``, +1.0 or -1.0. One outcome means
+    the program draws nothing. Two outcomes take one uniform draw u: with a
+    ``projector`` they are a signed measurement, outcome 0 iff
+    u < Tr(projector rho); without one, a fair coin, outcome 0 iff u < 0.5.
+    Arrays are read-only copies.
+    """
+
+    kraus: np.ndarray
+    weights: tuple[float, ...]
+    projector: np.ndarray | None
+
+    def __post_init__(self) -> None:
+        kraus = np.array(self.kraus, dtype=complex)
+        kraus.setflags(write=False)
+        object.__setattr__(self, "kraus", kraus)
+        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        if self.projector is not None:
+            matrix = np.array(self.projector, dtype=complex)
+            matrix.setflags(write=False)
+            object.__setattr__(self, "projector", matrix)
+
+
 def projector(axis: tuple[float, float, float] | np.ndarray) -> np.ndarray:
     """Pi(n) = (I + n . sigma) / 2 for a unit Bloch vector n."""
     n = np.asarray(axis, dtype=float)
@@ -228,6 +256,40 @@ _PROGRAMS: dict[BasisChannelId, tuple[RealizationStep, ...]] = {
     channel: _build_program(channel) for channel in ALL_CHANNELS
 }
 
+
+def _build_table(program: tuple[RealizationStep, ...]) -> OutcomeTable:
+    """The outcomes of ``program``, which takes at most one draw, step by step.
+
+    A unitary multiplies every outcome's Kraus operator. A coin or a
+    measurement splits the one outcome so far into two, weighing +1 and -1;
+    a measurement's projector is pulled back through the unitaries before it.
+    """
+    outcomes = [(PAULIS[0], 1.0)]
+    projector_matrix = None
+    for step in program:
+        if isinstance(step, Unitary):
+            outcomes = [(step.matrix @ k, w) for k, w in outcomes]
+            continue
+        if isinstance(step, Coin):
+            sides = (step.plus.matrix, step.minus.matrix)
+        elif isinstance(step, SignedMeasurement):
+            sides = (step.projector_matrix, PAULIS[0] - step.projector_matrix)
+        else:
+            raise TypeError(f"unknown realization step {step!r}")
+        if len(outcomes) > 1:
+            raise ValueError("an outcome table holds programs of at most one coin or measurement")
+        ((k, w),) = outcomes
+        if isinstance(step, SignedMeasurement):
+            projector_matrix = k.conj().T @ step.projector_matrix @ k
+        outcomes = [(sides[0] @ k, w), (sides[1] @ k, -w)]
+    kraus, weights = zip(*outcomes)
+    return OutcomeTable(np.stack(kraus), weights, projector_matrix)
+
+
+_TABLES: dict[BasisChannelId, OutcomeTable] = {
+    channel: _build_table(program) for channel, program in _PROGRAMS.items()
+}
+
 _PTMS: dict[BasisChannelId, np.ndarray] = {
     channel: ptm_from_action(lambda m: channel_action(channel, m), 1)
     for channel in ALL_CHANNELS
@@ -244,6 +306,11 @@ def basis_ptm(channel: BasisChannelId) -> np.ndarray:
 def realization_program(channel: BasisChannelId) -> tuple[RealizationStep, ...]:
     """The channel's realization as primitive steps (built once at import)."""
     return _PROGRAMS[channel]
+
+
+def outcome_table(channel: BasisChannelId) -> OutcomeTable:
+    """The outcomes of the channel's realization program (built once at import)."""
+    return _TABLES[channel]
 
 
 def run_program(
@@ -275,51 +342,6 @@ def run_program(
         else:
             raise TypeError(f"unknown realization step {step!r}")
     return psi, weight
-
-
-def run_branches(
-    psi: np.ndarray, steps, num_qubits: int, u: np.ndarray
-) -> list[tuple[np.ndarray, float, np.ndarray]]:
-    """Run the ``(qubit, step)`` sequence ``steps`` once per row of ``u``.
-
-    Every row starts from the state ``psi``, and its i-th coin or
-    measurement reads column i of ``u``, a uniform in [0, 1). Rows that
-    draw the same outcomes share a branch, and each branch's state is
-    computed once, exactly as ``run_program`` computes it, step by step,
-    for each of its rows, from the uniforms ``run_program`` would draw.
-    Returns (post state, weight +-1.0, rows of ``u``) per branch reached.
-    """
-    branches = [(psi, 1.0, np.arange(len(u)))]
-    column = 0
-    for qubit, step in steps:
-        if isinstance(step, Unitary):
-            branches = [(apply_1q(s, step.matrix, qubit, num_qubits), w, r) for s, w, r in branches]
-            continue
-        split = []
-        for state, weight, rows in branches:
-            # only reached outcomes are computed: p_plus may be 0 or 1
-            if isinstance(step, Coin):
-                plus = u[rows, column] < 0.5
-                if plus.any():
-                    up = apply_1q(state, step.plus.matrix, qubit, num_qubits)
-                    split.append((up, weight, rows[plus]))
-                if not plus.all():
-                    down = apply_1q(state, step.minus.matrix, qubit, num_qubits)
-                    split.append((down, -weight, rows[~plus]))
-            elif isinstance(step, SignedMeasurement):
-                projected = apply_1q(state, step.projector_matrix, qubit, num_qubits)
-                p_plus = float(np.real(np.vdot(projected, projected)))
-                plus = u[rows, column] < p_plus
-                if plus.any():
-                    split.append((projected / sqrt(p_plus), weight, rows[plus]))
-                if not plus.all():
-                    down = (state - projected) / sqrt(1.0 - p_plus)
-                    split.append((down, -weight, rows[~plus]))
-            else:
-                raise TypeError(f"unknown realization step {step!r}")
-        branches = split
-        column += 1
-    return branches
 
 
 def realize(channel: BasisChannelId, state: QuantumState, rng) -> RealizationOutcome:

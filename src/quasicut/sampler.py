@@ -18,9 +18,11 @@ Averaged over shots this is unbiased for the exact expectation.
 ``estimate`` compiles (circuit, observable, mode) once into a shot plan,
 decomposing each distinct cut angle once, and runs every shot from it: the
 state after the uncut gates before the first cut, simulated once, and per
-cut its qubits, sampling table (whose total is its weight) and the uncut
-gates up to the next cut or the end. The segments after the cuts, which run once per batch of
-states, are fused at compile time (``_fuse``): every 1-qubit gate on a
+cut its qubits, its angle's sampling table (the terms' cut points, whose
+total is the weight, and the outcome tables of their channels, gathered
+as arrays) and the uncut gates up to the next cut or the end. The
+segments after the cuts, which run once per slice of states, are fused
+at compile time (``_fuse``): every 1-qubit gate on a
 qubit that a 2-qubit gate of the segment touches is multiplied into such a
 gate, so a segment becomes one 4x4 product per 2-qubit gate, followed by
 the 1-qubit gates of the other qubits as they are. The prefix runs once,
@@ -33,20 +35,26 @@ oracle's own ``observable_expectation`` and ``pauli_string_expectation``
 read the observable on a stack of final states at once.
 
 Every step a shot takes is picked from a small discrete set: the term, the
-coin sides and measurement outcomes of its steps, and at the end the
-observable term. So a shot's state depends only on its branch path, at most
-about 100 paths per cut, not on the draws themselves. The shots of an
-estimate walk a branch tree together (``_walk``), and each node's work (a
-drawn term's (qubit, step) sequence) is done once, not once per shot. The
-children of a cut's nodes are stacked in batches across nodes, so the
-uncut gates after the cut and the observable run once per batch, not once
-per node. Only the open frontier holds states, at most one batch and one
-node's children per cut, and the shots run in chunks of 2^16, so memory
-does not grow with the tree or the shot count beyond one value per shot.
+outcome of each of its two channels (a coin side or a measurement
+outcome; every realization program takes at most one draw), and at the
+end the observable term. So a shot's state depends only on its branch
+path, at most about 100 paths per cut, not on the draws themselves. The
+shots of an estimate walk a branch tree together (``_walk``). At a cut,
+every channel's outcome table (``local_basis.outcome_table``: per outcome
+a 2x2 Kraus operator and a weight +-1) gives the term's children as
+(K_a (x) K_b) psi, and the outcome probabilities are traces against the
+4x4 reduced density matrix of the cut pair, so a whole level of the tree
+is routed with a fixed number of array operations: one batched product
+builds the children of many nodes, each reached child once, not once per
+shot. The uncut gates after the cut and the observable run once per
+slice of children, not once per node. Only the open frontier holds
+states, at most one slice of children per cut, and the shots run in
+chunks of 2^16, so memory does not grow with the tree or the shot count
+beyond one value per shot.
 A shot draws exactly what the per-gate simulation would, in the same
 order, so neither the plan nor the tree changes a result beyond rounding,
 and a shot's value does not depend on the other shots of its chunk or
-batch. All shots at a node have taken the same number of draws, so the
+slice. All shots at a node have taken the same number of draws, so the
 node alone fixes which of their uniforms it reads. ``run_shot(..., seed,
 s)`` compiles a plan and walks shot s alone from the same stream table, so
 it is shot s of ``estimate`` with that seed.
@@ -94,8 +102,8 @@ from .circuit import (
     observable_expectation,
     pauli_string_expectation,
 )
-from .decomposition import decompose
-from .local_basis import RealizationStep, Unitary, realization_program, run_branches
+from .decomposition import QPDecomposition, decompose
+from .local_basis import ALL_CHANNELS, outcome_table
 
 _BOUND_SLACK = 1e-9
 
@@ -107,10 +115,10 @@ _BELOW_ONE = 1.0 - 2.0**-53
 # table next to its tree
 _CHUNK_SHOTS = 1 << 16
 
-# a cut's children are stacked and simulated in batches of about this many
-# amplitudes (1 MiB of complex128): one call per batch instead of one per
-# parent row, while each tree level holds at most one batch plus one
-# parent's children
+# a cut's children are built and simulated in slices of at most this many
+# amplitudes (1 MiB of complex128, or one child if that is larger): one
+# call per slice instead of one per child, while each tree level holds at
+# most one slice of children
 _BATCH_AMPS = 1 << 16
 
 # an estimate keeps one float per shot: 800 MB at this count
@@ -256,25 +264,88 @@ def plan_shots(epsilon: float, delta: float, o_max: float, w_total: float) -> in
         raise ValueError(f"epsilon {epsilon} needs more shots than a float can count") from exc
 
 
-@dataclass(frozen=True)
-class _Cut:
-    """One cut gate's sampling table and the uncut segment that follows it.
+def _channel_rows():
+    """Every basis channel's outcome table as rows of arrays, in ``ALL_CHANNELS`` order.
 
-    ``cums`` are cumulative |coefficient| cut points for the term draw, so
-    ``cums[-1]`` is the cut's weight W, ``signs`` the coefficients' signs
-    c/|c|, each +-1.0 (both built by ``_table``), and ``steps`` per
-    term one run of (qubit, step) pairs: the steps of its left channels on
-    the gate's first qubit, then those of its right channels on the second,
-    and ``draws`` per term their coins and measurements. Cuts with the same
-    angle share one ``cums`` and one ``signs``. ``after`` holds the uncut
+    Returns (effects, kraus, weights, draws, effect). Per channel c,
+    ``kraus[c, o]`` and ``weights[c, o]`` are outcome o's (zero for a
+    missing second outcome), ``draws[c]`` is 1 for a coin or a measurement
+    and 0 otherwise, and ``effect[c, o]`` indexes outcome o's effect in
+    ``effects``: a measurement's projector and I minus it, and I for both
+    sides of a coin, so that Tr(E_0 rho) / Tr((E_0 + E_1) rho) is
+    outcome 0's probability in either case (exactly 1/2 for a coin).
+    """
+    effects = [SIGMA_0]
+    count = len(ALL_CHANNELS)
+    kraus = np.zeros((count, 2, 2, 2), dtype=complex)
+    weights = np.zeros((count, 2))
+    draws = np.zeros(count, dtype=np.intp)
+    effect = np.zeros((count, 2), dtype=np.intp)
+    for c, channel in enumerate(ALL_CHANNELS):
+        table = outcome_table(channel)
+        draws[c] = len(table.weights) - 1
+        kraus[c, : draws[c] + 1] = table.kraus
+        weights[c, : draws[c] + 1] = table.weights
+        if table.projector is not None:
+            effect[c] = len(effects), len(effects) + 1
+            effects += [table.projector, SIGMA_0 - table.projector]
+    return np.stack(effects), kraus, weights, draws, effect
+
+
+_EFFECTS, _KRAUS, _WEIGHTS, _DRAWS, _EFFECT = _channel_rows()
+
+# a term side's channel labels (decompose gives each side one channel) -> its row
+_ROW = {(channel,): c for c, channel in enumerate(ALL_CHANNELS)}
+
+
+@dataclass(frozen=True, eq=False)
+class _Terms:
+    """One cut angle's sampling table, gathered from its channels' outcome tables.
+
+    ``cums`` are the cumulative |coefficient| cut points of the term draw,
+    so ``cums[-1]`` is the cut's weight W. Per term t, side s (0 for the
+    left channel on the gate's first qubit, 1 for the right one on its
+    second) and outcomes a and b of the left and right channel:
+    ``draws[t, s]`` is 1 if the side draws its outcome and 0 if it has one
+    outcome, ``effect[t, s, o]`` indexes the effect of the side's outcome o
+    in ``_EFFECTS``, ``kraus[t, a, b]`` is K_a (x) K_b, and
+    ``weights[t, a, b]`` the sign of the coefficient times both outcomes'
+    weights, each +-1.
+    """
+
+    cums: np.ndarray
+    kraus: np.ndarray
+    weights: np.ndarray
+    draws: np.ndarray
+    effect: np.ndarray
+
+
+def _terms(decomp: QPDecomposition) -> _Terms:
+    """The sampling table of one cut angle's decomposition."""
+    cums, signs = _table([t.coefficient for t in decomp.terms])
+    rows = np.array([(_ROW[t.left], _ROW[t.right]) for t in decomp.terms])
+    left, right = rows[:, 0], rows[:, 1]
+    weights = _WEIGHTS[left][:, :, None] * _WEIGHTS[right][:, None, :]
+    return _Terms(
+        cums=np.array(cums),
+        kraus=_kron(_KRAUS[left][:, :, None], _KRAUS[right][:, None, :]),
+        weights=np.array(signs)[:, None, None] * weights,
+        draws=_DRAWS[rows],
+        effect=_EFFECT[rows],
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class _Cut:
+    """One cut gate: its qubits, its angle's sampling table and the uncut segment after it.
+
+    Cuts with the same angle share one ``terms``. ``after`` holds the uncut
     gates up to the next cut, or to the end of the circuit, fused by
     ``_fuse`` into 2-qubit products and lone-qubit gates.
     """
 
-    cums: tuple[float, ...]
-    signs: tuple[float, ...]
-    steps: tuple[tuple[tuple[int, RealizationStep], ...], ...]
-    draws: tuple[int, ...]
+    qubits: tuple[int, int]
+    terms: _Terms
     after: tuple[Raw2QGate | Gate, ...]
 
 
@@ -322,37 +393,18 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
     prefix.setflags(write=False)
 
     exact = mode is MeasureMode.EXACT_TRACE
-    # cuts that share an angle share a decomposition and its tables
-    tables: dict[ThetaVector, tuple] = {}
+    # cuts that share an angle share a decomposition and its sampling table
+    tables: dict[ThetaVector, _Terms] = {}
     cuts = []
     w_total = 1.0
     draws = 0 if exact else 2  # the observable term and its eigenvalue
     for gate, after in zip(cut_gates, segments[1:]):
         if gate.theta not in tables:
-            decomp = decompose(pauli_coefficients(gate.theta))
-            tables[gate.theta] = decomp, *_table([t.coefficient for t in decomp.terms])
-        decomp, cums, signs = tables[gate.theta]
-        w_total *= cums[-1]
-        steps = tuple(
-            tuple(
-                (qubit, step)
-                for qubit, channels in zip(gate.qubits, (t.left, t.right))
-                for cid in channels
-                for step in realization_program(cid)
-            )
-            for t in decomp.terms
-        )
-        term_draws = tuple(sum(not isinstance(s, Unitary) for _, s in seq) for seq in steps)
-        draws += 1 + max(term_draws)
-        cuts.append(
-            _Cut(
-                cums=cums,
-                signs=signs,
-                steps=steps,
-                draws=term_draws,
-                after=_fuse(after),
-            )
-        )
+            tables[gate.theta] = _terms(decompose(pauli_coefficients(gate.theta)))
+        terms = tables[gate.theta]
+        w_total *= float(terms.cums[-1])
+        draws += 1 + int(terms.draws.sum(axis=1).max())
+        cuts.append(_Cut(qubits=gate.qubits, terms=terms, after=_fuse(after)))
 
     live = () if exact else tuple((c, p) for c, p in observable.terms if c != 0.0)
     term_cums, term_signs = _table([c for c, _ in live])
@@ -413,8 +465,9 @@ def _fuse(segment: list[Gate]) -> tuple[Raw2QGate | Gate, ...]:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a (x) b for 2x2 a and b, by broadcasting: a fraction of np.kron's cost."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    """a (x) b for 2x2 a and b, or broadcast stacks of them: a fraction of np.kron's cost."""
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (4, 4))
 
 
 def _apply_steps(stack: np.ndarray, steps, n: int) -> np.ndarray:
@@ -427,64 +480,84 @@ def _apply_steps(stack: np.ndarray, steps, n: int) -> np.ndarray:
 def _walk(plan: _ShotPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the shot of each row of uniforms ``table`` down the plan's branch tree.
 
-    Returns (sign, o', x) arrays. A path ``(sign, shots, j)`` is a node:
-    the shots (rows) that reached it, each having taken j draws, so it
-    reads column j. ``descend`` starts at a one-row stack, the prefix.
-    Before cut k each row's shots draw their terms from column j, each
-    drawn term's steps run once per branch (``run_branches``) on its next
-    ``cut.draws[term]`` columns, and its children start after them.
-    ``descend`` collects the branches of consecutive rows until they hold
-    ``_BATCH_AMPS`` amplitudes or the last row is done. It then stacks the
-    batch, runs the uncut gates after the cut on it and descends from it
-    before drawing the next rows, so only the open frontier holds states.
-    In sample mode a leaf's shots draw their observable term and eigenvalue
-    from its column and the next, and each drawn term is evaluated once, on
-    its leaves.
+    Returns (sign, o', x) arrays. ``descend`` takes a stack of states, one
+    row per tree node, the nodes' signs and draw counts, and the shots
+    (rows of ``table``) at the nodes with the node of each: a node's shots
+    have taken the same draws, so it reads the same columns for all of
+    them. Before cut k, ``_route`` sends each shot to a child: a term and
+    the outcomes of its two channels, drawn from the node's next columns
+    with probabilities read off the cut pair's 4x4 reduced density matrix.
+    The children, one per (node, term, outcomes) reached, are built as
+    ``_BATCH_AMPS``-amplitude slices of one batched product each; each
+    slice runs the uncut gates after the cut and descends before the next
+    is built, so only the open frontier holds states. In sample mode a
+    leaf's shots draw their observable term and eigenvalue from its
+    column and the next, and each drawn term is evaluated once, on its
+    leaves.
     """
     n = plan.num_qubits
     shots = len(table)
     sign = np.empty(shots)
     o_value = np.empty(shots)
 
-    def descend(k: int, stack: np.ndarray, paths: list[tuple[float, np.ndarray, int]]) -> None:
-        # row r of stack is the state before cut k of the shots paths[r][1]
+    def descend(k: int, stack, node_sign, node_col, idx, node) -> None:
+        # row r of stack is the state before cut k of the shots idx[node == r]
         if k == len(plan.cuts):
-            leaves(stack, paths)
+            leaves(stack, node_sign, node_col, idx, node)
             return
-        cut, last = plan.cuts[k], len(paths) - 1
-        states, children = [], []
-        for row, (psi, (path_sign, idx, j)) in enumerate(zip(stack, paths)):
-            for term, drew in _draw_terms(table[idx, j], cut.cums):
-                taken, end = idx[drew], j + 1 + cut.draws[term]
-                u = table[taken, j + 1 : end]
-                for state, w, rows in run_branches(psi, cut.steps[term], n, u):
-                    states.append(state)
-                    children.append((path_sign * cut.signs[term] * w, taken[rows], end))
-            if row == last or len(states) << n >= _BATCH_AMPS:
-                batch = _apply_steps(_stack(states, n), cut.after, n)
-                batch_paths, states, children = children, [], []
-                descend(k + 1, batch, batch_paths)
+        cut = plan.cuts[k]
+        terms = cut.terms
+        phi = _pair_front(stack, cut.qubits, n)
+        key = _route(terms, _traces(phi), table, idx, node, node_col[node])
+        order = np.argsort(key)
+        key, idx = key[order], idx[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        child = key[starts]
+        parent, term = np.divmod(child >> 2, len(terms.cums))
+        a, b = (child >> 1) & 1, child & 1
+        child_sign = node_sign[parent] * terms.weights[term, a, b]
+        child_col = node_col[parent] + 1 + terms.draws[term].sum(axis=1)
+        bounds = np.append(starts, len(idx))
+        per = max(1, _BATCH_AMPS >> n)
+        for first in range(0, len(child), per):
+            last = min(first + per, len(child))
+            rows = first + _pad(last - first, n)
+            states = terms.kraus[term[rows], a[rows], b[rows]] @ phi[parent[rows]]
+            # renormalizes a measured child; a unitary one keeps its norm, up to rounding
+            states /= np.linalg.norm(states.reshape(len(rows), -1), axis=1)[:, None, None]
+            batch = _apply_steps(_pair_back(states, cut.qubits, n), cut.after, n)
+            counts = np.diff(bounds[first : last + 1])
+            descend(
+                k + 1,
+                batch,
+                child_sign[first:last],
+                child_col[first:last],
+                idx[bounds[first] : bounds[last]],
+                np.repeat(np.arange(last - first), counts),
+            )
 
-    def leaves(stack: np.ndarray, paths: list[tuple[float, np.ndarray, int]]) -> None:
-        idx = np.concatenate([i for _, i, _ in paths])
-        leaf_of = np.repeat(np.arange(len(paths)), [len(i) for _, i, _ in paths])
-        sign[idx] = np.array([s for s, _, _ in paths])[leaf_of]
+    def leaves(stack, node_sign, node_col, idx, node) -> None:
+        sign[idx] = node_sign[node]
         if plan.mode is MeasureMode.EXACT_TRACE:
-            o_value[idx] = observable_expectation(stack, plan.observable, n)[leaf_of]
+            o_value[idx] = observable_expectation(stack, plan.observable, n)[node]
             return
-        col = np.array([j for _, _, j in paths])[leaf_of]
-        for term, drew in _draw_terms(table[idx, col], plan.term_cums):
-            taken, at = idx[drew], leaf_of[drew]
+        col = node_col[node]
+        picks = _draw_terms(table[idx, col], plan.term_cums)
+        for term in np.unique(picks).tolist():
+            drew = picks == term
+            taken, at = idx[drew], node[drew]
             term_sign, pauli = plan.terms[term]
             used = np.unique(at)
-            means = np.empty(len(paths))
+            means = np.empty(len(node_sign))
             # a Pauli string's entries are 0, +-1 or +-i: exact in any row position
             means[used] = pauli_string_expectation(stack[used], pauli, n)
             p_plus = np.clip(0.5 * (1.0 + means[at]), 0.0, 1.0)
             eig = np.where(table[taken, col[drew] + 1] < p_plus, 1.0, -1.0)
             o_value[taken] = term_sign * eig * plan.observable.o_max
 
-    descend(0, _stack([plan.prefix], n), [(1.0, np.arange(shots), 0)])
+    root = plan.prefix[None][_pad(1, n)]
+    origin = np.zeros(1, dtype=np.intp)
+    descend(0, root, np.ones(1), origin, np.arange(shots), np.zeros(shots, dtype=np.intp))
     x = plan.w_total * (sign * o_value)
     bound = plan.w_total * plan.observable.o_max
     over = np.abs(x) > bound + _BOUND_SLACK
@@ -493,30 +566,94 @@ def _walk(plan: _ShotPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return sign, o_value, x
 
 
-def _draw_terms(u: np.ndarray, cums: tuple[float, ...]):
-    """Draw a term per uniform in ``u`` by the cumulative weights ``cums``.
+def _route(terms: _Terms, traces: np.ndarray, table, idx, node, col) -> np.ndarray:
+    """Each shot's child of its node, as the key ((node * T + term) * 2 + a) * 2 + b.
 
-    Returns (term, mask over ``u``) for every term drawn, as
-    ``bisect_right(cums, u * cums[-1])`` per uniform would pick them.
+    Shot i is at ``node[i]`` and reads its term from column ``col[i]`` of
+    row ``idx[i]`` of ``table``, then its left channel's outcome a, if that
+    draws, from the next column, and its right one's b, if that draws, from
+    the one after; a side that draws nothing reads no column. A side's
+    outcome is 1 iff its draw is >= t_0 / (t_0 + t_1), where t_o is
+    Tr((E_o (x) I) rho) on the left and Tr((E_a (x) E_o) rho) on the right,
+    E_o the effect of the side's outcome o and E_a that of the left outcome
+    drawn, read from ``traces`` (``_traces`` of the nodes' pair states).
+    That is exactly 1/2 for a coin. For a measurement of the projector Pi
+    it is Tr((Pi (x) I) rho), or Tr((E_a (x) Pi) rho) / Tr((E_a (x) I) rho),
+    up to rounding, and exactly 1 on an eigenstate of Pi, whose other
+    outcome has trace 0 and is never drawn.
     """
-    picks = np.minimum(np.searchsorted(cums, u * cums[-1], side="right"), len(cums) - 1)
-    return [(term, picks == term) for term in np.unique(picks).tolist()]
+    term = _draw_terms(table[idx, col], terms.cums)
+    draws, effect = terms.draws[term], terms.effect[term]
+    left = _outcomes(
+        table, idx, col + 1, draws[:, 0],
+        traces[node, effect[:, 0, 0], 0], traces[node, effect[:, 0, 1], 0],
+    )  # fmt: skip
+    given = terms.effect[term, 0, left]
+    right = _outcomes(
+        table, idx, col + 1 + draws[:, 0], draws[:, 1],
+        traces[node, given, effect[:, 1, 0]], traces[node, given, effect[:, 1, 1]],
+    )  # fmt: skip
+    return ((node * len(terms.cums) + term) * 2 + left) * 2 + right
 
 
-def _stack(states, n: int) -> np.ndarray:
-    """The states as rows of one array, padded with copies of the first.
+def _outcomes(table, idx, col, draws, zero, one) -> np.ndarray:
+    """One side's outcome per shot, 0 or 1: see ``_route``.
+
+    ``zero`` and ``one`` are the traces of the side's outcomes. Only the
+    shots whose side draws read ``table``, at column ``col``.
+    """
+    outcome = np.zeros(len(idx), dtype=np.intp)
+    drew = np.flatnonzero(draws)
+    chance = zero[drew] / (zero[drew] + one[drew])
+    outcome[drew] = table[idx[drew], col[drew]] >= chance
+    return outcome
+
+
+def _pair_front(stack: np.ndarray, qubits: tuple[int, int], n: int) -> np.ndarray:
+    """The stack's states as (rows, 4, 2^(n-2)) arrays, the cut pair first, in gate order."""
+    a, b = qubits
+    psi = stack.reshape((len(stack),) + (2,) * n)
+    return np.moveaxis(psi, (a + 1, b + 1), (1, 2)).reshape(len(stack), 4, 1 << (n - 2))
+
+
+def _pair_back(states: np.ndarray, qubits: tuple[int, int], n: int) -> np.ndarray:
+    """The inverse of ``_pair_front``: a stack of statevectors."""
+    a, b = qubits
+    psi = states.reshape((len(states), 2, 2) + (2,) * (n - 2))
+    return np.moveaxis(psi, (1, 2), (a + 1, b + 1)).reshape(len(states), 1 << n)
+
+
+def _traces(phi: np.ndarray) -> np.ndarray:
+    """Tr((E_x (x) E_y) rho), real, for every two ``_EFFECTS`` E_x and E_y, per row of ``phi``.
+
+    A row of ``phi`` is a state with the cut pair first (``_pair_front``),
+    and rho = phi phi^+ is the pair's 4x4 reduced density matrix.
+    """
+    rho = (phi @ phi.conj().transpose(0, 2, 1)).reshape(-1, 2, 2, 2, 2)
+    left = np.einsum("xji,pikjl->pxkl", _EFFECTS, rho)
+    return np.einsum("ylk,pxkl->pxy", _EFFECTS, left).real
+
+
+def _draw_terms(u: np.ndarray, cums) -> np.ndarray:
+    """The term each uniform in ``u`` draws by the cumulative weights ``cums``.
+
+    Picks what ``bisect_right(cums, u * cums[-1])`` per uniform would.
+    """
+    return np.minimum(np.searchsorted(cums, u * cums[-1], side="right"), len(cums) - 1)
+
+
+def _pad(count: int, n: int) -> np.ndarray:
+    """Row indices 0..count-1, then 0s up to a multiple of max(16 >> n, 1) rows.
 
     A row of a stacked product rounds alike wherever it sits in the stack,
     except that OpenBLAS's zgemm rounds the columns of a trailing partial
     group of four differently. A gate or fused step, on one qubit or two,
     has 2^(n-2) or more columns per row of a stack of n-qubit states, so
-    stacks of a multiple of
-    max(16 >> n, 1) rows avoid it, and a shot's value depends on its path
+    stacks of a multiple of max(16 >> n, 1) rows, padded with copies of
+    their first row, avoid it, and a shot's value depends on its path
     alone, not on the other shots of its chunk.
     """
-    rows = list(states)
-    quantum = max(16 >> n, 1)
-    return np.stack(rows + rows[:1] * (-len(rows) % quantum))
+    return np.concatenate([np.arange(count), np.zeros(-count % max(16 >> n, 1), dtype=int)])
 
 
 def run_shot(

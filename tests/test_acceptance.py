@@ -17,13 +17,7 @@ from quasicut.analysis import compare_costs, find_max_w
 from quasicut.canonical import ThetaVector, canonical_unitary, pauli_coefficients
 from quasicut.circuit import CanonicalGate, Circuit, Observable, SingleGate
 from quasicut.decomposition import compose, decompose, legacy_decompose, reconstruct_ptm
-from quasicut.local_basis import (
-    ALL_CHANNELS,
-    Unitary,
-    channel_action,
-    realization_program,
-    run_branches,
-)
+from quasicut.local_basis import ALL_CHANNELS, channel_action, outcome_table
 from quasicut.sampler import EstimatorConfig, MeasureMode, estimate
 
 PI = np.pi
@@ -205,28 +199,35 @@ CARDINAL_STATES = {
 def test_criterion_8_channel_realizations():
     """Sampled weight x density means reproduce every channel on every axis state.
 
-    Each cell runs its 1e5 samples through the batched interpreter. A
+    Each cell runs its 1e5 samples through the channel's outcome table. A
     program takes one draw per coin or measurement, so drawing all of a
     cell's uniforms at once takes the generator's values in the order
-    ``realize`` called in a loop would, and gives the same samples.
+    ``realize`` called in a loop would, and picks the same outcomes: outcome
+    1 iff the draw is >= 1/2 for a coin, or >= Tr(Pi rho) for a
+    measurement of the projector Pi, whose post state is renormalized.
     """
     shots = 100_000
     rng = np.random.default_rng(108)
     worst_sigma = 0.0
     ok = True
     for channel in ALL_CHANNELS:
-        program = realization_program(channel)
-        steps = tuple((0, step) for step in program)
-        k = sum(not isinstance(step, Unitary) for step in program)
+        table = outcome_table(channel)
+        k = len(table.weights) - 1
         for name, vec in CARDINAL_STATES.items():
             state = QuantumState.pure(vec)
             target = channel_action(channel, state.density_matrix())
             u = rng.random((shots, k)) if k else np.empty((shots, 0))
-            vectors = np.empty((shots, 2), dtype=complex)
-            weights = np.empty(shots, dtype=complex)
-            for vector, weight, rows in run_branches(state.vector, steps, 1, u):
-                vectors[rows] = vector
-                weights[rows] = weight
+            outcome = np.zeros(shots, dtype=int)
+            if k:
+                p = 0.5 if table.projector is None else np.vdot(vec, table.projector @ vec).real
+                outcome = (u[:, 0] >= p).astype(int)
+            posts = np.einsum("oij,j->oi", table.kraus, vec)
+            if table.projector is not None:
+                # only reached outcomes: an eigenstate's other outcome has norm 0
+                reached = np.unique(outcome)
+                posts[reached] /= np.linalg.norm(posts[reached], axis=1, keepdims=True)
+            vectors = posts[outcome]
+            weights = np.array(table.weights)[outcome]
             samples = weights[:, None, None] * (
                 vectors[:, :, None] * vectors.conj()[:, None, :]
             )

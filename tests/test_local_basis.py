@@ -9,7 +9,9 @@ measurement branches, and checks that the expected map equals the channel.
 import numpy as np
 import pytest
 
+from quasicut import local_basis
 from quasicut.algebra import PAULIS, SIGMA_0, QuantumState
+from quasicut.circuit import apply_1q
 from quasicut.local_basis import (
     ALL_CHANNELS,
     BasisChannelId,
@@ -24,8 +26,8 @@ from quasicut.local_basis import (
     pauli_channel,
     projector,
     realization_program,
+    outcome_table,
     realize,
-    run_branches,
     run_program,
 )
 
@@ -330,35 +332,61 @@ def test_interpreters_reject_unknown_steps():
     program = (Unitary(PAULIS[1]), np.eye(2))
     with pytest.raises(TypeError, match="unknown realization step"):
         run_program(psi, program, 0, 1, FixedDraws([]))
-    steps = tuple((0, step) for step in program)
     with pytest.raises(TypeError, match="unknown realization step"):
-        run_branches(psi, steps, 1, np.zeros((3, 1)))
+        local_basis._build_table(program)
+    # a table holds at most two outcomes: one coin or measurement per program
+    coin = realization_program(a_channel(1, 2))[0]
+    with pytest.raises(ValueError, match="at most one"):
+        local_basis._build_table((coin, Unitary(PAULIS[1]), coin))
 
 
-def branches_against_run_program(psi, sides, draws, read_marks):
-    """``run_branches`` on the (qubit, program) ``sides`` next to ``run_program``.
+def run_tables(psi, sides, u, shot, num_qubits):
+    """The outcome tables of the (qubit, channel) ``sides``, in order, on one shot.
 
-    The sequence is every program's steps on its qubit, in order. Each shot
-    (a row of ``draws``) must get the state and weight that ``run_program``
-    gives it, one side after the other, bit for bit, from the same draws.
+    A table with two outcomes reads the shot's next uniform from row
+    ``shot`` of ``u``: outcome 1 iff it is >= 0.5 for a coin, or >=
+    <psi|Pi|psi> for a measurement of the projector Pi, whose post state is
+    renormalized. Returns (state, weight, uniforms read).
+    """
+    weight, taken = 1.0, 0
+    for qubit, channel in sides:
+        table = outcome_table(channel)
+        outcome = 0
+        if len(table.weights) == 2:
+            p = 0.5
+            if table.projector is not None:
+                p = np.vdot(psi, apply_1q(psi, table.projector, qubit, num_qubits)).real
+            outcome = int(u[shot, taken] >= p)
+            taken += 1
+        psi = apply_1q(psi, table.kraus[outcome], qubit, num_qubits)
+        if table.projector is not None:
+            psi = psi / np.linalg.norm(psi)
+        weight *= table.weights[outcome]
+    return psi, weight, taken
+
+
+def tables_against_run_program(psi, sides, draws, read_marks):
+    """The outcome tables of the (qubit, channel) ``sides`` next to ``run_program``.
+
+    Each shot (a row of ``draws``) must get the weight that ``run_program``
+    gives it, one side after the other, exactly, its state to 1e-15, and
+    take the same draws. Returns the outcomes' weights per shot.
     """
     num_qubits = int(len(psi)).bit_length() - 1
     u = read_marks(draws)
-    steps = tuple((qubit, step) for qubit, program in sides for step in program)
-    branches = run_branches(psi, steps, num_qubits, u)
+    runs = [run_tables(psi, sides, u, shot, num_qubits) for shot in range(len(draws))]
     used = u.counts()
-    assert sorted(i for _, _, rows in branches for i in rows.tolist()) == list(range(len(draws)))
-    for state, weight, rows in branches:
-        for shot in rows.tolist():
-            ref_rng = FixedDraws(draws[shot])
-            ref, ref_weight = psi, 1.0
-            for qubit, program in sides:
-                ref, w = run_program(ref, program, qubit, num_qubits, ref_rng)
-                ref_weight *= w
-            assert weight == ref_weight
-            assert np.array_equal(state, ref)
-            # the same number of draws
-            assert used[shot] == len(draws[shot]) - len(ref_rng._draws)
+    for shot, (state, weight, taken) in enumerate(runs):
+        ref_rng = FixedDraws(draws[shot])
+        ref, ref_weight = psi, 1.0
+        for qubit, channel in sides:
+            ref, w = run_program(ref, realization_program(channel), qubit, num_qubits, ref_rng)
+            ref_weight *= w
+        assert weight == ref_weight
+        assert np.abs(state - ref).max() < 1e-15
+        # the same number of draws
+        assert used[shot] == taken == len(draws[shot]) - len(ref_rng._draws)
+    return [weight for _, weight, _ in runs]
 
 
 def random_state(rng, num_qubits):
@@ -368,11 +396,18 @@ def random_state(rng, num_qubits):
 
 @pytest.mark.parametrize("channel", ALL_CHANNELS, ids=str)
 def test_branches_match_one_run_per_shot(channel, read_marks):
-    """``run_branches`` gives every shot what ``run_program`` gives it, bit for bit."""
+    """Each outcome of a channel's table is what ``run_program`` gives a shot that draws it.
+
+    The first two shots force outcome 0 and outcome 1 (a draw of 0 and
+    the largest draw below 1); the others draw at random.
+    """
     rng = np.random.default_rng(17)
     psi = random_state(rng, 3)
-    sides = [(1, realization_program(channel))]
-    branches_against_run_program(psi, sides, rng.random((12, 2)), read_marks)
+    draws = np.vstack([[[0.0, 0.0], [1.0 - 2.0**-53, 0.0]], rng.random((12, 2))])
+    weights = tables_against_run_program(psi, [(1, channel)], draws, read_marks)
+    table = outcome_table(channel)
+    assert weights[: len(table.weights)] == list(table.weights)
+    assert set(table.weights) <= {1.0, -1.0} and table.kraus.shape == (len(table.weights), 2, 2)
 
 
 @pytest.mark.parametrize(
@@ -380,15 +415,60 @@ def test_branches_match_one_run_per_shot(channel, read_marks):
     [("A12", "B13"), ("s2,B02", "A03,B12,s1"), ("B23,A01", "s0")],
 )
 def test_one_sequence_spans_two_qubits(left, right, read_marks):
-    """A cut term's left channels on qubit 0, then its right ones on qubit 2."""
+    """A cut term's left channels' tables on qubit 0, then its right ones' on qubit 2."""
     rng = np.random.default_rng(23)
     psi = random_state(rng, 3)
     sides = [
-        (qubit, realization_program(BasisChannelId.from_label(label)))
+        (qubit, BasisChannelId.from_label(label))
         for qubit, labels in ((0, left), (2, right))
         for label in labels.split(",")
     ]
-    branches_against_run_program(psi, sides, rng.random((40, len(sides))), read_marks)
+    tables_against_run_program(psi, sides, rng.random((40, len(sides))), read_marks)
+
+
+def random_density_matrix(rng):
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("channel", ALL_CHANNELS, ids=str)
+def test_outcome_tables_reproduce_their_channels(channel):
+    """sum over outcomes of p w K rho K^+ / (its norm, if measured) is the channel, to 1e-14.
+
+    p is 1 for the one outcome of a unitary, 1/2 per side of a coin and
+    Tr(E rho) for a measurement outcome, E the projector or I minus it.
+    """
+    table = outcome_table(channel)
+    rng = np.random.default_rng([31, ALL_CHANNELS.index(channel)])
+    for _ in range(5):
+        rho = random_density_matrix(rng)
+        total = np.zeros((2, 2), dtype=complex)
+        for outcome, (k, w) in enumerate(zip(table.kraus, table.weights)):
+            post = k @ rho @ k.conj().T
+            if table.projector is None:
+                p = 1.0 / len(table.weights)
+            else:
+                effect = table.projector if outcome == 0 else SIGMA_0 - table.projector
+                p = np.trace(effect @ rho).real
+                post = post / np.trace(post).real
+            total += p * w * post
+        assert np.abs(total - channel_action(channel, rho)).max() < 1e-14, channel.label()
+
+
+def test_outcome_tables_are_read_from_the_programs():
+    """Measurements keep their projector; coins and unitaries have none; tables are cached."""
+    for channel in ALL_CHANNELS:
+        program = realization_program(channel)
+        table = outcome_table(channel)
+        assert table is outcome_table(channel)
+        measured = [s for s in program if isinstance(s, SignedMeasurement)]
+        if measured:
+            assert np.array_equal(table.projector, measured[0].projector_matrix)
+        else:
+            assert table.projector is None
+        assert len(table.weights) == (2 if any(not isinstance(s, Unitary) for s in program) else 1)
+        assert not table.kraus.flags.writeable
 
 
 def test_projector_formula():

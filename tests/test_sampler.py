@@ -508,6 +508,76 @@ def test_expected_shot_value_is_the_exact_expectation(num_qubits, layout, seed, 
     assert abs(expected - exact_expectation(circuit, observable)) < 1e-10
 
 
+def side_chances(draws, zero, one):
+    """The probabilities of outcomes 0 and 1 of one term side: see ``sampler._route``.
+
+    A side that draws (``draws`` 1) has outcome 0 with probability
+    zero / (zero + one), from its outcomes' traces, one per row; a row that
+    cannot reach the side (both traces 0) gets no chances. A side that
+    draws nothing has outcome 0.
+    """
+    if not draws:
+        return np.ones_like(zero), np.zeros_like(zero)
+    reached = zero + one > 0
+    p0 = np.divide(zero, zero + one, out=np.zeros_like(zero), where=reached)
+    return p0, np.where(reached, 1.0 - p0, 0.0)
+
+
+def plan_expected_shot_value(circuit, observable):
+    """sum p * W * s * o' over every child the compiled plan's own tables can build, exact mode.
+
+    Per cut and parent state, every term t (probability |c|/W from the
+    plan's cut points) and every left and right outcome (a, b) of its two
+    channels, with the probabilities the router draws them by, from the
+    traces of the outcomes' effects in ``sampler._traces`` (given the left
+    outcome a on the right): 1/2 per side of a coin, Tr(Pi rho) and 1
+    minus it for a measurement. A child is K_a (x) K_b on the parent,
+    renormalized, then the fused segment after the cut. Only children of
+    positive probability are built. Asserts that the probabilities sum
+    to 1.
+    """
+    plan = sampler_module._compile(circuit, observable, MeasureMode.EXACT_TRACE)
+    n = plan.num_qubits
+    states, probs, signs = plan.prefix[None], np.ones(1), np.ones(1)
+    for cut in plan.cuts:
+        terms = cut.terms
+        phi = sampler_module._pair_front(states, cut.qubits, n)
+        traces = sampler_module._traces(phi)
+        shares = np.diff(terms.cums, prepend=0.0) / terms.cums[-1]
+        children = []
+        for t, share in enumerate(shares):
+            (left_draws, right_draws), (left_effects, right_effects) = terms.draws[t], terms.effect[t]
+            left = side_chances(left_draws, *(traces[:, e, 0] for e in left_effects))
+            for a in range(2):
+                given = left_effects[a]
+                right = side_chances(right_draws, *(traces[:, given, e] for e in right_effects))
+                for b in range(2):
+                    p = share * left[a] * right[b]
+                    rows = np.flatnonzero(p)
+                    child = terms.kraus[t, a, b] @ phi[rows]
+                    child /= np.linalg.norm(child, axis=(1, 2))[:, None, None]
+                    child = sampler_module._pair_back(child, cut.qubits, n)
+                    child = sampler_module._apply_steps(child, cut.after, n)
+                    sign = signs[rows] * terms.weights[t, a, b]
+                    children.append((child, probs[rows] * p[rows], sign))
+        states, probs, signs = (np.concatenate(column) for column in zip(*children))
+    assert abs(probs.sum() - 1.0) < 1e-12
+    assert set(signs.tolist()) <= {1.0, -1.0}
+    o_value = observable_expectation(states, observable, n)
+    return float(np.sum(probs * plan.w_total * signs * o_value))
+
+
+@pytest.mark.parametrize(
+    "num_qubits, layout, seed",
+    [(3, "one cut", 1), (4, "one cut", 2), (3, "two cuts", 2), (4, "adjacent cuts", 3)],
+)
+def test_plan_tables_are_unbiased(num_qubits, layout, seed):
+    """The engine's own outcome tables and routing probabilities, enumerated: no bias, to 1e-10."""
+    circuit, observable = oracle_instance(num_qubits, LAYOUTS[layout], seed)
+    expected = plan_expected_shot_value(circuit, observable)
+    assert abs(expected - exact_expectation(circuit, observable)) < 1e-10
+
+
 # --- fused uncut segments ----------------------------------------------------
 
 
@@ -601,8 +671,8 @@ def test_cut_angles_are_decomposed_once_per_compile(monkeypatch):
     plan = sampler_module._compile(Circuit(3, tuple(gates)), observable, MeasureMode.EXACT_TRACE)
     assert len(calls) == 1
     first, second = plan.cuts
-    assert first.cums is second.cums and first.signs is second.signs
-    assert plan.w_total == first.cums[-1] ** 2
+    assert first.terms is second.terms
+    assert plan.w_total == first.terms.cums[-1] ** 2
 
 
 # --- the compiled shot plan against per-gate re-simulation ------------------
@@ -781,12 +851,12 @@ PINNED_ESTIMATES = {
     # an oracle instance is (num_qubits, seed) on the two-cut layout
     ("bell", "exact"): ("0x1.f5c28f5c28f5cp-1", "0x1.4d486e637b650p-4"),
     ("bell", "sample"): ("0x1.051eb851eb852p+0", "0x1.4e261b7ced2d6p-3"),
-    ((3, 2), "exact"): ("-0x1.6681d9f198598p-2", "0x1.35d92fc9dc571p-1"),
+    ((3, 2), "exact"): ("-0x1.6681d9f19859fp-2", "0x1.35d92fc9dc572p-1"),
     ((3, 2), "sample"): ("-0x1.17f848e15819fp+0", "0x1.2f7985ed17aedp+1"),
     # this observable vanishes on every shot's state; (9, 9) below does not
     ((9, 2), "exact"): ("0x0.0p+0", "0x0.0p+0"),
     ((9, 2), "sample"): ("0x1.63b55e9d700a0p+1", "0x1.8128ff96b91d6p+1"),
-    ((9, 9), "exact"): ("-0x1.2652445c125b5p-8", "0x1.2adf79d64bd22p-5"),
+    ((9, 9), "exact"): ("-0x1.2652445c1263dp-8", "0x1.2adf79d64bd28p-5"),
     ((9, 9), "sample"): ("-0x1.f7ccbb8cdc96ap-2", "0x1.11239fe68744cp+2"),
 }
 
@@ -805,8 +875,9 @@ def test_estimates_are_pinned_bit_for_bit(key):
 
 # sha256 of _walk's (sign, o', x) bytes over n in (3, 6, 9), LAYOUTS and
 # MeasureMode, in that loop order, 64 shots each from stream seed 17, with
-# the uncut segments after the cuts fused into 2-qubit products
-WALK_DIGEST = "028cb9b0be7f372b1a9ed378dc636fe206f219f3583511cb4117eec211741144"
+# the uncut segments after the cuts fused into 2-qubit products and each
+# cut's children built from its channels' outcome tables
+WALK_DIGEST = "5d0b0bf962d3a0e2767a3cbe16fafda207ec6709f58c5c177080d3bb8e31f897"
 
 
 def test_walk_is_pinned_shot_for_shot():
