@@ -54,7 +54,6 @@ from .local_basis import (
     b_channel,
     basis_ptm,
     pauli_channel,
-    realization_program,
     realize,
 )
 from .sampler import (
@@ -115,7 +114,6 @@ __all__ = [
     "plan_shots",
     "ptm_from_action",
     "ptm_of_unitary",
-    "realization_program",
     "realize",
     "reconstruct_ptm",
     "rows_to_csv",

@@ -14,9 +14,10 @@ Conventions used throughout the package:
   arrays; an imaginary residue above 1e-10 means the map is not
   Hermiticity-preserving and is rejected.
 
-States are dense pure vectors: every realization program maps a pure state
-to a pure state (projections renormalize), and mixtures arise only as
-averages over samples, which verification forms from ``density_matrix()``.
+States are dense pure vectors: every outcome of a channel's realization
+maps a pure state to a pure state (outcomes renormalize), and mixtures
+arise only as averages over samples, which verification forms from
+``density_matrix()``.
 """
 
 from __future__ import annotations

@@ -11,46 +11,43 @@ any single-qubit linear map is a real combination of them. Under index swap,
 A is symmetric and B is antisymmetric, so restricting to alpha < alpha' loses
 nothing.
 
-Each channel carries a realization program built from three primitive steps:
+Each channel is realized by an outcome table of one or two outcomes (as
+in Mitarai & Fujii, arXiv:1909.07534): outcome o applies a 2x2 Kraus
+operator K_o, renormalizes, and weighs the run by w_o = +-1. Its effect
+E_o = K_o^+ K_o picks it: with t_o = <psi|E_o|psi>, a table of two
+outcomes takes one uniform draw u and gives outcome 0 iff
+u < t_0 / (t_0 + t_1), and the post state is K_o psi / sqrt(t_o). A
+unitary has one outcome; a fair coin between two unitaries has the
+effects I and I; a signed measurement along the axis n has the effects
+Pi(n) and Pi(-n) = I - Pi(n), and weighs its outcomes +1 and -1, so its
+expected weighted output is Pi(n) rho Pi(n) - Pi(-n) rho Pi(-n). The five
+forms (sigma_a sigma_a' = i eps sigma_a'', eps the Levi-Civita sign), as
+(K_0, w_0, E_0), (K_1, w_1, E_1):
 
-* UNITARY(V): apply a 2x2 unitary.
-* SIGNED_MEASUREMENT(n): measure along axis n; on outcome +- (probability
-  p+- = Tr[Pi(+-n) rho]) project, renormalize, and multiply the running
-  weight by +-1. The expected weighted output is
-  Pi(n) rho Pi(n) - Pi(-n) rho Pi(-n).
-* COIN(V+, V-): toss a fair coin; apply V+ with weight +1 or V- with
-  weight -1.
+    sigma_a  unitary      (sigma_a, +1, I)
+    A_0a'    measurement  (Pi(e_a'), +1, Pi(e_a')), (Pi(-e_a'), -1, Pi(-e_a'))
+    A_aa'    coin         ((sigma_a + sigma_a')/sqrt2, +1, I),
+                          ((sigma_a - sigma_a')/sqrt2, -1, I)
+    B_0a'    coin         (exp(+i pi/4 sigma_a'), +1, I), (exp(-i pi/4 sigma_a'), -1, I)
+    B_aa'    measurement  (sigma_a Pi(n), +1, Pi(n)), (sigma_a Pi(-n), -1, Pi(-n)),
+                          n = -eps e_a''
 
-The programs (sigma_a sigma_a' = i eps sigma_a'', eps the Levi-Civita sign):
-
-    sigma_a   -> UNITARY(sigma_a)
-    A_0a'     -> SIGNED_MEASUREMENT(e_a')
-    A_aa'     -> COIN((sigma_a + sigma_a')/sqrt2, (sigma_a - sigma_a')/sqrt2)
-    B_0a'     -> COIN(exp(+i pi/4 sigma_a'), exp(-i pi/4 sigma_a'))
-    B_aa'     -> SIGNED_MEASUREMENT(-eps e_a''), then UNITARY(sigma_a)
-
-Every program has total quasiprobability mass exactly 1: averaging
-weight x (post state) over the program's randomness reproduces the channel.
-Every sampled run weighs exactly +-1. ``run_program`` runs one program on
-one qubit once, for ``realize``. Every program takes at most one draw, so
-its runs have at most two outcomes, and ``outcome_table`` lists them, read
-off the same program at import: per outcome a 2x2 Kraus operator (the
-product of the steps the outcome takes) and its weight, and what draws
-the outcome (nothing, a fair coin, or a signed measurement with its
-projector). The sampler routes many shots through a cut term's two tables
-at once, on the 4x4 reduced density matrix of the cut pair.
+Every table has total quasiprobability mass exactly 1: averaging
+weight x (post state) over its outcomes reproduces the channel. ``realize``
+runs a table on one qubit once. The sampler routes many shots through a
+cut term's two tables at once, on the 4x4 reduced density matrix of the
+cut pair, by the same rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
 
 import numpy as np
 
-from .algebra import PAULIS, QuantumState, integer, ptm_from_action, unit_axis, unitary_matrix
-from .circuit import apply_1q
+from .algebra import PAULIS, QuantumState, integer, ptm_from_action
 
 # (alpha, alpha') -> (eps, alpha'') with sigma_a sigma_a' = i eps sigma_a''
 _LEVI_CIVITA = {(1, 2): (1, 3), (1, 3): (-1, 2), (2, 3): (1, 1)}
@@ -131,53 +128,9 @@ ALL_CHANNELS: tuple[BasisChannelId, ...] = tuple(
 )
 
 
-# --- realization steps ---------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class Unitary:
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = unitary_matrix(self.matrix, 2, "realization step matrix")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class SignedMeasurement:
-    """Measure along ``axis``; outcome +n weighs +1, outcome -n weighs -1."""
-
-    axis: tuple[float, float, float]
-    # Pi(+n), precomputed once; sampling paths hit this every shot
-    projector_matrix: np.ndarray = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        ax = unit_axis(self.axis, "measurement axis")
-        object.__setattr__(self, "axis", ax)
-        matrix = projector(ax)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "projector_matrix", matrix)
-
-
-@dataclass(frozen=True)
-class Coin:
-    """A fair coin: ``plus`` with weight +1 or ``minus`` with weight -1."""
-
-    plus: Unitary
-    minus: Unitary
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.plus, Unitary) and isinstance(self.minus, Unitary)):
-            raise TypeError("both sides of a coin must be Unitary steps")
-
-
-RealizationStep = Unitary | SignedMeasurement | Coin
-
-
 @dataclass(frozen=True)
 class RealizationOutcome:
-    """One sampled run of a program: post state and accumulated weight."""
+    """One sampled run of a channel's outcome table: post state and weight."""
 
     state: QuantumState
     weight: float
@@ -185,29 +138,25 @@ class RealizationOutcome:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeTable:
-    """The outcomes of one realization program.
+    """The outcomes of one basis channel's realization.
 
-    Outcome i maps a state psi to ``kraus[i] @ psi`` (renormalized after a
-    measurement) with weight ``weights[i]``, +1.0 or -1.0. One outcome means
-    the program draws nothing. Two outcomes take one uniform draw u: with a
-    ``projector`` they are a signed measurement, outcome 0 iff
-    u < Tr(projector rho); without one, a fair coin, outcome 0 iff u < 0.5.
-    Arrays are read-only copies.
+    Outcome o maps a state psi to ``kraus[o] @ psi``, renormalized, with
+    weight ``weights[o]``, +1.0 or -1.0. ``effects[o]`` is
+    ``kraus[o]^+ kraus[o]`` up to rounding, and its trace t_o picks the
+    outcome: one outcome draws nothing, and two take one uniform draw u and
+    give outcome 0 iff u < t_0 / (t_0 + t_1). Arrays are read-only copies.
     """
 
     kraus: np.ndarray
     weights: tuple[float, ...]
-    projector: np.ndarray | None
+    effects: np.ndarray
 
     def __post_init__(self) -> None:
-        kraus = np.array(self.kraus, dtype=complex)
-        kraus.setflags(write=False)
-        object.__setattr__(self, "kraus", kraus)
+        for name in ("kraus", "effects"):
+            matrices = np.array(getattr(self, name), dtype=complex)
+            matrices.setflags(write=False)
+            object.__setattr__(self, name, matrices)
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if self.projector is not None:
-            matrix = np.array(self.projector, dtype=complex)
-            matrix.setflags(write=False)
-            object.__setattr__(self, "projector", matrix)
 
 
 def projector(axis: tuple[float, float, float] | np.ndarray) -> np.ndarray:
@@ -227,67 +176,34 @@ def channel_action(channel: BasisChannelId, matrix: np.ndarray) -> np.ndarray:
     return (sa @ matrix @ sb - sb @ matrix @ sa) / 2.0j
 
 
-def _build_program(channel: BasisChannelId) -> tuple[RealizationStep, ...]:
-    a = channel.alpha
+def _write_table(channel: BasisChannelId) -> OutcomeTable:
+    """The channel's outcome table, in its form in the module docstring."""
+    a, b = channel.alpha, channel.alpha_prime
     if channel.kind is ChannelKind.PAULI:
-        return (Unitary(PAULIS[a]),)
-    b = channel.alpha_prime
-    if channel.kind is ChannelKind.A:
-        if a == 0:
-            # A_0b = Pi(n_b) - Pi(-n_b) as weighted projections
-            return (SignedMeasurement(tuple(_AXES[b - 1])),)
+        return OutcomeTable([PAULIS[a]], [1.0], [PAULIS[0]])
+    if channel.kind is ChannelKind.A and a > 0:
         # (sigma_a +- sigma_b)/sqrt2 is Hermitian and squares to I: a unitary
-        plus = Unitary((PAULIS[a] + PAULIS[b]) / sqrt(2.0))
-        minus = Unitary((PAULIS[a] - PAULIS[b]) / sqrt(2.0))
-        return (Coin(plus, minus),)
-    if a == 0:
+        sides = (PAULIS[a] + PAULIS[b], PAULIS[a] - PAULIS[b])
+    elif channel.kind is ChannelKind.B and a == 0:
         # (I +- i sigma_b)/sqrt2 = exp(+- i pi/4 sigma_b)
-        plus = Unitary((PAULIS[0] + 1j * PAULIS[b]) / sqrt(2.0))
-        minus = Unitary((PAULIS[0] - 1j * PAULIS[b]) / sqrt(2.0))
-        return (Coin(plus, minus),)
-    # B_ab with a > 0: sigma_a (sigma_0 -+ eps sigma_c)/2 = B_ab,+-, so measure
-    # along -eps e_c with weights (+1, -1), then flip with sigma_a.
-    eps, c = _LEVI_CIVITA[(a, b)]
-    axis = tuple(-eps * _AXES[c - 1])
-    return (SignedMeasurement(axis), Unitary(PAULIS[a]))
-
-
-_PROGRAMS: dict[BasisChannelId, tuple[RealizationStep, ...]] = {
-    channel: _build_program(channel) for channel in ALL_CHANNELS
-}
-
-
-def _build_table(program: tuple[RealizationStep, ...]) -> OutcomeTable:
-    """The outcomes of ``program``, which takes at most one draw, step by step.
-
-    A unitary multiplies every outcome's Kraus operator. A coin or a
-    measurement splits the one outcome so far into two, weighing +1 and -1;
-    a measurement's projector is pulled back through the unitaries before it.
-    """
-    outcomes = [(PAULIS[0], 1.0)]
-    projector_matrix = None
-    for step in program:
-        if isinstance(step, Unitary):
-            outcomes = [(step.matrix @ k, w) for k, w in outcomes]
-            continue
-        if isinstance(step, Coin):
-            sides = (step.plus.matrix, step.minus.matrix)
-        elif isinstance(step, SignedMeasurement):
-            sides = (step.projector_matrix, PAULIS[0] - step.projector_matrix)
+        sides = (PAULIS[0] + 1j * PAULIS[b], PAULIS[0] - 1j * PAULIS[b])
+    else:
+        if channel.kind is ChannelKind.A:
+            # A_0b = Pi(n_b) - Pi(-n_b) as weighted projections
+            axis, flip = _AXES[b - 1], PAULIS[0]
         else:
-            raise TypeError(f"unknown realization step {step!r}")
-        if len(outcomes) > 1:
-            raise ValueError("an outcome table holds programs of at most one coin or measurement")
-        ((k, w),) = outcomes
-        if isinstance(step, SignedMeasurement):
-            projector_matrix = k.conj().T @ step.projector_matrix @ k
-        outcomes = [(sides[0] @ k, w), (sides[1] @ k, -w)]
-    kraus, weights = zip(*outcomes)
-    return OutcomeTable(np.stack(kraus), weights, projector_matrix)
+            # B_ab with a > 0: sigma_a (sigma_0 -+ eps sigma_c)/2 = B_ab,+-, so
+            # measure along -eps e_c with weights (+1, -1), then flip with sigma_a.
+            eps, c = _LEVI_CIVITA[(a, b)]
+            axis, flip = -eps * _AXES[c - 1], PAULIS[a]
+        pi = projector(axis)
+        effects = np.array([pi, PAULIS[0] - pi])
+        return OutcomeTable(flip @ effects, [1.0, -1.0], effects)
+    return OutcomeTable(np.array(sides) / sqrt(2.0), [1.0, -1.0], [PAULIS[0]] * 2)
 
 
 _TABLES: dict[BasisChannelId, OutcomeTable] = {
-    channel: _build_table(program) for channel, program in _PROGRAMS.items()
+    channel: _write_table(channel) for channel in ALL_CHANNELS
 }
 
 _PTMS: dict[BasisChannelId, np.ndarray] = {
@@ -303,51 +219,16 @@ def basis_ptm(channel: BasisChannelId) -> np.ndarray:
     return _PTMS[channel]
 
 
-def realization_program(channel: BasisChannelId) -> tuple[RealizationStep, ...]:
-    """The channel's realization as primitive steps (built once at import)."""
-    return _PROGRAMS[channel]
-
-
 def outcome_table(channel: BasisChannelId) -> OutcomeTable:
-    """The outcomes of the channel's realization program (built once at import)."""
+    """The channel's outcome table (written once at import)."""
     return _TABLES[channel]
 
 
-def run_program(
-    psi: np.ndarray, program, qubit: int, num_qubits: int, rng
-) -> tuple[np.ndarray, float]:
-    """Run one sample of ``program`` on qubit ``qubit`` of a pure statevector.
-
-    Each coin and measurement takes one ``rng.random()`` draw in [0, 1);
-    measurements renormalize. Returns (post state, weight +-1.0).
-    """
-    weight = 1.0
-    for step in program:
-        if isinstance(step, Unitary):
-            psi = apply_1q(psi, step.matrix, qubit, num_qubits)
-        elif isinstance(step, Coin):
-            if rng.random() < 0.5:
-                psi = apply_1q(psi, step.plus.matrix, qubit, num_qubits)
-            else:
-                psi = apply_1q(psi, step.minus.matrix, qubit, num_qubits)
-                weight = -weight
-        elif isinstance(step, SignedMeasurement):
-            projected = apply_1q(psi, step.projector_matrix, qubit, num_qubits)
-            p_plus = float(np.real(np.vdot(projected, projected)))
-            if rng.random() < p_plus:
-                psi = projected / sqrt(p_plus)
-            else:
-                psi = (psi - projected) / sqrt(1.0 - p_plus)
-                weight = -weight
-        else:
-            raise TypeError(f"unknown realization step {step!r}")
-    return psi, weight
-
-
 def realize(channel: BasisChannelId, state: QuantumState, rng) -> RealizationOutcome:
-    """Run one sample of the channel's program on a single-qubit state.
+    """Run the channel's outcome table once on a single-qubit state.
 
-    ``rng`` needs a ``random()`` method returning uniforms in [0, 1). The
+    ``rng`` needs a ``random()`` method returning uniforms in [0, 1); a
+    table of two outcomes takes one draw, one of one outcome none. The
     output state stays normalized; averaging weight x |psi><psi| over many
     runs converges to the channel's exact action on the input's density
     matrix.
@@ -362,5 +243,18 @@ def realize(channel: BasisChannelId, state: QuantumState, rng) -> RealizationOut
     """
     if state.num_qubits != 1:
         raise ValueError("realize acts on single-qubit states")
-    psi, weight = run_program(state.vector, realization_program(channel), 0, 1, rng)
-    return RealizationOutcome(QuantumState(num_qubits=1, vector=psi), weight)
+    table = _TABLES[channel]
+    # on Python complex numbers: numpy's cost per call outweighs the 2x2 work
+    a, b = state.vector.tolist()
+    traces = [
+        ((e00 * a + e01 * b) * a.conjugate() + (e10 * a + e11 * b) * b.conjugate()).real
+        for (e00, e01), (e10, e11) in table.effects.tolist()
+    ]
+    outcome = 0
+    if len(traces) == 2 and rng.random() >= traces[0] / (traces[0] + traces[1]):
+        outcome = 1
+    # effects[o] = kraus[o]^+ kraus[o], so traces[o] is the squared norm of kraus[o] psi
+    (k00, k01), (k10, k11) = table.kraus[outcome].tolist()
+    norm = sqrt(traces[outcome])
+    post = [(k00 * a + k01 * b) / norm, (k10 * a + k11 * b) / norm]
+    return RealizationOutcome(QuantumState(num_qubits=1, vector=post), table.weights[outcome])

@@ -36,12 +36,12 @@ read the observable on a stack of final states at once.
 
 Every step a shot takes is picked from a small discrete set: the term, the
 outcome of each of its two channels (a coin side or a measurement
-outcome; every realization program takes at most one draw), and at the
+outcome; every outcome table has at most two outcomes), and at the
 end the observable term. So a shot's state depends only on its branch
 path, at most about 100 paths per cut, not on the draws themselves. The
 shots of an estimate walk a branch tree together (``_walk``). At a cut,
 every channel's outcome table (``local_basis.outcome_table``: per outcome
-a 2x2 Kraus operator and a weight +-1) gives the term's children as
+a 2x2 Kraus operator, a weight +-1 and an effect) gives the term's children as
 (K_a (x) K_b) psi, and the outcome probabilities are traces against the
 4x4 reduced density matrix of the cut pair, so a whole level of the tree
 is routed with a fixed number of array operations: one batched product
@@ -271,9 +271,10 @@ def _channel_rows():
     ``kraus[c, o]`` and ``weights[c, o]`` are outcome o's (zero for a
     missing second outcome), ``draws[c]`` is 1 for a coin or a measurement
     and 0 otherwise, and ``effect[c, o]`` indexes outcome o's effect in
-    ``effects``: a measurement's projector and I minus it, and I for both
-    sides of a coin, so that Tr(E_0 rho) / Tr((E_0 + E_1) rho) is
-    outcome 0's probability in either case (exactly 1/2 for a coin).
+    ``effects``, which holds I first and then every other effect of the
+    tables in order: a measurement's projector and I minus it. So
+    Tr(E_0 rho) / Tr((E_0 + E_1) rho) is outcome 0's probability
+    (exactly 1/2 for a coin, whose effects are both I).
     """
     effects = [SIGMA_0]
     count = len(ALL_CHANNELS)
@@ -286,9 +287,10 @@ def _channel_rows():
         draws[c] = len(table.weights) - 1
         kraus[c, : draws[c] + 1] = table.kraus
         weights[c, : draws[c] + 1] = table.weights
-        if table.projector is not None:
-            effect[c] = len(effects), len(effects) + 1
-            effects += [table.projector, SIGMA_0 - table.projector]
+        for o, matrix in enumerate(table.effects):
+            if not np.array_equal(matrix, SIGMA_0):
+                effect[c, o] = len(effects)
+                effects.append(matrix)
     return np.stack(effects), kraus, weights, draws, effect
 
 

@@ -200,11 +200,11 @@ def test_criterion_8_channel_realizations():
     """Sampled weight x density means reproduce every channel on every axis state.
 
     Each cell runs its 1e5 samples through the channel's outcome table. A
-    program takes one draw per coin or measurement, so drawing all of a
-    cell's uniforms at once takes the generator's values in the order
-    ``realize`` called in a loop would, and picks the same outcomes: outcome
-    1 iff the draw is >= 1/2 for a coin, or >= Tr(Pi rho) for a
-    measurement of the projector Pi, whose post state is renormalized.
+    table of two outcomes takes one draw, so drawing all of a cell's
+    uniforms at once takes the generator's values in the order ``realize``
+    called in a loop would, and picks the same outcomes: outcome 1 iff the
+    draw is >= t_0 / (t_0 + t_1), where t_o = <v|E_o|v> for the effect E_o
+    of outcome o (exactly 1/2 for a coin), with the post state K_o v / sqrt(t_o).
     """
     shots = 100_000
     rng = np.random.default_rng(108)
@@ -217,15 +217,14 @@ def test_criterion_8_channel_realizations():
             state = QuantumState.pure(vec)
             target = channel_action(channel, state.density_matrix())
             u = rng.random((shots, k)) if k else np.empty((shots, 0))
+            t = np.array([np.vdot(vec, e @ vec).real for e in table.effects])
             outcome = np.zeros(shots, dtype=int)
             if k:
-                p = 0.5 if table.projector is None else np.vdot(vec, table.projector @ vec).real
-                outcome = (u[:, 0] >= p).astype(int)
+                outcome = (u[:, 0] >= t[0] / (t[0] + t[1])).astype(int)
             posts = np.einsum("oij,j->oi", table.kraus, vec)
-            if table.projector is not None:
-                # only reached outcomes: an eigenstate's other outcome has norm 0
-                reached = np.unique(outcome)
-                posts[reached] /= np.linalg.norm(posts[reached], axis=1, keepdims=True)
+            # only reached outcomes: an eigenstate's other outcome has trace 0
+            reached = np.unique(outcome)
+            posts[reached] /= np.sqrt(t[reached])[:, None]
             vectors = posts[outcome]
             weights = np.array(table.weights)[outcome]
             samples = weights[:, None, None] * (

@@ -28,7 +28,6 @@ from quasicut.documents import (
     observable_from_doc,
     observable_to_doc,
 )
-from quasicut.local_basis import Unitary
 
 PI = np.pi
 
@@ -274,10 +273,10 @@ def test_gate_products_check_shape_and_qubits_only():
 
 
 def test_validated_matrices_leave_the_callers_arrays_writable():
-    """Gates, steps and coefficients freeze their own copies, not the arrays passed in."""
+    """Gates and coefficients freeze their own copies, not the arrays passed in."""
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     u = np.array([0.6, 0.8j, 0, 0], dtype=complex)
-    frozen = (Raw1QGate(0, x).matrix, Unitary(x).matrix, PauliCoeffs(u).values)
+    frozen = (Raw1QGate(0, x).matrix, PauliCoeffs(u).values)
     assert not any(a.flags.writeable for a in frozen)
     x[0, 0] = 0.0  # the caller's arrays used to be frozen in place
     u[2] = 0.0

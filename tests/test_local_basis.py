@@ -1,33 +1,37 @@
-"""The 16 local channels: definitions, PTMs, and sampling programs.
+"""The 16 local channels: definitions, PTMs, and outcome tables.
 
 Two independent oracles run here. The first recomputes every channel PTM
 from the defining conjugation formulas with explicit trace loops. The second
-takes each realization program, averages it analytically over all coin and
-measurement branches, and checks that the expected map equals the channel.
+is the realization programs of ``programs``: each is averaged analytically
+over all coin and measurement branches and checked against the channel, and
+the package's outcome tables and ``realize`` are checked against them.
 """
 
 import numpy as np
 import pytest
 
-from quasicut import local_basis
 from quasicut.algebra import PAULIS, SIGMA_0, QuantumState
 from quasicut.circuit import apply_1q
 from quasicut.local_basis import (
     ALL_CHANNELS,
     BasisChannelId,
     ChannelKind,
-    Coin,
-    SignedMeasurement,
-    Unitary,
     a_channel,
     b_channel,
     basis_ptm,
     channel_action,
+    outcome_table,
     pauli_channel,
     projector,
-    realization_program,
-    outcome_table,
     realize,
+)
+
+from programs import (
+    Coin,
+    SignedMeasurement,
+    Unitary,
+    build_table,
+    realization_program,
     run_program,
 )
 
@@ -212,11 +216,6 @@ def test_program_shapes():
     ]
 
 
-def test_programs_are_cached():
-    c = a_channel(1, 2)
-    assert realization_program(c) is realization_program(c)
-
-
 # --- single-sample realization --------------------------------------------
 
 
@@ -259,11 +258,10 @@ def test_realize_measurement_on_eigenstates_is_deterministic():
 
 def test_realize_coin_branches():
     # A(1,2) tosses a fair coin between (X+Y)/sqrt(2) and (X-Y)/sqrt(2)
-    (coin,) = realization_program(a_channel(1, 2))
+    table = outcome_table(a_channel(1, 2))
     u_plus = (PAULIS[1] + PAULIS[2]) / np.sqrt(2.0)
     u_minus = (PAULIS[1] - PAULIS[2]) / np.sqrt(2.0)
-    np.testing.assert_allclose(coin.plus.matrix, u_plus, atol=1e-15)
-    np.testing.assert_allclose(coin.minus.matrix, u_minus, atol=1e-15)
+    np.testing.assert_allclose(table.kraus, [u_plus, u_minus], atol=1e-15)
     state = ket(1.0, 0.0)
     # the coin is fair: heads below 1/2, tails from 1/2 on
     heads = realize(a_channel(1, 2), state, FixedDraws([0.1]))
@@ -328,39 +326,36 @@ def test_coin_sides_must_be_unitary_steps():
 
 
 def test_interpreters_reject_unknown_steps():
+    """The oracle's interpreter and table reader refuse what no program holds."""
     psi = np.array([1.0, 0.0], dtype=complex)
     program = (Unitary(PAULIS[1]), np.eye(2))
     with pytest.raises(TypeError, match="unknown realization step"):
         run_program(psi, program, 0, 1, FixedDraws([]))
     with pytest.raises(TypeError, match="unknown realization step"):
-        local_basis._build_table(program)
+        build_table(program)
     # a table holds at most two outcomes: one coin or measurement per program
     coin = realization_program(a_channel(1, 2))[0]
     with pytest.raises(ValueError, match="at most one"):
-        local_basis._build_table((coin, Unitary(PAULIS[1]), coin))
+        build_table((coin, Unitary(PAULIS[1]), coin))
 
 
 def run_tables(psi, sides, u, shot, num_qubits):
     """The outcome tables of the (qubit, channel) ``sides``, in order, on one shot.
 
     A table with two outcomes reads the shot's next uniform from row
-    ``shot`` of ``u``: outcome 1 iff it is >= 0.5 for a coin, or >=
-    <psi|Pi|psi> for a measurement of the projector Pi, whose post state is
-    renormalized. Returns (state, weight, uniforms read).
+    ``shot`` of ``u``: outcome 1 iff it is >= t_0 / (t_0 + t_1), where
+    t_o = <psi|E_o|psi> for the effect E_o of outcome o. The post state is
+    renormalized by sqrt(t_o). Returns (state, weight, uniforms read).
     """
     weight, taken = 1.0, 0
     for qubit, channel in sides:
         table = outcome_table(channel)
+        t = [np.vdot(psi, apply_1q(psi, e, qubit, num_qubits)).real for e in table.effects]
         outcome = 0
-        if len(table.weights) == 2:
-            p = 0.5
-            if table.projector is not None:
-                p = np.vdot(psi, apply_1q(psi, table.projector, qubit, num_qubits)).real
-            outcome = int(u[shot, taken] >= p)
+        if len(t) == 2:
+            outcome = int(u[shot, taken] >= t[0] / (t[0] + t[1]))
             taken += 1
-        psi = apply_1q(psi, table.kraus[outcome], qubit, num_qubits)
-        if table.projector is not None:
-            psi = psi / np.linalg.norm(psi)
+        psi = apply_1q(psi, table.kraus[outcome], qubit, num_qubits) / np.sqrt(t[outcome])
         weight *= table.weights[outcome]
     return psi, weight, taken
 
@@ -399,7 +394,9 @@ def test_branches_match_one_run_per_shot(channel, read_marks):
     """Each outcome of a channel's table is what ``run_program`` gives a shot that draws it.
 
     The first two shots force outcome 0 and outcome 1 (a draw of 0 and
-    the largest draw below 1); the others draw at random.
+    the largest draw below 1); the others draw at random. ``realize`` runs
+    the same draws on random single-qubit states: its weight equals
+    ``run_program``'s exactly, its state to 1e-15, and it takes as many draws.
     """
     rng = np.random.default_rng(17)
     psi = random_state(rng, 3)
@@ -407,7 +404,14 @@ def test_branches_match_one_run_per_shot(channel, read_marks):
     weights = tables_against_run_program(psi, [(1, channel)], draws, read_marks)
     table = outcome_table(channel)
     assert weights[: len(table.weights)] == list(table.weights)
-    assert set(table.weights) <= {1.0, -1.0} and table.kraus.shape == (len(table.weights), 2, 2)
+    for row in draws:
+        vector = random_state(rng, 1)
+        ours, theirs = FixedDraws(row), FixedDraws(row)
+        out = realize(channel, QuantumState.pure(vector), ours)
+        ref, ref_weight = run_program(vector, realization_program(channel), 0, 1, theirs)
+        assert out.weight == ref_weight
+        assert np.abs(out.state.vector - ref).max() < 1e-15
+        assert len(ours._draws) == len(theirs._draws)
 
 
 @pytest.mark.parametrize(
@@ -434,41 +438,58 @@ def random_density_matrix(rng):
 
 @pytest.mark.parametrize("channel", ALL_CHANNELS, ids=str)
 def test_outcome_tables_reproduce_their_channels(channel):
-    """sum over outcomes of p w K rho K^+ / (its norm, if measured) is the channel, to 1e-14.
+    """sum over outcomes of p w K rho K^+ / Tr(K rho K^+) is the channel, to 1e-14.
 
-    p is 1 for the one outcome of a unitary, 1/2 per side of a coin and
+    p = t_o / (t_0 + t_1), t_o = Tr(E_o rho) for the effect E_o of outcome o:
+    1 for the one outcome of a unitary, 1/2 per side of a coin, and
     Tr(E rho) for a measurement outcome, E the projector or I minus it.
     """
     table = outcome_table(channel)
     rng = np.random.default_rng([31, ALL_CHANNELS.index(channel)])
     for _ in range(5):
         rho = random_density_matrix(rng)
+        t = [np.trace(e @ rho).real for e in table.effects]
         total = np.zeros((2, 2), dtype=complex)
-        for outcome, (k, w) in enumerate(zip(table.kraus, table.weights)):
+        for k, w, t_o in zip(table.kraus, table.weights, t):
             post = k @ rho @ k.conj().T
-            if table.projector is None:
-                p = 1.0 / len(table.weights)
-            else:
-                effect = table.projector if outcome == 0 else SIGMA_0 - table.projector
-                p = np.trace(effect @ rho).real
-                post = post / np.trace(post).real
-            total += p * w * post
+            total += t_o / sum(t) * w * post / np.trace(post).real
         assert np.abs(total - channel_action(channel, rho)).max() < 1e-14, channel.label()
 
 
+@pytest.mark.parametrize("channel", ALL_CHANNELS, ids=str)
+def test_outcome_table_invariants(channel):
+    """One or two outcomes, weights exactly +-1, E_o = K_o^+ K_o to 1e-15, read-only arrays.
+
+    E_o = K_o^+ K_o is what lets ``realize`` renormalize K_o psi by
+    sqrt(<psi|E_o|psi>) without computing its norm.
+    """
+    table = outcome_table(channel)
+    count = len(table.weights)
+    assert count in (1, 2)
+    assert table.kraus.shape == table.effects.shape == (count, 2, 2)
+    assert all(w in (1.0, -1.0) and type(w) is float for w in table.weights)
+    gram = table.kraus.conj().transpose(0, 2, 1) @ table.kraus
+    assert np.abs(gram - table.effects).max() <= 1e-15
+    assert not table.kraus.flags.writeable and not table.effects.flags.writeable
+
+
 def test_outcome_tables_are_read_from_the_programs():
-    """Measurements keep their projector; coins and unitaries have none; tables are cached."""
+    """Each table is what ``build_table`` reads off the channel's program; tables are cached.
+
+    Kraus operators are value-equal, weights equal, and the effects are the
+    program's projector and I minus it, or I for each outcome without one.
+    """
     for channel in ALL_CHANNELS:
-        program = realization_program(channel)
+        kraus, weights, projector_matrix = build_table(realization_program(channel))
         table = outcome_table(channel)
         assert table is outcome_table(channel)
-        measured = [s for s in program if isinstance(s, SignedMeasurement)]
-        if measured:
-            assert np.array_equal(table.projector, measured[0].projector_matrix)
+        assert np.array_equal(table.kraus, np.stack(kraus))
+        assert table.weights == weights
+        if projector_matrix is None:
+            expected = [SIGMA_0] * len(weights)
         else:
-            assert table.projector is None
-        assert len(table.weights) == (2 if any(not isinstance(s, Unitary) for s in program) else 1)
-        assert not table.kraus.flags.writeable
+            expected = [projector_matrix, SIGMA_0 - projector_matrix]
+        assert np.array_equal(table.effects, np.stack(expected)), channel.label()
 
 
 def test_projector_formula():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from programs import Coin, Unitary, realization_program, run_program
 from quasicut import sampler as sampler_module
 from quasicut.canonical import ThetaVector, pauli_coefficients
 from quasicut.circuit import (
@@ -26,7 +27,6 @@ from quasicut.circuit import (
     statevector,
 )
 from quasicut.decomposition import decompose
-from quasicut.local_basis import Coin, Unitary, realization_program, run_program
 from quasicut.sampler import (
     MAX_SHOTS,
     EstimatorConfig,

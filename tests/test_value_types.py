@@ -19,7 +19,7 @@ from quasicut.algebra import QuantumState
 from quasicut.canonical import PauliCoeffs, ThetaVector
 from quasicut.circuit import CanonicalGate, Circuit, Observable, Raw1QGate, SingleGate, statevector
 from quasicut.decomposition import QPDecomposition, QPTerm
-from quasicut.local_basis import Coin, SignedMeasurement, Unitary, a_channel, pauli_channel
+from quasicut.local_basis import a_channel, pauli_channel
 
 Y_AXIS = (0.0, 1.0, 0.0)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -74,9 +74,6 @@ VALUES = {
     "Observable": lambda: Observable(((0.5, "XZ"), (-1.0, "ZI"))),
     "QuantumState": lambda: QuantumState.pure(np.array([1.0, 0.0])),
     "PauliCoeffs": lambda: PauliCoeffs([1.0, 0.0, 0.0, 0.0]),
-    "Unitary": lambda: Unitary(HADAMARD),
-    "Coin": lambda: Coin(Unitary(np.eye(2)), Unitary(HADAMARD)),
-    "SignedMeasurement": lambda: SignedMeasurement((0.0, 0.0, 1.0)),
     "QPTerm": lambda: QPTerm(0.5, (a_channel(0, 1),), (pauli_channel(2),)),
     "QPDecomposition": lambda: QPDecomposition(
         (QPTerm(1.0, (pauli_channel(0),), (pauli_channel(0),)),), 1.0
@@ -84,7 +81,7 @@ VALUES = {
 }
 
 # these hold an array in a compared field (or a value that does): identity
-BY_IDENTITY = {"Raw1QGate", "Circuit", "QuantumState", "PauliCoeffs", "Unitary", "Coin"}
+BY_IDENTITY = {"Raw1QGate", "Circuit", "QuantumState", "PauliCoeffs"}
 
 
 def test_equality_and_hash_never_raise():
