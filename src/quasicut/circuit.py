@@ -305,24 +305,16 @@ def gate_based_estimate(
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable width does not match circuit")
 
-    d = pauli_coefficients(gate.theta).values
+    u = pauli_coefficients(gate.theta)
+    d = u.values
     mags = np.abs(d)
-    total = float(mags.sum())
-    cost = total * total
-    probs = mags / total
+    probs = mags / mags.sum()
     phases = np.where(mags > 0, d / np.where(mags > 0, mags, 1.0), 0.0)
 
     # final states of the four substituted circuits, and O applied to each
-    states = []
-    for alpha in range(4):
-        sub = np.kron(PAULIS[alpha], PAULIS[alpha])
-        psi = initial_state(circuit.num_qubits)
-        for i, g in enumerate(circuit.gates):
-            if i == gate_index:
-                psi = apply_2q(psi, sub, gate.qubits[0], gate.qubits[1], circuit.num_qubits)
-            else:
-                psi = apply_gate(psi, g, circuit.num_qubits)
-        states.append(psi)
+    before, after = circuit.gates[:gate_index], circuit.gates[gate_index + 1 :]
+    pairs = [tuple(Raw1QGate(q, p) for q in gate.qubits) for p in PAULIS]
+    states = [statevector(Circuit(circuit.num_qubits, before + pair + after)) for pair in pairs]
     obs_states = [
         sum(
             coeff * pauli_string_apply(psi, pauli, circuit.num_qubits)
@@ -333,7 +325,7 @@ def gate_based_estimate(
     overlaps = np.array(
         [[np.vdot(states[ap], obs_states[a]) for a in range(4)] for ap in range(4)]
     )
-    values = cost * np.real(np.conj(phases)[:, None] * phases[None, :] * overlaps)
+    values = gate_based_cost(u) * np.real(np.conj(phases)[:, None] * phases[None, :] * overlaps)
 
     ket = rng.choice(4, size=shots, p=probs)
     bra = rng.choice(4, size=shots, p=probs)

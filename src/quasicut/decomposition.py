@@ -34,11 +34,16 @@ import numpy as np
 
 from .algebra import finite_real
 from .canonical import PauliCoeffs, ThetaVector, pauli_coefficients
-from .local_basis import BasisChannelId, a_channel, b_channel, basis_ptm, pauli_channel
+from .local_basis import ALL_CHANNELS, BasisChannelId, a_channel, b_channel, basis_ptm
 
 _COEFF_DROP = 1e-14
 
 ChannelSequence = tuple[BasisChannelId, ...]
+
+# (a, b, A_ab, B_ab) per pair a < b, in decompose's term order
+_PAIRS = tuple(
+    (a, b, a_channel(a, b), b_channel(a, b)) for a in range(4) for b in range(a + 1, 4)
+)
 
 
 def _channel_ids(labels, side: str) -> ChannelSequence:
@@ -127,21 +132,19 @@ def decompose(u: PauliCoeffs | Iterable[complex]) -> QPDecomposition:
     """
     vals = PauliCoeffs.coerce(u).values
     terms: list[QPTerm] = []
-    for a in range(4):
+    for a, sa in enumerate(ALL_CHANNELS[:4]):
         c = float(np.abs(vals[a]) ** 2)
         if c >= _COEFF_DROP:
-            terms.append(QPTerm(c, (pauli_channel(a),), (pauli_channel(a),)))
-    for a in range(4):
-        for b in range(a + 1, 4):
-            x = complex(vals[a] * np.conj(vals[b]))
-            r, s = 2.0 * x.real, -2.0 * x.imag
-            aa, bb = a_channel(a, b), b_channel(a, b)
-            if abs(r) >= _COEFF_DROP:
-                terms.append(QPTerm(r, (aa,), (aa,)))
-                terms.append(QPTerm(-r, (bb,), (bb,)))
-            if abs(s) >= _COEFF_DROP:
-                terms.append(QPTerm(s, (aa,), (bb,)))
-                terms.append(QPTerm(s, (bb,), (aa,)))
+            terms.append(QPTerm(c, (sa,), (sa,)))
+    for a, b, aa, bb in _PAIRS:
+        x = complex(vals[a] * np.conj(vals[b]))
+        r, s = 2.0 * x.real, -2.0 * x.imag
+        if abs(r) >= _COEFF_DROP:
+            terms.append(QPTerm(r, (aa,), (aa,)))
+            terms.append(QPTerm(-r, (bb,), (bb,)))
+        if abs(s) >= _COEFF_DROP:
+            terms.append(QPTerm(s, (aa,), (bb,)))
+            terms.append(QPTerm(s, (bb,), (aa,)))
     weight = float(sum(abs(t.coefficient) for t in terms))
     return QPDecomposition(tuple(terms), weight)
 

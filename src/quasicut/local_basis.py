@@ -9,7 +9,8 @@ The basis consists of, for alpha < alpha':
 These 16 maps are linearly independent (their PTMs have rank 16), so
 any single-qubit linear map is a real combination of them. Under index swap,
 A is symmetric and B is antisymmetric, so restricting to alpha < alpha' loses
-nothing.
+nothing. The members of the enum ``BasisChannelId`` are the basis; a
+member's value is its row in ``ALL_CHANNELS`` and in the sampler's tables.
 
 Each channel is realized by an outcome table of one or two outcomes (as
 in Mitarai & Fujii, arXiv:1909.07534): outcome o applies a 2x2 Kraus
@@ -65,67 +66,66 @@ class ChannelKind(Enum):
     B = "B"
 
 
-@dataclass(frozen=True)
-class BasisChannelId:
-    """Identifier of one of the 16 basis channels.
+class BasisChannelId(Enum):
+    """One of the 16 basis channels: the members are the basis.
 
-    ``kind`` is a ``ChannelKind`` and the indices are integers, stored as
-    plain ints. PAULI uses ``alpha`` in 0..3 only; A and B need
+    Each member is named by its label (``s0``..``s3``, ``A01``..``A23``,
+    ``B01``..``B23``) and its value is its row, 0..15, in ``ALL_CHANNELS``
+    order. Members are singletons that compare by identity, never equal to
+    an int. ``kind``, ``alpha`` and ``alpha_prime`` are read off the name:
+    PAULI has ``alpha`` in 0..3 only; A and B have
     0 <= alpha < alpha_prime <= 3.
     """
 
-    kind: ChannelKind
-    alpha: int
-    alpha_prime: int | None = None
+    s0, s1, s2, s3 = range(4)
+    A01, A02, A03, A12, A13, A23 = range(4, 10)
+    B01, B02, B03, B12, B13, B23 = range(10, 16)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, ChannelKind):
-            raise ValueError(f"kind must be a ChannelKind, got {self.kind!r}")
-        for name in ("alpha",) if self.alpha_prime is None else ("alpha", "alpha_prime"):
-            index = integer(getattr(self, name), name)
-            if index is not getattr(self, name):  # an int is read as itself: no setattr then
-                object.__setattr__(self, name, index)
-        if self.kind is ChannelKind.PAULI:
-            if self.alpha not in range(4) or self.alpha_prime is not None:
-                raise ValueError(f"bad Pauli channel id {self}")
-        else:
-            if self.alpha_prime is None or not 0 <= self.alpha < self.alpha_prime <= 3:
-                raise ValueError(f"bad {self.kind.value} channel id: need alpha < alpha' in 0..3")
+    @property
+    def kind(self) -> ChannelKind:
+        return ChannelKind.PAULI if self.name[0] == "s" else ChannelKind(self.name[0])
+
+    @property
+    def alpha(self) -> int:
+        return int(self.name[1])
+
+    @property
+    def alpha_prime(self) -> int | None:
+        return int(self.name[2]) if len(self.name) == 3 else None
 
     def label(self) -> str:
-        if self.kind is ChannelKind.PAULI:
-            return f"s{self.alpha}"
-        return f"{self.kind.value}{self.alpha}{self.alpha_prime}"
+        return self.name
 
     @classmethod
     def from_label(cls, text: str) -> BasisChannelId:
-        if len(text) == 2 and text[0] == "s" and text[1] in "0123":
-            return cls(ChannelKind.PAULI, int(text[1]))
-        if len(text) == 3 and text[0] in "AB" and text[1] in "0123" and text[2] in "0123":
-            return cls(ChannelKind(text[0]), int(text[1]), int(text[2]))
-        raise ValueError(f"unrecognized channel label {text!r}")
+        channel = cls.__members__.get(text) if isinstance(text, str) else None
+        if channel is None:
+            raise ValueError(f"unrecognized channel label {text!r}")
+        return channel
 
     def __str__(self) -> str:
-        return self.label()
+        return self.name
+
+
+def _member(prefix: str, *indices) -> BasisChannelId:
+    """The member labelled ``prefix`` then the integer indices; ValueError if none is."""
+    digits = "".join(str(integer(i, "channel index")) for i in indices)
+    return BasisChannelId.from_label(prefix + digits)
 
 
 def pauli_channel(alpha: int) -> BasisChannelId:
-    return BasisChannelId(ChannelKind.PAULI, alpha)
+    return _member("s", alpha)
 
 
 def a_channel(alpha: int, alpha_prime: int) -> BasisChannelId:
-    return BasisChannelId(ChannelKind.A, alpha, alpha_prime)
+    return _member("A", alpha, alpha_prime)
 
 
 def b_channel(alpha: int, alpha_prime: int) -> BasisChannelId:
-    return BasisChannelId(ChannelKind.B, alpha, alpha_prime)
+    return _member("B", alpha, alpha_prime)
 
 
-ALL_CHANNELS: tuple[BasisChannelId, ...] = tuple(
-    [pauli_channel(a) for a in range(4)]
-    + [a_channel(a, b) for a in range(4) for b in range(a + 1, 4)]
-    + [b_channel(a, b) for a in range(4) for b in range(a + 1, 4)]
-)
+ALL_CHANNELS: tuple[BasisChannelId, ...] = tuple(BasisChannelId)
 
 
 @dataclass(frozen=True)

@@ -265,7 +265,7 @@ def plan_shots(epsilon: float, delta: float, o_max: float, w_total: float) -> in
 
 
 def _channel_rows():
-    """Every basis channel's outcome table as rows of arrays, in ``ALL_CHANNELS`` order.
+    """Every basis channel's outcome table as rows of arrays; row c is the channel of value c.
 
     Returns (effects, kraus, weights, draws, effect). Per channel c,
     ``kraus[c, o]`` and ``weights[c, o]`` are outcome o's (zero for a
@@ -282,8 +282,8 @@ def _channel_rows():
     weights = np.zeros((count, 2))
     draws = np.zeros(count, dtype=np.intp)
     effect = np.zeros((count, 2), dtype=np.intp)
-    for c, channel in enumerate(ALL_CHANNELS):
-        table = outcome_table(channel)
+    for channel in ALL_CHANNELS:
+        c, table = channel.value, outcome_table(channel)
         draws[c] = len(table.weights) - 1
         kraus[c, : draws[c] + 1] = table.kraus
         weights[c, : draws[c] + 1] = table.weights
@@ -295,9 +295,6 @@ def _channel_rows():
 
 
 _EFFECTS, _KRAUS, _WEIGHTS, _DRAWS, _EFFECT = _channel_rows()
-
-# a term side's channel labels (decompose gives each side one channel) -> its row
-_ROW = {(channel,): c for c, channel in enumerate(ALL_CHANNELS)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,7 +322,11 @@ class _Terms:
 def _terms(decomp: QPDecomposition) -> _Terms:
     """The sampling table of one cut angle's decomposition."""
     cums, signs = _table([t.coefficient for t in decomp.terms])
-    rows = np.array([(_ROW[t.left], _ROW[t.right]) for t in decomp.terms])
+    rows = []
+    for t in decomp.terms:
+        (first,), (second,) = t.left, t.right  # one channel per side; a longer side fails here
+        rows.append((first.value, second.value))
+    rows = np.array(rows)
     left, right = rows[:, 0], rows[:, 1]
     weights = _WEIGHTS[left][:, :, None] * _WEIGHTS[right][:, None, :]
     return _Terms(

@@ -106,25 +106,36 @@ def json_kind(value) -> str:
     ]
 
 
+def entries(node, path=()):
+    """Every (path, value) below ``node``; a path is a tuple of keys and indices."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (key,), value
+            yield from entries(value, path + (key,))
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 @st.composite
 def near_valid(draw, documents):
-    """A valid document with one value, reached by a random path, replaced or its key dropped.
+    """A valid document with one value replaced or its key dropped.
 
-    Returns the document and whether the replacement is of another JSON kind.
+    The value's path is drawn from all of the document's values alike, so
+    deep leaves are reached as often as shallow ones. Returns the document
+    and whether the replacement is of another JSON kind.
     """
     doc = copy.deepcopy(draw(documents))
-    parent, key = None, None
-    node = doc
-    while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
-        parent = node
-        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
-        node = parent[key]
+    path = draw(st.sampled_from([p for p, _ in entries(doc)]))
+    parent, key = at(doc, path[:-1]), path[-1]
+    node = parent[key]
     if isinstance(parent, dict) and draw(st.booleans()):
         del parent[key]
         return doc, False
     value = draw(JSON_VALUES)
-    if parent is None:
-        return value, json_kind(value) != json_kind(doc)
     parent[key] = value
     return doc, json_kind(value) != json_kind(node)
 
@@ -174,18 +185,39 @@ def test_decomposition_parser_raises_only_format_or_value_errors(case):
     raises_only_documented_errors(decomposition_from_doc, case)
 
 
-def entries(node, path=()):
-    """Every (path, value) below ``node``; a path is a tuple of keys and indices."""
-    if isinstance(node, (dict, list)):
-        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
-            yield path + (key,), value
-            yield from entries(value, path + (key,))
+# one value of each JSON kind: empty strings and containers are what a coercing reader lets by
+KIND_SAMPLES = (None, False, 0, "", [], {})
+
+PARSERS = pytest.mark.parametrize(
+    "parse, documents",
+    [
+        (circuit_from_doc, CIRCUIT_DOCS),
+        (observable_from_doc, OBSERVABLE_DOCS),
+        (decomposition_from_doc, DECOMPOSITION_DOCS),
+    ],
+    ids=["circuit", "observable", "decomposition"],
+)
 
 
-def at(doc, path):
-    for key in path:
-        doc = doc[key]
-    return doc
+@PARSERS
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_each_value_replaced_by_each_other_json_kind_is_a_format_error(parse, documents, data):
+    """Every value of a valid document in turn, replaced by one value of each other JSON kind.
+
+    ``near_valid`` draws one replacement per example, so a fault at one
+    field (``"gates": ""``, ``"axis": {}``, ``"u": null``) can escape its
+    300 examples; this walk reaches every field of every drawn document.
+    """
+    doc = data.draw(documents)
+    for path, value in list(entries(doc)):
+        parent = at(doc, path[:-1])
+        for sample in KIND_SAMPLES:
+            if json_kind(sample) != json_kind(value):
+                parent[path[-1]] = sample
+                with pytest.raises(FormatError):
+                    parse(doc)
+        parent[path[-1]] = value
 
 
 def owner(doc, path):
@@ -215,15 +247,7 @@ def two_faults(draw, documents):
     return doc
 
 
-@pytest.mark.parametrize(
-    "parse, documents",
-    [
-        (circuit_from_doc, CIRCUIT_DOCS),
-        (observable_from_doc, OBSERVABLE_DOCS),
-        (decomposition_from_doc, DECOMPOSITION_DOCS),
-    ],
-    ids=["circuit", "observable", "decomposition"],
-)
+@PARSERS
 @FUZZ
 @given(data=st.data())
 def test_a_wrong_json_kind_anywhere_outranks_a_nan_elsewhere(parse, documents, data):

@@ -120,8 +120,6 @@ def test_id_validation():
         a_channel(2, 2)  # indices must differ
     with pytest.raises(ValueError):
         b_channel(3, 1)  # stored with alpha < alpha_prime
-    with pytest.raises(ValueError):
-        BasisChannelId(ChannelKind.PAULI, 1, 2)  # no second index on a Pauli
     # indices are integers, never a bool or a float that would label "sTrue" or "A01.0"
     for build in (
         lambda: pauli_channel(True),
@@ -134,8 +132,16 @@ def test_id_validation():
             build()
     assert type(pauli_channel(np.int64(2)).alpha) is int
     assert a_channel(np.int64(0), np.int64(1)).label() == "A01"
-    with pytest.raises(ValueError, match="ChannelKind"):
-        BasisChannelId("pauli", 1)
+    # the helpers return the members themselves, and a member's value is its row
+    assert a_channel(0, 1) is BasisChannelId.A01
+    assert b_channel(2, 3) is BasisChannelId.B23
+    assert pauli_channel(np.int64(3)) is BasisChannelId.s3
+    assert ALL_CHANNELS == tuple(BasisChannelId)
+    assert all(channel.value == row for row, channel in enumerate(ALL_CHANNELS))
+    assert not isinstance(BasisChannelId.s1, int) and BasisChannelId.s1 != 1
+    for bad in (5, None, b"s0", ["s0"]):
+        with pytest.raises(ValueError, match="unrecognized"):
+            BasisChannelId.from_label(bad)
 
 
 # --- exact channel maps ---------------------------------------------------
@@ -445,7 +451,7 @@ def test_outcome_tables_reproduce_their_channels(channel):
     Tr(E rho) for a measurement outcome, E the projector or I minus it.
     """
     table = outcome_table(channel)
-    rng = np.random.default_rng([31, ALL_CHANNELS.index(channel)])
+    rng = np.random.default_rng([31, channel.value])
     for _ in range(5):
         rho = random_density_matrix(rng)
         t = [np.trace(e @ rho).real for e in table.effects]

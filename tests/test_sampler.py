@@ -27,6 +27,7 @@ from quasicut.circuit import (
     statevector,
 )
 from quasicut.decomposition import decompose
+from quasicut.local_basis import ALL_CHANNELS, outcome_table
 from quasicut.sampler import (
     MAX_SHOTS,
     EstimatorConfig,
@@ -576,6 +577,23 @@ def test_plan_tables_are_unbiased(num_qubits, layout, seed):
     circuit, observable = oracle_instance(num_qubits, LAYOUTS[layout], seed)
     expected = plan_expected_shot_value(circuit, observable)
     assert abs(expected - exact_expectation(circuit, observable)) < 1e-10
+
+
+def test_channel_rows_are_the_outcome_tables_at_each_channel_value():
+    """Row ``channel.value`` of the sampler's tables holds that channel's outcome table.
+
+    ``_terms`` reads a term's rows as its channels' values, so this is the
+    row invariant it relies on; a missing second outcome is zero.
+    """
+    for channel in ALL_CHANNELS:
+        table, row = outcome_table(channel), channel.value
+        count = len(table.weights)
+        assert sampler_module._DRAWS[row] == count - 1, channel
+        assert np.array_equal(sampler_module._KRAUS[row, :count], table.kraus), channel
+        assert not sampler_module._KRAUS[row, count:].any(), channel
+        assert sampler_module._WEIGHTS[row].tolist() == list(table.weights) + [0.0] * (2 - count)
+        effects = sampler_module._EFFECTS[sampler_module._EFFECT[row, :count]]
+        assert np.array_equal(effects, table.effects), channel
 
 
 # --- fused uncut segments ----------------------------------------------------
