@@ -10,7 +10,7 @@ These 16 maps are linearly independent (their PTMs have rank 16), so
 any single-qubit linear map is a real combination of them. Under index swap,
 A is symmetric and B is antisymmetric, so restricting to alpha < alpha' loses
 nothing. The members of the enum ``BasisChannelId`` are the basis; a
-member's value is its row in ``ALL_CHANNELS`` and in the sampler's tables.
+member's value is its row in ``ALL_CHANNELS`` and in the outcome rows below.
 
 Each channel is realized by an outcome table of one or two outcomes (as
 in Mitarai & Fujii, arXiv:1909.07534): outcome o applies a 2x2 Kraus
@@ -34,10 +34,17 @@ forms (sigma_a sigma_a' = i eps sigma_a'', eps the Levi-Civita sign), as
                           n = -eps e_a''
 
 Every table has total quasiprobability mass exactly 1: averaging
-weight x (post state) over its outcomes reproduces the channel. ``realize``
-runs a table on one qubit once. The sampler routes many shots through a
-cut term's two tables at once, on the 4x4 reduced density matrix of the
-cut pair, by the same rule.
+weight x (post state) over its outcomes reproduces the channel.
+
+The tables are written once, at import, as read-only rows: row c is the
+channel of value c, padded to two outcomes with zeros. ``KRAUS[c, o]`` and
+``WEIGHTS[c, o]`` are outcome o's K_o and w_o, ``OUTCOMES[c]`` is the
+number of outcomes, 1 or 2, and ``EFFECT[c, o]`` indexes E_o in
+``EFFECTS``, which holds I first and then each measurement's projectors
+Pi(n) and I - Pi(n) in row order. ``realize`` runs a channel's row on one
+qubit once. The sampler routes many shots through a cut term's two rows
+at once, on the 4x4 reduced density matrix of the cut pair, by the same
+rule.
 """
 
 from __future__ import annotations
@@ -53,11 +60,8 @@ from .algebra import PAULIS, QuantumState, integer, ptm_from_action
 # (alpha, alpha') -> (eps, alpha'') with sigma_a sigma_a' = i eps sigma_a''
 _LEVI_CIVITA = {(1, 2): (1, 3), (1, 3): (-1, 2), (2, 3): (1, 1)}
 
-_AXES = (
-    np.array([1.0, 0.0, 0.0]),
-    np.array([0.0, 1.0, 0.0]),
-    np.array([0.0, 0.0, 1.0]),
-)
+_AXES = np.eye(3)
+_AXES.setflags(write=False)
 
 
 class ChannelKind(Enum):
@@ -136,38 +140,22 @@ class RealizationOutcome:
     weight: float
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeTable:
-    """The outcomes of one basis channel's realization.
-
-    Outcome o maps a state psi to ``kraus[o] @ psi``, renormalized, with
-    weight ``weights[o]``, +1.0 or -1.0. ``effects[o]`` is
-    ``kraus[o]^+ kraus[o]`` up to rounding, and its trace t_o picks the
-    outcome: one outcome draws nothing, and two take one uniform draw u and
-    give outcome 0 iff u < t_0 / (t_0 + t_1). Arrays are read-only copies.
-    """
-
-    kraus: np.ndarray
-    weights: tuple[float, ...]
-    effects: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("kraus", "effects"):
-            matrices = np.array(getattr(self, name), dtype=complex)
-            matrices.setflags(write=False)
-            object.__setattr__(self, name, matrices)
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-
-
 def projector(axis: tuple[float, float, float] | np.ndarray) -> np.ndarray:
     """Pi(n) = (I + n . sigma) / 2 for a unit Bloch vector n."""
     n = np.asarray(axis, dtype=float)
     return (PAULIS[0] + n[0] * PAULIS[1] + n[1] * PAULIS[2] + n[2] * PAULIS[3]) / 2.0
 
 
+def _basis_channel(channel) -> BasisChannelId:
+    """``channel`` if it is a ``BasisChannelId`` member; ValueError for anything else, ints too."""
+    if not isinstance(channel, BasisChannelId):
+        raise ValueError(f"channel must be a BasisChannelId member, got {channel!r}")
+    return channel
+
+
 def channel_action(channel: BasisChannelId, matrix: np.ndarray) -> np.ndarray:
     """The exact linear action of a basis channel on a 2x2 matrix."""
-    sa = PAULIS[channel.alpha]
+    sa = PAULIS[_basis_channel(channel).alpha]
     if channel.kind is ChannelKind.PAULI:
         return sa @ matrix @ sa
     sb = PAULIS[channel.alpha_prime]
@@ -176,11 +164,11 @@ def channel_action(channel: BasisChannelId, matrix: np.ndarray) -> np.ndarray:
     return (sa @ matrix @ sb - sb @ matrix @ sa) / 2.0j
 
 
-def _write_table(channel: BasisChannelId) -> OutcomeTable:
-    """The channel's outcome table, in its form in the module docstring."""
+def _write_table(channel: BasisChannelId) -> tuple:
+    """The channel's (Kraus operators, weights, effects), in its form in the module docstring."""
     a, b = channel.alpha, channel.alpha_prime
     if channel.kind is ChannelKind.PAULI:
-        return OutcomeTable([PAULIS[a]], [1.0], [PAULIS[0]])
+        return [PAULIS[a]], [1.0], [PAULIS[0]]
     if channel.kind is ChannelKind.A and a > 0:
         # (sigma_a +- sigma_b)/sqrt2 is Hermitian and squares to I: a unitary
         sides = (PAULIS[a] + PAULIS[b], PAULIS[a] - PAULIS[b])
@@ -197,14 +185,43 @@ def _write_table(channel: BasisChannelId) -> OutcomeTable:
             eps, c = _LEVI_CIVITA[(a, b)]
             axis, flip = -eps * _AXES[c - 1], PAULIS[a]
         pi = projector(axis)
-        effects = np.array([pi, PAULIS[0] - pi])
-        return OutcomeTable(flip @ effects, [1.0, -1.0], effects)
-    return OutcomeTable(np.array(sides) / sqrt(2.0), [1.0, -1.0], [PAULIS[0]] * 2)
+        effects = [pi, PAULIS[0] - pi]
+        return flip @ np.array(effects), [1.0, -1.0], effects
+    return np.array(sides) / sqrt(2.0), [1.0, -1.0], [PAULIS[0]] * 2
 
 
-_TABLES: dict[BasisChannelId, OutcomeTable] = {
-    channel: _write_table(channel) for channel in ALL_CHANNELS
-}
+def _write_rows() -> tuple[np.ndarray, ...]:
+    """Every channel's table as read-only rows: (KRAUS, WEIGHTS, OUTCOMES, EFFECTS, EFFECT)."""
+    count = len(ALL_CHANNELS)
+    kraus = np.zeros((count, 2, 2, 2), dtype=complex)
+    weights = np.zeros((count, 2))
+    outcomes = np.zeros(count, dtype=np.intp)
+    effect = np.zeros((count, 2), dtype=np.intp)
+    effects = [PAULIS[0]]
+    for channel in ALL_CHANNELS:
+        c = channel.value
+        table_kraus, table_weights, table_effects = _write_table(channel)
+        outcomes[c] = len(table_weights)
+        kraus[c, : outcomes[c]] = table_kraus
+        weights[c, : outcomes[c]] = table_weights
+        for o, matrix in enumerate(table_effects):
+            if not np.array_equal(matrix, PAULIS[0]):
+                effect[c, o] = len(effects)
+                effects.append(matrix)
+    rows = (kraus, weights, outcomes, np.stack(effects), effect)
+    for array in rows:
+        array.setflags(write=False)
+    return rows
+
+
+KRAUS, WEIGHTS, OUTCOMES, EFFECTS, EFFECT = _write_rows()
+
+# realize works on Python numbers, since numpy's cost per call outweighs the
+# 2x2 work: per channel, its effects, Kraus operators and weights as lists
+_ROW_LISTS = tuple(
+    (EFFECTS[EFFECT[c, :n]].tolist(), KRAUS[c, :n].tolist(), WEIGHTS[c, :n].tolist())
+    for c, n in enumerate(OUTCOMES.tolist())
+)
 
 _PTMS: dict[BasisChannelId, np.ndarray] = {
     channel: ptm_from_action(lambda m: channel_action(channel, m), 1)
@@ -216,12 +233,7 @@ for _ptm in _PTMS.values():
 
 def basis_ptm(channel: BasisChannelId) -> np.ndarray:
     """4x4 real PTM of the channel's exact action (built once at import, read-only)."""
-    return _PTMS[channel]
-
-
-def outcome_table(channel: BasisChannelId) -> OutcomeTable:
-    """The channel's outcome table (written once at import)."""
-    return _TABLES[channel]
+    return _PTMS[_basis_channel(channel)]
 
 
 def realize(channel: BasisChannelId, state: QuantumState, rng) -> RealizationOutcome:
@@ -234,27 +246,26 @@ def realize(channel: BasisChannelId, state: QuantumState, rng) -> RealizationOut
     matrix.
 
     Args:
-        channel: which basis channel to realize.
+        channel: which basis channel to realize; a non-member raises ValueError.
         state: normalized single-qubit state.
         rng: uniform source for measurement outcomes and coin flips.
 
     Returns:
         RealizationOutcome with the post state and the weight, +1 or -1.
     """
+    effects, kraus, weights = _ROW_LISTS[_basis_channel(channel).value]
     if state.num_qubits != 1:
         raise ValueError("realize acts on single-qubit states")
-    table = _TABLES[channel]
-    # on Python complex numbers: numpy's cost per call outweighs the 2x2 work
     a, b = state.vector.tolist()
     traces = [
         ((e00 * a + e01 * b) * a.conjugate() + (e10 * a + e11 * b) * b.conjugate()).real
-        for (e00, e01), (e10, e11) in table.effects.tolist()
+        for (e00, e01), (e10, e11) in effects
     ]
     outcome = 0
     if len(traces) == 2 and rng.random() >= traces[0] / (traces[0] + traces[1]):
         outcome = 1
-    # effects[o] = kraus[o]^+ kraus[o], so traces[o] is the squared norm of kraus[o] psi
-    (k00, k01), (k10, k11) = table.kraus[outcome].tolist()
+    # E_o = K_o^+ K_o, so traces[o] is the squared norm of K_o psi
+    (k00, k01), (k10, k11) = kraus[outcome]
     norm = sqrt(traces[outcome])
     post = [(k00 * a + k01 * b) / norm, (k10 * a + k11 * b) / norm]
-    return RealizationOutcome(QuantumState(num_qubits=1, vector=post), table.weights[outcome])
+    return RealizationOutcome(QuantumState(num_qubits=1, vector=post), weights[outcome])

@@ -19,8 +19,8 @@ Averaged over shots this is unbiased for the exact expectation.
 decomposing each distinct cut angle once, and runs every shot from it: the
 state after the uncut gates before the first cut, simulated once, and per
 cut its qubits, its angle's sampling table (the terms' cut points, whose
-total is the weight, and the outcome tables of their channels, gathered
-as arrays) and the uncut gates up to the next cut or the end. The
+total is the weight, and the rows of their channels' outcome tables,
+gathered as arrays) and the uncut gates up to the next cut or the end. The
 segments after the cuts, which run once per slice of states, are fused
 at compile time (``_fuse``): every 1-qubit gate on a
 qubit that a 2-qubit gate of the segment touches is multiplied into such a
@@ -40,14 +40,16 @@ outcome; every outcome table has at most two outcomes), and at the
 end the observable term. So a shot's state depends only on its branch
 path, at most about 100 paths per cut, not on the draws themselves. The
 shots of an estimate walk a branch tree together (``_walk``). At a cut,
-every channel's outcome table (``local_basis.outcome_table``: per outcome
-a 2x2 Kraus operator, a weight +-1 and an effect) gives the term's children as
-(K_a (x) K_b) psi, and the outcome probabilities are traces against the
-4x4 reduced density matrix of the cut pair, so a whole level of the tree
-is routed with a fixed number of array operations: one batched product
-builds the children of many nodes, each reached child once, not once per
-shot. The uncut gates after the cut and the observable run once per
-slice of children, not once per node. Only the open frontier holds
+the rows of the channels' outcome tables (``local_basis.KRAUS``,
+``WEIGHTS``, ``OUTCOMES`` and ``EFFECT``: per outcome a 2x2 Kraus
+operator, a weight +-1 and the index of its effect in
+``local_basis.EFFECTS``) give the term's children as (K_a (x) K_b) psi,
+and the outcome probabilities are traces against the 4x4 reduced density
+matrix of the cut pair, so a whole level of the tree is routed with a
+fixed number of array operations: one batched product builds the
+children of many nodes, each reached child once, not once per shot. The
+uncut gates after the cut and the observable run once per slice of
+children, not once per node. Only the open frontier holds
 states, at most one slice of children per cut, and the shots run in
 chunks of 2^16, so memory does not grow with the tree or the shot count
 beyond one value per shot.
@@ -103,7 +105,7 @@ from .circuit import (
     pauli_string_expectation,
 )
 from .decomposition import QPDecomposition, decompose
-from .local_basis import ALL_CHANNELS, outcome_table
+from .local_basis import EFFECT, EFFECTS, KRAUS, OUTCOMES, WEIGHTS
 
 _BOUND_SLACK = 1e-9
 
@@ -249,57 +251,31 @@ class EstimatorResult:
 
 
 def plan_shots(epsilon: float, delta: float, o_max: float, w_total: float) -> int:
-    """Shots needed for |estimate - truth| < epsilon with confidence 1 - delta."""
-    if not (epsilon > 0 and isfinite(epsilon)):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    """Shots needed for |estimate - truth| < epsilon with confidence 1 - delta.
+
+    Each argument is a finite real number that is not a bool (ValueError otherwise).
+    """
+    epsilon = finite_real(epsilon, "epsilon")
+    delta = finite_real(delta, "delta")
+    o_max = finite_real(o_max, "o_max")
+    w_total = finite_real(w_total, "w_total")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not (o_max > 0 and isfinite(o_max)):
-        raise ValueError(f"o_max must be positive and finite, got {o_max}")
-    if not (w_total >= 1 and isfinite(w_total)):
-        raise ValueError(f"w_total must be finite and >= 1, got {w_total}")
+    if not o_max > 0:
+        raise ValueError(f"o_max must be positive, got {o_max}")
+    if not w_total >= 1:
+        raise ValueError(f"w_total must be >= 1, got {w_total}")
     try:
         return max(1, ceil(2.0 * (w_total * o_max / epsilon) ** 2 * log(2.0 / delta)))
     except OverflowError as exc:
         raise ValueError(f"epsilon {epsilon} needs more shots than a float can count") from exc
 
 
-def _channel_rows():
-    """Every basis channel's outcome table as rows of arrays; row c is the channel of value c.
-
-    Returns (effects, kraus, weights, draws, effect). Per channel c,
-    ``kraus[c, o]`` and ``weights[c, o]`` are outcome o's (zero for a
-    missing second outcome), ``draws[c]`` is 1 for a coin or a measurement
-    and 0 otherwise, and ``effect[c, o]`` indexes outcome o's effect in
-    ``effects``, which holds I first and then every other effect of the
-    tables in order: a measurement's projector and I minus it. So
-    Tr(E_0 rho) / Tr((E_0 + E_1) rho) is outcome 0's probability
-    (exactly 1/2 for a coin, whose effects are both I).
-    """
-    effects = [SIGMA_0]
-    count = len(ALL_CHANNELS)
-    kraus = np.zeros((count, 2, 2, 2), dtype=complex)
-    weights = np.zeros((count, 2))
-    draws = np.zeros(count, dtype=np.intp)
-    effect = np.zeros((count, 2), dtype=np.intp)
-    for channel in ALL_CHANNELS:
-        c, table = channel.value, outcome_table(channel)
-        draws[c] = len(table.weights) - 1
-        kraus[c, : draws[c] + 1] = table.kraus
-        weights[c, : draws[c] + 1] = table.weights
-        for o, matrix in enumerate(table.effects):
-            if not np.array_equal(matrix, SIGMA_0):
-                effect[c, o] = len(effects)
-                effects.append(matrix)
-    return np.stack(effects), kraus, weights, draws, effect
-
-
-_EFFECTS, _KRAUS, _WEIGHTS, _DRAWS, _EFFECT = _channel_rows()
-
-
 @dataclass(frozen=True, eq=False)
 class _Terms:
-    """One cut angle's sampling table, gathered from its channels' outcome tables.
+    """One cut angle's sampling table, gathered from its channels' rows in ``local_basis``.
 
     ``cums`` are the cumulative |coefficient| cut points of the term draw,
     so ``cums[-1]`` is the cut's weight W. Per term t, side s (0 for the
@@ -307,7 +283,7 @@ class _Terms:
     second) and outcomes a and b of the left and right channel:
     ``draws[t, s]`` is 1 if the side draws its outcome and 0 if it has one
     outcome, ``effect[t, s, o]`` indexes the effect of the side's outcome o
-    in ``_EFFECTS``, ``kraus[t, a, b]`` is K_a (x) K_b, and
+    in ``local_basis.EFFECTS``, ``kraus[t, a, b]`` is K_a (x) K_b, and
     ``weights[t, a, b]`` the sign of the coefficient times both outcomes'
     weights, each +-1.
     """
@@ -328,13 +304,13 @@ def _terms(decomp: QPDecomposition) -> _Terms:
         rows.append((first.value, second.value))
     rows = np.array(rows)
     left, right = rows[:, 0], rows[:, 1]
-    weights = _WEIGHTS[left][:, :, None] * _WEIGHTS[right][:, None, :]
+    weights = WEIGHTS[left][:, :, None] * WEIGHTS[right][:, None, :]
     return _Terms(
         cums=np.array(cums),
-        kraus=_kron(_KRAUS[left][:, :, None], _KRAUS[right][:, None, :]),
+        kraus=_kron(KRAUS[left][:, :, None], KRAUS[right][:, None, :]),
         weights=np.array(signs)[:, None, None] * weights,
-        draws=_DRAWS[rows],
-        effect=_EFFECT[rows],
+        draws=OUTCOMES[rows] - 1,
+        effect=EFFECT[rows],
     )
 
 
@@ -627,14 +603,14 @@ def _pair_back(states: np.ndarray, qubits: tuple[int, int], n: int) -> np.ndarra
 
 
 def _traces(phi: np.ndarray) -> np.ndarray:
-    """Tr((E_x (x) E_y) rho), real, for every two ``_EFFECTS`` E_x and E_y, per row of ``phi``.
+    """Tr((E_x (x) E_y) rho), real, for every two ``EFFECTS`` E_x and E_y, per row of ``phi``.
 
     A row of ``phi`` is a state with the cut pair first (``_pair_front``),
     and rho = phi phi^+ is the pair's 4x4 reduced density matrix.
     """
     rho = (phi @ phi.conj().transpose(0, 2, 1)).reshape(-1, 2, 2, 2, 2)
-    left = np.einsum("xji,pikjl->pxkl", _EFFECTS, rho)
-    return np.einsum("ylk,pxkl->pxy", _EFFECTS, left).real
+    left = np.einsum("xji,pikjl->pxkl", EFFECTS, rho)
+    return np.einsum("ylk,pxkl->pxy", EFFECTS, left).real
 
 
 def _draw_terms(u: np.ndarray, cums) -> np.ndarray:

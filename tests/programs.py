@@ -10,8 +10,9 @@ steps, run one step at a time:
 * ``Coin(V+, V-)``: toss a fair coin; apply V+ with weight +1 or V- with
   weight -1.
 
-The package holds only the outcome tables (``local_basis.outcome_table``),
-written by hand from the paper's five channel forms. These programs are
+The package holds only the outcome tables, written by hand from the
+paper's five channel forms as the read-only rows ``local_basis.KRAUS``,
+``WEIGHTS``, ``OUTCOMES``, ``EFFECTS`` and ``EFFECT``. These programs are
 written from the same forms in their original step form, and the tests
 check the tables against them: ``build_table`` reads a table off a program
 and ``run_program`` interprets one step by step, drawing what ``realize``

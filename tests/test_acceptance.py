@@ -17,7 +17,15 @@ from quasicut.analysis import compare_costs, find_max_w
 from quasicut.canonical import ThetaVector, canonical_unitary, pauli_coefficients
 from quasicut.circuit import CanonicalGate, Circuit, Observable, SingleGate
 from quasicut.decomposition import compose, decompose, legacy_decompose, reconstruct_ptm
-from quasicut.local_basis import ALL_CHANNELS, channel_action, outcome_table
+from quasicut.local_basis import (
+    ALL_CHANNELS,
+    EFFECT,
+    EFFECTS,
+    KRAUS,
+    OUTCOMES,
+    WEIGHTS,
+    channel_action,
+)
 from quasicut.sampler import EstimatorConfig, MeasureMode, estimate
 
 PI = np.pi
@@ -199,34 +207,36 @@ CARDINAL_STATES = {
 def test_criterion_8_channel_realizations():
     """Sampled weight x density means reproduce every channel on every axis state.
 
-    Each cell runs its 1e5 samples through the channel's outcome table. A
-    table of two outcomes takes one draw, so drawing all of a cell's
-    uniforms at once takes the generator's values in the order ``realize``
-    called in a loop would, and picks the same outcomes: outcome 1 iff the
-    draw is >= t_0 / (t_0 + t_1), where t_o = <v|E_o|v> for the effect E_o
-    of outcome o (exactly 1/2 for a coin), with the post state K_o v / sqrt(t_o).
+    Each cell runs its 1e5 samples through the channel's outcome table, its
+    row of the ``local_basis`` arrays. A table of two outcomes takes one
+    draw, so drawing all of a cell's uniforms at once takes the generator's
+    values in the order ``realize`` called in a loop would, and picks the
+    same outcomes: outcome 1 iff the draw is >= t_0 / (t_0 + t_1), where
+    t_o = <v|E_o|v> for the effect E_o of outcome o (exactly 1/2 for a
+    coin), with the post state K_o v / sqrt(t_o).
     """
     shots = 100_000
     rng = np.random.default_rng(108)
     worst_sigma = 0.0
     ok = True
     for channel in ALL_CHANNELS:
-        table = outcome_table(channel)
-        k = len(table.weights) - 1
+        c = channel.value
+        k = OUTCOMES[c] - 1
+        kraus, effects = KRAUS[c, : k + 1], EFFECTS[EFFECT[c, : k + 1]]
         for name, vec in CARDINAL_STATES.items():
             state = QuantumState.pure(vec)
             target = channel_action(channel, state.density_matrix())
             u = rng.random((shots, k)) if k else np.empty((shots, 0))
-            t = np.array([np.vdot(vec, e @ vec).real for e in table.effects])
+            t = np.array([np.vdot(vec, e @ vec).real for e in effects])
             outcome = np.zeros(shots, dtype=int)
             if k:
                 outcome = (u[:, 0] >= t[0] / (t[0] + t[1])).astype(int)
-            posts = np.einsum("oij,j->oi", table.kraus, vec)
+            posts = np.einsum("oij,j->oi", kraus, vec)
             # only reached outcomes: an eigenstate's other outcome has trace 0
             reached = np.unique(outcome)
             posts[reached] /= np.sqrt(t[reached])[:, None]
             vectors = posts[outcome]
-            weights = np.array(table.weights)[outcome]
+            weights = WEIGHTS[c, outcome]
             samples = weights[:, None, None] * (
                 vectors[:, :, None] * vectors.conj()[:, None, :]
             )

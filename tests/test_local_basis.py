@@ -14,13 +14,17 @@ from quasicut.algebra import PAULIS, SIGMA_0, QuantumState
 from quasicut.circuit import apply_1q
 from quasicut.local_basis import (
     ALL_CHANNELS,
+    EFFECT,
+    EFFECTS,
+    KRAUS,
+    OUTCOMES,
+    WEIGHTS,
     BasisChannelId,
     ChannelKind,
     a_channel,
     b_channel,
     basis_ptm,
     channel_action,
-    outcome_table,
     pauli_channel,
     projector,
     realize,
@@ -34,6 +38,16 @@ from programs import (
     realization_program,
     run_program,
 )
+
+
+def outcomes(channel):
+    """The channel's row of the package's outcome tables, cut to its outcomes.
+
+    Returns (Kraus operators, weights, effects), one entry per outcome.
+    """
+    c = channel.value
+    count = OUTCOMES[c]
+    return KRAUS[c, :count], WEIGHTS[c, :count].tolist(), EFFECTS[EFFECT[c, :count]]
 
 
 class FixedDraws:
@@ -229,6 +243,17 @@ def ket(*amps):
     return QuantumState.pure(np.array(amps, dtype=complex))
 
 
+def test_channel_functions_reject_non_members():
+    """A label, an int or None is no channel: ValueError, never a lookup by value."""
+    for bad in ("s0", 0, None):
+        with pytest.raises(ValueError, match="BasisChannelId"):
+            realize(bad, ket(1.0, 0.0), FixedDraws([]))
+        with pytest.raises(ValueError, match="BasisChannelId"):
+            basis_ptm(bad)
+        with pytest.raises(ValueError, match="BasisChannelId"):
+            channel_action(bad, np.eye(2))
+
+
 def test_realize_pauli_flip():
     out = realize(pauli_channel(1), ket(1.0, 0.0), FixedDraws([]))
     assert out.weight == 1.0
@@ -264,10 +289,9 @@ def test_realize_measurement_on_eigenstates_is_deterministic():
 
 def test_realize_coin_branches():
     # A(1,2) tosses a fair coin between (X+Y)/sqrt(2) and (X-Y)/sqrt(2)
-    table = outcome_table(a_channel(1, 2))
     u_plus = (PAULIS[1] + PAULIS[2]) / np.sqrt(2.0)
     u_minus = (PAULIS[1] - PAULIS[2]) / np.sqrt(2.0)
-    np.testing.assert_allclose(table.kraus, [u_plus, u_minus], atol=1e-15)
+    np.testing.assert_allclose(KRAUS[a_channel(1, 2).value], [u_plus, u_minus], atol=1e-15)
     state = ket(1.0, 0.0)
     # the coin is fair: heads below 1/2, tails from 1/2 on
     heads = realize(a_channel(1, 2), state, FixedDraws([0.1]))
@@ -355,14 +379,14 @@ def run_tables(psi, sides, u, shot, num_qubits):
     """
     weight, taken = 1.0, 0
     for qubit, channel in sides:
-        table = outcome_table(channel)
-        t = [np.vdot(psi, apply_1q(psi, e, qubit, num_qubits)).real for e in table.effects]
+        kraus, weights, effects = outcomes(channel)
+        t = [np.vdot(psi, apply_1q(psi, e, qubit, num_qubits)).real for e in effects]
         outcome = 0
         if len(t) == 2:
             outcome = int(u[shot, taken] >= t[0] / (t[0] + t[1]))
             taken += 1
-        psi = apply_1q(psi, table.kraus[outcome], qubit, num_qubits) / np.sqrt(t[outcome])
-        weight *= table.weights[outcome]
+        psi = apply_1q(psi, kraus[outcome], qubit, num_qubits) / np.sqrt(t[outcome])
+        weight *= weights[outcome]
     return psi, weight, taken
 
 
@@ -408,14 +432,14 @@ def test_branches_match_one_run_per_shot(channel, read_marks):
     psi = random_state(rng, 3)
     draws = np.vstack([[[0.0, 0.0], [1.0 - 2.0**-53, 0.0]], rng.random((12, 2))])
     weights = tables_against_run_program(psi, [(1, channel)], draws, read_marks)
-    table = outcome_table(channel)
-    assert weights[: len(table.weights)] == list(table.weights)
+    _, table_weights, _ = outcomes(channel)
+    assert weights[: len(table_weights)] == table_weights
     for row in draws:
         vector = random_state(rng, 1)
         ours, theirs = FixedDraws(row), FixedDraws(row)
         out = realize(channel, QuantumState.pure(vector), ours)
         ref, ref_weight = run_program(vector, realization_program(channel), 0, 1, theirs)
-        assert out.weight == ref_weight
+        assert out.weight == ref_weight and type(out.weight) is float
         assert np.abs(out.state.vector - ref).max() < 1e-15
         assert len(ours._draws) == len(theirs._draws)
 
@@ -450,13 +474,13 @@ def test_outcome_tables_reproduce_their_channels(channel):
     1 for the one outcome of a unitary, 1/2 per side of a coin, and
     Tr(E rho) for a measurement outcome, E the projector or I minus it.
     """
-    table = outcome_table(channel)
+    kraus, weights, effects = outcomes(channel)
     rng = np.random.default_rng([31, channel.value])
     for _ in range(5):
         rho = random_density_matrix(rng)
-        t = [np.trace(e @ rho).real for e in table.effects]
+        t = [np.trace(e @ rho).real for e in effects]
         total = np.zeros((2, 2), dtype=complex)
-        for k, w, t_o in zip(table.kraus, table.weights, t):
+        for k, w, t_o in zip(kraus, weights, t):
             post = k @ rho @ k.conj().T
             total += t_o / sum(t) * w * post / np.trace(post).real
         assert np.abs(total - channel_action(channel, rho)).max() < 1e-14, channel.label()
@@ -464,38 +488,50 @@ def test_outcome_tables_reproduce_their_channels(channel):
 
 @pytest.mark.parametrize("channel", ALL_CHANNELS, ids=str)
 def test_outcome_table_invariants(channel):
-    """One or two outcomes, weights exactly +-1, E_o = K_o^+ K_o to 1e-15, read-only arrays.
+    """One or two outcomes, weights exactly +-1, E_o = K_o^+ K_o to 1e-15, zero padding.
 
     E_o = K_o^+ K_o is what lets ``realize`` renormalize K_o psi by
-    sqrt(<psi|E_o|psi>) without computing its norm.
+    sqrt(<psi|E_o|psi>) without computing its norm. A missing second
+    outcome is zero in every row: its Kraus operator, its weight and its
+    effect index.
     """
-    table = outcome_table(channel)
-    count = len(table.weights)
+    c = channel.value
+    count = OUTCOMES[c]
     assert count in (1, 2)
-    assert table.kraus.shape == table.effects.shape == (count, 2, 2)
-    assert all(w in (1.0, -1.0) and type(w) is float for w in table.weights)
-    gram = table.kraus.conj().transpose(0, 2, 1) @ table.kraus
-    assert np.abs(gram - table.effects).max() <= 1e-15
-    assert not table.kraus.flags.writeable and not table.effects.flags.writeable
+    kraus, weights, effects = outcomes(channel)
+    assert kraus.shape == effects.shape == (count, 2, 2)
+    assert all(w in (1.0, -1.0) for w in weights)
+    gram = kraus.conj().transpose(0, 2, 1) @ kraus
+    assert np.abs(gram - effects).max() <= 1e-15
+    assert not KRAUS[c, count:].any()
+    assert not WEIGHTS[c, count:].any()
+    assert not EFFECT[c, count:].any()
 
 
 def test_outcome_tables_are_read_from_the_programs():
-    """Each table is what ``build_table`` reads off the channel's program; tables are cached.
+    """Each row is what ``build_table`` reads off the channel's program; rows are read-only.
 
     Kraus operators are value-equal, weights equal, and the effects are the
     program's projector and I minus it, or I for each outcome without one.
+    ``EFFECTS`` holds I first and then each measurement's two effects, once,
+    in row order.
     """
+    rows = (KRAUS, WEIGHTS, OUTCOMES, EFFECTS, EFFECT)
+    assert not any(array.flags.writeable for array in rows)
+    assert KRAUS.shape == (len(ALL_CHANNELS), 2, 2, 2)
+    assert WEIGHTS.shape == EFFECT.shape == (len(ALL_CHANNELS), 2)
+    assert np.array_equal(EFFECTS[0], SIGMA_0)
+    assert EFFECT[EFFECT != 0].tolist() == list(range(1, len(EFFECTS)))
     for channel in ALL_CHANNELS:
         kraus, weights, projector_matrix = build_table(realization_program(channel))
-        table = outcome_table(channel)
-        assert table is outcome_table(channel)
-        assert np.array_equal(table.kraus, np.stack(kraus))
-        assert table.weights == weights
+        table_kraus, table_weights, table_effects = outcomes(channel)
+        assert np.array_equal(table_kraus, np.stack(kraus))
+        assert table_weights == list(weights)
         if projector_matrix is None:
             expected = [SIGMA_0] * len(weights)
         else:
             expected = [projector_matrix, SIGMA_0 - projector_matrix]
-        assert np.array_equal(table.effects, np.stack(expected)), channel.label()
+        assert np.array_equal(table_effects, np.stack(expected)), channel.label()
 
 
 def test_projector_formula():

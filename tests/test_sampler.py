@@ -27,7 +27,6 @@ from quasicut.circuit import (
     statevector,
 )
 from quasicut.decomposition import decompose
-from quasicut.local_basis import ALL_CHANNELS, outcome_table
 from quasicut.sampler import (
     MAX_SHOTS,
     EstimatorConfig,
@@ -221,6 +220,22 @@ def test_plan_shots_validation():
         with pytest.raises(ValueError, match="w_total"):
             plan_shots(0.1, 0.05, 1.0, bad)
 
+
+
+def test_plan_shots_reads_finite_reals():
+    """A bool or a numeric string is no number: ValueError naming the argument.
+
+    A real number of another type is read as its float, so the pinned
+    value stays.
+    """
+    names = ("epsilon", "delta", "o_max", "w_total")
+    for position, name in enumerate(names):
+        for bad in (True, "0.1"):
+            args = [0.1, 0.05, 1.0, 1.0]
+            args[position] = bad
+            with pytest.raises(ValueError, match=name):
+                plan_shots(*args)
+    assert plan_shots(np.float64(0.01), 0.05, 1, np.float32(7.0)) == 3615102
 
 def test_config_requires_exactly_one_target():
     with pytest.raises(ValueError):
@@ -577,23 +592,6 @@ def test_plan_tables_are_unbiased(num_qubits, layout, seed):
     circuit, observable = oracle_instance(num_qubits, LAYOUTS[layout], seed)
     expected = plan_expected_shot_value(circuit, observable)
     assert abs(expected - exact_expectation(circuit, observable)) < 1e-10
-
-
-def test_channel_rows_are_the_outcome_tables_at_each_channel_value():
-    """Row ``channel.value`` of the sampler's tables holds that channel's outcome table.
-
-    ``_terms`` reads a term's rows as its channels' values, so this is the
-    row invariant it relies on; a missing second outcome is zero.
-    """
-    for channel in ALL_CHANNELS:
-        table, row = outcome_table(channel), channel.value
-        count = len(table.weights)
-        assert sampler_module._DRAWS[row] == count - 1, channel
-        assert np.array_equal(sampler_module._KRAUS[row, :count], table.kraus), channel
-        assert not sampler_module._KRAUS[row, count:].any(), channel
-        assert sampler_module._WEIGHTS[row].tolist() == list(table.weights) + [0.0] * (2 - count)
-        effects = sampler_module._EFFECTS[sampler_module._EFFECT[row, :count]]
-        assert np.array_equal(effects, table.effects), channel
 
 
 # --- fused uncut segments ----------------------------------------------------

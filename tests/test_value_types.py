@@ -46,6 +46,37 @@ def test_every_dataclass_is_frozen_and_compares_no_array():
             assert not compared, (cls.__name__, compared)
 
 
+def module_arrays():
+    """(name, array) for every numpy array bound at module level in the package.
+
+    An array counts alone or as an item of a tuple, list or dict value.
+    """
+    modules = [quasicut] + [
+        importlib.import_module(f"quasicut.{info.name}")
+        for info in pkgutil.iter_modules(quasicut.__path__)
+    ]
+    for module in modules:
+        for name, value in vars(module).items():
+            if isinstance(value, dict):
+                items = value.values()
+            elif isinstance(value, (tuple, list)):
+                items = value
+            else:
+                items = (value,)
+            for item in items:
+                if isinstance(item, np.ndarray):
+                    yield f"{module.__name__}.{name}", item
+
+
+def test_every_module_array_is_read_only():
+    """A module-level array is shared by every call, so no caller may write to it."""
+    arrays = list(module_arrays())
+    names = {name for name, _ in arrays}
+    assert {"quasicut.algebra.PAULIS", "quasicut.local_basis.KRAUS"} <= names
+    writable = sorted({name for name, array in arrays if array.flags.writeable})
+    assert not writable
+
+
 def test_no_field_is_complex():
     """Coefficients, weights and shot signs are real numbers, so no field is complex."""
     fields = [
