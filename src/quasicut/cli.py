@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--epsilon", type=float, default=None)
     p_est.add_argument("--delta", type=float, default=None)
     p_est.add_argument("--seed", type=int, default=None)
-    p_est.add_argument("--mode", choices=["exact", "sample"], default="exact")
+    p_est.add_argument("--mode", choices=[m.value for m in MeasureMode], default="exact")
     p_est.add_argument("--output", help="write JSON here instead of stdout")
     p_est.set_defaults(func=cmd_estimate)
 
@@ -162,7 +162,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             seed = int(text)
         except ValueError as exc:
             raise FormatError(f"QUASICUT_SEED must be an integer, got {text!r}") from exc
-    mode = MeasureMode.EXACT_TRACE if args.mode == "exact" else MeasureMode.EIGENVALUE_SAMPLE
+    mode = MeasureMode(args.mode)
     config = EstimatorConfig(
         shots=args.shots, epsilon=args.epsilon, delta=args.delta, seed=seed, mode=mode
     )

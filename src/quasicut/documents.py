@@ -23,9 +23,9 @@ complex coefficient, a weight that is not the coefficients' one-norm. The
 whole document's structure is checked against its format's schema before
 any value is read, so a document with a structural fault anywhere raises
 FormatError even when one of its values is also invalid. ``load`` reads a
-file's JSON and rejects a file that is not UTF-8 text, and a key repeated
-in one object, as malformed too, so a second "cut" cannot silently
-overrule the first.
+file's JSON and rejects a file that is not UTF-8 text, a key repeated in
+one object, so a second "cut" cannot silently overrule the first, and
+nesting too deep for the JSON decoder as malformed too.
 """
 
 from __future__ import annotations
@@ -46,12 +46,14 @@ class FormatError(ValueError):
 
 
 def load(path) -> object:
-    """The JSON value in the file ``path``; non-UTF-8 text or a repeated key is a FormatError."""
+    """The JSON in ``path``; non-UTF-8 text, a repeated key or deep nesting is a FormatError."""
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle, object_pairs_hook=_object)
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+        except RecursionError as exc:
+            raise FormatError(f"{path} nests its JSON too deeply: {exc}") from exc
 
 
 def _object(pairs: list[tuple[str, object]]) -> dict:
@@ -171,10 +173,9 @@ def circuit_from_doc(doc: dict) -> Circuit:
 
 def _gate_from_doc(entry: dict) -> Gate:
     if entry["type"] == "single":
-        axis = tuple(finite_real(x, "axis") for x in entry["axis"])
-        return SingleGate(entry["q"], axis, finite_real(entry["theta"], "theta"))
+        return SingleGate(entry["q"], entry["axis"], entry["theta"])
     if entry["type"] == "canonical":
-        theta = ThetaVector.coerce([finite_real(t, "theta") for t in entry["theta"]])
+        theta = ThetaVector.coerce(entry["theta"])
         return CanonicalGate(tuple(entry["qs"]), theta, entry.get("cut", False))
     matrix = np.array([[_complex(v, "matrix") for v in row] for row in entry["matrix"]])
     return Raw1QGate(entry["q"], matrix)
@@ -189,9 +190,7 @@ def observable_to_doc(observable: Observable) -> dict:
 
 def observable_from_doc(doc: dict) -> Observable:
     _check(doc, _OBSERVABLE, "observable")
-    return Observable(
-        tuple((finite_real(t["coeff"], "coeff"), t["pauli"]) for t in doc["terms"])
-    )
+    return Observable(tuple((t["coeff"], t["pauli"]) for t in doc["terms"]))
 
 
 # --- decompositions --------------------------------------------------------
@@ -205,8 +204,8 @@ def decomposition_to_doc(
         "terms": [
             {
                 "c": _pair_doc(term.coefficient),
-                "left": ",".join(cid.label() for cid in term.left),
-                "right": ",".join(cid.label() for cid in term.right),
+                "left": ",".join(cid.name for cid in term.left),
+                "right": ",".join(cid.name for cid in term.right),
             }
             for term in decomposition.terms
         ],

@@ -97,9 +97,6 @@ class BasisChannelId(Enum):
     def alpha_prime(self) -> int | None:
         return int(self.name[2]) if len(self.name) == 3 else None
 
-    def label(self) -> str:
-        return self.name
-
     @classmethod
     def from_label(cls, text: str) -> BasisChannelId:
         channel = cls.__members__.get(text) if isinstance(text, str) else None

@@ -58,8 +58,8 @@ order, so neither the plan nor the tree changes a result beyond rounding,
 and a shot's value does not depend on the other shots of its chunk or
 slice. All shots at a node have taken the same number of draws, so the
 node alone fixes which of their uniforms it reads. ``run_shot(..., seed,
-s)`` compiles a plan and walks shot s alone from the same stream table, so
-it is shot s of ``estimate`` with that seed.
+s)`` compiles a plan and walks shot s alone from the same stream, so it
+is shot s of ``estimate`` with that seed.
 
 Shot counts for a target (epsilon, delta) follow the two-sided Hoeffding
 bound for samples bounded by W * o_max:
@@ -76,10 +76,10 @@ Reproducibility: every shot draws from its own uniform stream derived from
 SplitMix64 walk). A result is therefore a pure function of the seed and
 the inputs; the stream values themselves are pinned by test vectors.
 ``ShotStream`` is one shot's stream on Python ints. SplitMix64 is
-counter-based, so ``estimate`` computes a chunk's streams up front as one
-table, each shot's first ``draws`` uniforms (the most any shot of the plan
-takes), and a tree node reads one column for all its shots with one
-gather: the same draws bit for bit.
+counter-based, so a draw is a pure function of the stream's start state
+and its index: ``estimate`` keeps only each shot's start state, and
+``_draw`` computes the draw a tree level reads, for just the shots that
+read it, with one array call: the same draws bit for bit.
 """
 
 from __future__ import annotations
@@ -113,8 +113,7 @@ _BOUND_SLACK = 1e-9
 _BELOW_ONE = 1.0 - 2.0**-53
 
 # estimate walks its shots in chunks of this many; a chunk holds about 100
-# bytes per shot (sign, o', x, indices) and 8 per entry of its stream
-# table next to its tree
+# bytes per shot (stream start, sign, o', x, indices) next to its tree
 _CHUNK_SHOTS = 1 << 16
 
 # a cut's children are built and simulated in slices of at most this many
@@ -176,20 +175,18 @@ class ShotStream:
         return u if u < 1.0 else _BELOW_ONE
 
 
-def _uniforms(seed: int, start: int, count: int, draws: int) -> np.ndarray:
-    """The first ``draws`` uniforms of every shot in ``range(start, start + count)``.
+def _draw(start: np.ndarray, column) -> np.ndarray:
+    """The (column+1)-th ``ShotStream`` draw of each stream whose start state is in ``start``.
 
-    Row i, column j holds the (j+1)-th ``ShotStream(seed, start + i).random()``,
-    bit for bit: its start state plus (j + 1) increments, finalized. Built
-    one column at a time, in place. Reading past ``draws`` raises IndexError.
+    ``start`` is a uint64 array of ``_stream_start`` states and ``column``
+    an int or an int array of its shape. The draw is the start state plus
+    (column + 1) increments, finalized and clamped as ``ShotStream.random``
+    does, bit for bit; the arithmetic stays on arrays, where uint64
+    overflow wraps silently.
     """
-    z = _stream_start(seed, np.arange(start, start + count, dtype=np.uint64))
-    table = np.empty((count, draws))
-    for j in range(draws):
-        z += np.uint64(_GAMMA)
-        # uint64 -> float64 rounds to nearest, as int / float does
-        np.divide(_stream_output(z), 18446744073709551616.0, out=table[:, j])
-    return np.minimum(table, _BELOW_ONE, out=table)
+    z = start + np.asarray(column, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(_GAMMA)
+    # uint64 -> float64 rounds to nearest, as int / float does
+    return np.minimum(_stream_output(z) / 18446744073709551616.0, _BELOW_ONE)
 
 
 @dataclass(frozen=True)
@@ -336,9 +333,7 @@ class _ShotPlan:
     first cut, the root of every walk's branch tree. Exact mode reads
     ``observable`` per Pauli string on a stack of leaf states at once.
     Sample mode draws one of ``terms``, (sign, Pauli string), per shot with
-    cut points ``term_cums``. ``draws`` is the most uniforms any shot takes:
-    per cut one for the term and one per coin or measurement of its
-    busiest term, and in sample mode two more.
+    cut points ``term_cums``.
     """
 
     num_qubits: int
@@ -349,7 +344,6 @@ class _ShotPlan:
     observable: Observable
     terms: tuple[tuple[float, str], ...]
     term_cums: tuple[float, ...]
-    draws: int
 
 
 def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _ShotPlan:
@@ -376,13 +370,11 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
     tables: dict[ThetaVector, _Terms] = {}
     cuts = []
     w_total = 1.0
-    draws = 0 if exact else 2  # the observable term and its eigenvalue
     for gate, after in zip(cut_gates, segments[1:]):
         if gate.theta not in tables:
             tables[gate.theta] = _terms(decompose(pauli_coefficients(gate.theta)))
         terms = tables[gate.theta]
         w_total *= float(terms.cums[-1])
-        draws += 1 + int(terms.draws.sum(axis=1).max())
         cuts.append(_Cut(qubits=gate.qubits, terms=terms, after=_fuse(after)))
 
     live = () if exact else tuple((c, p) for c, p in observable.terms if c != 0.0)
@@ -396,7 +388,6 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
         observable=observable,
         terms=tuple(zip(term_signs, (p for _, p in live))),
         term_cums=term_cums,
-        draws=draws,
     )
 
 
@@ -456,16 +447,17 @@ def _apply_steps(stack: np.ndarray, steps, n: int) -> np.ndarray:
     return stack
 
 
-def _walk(plan: _ShotPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the shot of each row of uniforms ``table`` down the plan's branch tree.
+def _walk(plan: _ShotPlan, start: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the shot of each stream start state in ``start`` down the plan's branch tree.
 
     Returns (sign, o', x) arrays. ``descend`` takes a stack of states, one
     row per tree node, the nodes' signs and draw counts, and the shots
-    (rows of ``table``) at the nodes with the node of each: a node's shots
-    have taken the same draws, so it reads the same columns for all of
-    them. Before cut k, ``_route`` sends each shot to a child: a term and
-    the outcomes of its two channels, drawn from the node's next columns
-    with probabilities read off the cut pair's 4x4 reduced density matrix.
+    (indices into ``start``) at the nodes with the node of each: a node's
+    shots have taken the same draws, so it reads the same columns of all
+    their streams (``_draw``). Before cut k, ``_route`` sends each shot to
+    a child: a term and the outcomes of its two channels, drawn from the
+    node's next columns with probabilities read off the cut pair's 4x4
+    reduced density matrix.
     The children, one per (node, term, outcomes) reached, are built as
     ``_BATCH_AMPS``-amplitude slices of one batched product each; each
     slice runs the uncut gates after the cut and descends before the next
@@ -475,7 +467,7 @@ def _walk(plan: _ShotPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     leaves.
     """
     n = plan.num_qubits
-    shots = len(table)
+    shots = len(start)
     sign = np.empty(shots)
     o_value = np.empty(shots)
 
@@ -487,7 +479,7 @@ def _walk(plan: _ShotPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         cut = plan.cuts[k]
         terms = cut.terms
         phi = _pair_front(stack, cut.qubits, n)
-        key = _route(terms, _traces(phi), table, idx, node, node_col[node])
+        key = _route(terms, _traces(phi), start[idx], node, node_col[node])
         order = np.argsort(key)
         key, idx = key[order], idx[order]
         starts = np.flatnonzero(np.diff(key, prepend=-1))
@@ -520,8 +512,9 @@ def _walk(plan: _ShotPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         if plan.mode is MeasureMode.EXACT_TRACE:
             o_value[idx] = observable_expectation(stack, plan.observable, n)[node]
             return
-        col = node_col[node]
-        picks = _draw_terms(table[idx, col], plan.term_cums)
+        z, col = start[idx], node_col[node]
+        picks = _draw_terms(_draw(z, col), plan.term_cums)
+        eig_u = _draw(z, col + 1)
         for term in np.unique(picks).tolist():
             drew = picks == term
             taken, at = idx[drew], node[drew]
@@ -531,7 +524,7 @@ def _walk(plan: _ShotPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
             # a Pauli string's entries are 0, +-1 or +-i: exact in any row position
             means[used] = pauli_string_expectation(stack[used], pauli, n)
             p_plus = np.clip(0.5 * (1.0 + means[at]), 0.0, 1.0)
-            eig = np.where(table[taken, col[drew] + 1] < p_plus, 1.0, -1.0)
+            eig = np.where(eig_u[drew] < p_plus, 1.0, -1.0)
             o_value[taken] = term_sign * eig * plan.observable.o_max
 
     root = plan.prefix[None][_pad(1, n)]
@@ -545,14 +538,14 @@ def _walk(plan: _ShotPlan, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return sign, o_value, x
 
 
-def _route(terms: _Terms, traces: np.ndarray, table, idx, node, col) -> np.ndarray:
+def _route(terms: _Terms, traces: np.ndarray, z, node, col) -> np.ndarray:
     """Each shot's child of its node, as the key ((node * T + term) * 2 + a) * 2 + b.
 
     Shot i is at ``node[i]`` and reads its term from column ``col[i]`` of
-    row ``idx[i]`` of ``table``, then its left channel's outcome a, if that
-    draws, from the next column, and its right one's b, if that draws, from
-    the one after; a side that draws nothing reads no column. A side's
-    outcome is 1 iff its draw is >= t_0 / (t_0 + t_1), where t_o is
+    the stream that starts at ``z[i]``, then its left channel's outcome a,
+    if that draws, from the next column, and its right one's b, if that
+    draws, from the one after; a side that draws nothing reads no column.
+    A side's outcome is 1 iff its draw is >= t_0 / (t_0 + t_1), where t_o is
     Tr((E_o (x) I) rho) on the left and Tr((E_a (x) E_o) rho) on the right,
     E_o the effect of the side's outcome o and E_a that of the left outcome
     drawn, read from ``traces`` (``_traces`` of the nodes' pair states).
@@ -561,30 +554,30 @@ def _route(terms: _Terms, traces: np.ndarray, table, idx, node, col) -> np.ndarr
     up to rounding, and exactly 1 on an eigenstate of Pi, whose other
     outcome has trace 0 and is never drawn.
     """
-    term = _draw_terms(table[idx, col], terms.cums)
+    term = _draw_terms(_draw(z, col), terms.cums)
     draws, effect = terms.draws[term], terms.effect[term]
     left = _outcomes(
-        table, idx, col + 1, draws[:, 0],
+        z, col + 1, draws[:, 0],
         traces[node, effect[:, 0, 0], 0], traces[node, effect[:, 0, 1], 0],
     )  # fmt: skip
     given = terms.effect[term, 0, left]
     right = _outcomes(
-        table, idx, col + 1 + draws[:, 0], draws[:, 1],
+        z, col + 1 + draws[:, 0], draws[:, 1],
         traces[node, given, effect[:, 1, 0]], traces[node, given, effect[:, 1, 1]],
     )  # fmt: skip
     return ((node * len(terms.cums) + term) * 2 + left) * 2 + right
 
 
-def _outcomes(table, idx, col, draws, zero, one) -> np.ndarray:
+def _outcomes(z, col, draws, zero, one) -> np.ndarray:
     """One side's outcome per shot, 0 or 1: see ``_route``.
 
     ``zero`` and ``one`` are the traces of the side's outcomes. Only the
-    shots whose side draws read ``table``, at column ``col``.
+    shots whose side draws read their stream (from ``z``), at column ``col``.
     """
-    outcome = np.zeros(len(idx), dtype=np.intp)
+    outcome = np.zeros(len(z), dtype=np.intp)
     drew = np.flatnonzero(draws)
     chance = zero[drew] / (zero[drew] + one[drew])
-    outcome[drew] = table[idx[drew], col[drew]] >= chance
+    outcome[drew] = _draw(z[drew], col[drew]) >= chance
     return outcome
 
 
@@ -647,16 +640,17 @@ def run_shot(
     ``shot_index`` lies in ``range(MAX_SHOTS)``, the shots an estimate can
     run. Every call compiles a fresh shot plan (decompositions, prefix
     state, sampling tables, fused uncut segments) and walks one path of its
-    branch tree, so a loop over shots should call ``estimate``, which
-    compiles once and walks all its shots together.
+    branch tree from the shot's stream start state, so a loop over shots
+    should call ``estimate``, which compiles once and walks all its shots
+    together.
     """
     seed = integer(seed, "seed")
     shot_index = integer(shot_index, "shot_index")
     if not 0 <= shot_index < MAX_SHOTS:
         raise ValueError(f"shot_index must lie in 0..{MAX_SHOTS - 1}, got {shot_index}")
     plan = _compile(circuit, observable, mode)
-    table = _uniforms(seed, shot_index, 1, plan.draws)
-    return ShotRecord(*(values[0].item() for values in _walk(plan, table)))
+    start = _stream_start(seed, np.array([shot_index], dtype=np.uint64))
+    return ShotRecord(*(values[0].item() for values in _walk(plan, start)))
 
 
 def estimate(
@@ -687,10 +681,10 @@ def estimate(
         )
 
     values = np.empty(shots, dtype=float)
-    for start in range(0, shots, _CHUNK_SHOTS):
-        count = min(_CHUNK_SHOTS, shots - start)
-        table = _uniforms(config.seed, start, count, plan.draws)
-        values[start : start + count] = _walk(plan, table)[2]
+    for first in range(0, shots, _CHUNK_SHOTS):
+        last = min(first + _CHUNK_SHOTS, shots)
+        start = _stream_start(config.seed, np.arange(first, last, dtype=np.uint64))
+        values[first:last] = _walk(plan, start)[2]
 
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / sqrt(shots)) if shots > 1 else 0.0

@@ -418,6 +418,21 @@ def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert code == 2 and out == "" and "UTF-8" in err
 
 
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    """JSON nested deeper than the decoder can recurse is malformed, in every input file."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 10**5 + "]" * 10**5, encoding="utf-8")
+    circuit = write_json(tmp_path / "c.json", CIRCUIT_DOC)
+    observable = write_json(tmp_path / "o.json", OBSERVABLE_DOC)
+    for argv in (
+        ("estimate", "--circuit", str(deep), "--observable", observable, "--shots", "10"),
+        ("estimate", "--circuit", circuit, "--observable", str(deep), "--shots", "10"),
+        ("verify", "0", "0", "0", "--from-file", str(deep)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "too deeply" in err
+
+
 def test_missing_input_files_exit_2(tmp_path, capsys):
     observable = write_json(tmp_path / "o.json", OBSERVABLE_DOC)
     code, _, err = run_cli(

@@ -79,7 +79,7 @@ def test_decompose_is_exact_at_any_finite_angle(theta):
 def test_frozen_terms_at_quarter_pi():
     d = decompose(pauli_coefficients(ThetaVector(PI / 4, 0.0, 0.0)))
     got = {
-        (t.left[0].label(), t.right[0].label()): t.coefficient for t in d.terms
+        (t.left[0].name, t.right[0].name): t.coefficient for t in d.terms
     }
     expected = {
         ("s0", "s0"): 0.5,

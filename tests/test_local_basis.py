@@ -111,14 +111,14 @@ def expected_program_map(program):
 
 def test_channel_count_and_order():
     assert len(ALL_CHANNELS) == 16
-    labels = [c.label() for c in ALL_CHANNELS]
+    labels = [c.name for c in ALL_CHANNELS]
     assert labels[:4] == ["s0", "s1", "s2", "s3"]
     assert len(set(labels)) == 16
 
 
 def test_label_roundtrip():
     for channel in ALL_CHANNELS:
-        assert BasisChannelId.from_label(channel.label()) == channel
+        assert BasisChannelId.from_label(channel.name) == channel
 
 
 def test_from_label_rejects_garbage():
@@ -145,7 +145,7 @@ def test_id_validation():
         with pytest.raises(ValueError, match="integer"):
             build()
     assert type(pauli_channel(np.int64(2)).alpha) is int
-    assert a_channel(np.int64(0), np.int64(1)).label() == "A01"
+    assert a_channel(np.int64(0), np.int64(1)).name == "A01"
     # the helpers return the members themselves, and a member's value is its row
     assert a_channel(0, 1) is BasisChannelId.A01
     assert b_channel(2, 3) is BasisChannelId.B23
@@ -198,7 +198,7 @@ def test_b_channel_trace_rows():
         if channel.alpha > 0:
             eps, c = levi[(channel.alpha, channel.alpha_prime)]
             expected[c] = -eps
-        np.testing.assert_allclose(row, expected, atol=1e-14, err_msg=channel.label())
+        np.testing.assert_allclose(row, expected, atol=1e-14, err_msg=channel.name)
 
 
 def test_completeness_rank():
@@ -219,7 +219,7 @@ def test_every_program_reproduces_its_channel_in_expectation():
         run = expected_program_map(realization_program(channel))
         oracle = ptm_by_traces(run)
         np.testing.assert_allclose(
-            oracle, basis_ptm(channel), atol=1e-12, err_msg=channel.label()
+            oracle, basis_ptm(channel), atol=1e-12, err_msg=channel.name
         )
 
 
@@ -329,7 +329,7 @@ def test_realize_monte_carlo_means_match_channels():
             out = realize(channel, state, rng)
             acc += out.weight * out.state.density_matrix()
         np.testing.assert_allclose(
-            acc / shots, target_of(channel), atol=0.05, err_msg=channel.label()
+            acc / shots, target_of(channel), atol=0.05, err_msg=channel.name
         )
 
 
@@ -483,7 +483,7 @@ def test_outcome_tables_reproduce_their_channels(channel):
         for k, w, t_o in zip(kraus, weights, t):
             post = k @ rho @ k.conj().T
             total += t_o / sum(t) * w * post / np.trace(post).real
-        assert np.abs(total - channel_action(channel, rho)).max() < 1e-14, channel.label()
+        assert np.abs(total - channel_action(channel, rho)).max() < 1e-14, channel.name
 
 
 @pytest.mark.parametrize("channel", ALL_CHANNELS, ids=str)
@@ -531,7 +531,7 @@ def test_outcome_tables_are_read_from_the_programs():
             expected = [SIGMA_0] * len(weights)
         else:
             expected = [projector_matrix, SIGMA_0 - projector_matrix]
-        assert np.array_equal(table_effects, np.stack(expected)), channel.label()
+        assert np.array_equal(table_effects, np.stack(expected)), channel.name
 
 
 def test_projector_formula():

@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+import warnings
 from bisect import bisect_right
 
 import numpy as np
@@ -124,29 +125,29 @@ def test_stream_random_stays_below_one():
     assert stream.random() < 1.0
 
 
-# --- the numpy port of the stream, a table of draws per shot ----------------
+# --- the numpy port of the stream, one draw per stream start state --------
+
+
+def stream_starts(seed, first, count):
+    """The start states of the streams of shots ``first`` .. ``first + count - 1``."""
+    return sampler_module._stream_start(seed, np.arange(first, first + count, dtype=np.uint64))
 
 
 def test_stream_array_matches_the_pinned_vectors():
     for (seed, shot), draws in STREAM_VECTORS.items():
-        assert sampler_module._uniforms(seed, shot, 1, 3)[0].tolist() == draws
+        start = stream_starts(seed, shot, 1)
+        assert [sampler_module._draw(start, j).item() for j in range(3)] == draws
+        assert sampler_module._draw(np.repeat(start, 3), np.arange(3)).tolist() == draws
 
 
-def test_stream_array_clamps_the_largest_output_like_shot_stream(monkeypatch):
+def test_stream_array_clamps_the_largest_output_like_shot_stream():
+    """Column 0 of one stream and column 1 of the other read the output 2**64 - 1."""
     stream = ShotStream(0, 0)
     stream._z = z = state_before_the_largest_output()
-    expected = [ShotStream(0, 0).random(), stream.random(), ShotStream(0, 2).random()]
-    start = sampler_module._stream_start
-
-    def one_start_before_the_largest_output(seed, shot_index):
-        starts = start(seed, shot_index)
-        starts[1] = z
-        return starts
-
-    monkeypatch.setattr(sampler_module, "_stream_start", one_start_before_the_largest_output)
-    got = sampler_module._uniforms(0, 0, 3, 1)[:, 0].tolist()
-    assert got == expected
-    assert got[1] == 1.0 - 2.0**-53
+    start = np.array([z, (z - sampler_module._GAMMA) % 2**64], dtype=np.uint64)
+    got = sampler_module._draw(start, np.array([0, 1])).tolist()
+    assert got == [stream.random()] * 2
+    assert got[0] == 1.0 - 2.0**-53
 
 
 @settings(max_examples=200, deadline=None)
@@ -154,34 +155,27 @@ def test_stream_array_clamps_the_largest_output_like_shot_stream(monkeypatch):
     seed=st.integers(-(2**70), 2**70),
     last=st.integers(0, MAX_SHOTS - 1),
     count=st.integers(1, 6),
-    draws=st.integers(0, 6),
+    columns=st.lists(st.integers(0, 6), min_size=6, max_size=6),
+    column=st.integers(0, 6),
 )
-def test_stream_array_equals_shot_stream_draw_for_draw(seed, last, count, draws):
+def test_stream_array_equals_shot_stream_draw_for_draw(seed, last, count, columns, column):
     """Any seed reduces mod 2**64 as the int arithmetic does.
 
-    The table holds ``draws`` uniforms per shot; reading the next one raises.
+    Each stream reads its own column in one call, and all read one column in
+    another; neither call warns of a uint64 overflow.
     """
-    start = max(0, last - count + 1)
-    count = last - start + 1
-    table = sampler_module._uniforms(seed, start, count, draws)
-    for i in range(count):
-        ref = ShotStream(seed, start + i)
-        assert table[i].tolist() == [ref.random() for _ in range(draws)]
-    with pytest.raises(IndexError):
-        table[count - 1, draws]
-
-
-def test_stream_table_build_holds_little_beyond_the_table():
-    """The table is filled in place: its build holds at most four columns more."""
-    count, draws = 2**16, 12
-    tracemalloc.start()
-    try:
-        table = sampler_module._uniforms(3, 5, count, draws)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert table.shape == (count, draws)
-    assert peak - table.nbytes <= 4 * 8 * count
+    first = max(0, last - count + 1)
+    start = stream_starts(seed, first, last - first + 1)
+    mixed = np.array(columns[: len(start)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        per_entry = sampler_module._draw(start, mixed).tolist()
+        one_column = sampler_module._draw(start, column).tolist()
+    for i in range(len(start)):
+        ref = ShotStream(seed, first + i)
+        draws = [ref.random() for _ in range(7)]
+        assert per_entry[i] == draws[mixed[i]]
+        assert one_column[i] == draws[column]
 
 
 # --- shot planning ----------------------------------------------------------
@@ -302,7 +296,7 @@ def test_run_shot_is_the_estimate_shot_bit_for_bit(mode):
     for n in (3, 6, 8):
         circuit, observable = oracle_instance(n, LAYOUTS["two cuts"], 2)
         plan = sampler_module._compile(circuit, observable, mode)
-        x = sampler_module._walk(plan, sampler_module._uniforms(8, 0, shots, plan.draws))[2]
+        x = sampler_module._walk(plan, stream_starts(8, 0, shots))[2]
         for s in range(shots):
             assert run_shot(circuit, observable, 8, s, mode).value == x[s]
 
@@ -321,7 +315,7 @@ def test_shot_signs_are_float_plus_or_minus_one():
     circuit, observable = oracle_instance(3, LAYOUTS["two cuts"], 2)
     for mode in MeasureMode:
         plan = sampler_module._compile(circuit, observable, mode)
-        sign = sampler_module._walk(plan, sampler_module._uniforms(11, 0, 200, plan.draws))[0]
+        sign = sampler_module._walk(plan, stream_starts(11, 0, 200))[0]
         assert sign.dtype == np.float64
         assert sorted(set(sign.tolist())) == [-1.0, 1.0]
         assert type(run_shot(circuit, observable, 11, 0, mode).sign) is float
@@ -808,33 +802,32 @@ def test_run_shot_matches_per_gate_reference(layout, num_qubits, mode):
     shot_against_reference(circuit, observable, mode)
 
 
-@pytest.mark.parametrize("mode", list(MeasureMode))
-def test_plan_draws_bound_every_shot_and_are_reached(mode):
-    """``plan.draws`` sizes the stream table: no shot takes more, some take that many.
-
-    A shot reading past the table's columns raises IndexError, so the walk
-    itself checks the upper bound, and one column fewer is read past.
-    """
-    circuit, observable = oracle_instance(3, LAYOUTS["two cuts"], 2)
-    plan = sampler_module._compile(circuit, observable, mode)
-    table = sampler_module._uniforms(3, 0, 40, plan.draws)
-    sampler_module._walk(plan, table)
-    with pytest.raises(IndexError):
-        sampler_module._walk(plan, table[:, :-1])
-
-
-def walk_against_reference(circuit, observable, mode, seed, rows, read_marks):
+def walk_against_reference(circuit, observable, mode, seed, rows, monkeypatch):
     """One walk of ``rows`` shots, one stream each, next to the reference shot by shot.
 
-    Asserts equal draws and signs per row and equal (o', x) to 1e-12; returns x.
+    Asserts equal draws and signs per shot and equal (o', x) to 1e-12; returns
+    x. A recorder on ``_draw`` notes the columns each shot's stream gives
+    out: they must be its first ones, each read once, as many as the
+    reference draws.
     """
     decomps = cut_decomps(circuit)
     plan = sampler_module._compile(circuit, observable, mode)
-    table = read_marks(sampler_module._uniforms(seed, 0, rows, plan.draws))
+    start = stream_starts(seed, 0, rows)
+    shot_of = {z: s for s, z in enumerate(start.tolist())}
+    assert len(shot_of) == rows
+    reads = [[] for _ in range(rows)]
+    draw = sampler_module._draw
+
+    def recorded(z, column):
+        for zi, col in zip(z.tolist(), np.broadcast_to(column, z.shape).tolist()):
+            reads[shot_of[zi]].append(col)
+        return draw(z, column)
+
+    monkeypatch.setattr(sampler_module, "_draw", recorded)
+    sign, o_value, x = sampler_module._walk(plan, start)
     refs = [CountingStream(ShotStream(seed, s)) for s in range(rows)]
-    sign, o_value, x = sampler_module._walk(plan, table)
     expected = [reference_shot(circuit, observable, decomps, ref, mode) for ref in refs]
-    assert table.counts().tolist() == [r.draws for r in refs]
+    assert [sorted(cols) for cols in reads] == [list(range(r.draws)) for r in refs]
     for i, (ref_sign, ref_o, ref_x) in enumerate(expected):
         assert sign[i] == ref_sign
         assert abs(o_value[i] - ref_o) < 1e-12
@@ -845,19 +838,19 @@ def walk_against_reference(circuit, observable, mode, seed, rows, read_marks):
 @pytest.mark.parametrize("mode", list(MeasureMode))
 @pytest.mark.parametrize("num_qubits", [3, 6, 9])
 @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
-def test_block_rows_match_the_per_gate_reference(layout, num_qubits, mode, read_marks):
+def test_block_rows_match_the_per_gate_reference(layout, num_qubits, mode, monkeypatch):
     circuit, observable = oracle_instance(num_qubits, layout, len(layout))
-    walk_against_reference(circuit, observable, mode, 5, 7, read_marks)
+    walk_against_reference(circuit, observable, mode, 5, 7, monkeypatch)
 
 
 @pytest.mark.parametrize("mode", list(MeasureMode))
 @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
-def test_wide_shots_match_the_reference_on_touched_qubits(layout, mode, read_marks):
+def test_wide_shots_match_the_reference_on_touched_qubits(layout, mode, monkeypatch):
     """Wide shots against the reference on observables that do not vanish."""
     circuit, observable = touched_instance(layout, len(layout))
     assert abs(exact_expectation(circuit, observable)) >= 0.05
     shot_against_reference(circuit, observable, mode)
-    x = walk_against_reference(circuit, observable, mode, 5, 40, read_marks)
+    x = walk_against_reference(circuit, observable, mode, 5, 40, monkeypatch)
     # these observables do not vanish, so most shots are far from 0
     assert np.count_nonzero(np.abs(x) > 1e-3) >= 10
 
@@ -904,8 +897,7 @@ def test_walk_is_pinned_shot_for_shot():
             circuit, observable = oracle_instance(n, layout, len(layout))
             for mode in MeasureMode:
                 plan = sampler_module._compile(circuit, observable, mode)
-                table = sampler_module._uniforms(17, 0, 64, plan.draws)
-                for values in sampler_module._walk(plan, table):
+                for values in sampler_module._walk(plan, stream_starts(17, 0, 64)):
                     digest.update(values.tobytes())
     assert digest.hexdigest() == WALK_DIGEST
 
@@ -923,8 +915,8 @@ def test_estimate_is_independent_of_the_block_size(monkeypatch, mode):
     chunks = []
     walk = sampler_module._walk
 
-    def recorded(plan, table):
-        out = walk(plan, table)
+    def recorded(plan, start):
+        out = walk(plan, start)
         chunks.append(out[2])
         return out
 
