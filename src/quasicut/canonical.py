@@ -111,8 +111,11 @@ def canonical_unitary(theta: ThetaVector | Iterable[float]) -> np.ndarray:
     return unitary_matrix(u, 4, "canonical unitary")
 
 
+def pauli_projection(u: np.ndarray) -> PauliCoeffs:
+    """u_a = Tr[(sigma_a (x) sigma_a) U] / 4 of a canonical gate's 4x4 unitary ``u``."""
+    return PauliCoeffs(np.array([np.trace(m @ u) / 4.0 for m in _SIGMA_SIGMA]))
+
+
 def pauli_coefficients(theta: ThetaVector | Iterable[float]) -> PauliCoeffs:
     """u_a of the canonical gate, by trace projection of the product form."""
-    u = canonical_unitary(theta)
-    coeffs = np.array([np.trace(m @ u) / 4.0 for m in _SIGMA_SIGMA])
-    return PauliCoeffs(coeffs)
+    return pauli_projection(canonical_unitary(theta))

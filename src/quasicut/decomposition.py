@@ -45,6 +45,13 @@ _PAIRS = tuple(
     (a, b, a_channel(a, b), b_channel(a, b)) for a in range(4) for b in range(a + 1, 4)
 )
 
+# the (left, right) channel ids of decompose's 28 term slots, in its order:
+# the four (sigma_a, sigma_a) diagonals, then per pair the blocks (A,A),
+# (B,B), (A,B), (B,A)
+_SLOTS: tuple[tuple[BasisChannelId, BasisChannelId], ...] = tuple(
+    (s, s) for s in ALL_CHANNELS[:4]
+) + tuple(slot for _, _, aa, bb in _PAIRS for slot in ((aa, aa), (bb, bb), (aa, bb), (bb, aa)))
+
 
 def _channel_ids(labels, side: str) -> ChannelSequence:
     """``labels`` as a non-empty tuple of channel ids; ValueError otherwise."""
@@ -125,28 +132,34 @@ class QPDecomposition:
 def decompose(u: PauliCoeffs | Iterable[complex]) -> QPDecomposition:
     """Build the local-channel decomposition of U = sum u_a sigma_a sigma_a.
 
-    Terms come out in a fixed order: the four (sigma_a, sigma_a) diagonals,
-    then per pair a < b the blocks (A,A), (B,B), (A,B), (B,A). Coefficients
-    with |c| < 1e-14 are dropped. The weight is >= 1, with equality only for
-    a single nonzero u_a (a local gate).
+    Terms come out in a fixed order, that of ``_SLOTS``: the four
+    (sigma_a, sigma_a) diagonals, then per pair a < b the blocks (A,A),
+    (B,B), (A,B), (B,A). Coefficients with |c| < 1e-14 are dropped. The
+    weight is >= 1, with equality only for a single nonzero u_a (a local
+    gate).
     """
-    vals = PauliCoeffs.coerce(u).values
-    terms: list[QPTerm] = []
-    for a, sa in enumerate(ALL_CHANNELS[:4]):
-        c = float(np.abs(vals[a]) ** 2)
-        if c >= _COEFF_DROP:
-            terms.append(QPTerm(c, (sa,), (sa,)))
-    for a, b, aa, bb in _PAIRS:
+    terms = tuple(
+        QPTerm(c, (_SLOTS[slot][0],), (_SLOTS[slot][1],))
+        for slot, c in _slot_coefficients(PauliCoeffs.coerce(u).values)
+    )
+    weight = float(sum(abs(t.coefficient) for t in terms))
+    return QPDecomposition(terms, weight)
+
+
+def _slot_coefficients(vals: np.ndarray) -> list[tuple[int, float]]:
+    """(slot, c) for each of the ``_SLOTS`` whose coefficient c has |c| >= 1e-14, in order.
+
+    ``vals`` are the u_a. A diagonal's c is |u_a|^2; per pair a < b, with
+    x = u_a u_b*, the blocks' are r, -r, s, s for r = 2 Re x, s = -2 Im x.
+    Plain Python floats, one product at a time: vectorizing them moves the
+    cumulative weights in the last bits.
+    """
+    coefficients = [float(np.abs(vals[a]) ** 2) for a in range(4)]
+    for a, b, _, _ in _PAIRS:
         x = complex(vals[a] * np.conj(vals[b]))
         r, s = 2.0 * x.real, -2.0 * x.imag
-        if abs(r) >= _COEFF_DROP:
-            terms.append(QPTerm(r, (aa,), (aa,)))
-            terms.append(QPTerm(-r, (bb,), (bb,)))
-        if abs(s) >= _COEFF_DROP:
-            terms.append(QPTerm(s, (aa,), (bb,)))
-            terms.append(QPTerm(s, (bb,), (aa,)))
-    weight = float(sum(abs(t.coefficient) for t in terms))
-    return QPDecomposition(tuple(terms), weight)
+        coefficients += (r, -r, s, s)
+    return [(slot, c) for slot, c in enumerate(coefficients) if abs(c) >= _COEFF_DROP]
 
 
 def weight_formula(u: PauliCoeffs | Iterable[complex]) -> float:

@@ -15,12 +15,14 @@ joint eigenvalue of one observable term scaled by o_max (EIGENVALUE_SAMPLE).
 Averaged over shots this is unbiased for the exact expectation.
 |x_s| <= W_total * o_max holds per shot and is asserted.
 
-``estimate`` compiles (circuit, observable, mode) once into a shot plan,
-decomposing each distinct cut angle once, and runs every shot from it: the
-state after the uncut gates before the first cut, simulated once, and per
-cut its qubits, its angle's sampling table (the terms' cut points, whose
-total is the weight, and the rows of their channels' outcome tables,
-gathered as arrays) and the uncut gates up to the next cut or the end. The
+``estimate`` compiles (circuit, observable, mode) once into a shot plan
+and runs every shot from it: the state after the uncut gates before the
+first cut, simulated once, and per cut its qubits, its angle's sampling
+table (the terms' cut points, whose total is the weight, and the rows of
+their channels' outcome tables, gathered as arrays) and the uncut gates up
+to the next cut or the end. Each distinct cut angle's table is built once
+per compile, from its gate's matrix, without building its decomposition
+(``_cut_terms``). The
 segments after the cuts, which run once per slice of states, are fused
 at compile time (``_fuse``): every 1-qubit gate on a
 qubit that a 2-qubit gate of the segment touches is multiplied into such a
@@ -92,7 +94,7 @@ from math import ceil, isfinite, log, sqrt
 import numpy as np
 
 from .algebra import SIGMA_0, finite_real, integer
-from .canonical import ThetaVector, pauli_coefficients
+from .canonical import ThetaVector, pauli_projection
 from .circuit import (
     CanonicalGate,
     Circuit,
@@ -104,7 +106,7 @@ from .circuit import (
     observable_expectation,
     pauli_string_expectation,
 )
-from .decomposition import QPDecomposition, decompose
+from .decomposition import _SLOTS, _slot_coefficients
 from .local_basis import EFFECT, EFFECTS, KRAUS, OUTCOMES, WEIGHTS
 
 _BOUND_SLACK = 1e-9
@@ -292,22 +294,23 @@ class _Terms:
     effect: np.ndarray
 
 
-def _terms(decomp: QPDecomposition) -> _Terms:
-    """The sampling table of one cut angle's decomposition."""
-    cums, signs = _table([t.coefficient for t in decomp.terms])
-    rows = []
-    for t in decomp.terms:
-        (first,), (second,) = t.left, t.right  # one channel per side; a longer side fails here
-        rows.append((first.value, second.value))
-    rows = np.array(rows)
-    left, right = rows[:, 0], rows[:, 1]
-    weights = WEIGHTS[left][:, :, None] * WEIGHTS[right][:, None, :]
+def _cut_terms(matrix: np.ndarray) -> _Terms:
+    """The sampling table of the cut canonical gate whose 4x4 unitary is ``matrix``.
+
+    ``decompose``'s terms fill fixed slots (``decomposition._SLOTS``), whose
+    rows ``_SLOT_*`` are gathered at import. The gate's matrix projects onto
+    its ``pauli_coefficients`` bit for bit, ``decompose``'s arithmetic gives
+    the slots it keeps, and their rows are gathered: the table of its terms.
+    """
+    kept = _slot_coefficients(pauli_projection(matrix).values)
+    slots = np.array([slot for slot, _ in kept])
+    cums, signs = _table([c for _, c in kept])
     return _Terms(
         cums=np.array(cums),
-        kraus=_kron(KRAUS[left][:, :, None], KRAUS[right][:, None, :]),
-        weights=np.array(signs)[:, None, None] * weights,
-        draws=OUTCOMES[rows] - 1,
-        effect=EFFECT[rows],
+        kraus=_SLOT_KRAUS[slots],
+        weights=np.array(signs)[:, None, None] * _SLOT_WEIGHTS[slots],
+        draws=_SLOT_DRAWS[slots],
+        effect=_SLOT_EFFECT[slots],
     )
 
 
@@ -347,7 +350,7 @@ class _ShotPlan:
 
 
 def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _ShotPlan:
-    """Decompose each cut angle once, split the circuit at its cuts, fuse the later segments."""
+    """Build each cut angle's table once, split the circuit at its cuts, fuse the later segments."""
     _check_mode(mode)
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable width does not match circuit")
@@ -366,13 +369,13 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
     prefix.setflags(write=False)
 
     exact = mode is MeasureMode.EXACT_TRACE
-    # cuts that share an angle share a decomposition and its sampling table
+    # cuts that share an angle share its sampling table
     tables: dict[ThetaVector, _Terms] = {}
     cuts = []
     w_total = 1.0
     for gate, after in zip(cut_gates, segments[1:]):
         if gate.theta not in tables:
-            tables[gate.theta] = _terms(decompose(pauli_coefficients(gate.theta)))
+            tables[gate.theta] = _cut_terms(gate.matrix)
         terms = tables[gate.theta]
         w_total *= float(terms.cums[-1])
         cuts.append(_Cut(qubits=gate.qubits, terms=terms, after=_fuse(after)))
@@ -438,6 +441,24 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a (x) b for 2x2 a and b, or broadcast stacks of them: a fraction of np.kron's cost."""
     product = a[..., :, None, :, None] * b[..., None, :, None, :]
     return product.reshape(product.shape[:-4] + (4, 4))
+
+
+def _slot_rows() -> tuple[np.ndarray, ...]:
+    """Per slot of ``_SLOTS``, read-only: (kraus, weights, draws, effect), weights unsigned."""
+    rows = np.array([(left.value, right.value) for left, right in _SLOTS])
+    left, right = rows[:, 0], rows[:, 1]
+    slot_rows = (
+        _kron(KRAUS[left][:, :, None], KRAUS[right][:, None, :]),
+        WEIGHTS[left][:, :, None] * WEIGHTS[right][:, None, :],
+        OUTCOMES[rows] - 1,
+        EFFECT[rows],
+    )
+    for array in slot_rows:
+        array.setflags(write=False)
+    return slot_rows
+
+
+_SLOT_KRAUS, _SLOT_WEIGHTS, _SLOT_DRAWS, _SLOT_EFFECT = _slot_rows()
 
 
 def _apply_steps(stack: np.ndarray, steps, n: int) -> np.ndarray:
@@ -638,8 +659,8 @@ def run_shot(
     """Shot ``shot_index`` of ``estimate`` with ``seed``, alone.
 
     ``shot_index`` lies in ``range(MAX_SHOTS)``, the shots an estimate can
-    run. Every call compiles a fresh shot plan (decompositions, prefix
-    state, sampling tables, fused uncut segments) and walks one path of its
+    run. Every call compiles a fresh shot plan (sampling tables, prefix
+    state, fused uncut segments) and walks one path of its
     branch tree from the shot's stream start state, so a loop over shots
     should call ``estimate``, which compiles once and walks all its shots
     together.
@@ -658,7 +679,7 @@ def estimate(
     observable: Observable,
     config: EstimatorConfig,
 ) -> EstimatorResult:
-    """Run the full estimator: decompose cuts, compile the shot plan, sample, reduce.
+    """Run the full estimator: compile the shot plan, sample, reduce.
 
     The per-shot streams make the result a pure function of (circuit,
     observable, config). More than ``MAX_SHOTS`` shots, requested or

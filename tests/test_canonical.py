@@ -6,6 +6,8 @@ the library itself never calls expm.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from quasicut.algebra import PAULIS
@@ -14,7 +16,9 @@ from quasicut.canonical import (
     ThetaVector,
     canonical_unitary,
     pauli_coefficients,
+    pauli_projection,
 )
+from quasicut.circuit import CanonicalGate
 
 PI = np.pi
 
@@ -94,6 +98,13 @@ def test_pauli_coefficients_reconstruct_the_gate():
             u[alpha] * np.kron(PAULIS[alpha], PAULIS[alpha]) for alpha in range(4)
         )
         np.testing.assert_allclose(rebuilt, canonical_unitary(theta), atol=1e-12)
+
+
+@given(st.tuples(*[st.floats(-PI, PI)] * 3))
+def test_projecting_a_gate_matrix_gives_its_coefficients_bit_for_bit(theta):
+    """The sampler projects a cut gate's own matrix instead of rebuilding it."""
+    projected = pauli_projection(CanonicalGate((0, 1), theta).matrix).values
+    assert projected.tobytes() == pauli_coefficients(theta).values.tobytes()
 
 
 def test_frozen_coefficients_at_quarter_pi():

@@ -1,9 +1,11 @@
 """Shot streams, shot planning, and the Monte-Carlo estimator."""
 
+import dataclasses
 import hashlib
 import tracemalloc
 import warnings
 from bisect import bisect_right
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ from quasicut.circuit import (
     pauli_string_expectation,
     statevector,
 )
-from quasicut.decomposition import decompose
+from quasicut.decomposition import QPDecomposition, QPTerm, decompose
+from quasicut.local_basis import EFFECT, KRAUS, OUTCOMES, WEIGHTS
 from quasicut.sampler import (
     MAX_SHOTS,
     EstimatorConfig,
@@ -670,19 +673,86 @@ def test_fused_products_of_rounded_gates_are_accepted(paired, mode):
 
 
 def test_cut_angles_are_decomposed_once_per_compile(monkeypatch):
-    """Cuts that share an angle share its decomposition and sampling tables."""
+    """Cuts that share an angle share its sampling table, built once."""
     circuit, observable = oracle_instance(3, LAYOUTS["two cuts"], 2)
     a, b = circuit.cut_indices()
     gates = list(circuit.gates)
     gates[b] = CanonicalGate(gates[b].qubits, gates[a].theta, cut=True)
     calls = []
-    real = sampler_module.decompose
-    monkeypatch.setattr(sampler_module, "decompose", lambda u: calls.append(u) or real(u))
+    real = sampler_module._cut_terms
+    monkeypatch.setattr(sampler_module, "_cut_terms", lambda m: calls.append(m) or real(m))
     plan = sampler_module._compile(Circuit(3, tuple(gates)), observable, MeasureMode.EXACT_TRACE)
     assert len(calls) == 1
     first, second = plan.cuts
     assert first.terms is second.terms
     assert plan.w_total == first.terms.cums[-1] ** 2
+
+
+def test_compile_builds_no_decomposition_objects(monkeypatch):
+    """A cut's table is read off fixed slot rows: no QPTerm or QPDecomposition per call."""
+    built = Counter()
+    for cls in (QPTerm, QPDecomposition):
+
+        def counted(self, _real=cls.__post_init__, _name=cls.__name__):
+            built[_name] += 1
+            _real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    decompose(pauli_coefficients((0.3, 0.2, 0.1)))
+    assert set(built) == {"QPTerm", "QPDecomposition"}  # the counters see construction
+    built.clear()
+    for layout in ("two cuts", "adjacent cuts"):
+        circuit, observable = oracle_instance(3, LAYOUTS[layout], 4)
+        for mode in MeasureMode:
+            sampler_module._compile(circuit, observable, mode)
+    assert not built
+
+
+def terms_oracle(decomp):
+    """The sampling table of ``decomp``, read from each of its terms' channel rows."""
+    cums, signs = sampler_module._table([t.coefficient for t in decomp.terms])
+    rows = []
+    for t in decomp.terms:
+        (first,), (second,) = t.left, t.right  # one channel per side
+        rows.append((first.value, second.value))
+    rows = np.array(rows)
+    left, right = rows[:, 0], rows[:, 1]
+    weights = WEIGHTS[left][:, :, None] * WEIGHTS[right][:, None, :]
+    return sampler_module._Terms(
+        cums=np.array(cums),
+        kraus=sampler_module._kron(KRAUS[left][:, :, None], KRAUS[right][:, None, :]),
+        weights=np.array(signs)[:, None, None] * weights,
+        draws=OUTCOMES[rows] - 1,
+        effect=EFFECT[rows],
+    )
+
+
+def test_cut_table_is_the_decomposition_table_byte_for_byte():
+    """``_cut_terms`` of a gate's matrix is the table of ``decompose``'s terms, bit for bit."""
+    rng = np.random.default_rng(2000)
+    landmarks = [
+        (0.0, 0.0, 0.0),
+        (PI / 4, 0.0, 0.0),
+        (PI / 4, PI / 4, 0.0),
+        (PI / 4, PI / 4, PI / 4),
+        (PI / 8, PI / 8, PI / 8),
+        (0.0, 0.0, 1e-9),
+        (0.55, 0.3, 0.12),  # the benchmark's three cut angles
+        (0.4, 0.2, 0.1),
+        (0.12, 0.06, 0.02),
+    ]
+    angles = rng.uniform(-PI, PI, size=(2000, 3)).tolist() + landmarks
+    fields = [f.name for f in dataclasses.fields(sampler_module._Terms)]
+    sizes = set()
+    for theta in angles:
+        table = sampler_module._cut_terms(CanonicalGate((0, 1), theta).matrix)
+        want = terms_oracle(decompose(pauli_coefficients(theta)))
+        for name in fields:
+            got, expected = getattr(table, name), getattr(want, name)
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape), (theta, name)
+            assert got.tobytes() == expected.tobytes(), (theta, name)
+        sizes.add(len(table.cums))
+    assert {1, 3, 4, 28} <= sizes  # local, near-local and single-axis gates drop slots
 
 
 # --- the compiled shot plan against per-gate re-simulation ------------------
