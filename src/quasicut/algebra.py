@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isfinite
 from numbers import Real
 
@@ -66,6 +67,15 @@ def finite_real(value, what: str) -> float:
     if not isfinite(x):
         raise ValueError(f"{what} must be finite, got {x}")
     return x
+
+
+def running_norm(coefficients) -> tuple[float, ...]:
+    """Cumulative |c| of ``coefficients``; its last entry is the package's one one-norm.
+
+    W and o_max are read from it, so each is the sampler's last draw point bit
+    for bit: it sums left to right, where ``sum`` is compensated from 3.12 on.
+    """
+    return tuple(accumulate(map(abs, coefficients)))
 
 
 def unit_axis(axis, what: str) -> tuple[float, float, float]:

@@ -25,8 +25,8 @@ from typing import Iterable
 import numpy as np
 
 from .algebra import PAULIS, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .algebra import finite_real, integer, unit_axis, unitary_matrix
-from .canonical import PauliCoeffs, ThetaVector, canonical_unitary, pauli_coefficients
+from .algebra import finite_real, integer, running_norm, unit_axis, unitary_matrix
+from .canonical import PauliCoeffs, ThetaVector, canonical_unitary, pauli_projection
 
 MAX_QUBITS = 12
 
@@ -172,7 +172,7 @@ class Observable:
                 raise ValueError(f"Pauli string {pauli!r} is not {len(terms[0][1])} qubits wide")
         terms = tuple((finite_real(c, "observable coefficient"), p) for c, p in terms)
         object.__setattr__(self, "terms", terms)
-        o_max = float(sum(abs(c) for c, _ in self.terms))
+        o_max = running_norm(c for c, _ in terms)[-1]
         if o_max <= 0.0:
             raise ValueError("observable must have a nonzero coefficient")
         if not isfinite(o_max):
@@ -305,7 +305,7 @@ def gate_based_estimate(
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable width does not match circuit")
 
-    u = pauli_coefficients(gate.theta)
+    u = pauli_projection(gate.matrix)
     d = u.values
     mags = np.abs(d)
     probs = mags / mags.sum()

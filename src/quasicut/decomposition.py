@@ -9,13 +9,13 @@ of the local basis channels:
 
 with r_ab = u_a u_b* + u_b u_a* = 2 Re(u_a u_b*) and
 s_ab = i (u_a u_b* - u_b u_a*) = -2 Im(u_a u_b*): every coefficient is real.
-The one-norm of the coefficients is the sampling weight
+The sampling weight W(U), by which shot counts grow when the gate is replaced
+by sampled local channels, is the coefficients' one-norm: their running sum
+of |c| (``algebra.running_norm``). As sum_a |u_a|^2 = 1, the tests check it is
 
-    W(U) = 1 + sum_{a != b} ( |u_a u_b* + u_b u_a*| + |u_a u_b* - u_b u_a*| ),
+    W(U) = 1 + sum_{a != b} ( |u_a u_b* + u_b u_a*| + |u_a u_b* - u_b u_a*| )
 
-the factor by which shot counts grow when the gate is replaced by sampled
-local channels. Both quantities depend only on u_a u_b*, so the global phase
-of u is immaterial.
+to 1e-12. Only u_a u_b* enters, so the global phase of u is immaterial.
 
 Composition multiplies decompositions term by term; the composed labels stay
 sequences of basis-channel ids per side (first applied first), and the weight
@@ -32,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .algebra import finite_real
+from .algebra import finite_real, running_norm
 from .canonical import PauliCoeffs, ThetaVector, pauli_coefficients
 from .local_basis import ALL_CHANNELS, BasisChannelId, a_channel, b_channel, basis_ptm
 
@@ -120,7 +120,7 @@ class QPDecomposition:
                 raise ValueError(f"decomposition entry {term!r} is not a QPTerm")
         if self.weight <= 0:
             raise ValueError(f"bad weight {self.weight}")
-        norm = sum(abs(t.coefficient) for t in self.terms)
+        norm = running_norm(t.coefficient for t in self.terms)[-1]
         if not isclose(self.weight, norm, rel_tol=1e-9):
             raise ValueError(f"weight {self.weight} is not the one-norm {norm} of the terms")
 
@@ -138,12 +138,9 @@ def decompose(u: PauliCoeffs | Iterable[complex]) -> QPDecomposition:
     weight is >= 1, with equality only for a single nonzero u_a (a local
     gate).
     """
-    terms = tuple(
-        QPTerm(c, (_SLOTS[slot][0],), (_SLOTS[slot][1],))
-        for slot, c in _slot_coefficients(PauliCoeffs.coerce(u).values)
-    )
-    weight = float(sum(abs(t.coefficient) for t in terms))
-    return QPDecomposition(terms, weight)
+    kept = _slot_coefficients(PauliCoeffs.coerce(u).values)
+    terms = tuple(QPTerm(c, (_SLOTS[slot][0],), (_SLOTS[slot][1],)) for slot, c in kept)
+    return QPDecomposition(terms, running_norm(c for _, c in kept)[-1])
 
 
 def _slot_coefficients(vals: np.ndarray) -> list[tuple[int, float]]:
@@ -163,16 +160,8 @@ def _slot_coefficients(vals: np.ndarray) -> list[tuple[int, float]]:
 
 
 def weight_formula(u: PauliCoeffs | Iterable[complex]) -> float:
-    """W(U) evaluated directly from the closed formula (no term construction)."""
-    vals = PauliCoeffs.coerce(u).values
-    w = 1.0
-    for a in range(4):
-        for b in range(4):
-            if a == b:
-                continue
-            x = vals[a] * np.conj(vals[b])
-            w += abs(x + np.conj(x)) + abs(x - np.conj(x))
-    return float(w)
+    """W(U), the one-norm of ``decompose(u)``'s coefficients, without building its terms."""
+    return running_norm(c for _, c in _slot_coefficients(PauliCoeffs.coerce(u).values))[-1]
 
 
 def reconstruct_ptm(decomposition: QPDecomposition) -> np.ndarray:

@@ -88,12 +88,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from math import ceil, isfinite, log, sqrt
 
 import numpy as np
 
-from .algebra import SIGMA_0, finite_real, integer
+from .algebra import SIGMA_0, finite_real, integer, running_norm
 from .canonical import ThetaVector, pauli_projection
 from .circuit import (
     CanonicalGate,
@@ -396,8 +395,7 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
 
 def _table(coefficients: list[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The sampling table of nonzero ``coefficients``: cumulative |c| and signs c/|c|."""
-    cums = tuple(accumulate(abs(c) for c in coefficients))
-    return cums, tuple(1.0 if c > 0 else -1.0 for c in coefficients)
+    return running_norm(coefficients), tuple(1.0 if c > 0 else -1.0 for c in coefficients)
 
 
 def _fuse(segment: list[Gate]) -> tuple[Raw2QGate | Gate, ...]:

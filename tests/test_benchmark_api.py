@@ -5,7 +5,8 @@ reads a field of must not disappear in a refactor. Each name below is one
 that ``perfbench/`` uses; removing or renaming it fails here, in tier 1,
 before a benchmark run fails or a traced layer silently reads zero. A name
 that still resolves can still be routed around, so each sampler call site
-that the tracer times must also be called by a small ``estimate``.
+that the tracer times must also be called by a small ``estimate``, and each
+analysis call site by ``compare_costs``, ``sweep`` or ``find_max_w``.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from quasicut import sampler
+from quasicut import analysis, sampler
 from quasicut.canonical import ThetaVector
 from quasicut.circuit import CanonicalGate, Circuit, Observable, SingleGate
 from quasicut.sampler import EstimatorConfig, MeasureMode, estimate
@@ -164,3 +165,33 @@ def test_every_traced_sampler_call_site_is_called(monkeypatch, mode):
     observable = Observable(((1.0, "ZZ"), (0.5, "XI")))
     estimate(circuit, observable, EstimatorConfig(shots=16, seed=1, mode=mode))
     assert {name: calls[name] for name in TRACED_SAMPLER_CALLS[mode] if not calls[name]} == {}
+
+
+# the analysis-namespace call sites that perfbench/tracing.py times, per entry point
+TRACED_ANALYSIS_CALLS = {
+    "compare_costs": ("weight_formula", "pauli_coefficients", "gate_based_cost"),
+    "sweep": ("weight_formula", "pauli_coefficients", "gate_based_cost"),
+    "find_max_w": ("weight_formula", "pauli_coefficients"),
+}
+
+ANALYSIS_CALLS = {
+    "compare_costs": lambda: analysis.compare_costs((0.3, 0.2, 0.1)),
+    "sweep": lambda: analysis.sweep(3),
+    "find_max_w": analysis.find_max_w,
+}
+
+
+@pytest.mark.parametrize("entry", list(TRACED_ANALYSIS_CALLS))
+def test_every_traced_analysis_call_site_is_called(monkeypatch, entry):
+    """A W path that routes around these names would zero verify_survey's traced layers."""
+    calls = Counter()
+    for name in TRACED_ANALYSIS_CALLS[entry]:
+        real = getattr(analysis, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, name, counted)
+    ANALYSIS_CALLS[entry]()
+    assert {name: calls[name] for name in TRACED_ANALYSIS_CALLS[entry] if not calls[name]} == {}

@@ -490,6 +490,16 @@ def test_compare_formats(capsys):
     assert out.splitlines()[0] == "theta1,theta2,theta3,W,legacy,G"
 
 
+@pytest.mark.parametrize(
+    "theta", [("0.3", "0.2", "0.1"), ("0.7", "0.5", "0.2"), ("0.785", "0.6336", "0.4282")]
+)
+def test_compare_and_decompose_print_the_same_w(capsys, theta):
+    """Both commands read W from one running one-norm, so they print one float."""
+    _, compared, _ = run_cli(capsys, "compare", *theta, "--format", "json")
+    _, decomposed, _ = run_cli(capsys, "decompose", *theta)
+    assert json.loads(compared)["W"] == json.loads(decomposed)["W"]
+
+
 def test_domain_violation_is_semantic_error(capsys):
     code, _, err = run_cli(capsys, "decompose", "nan", "0", "0")
     assert code == 3 and "error" in err

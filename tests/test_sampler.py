@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import tracemalloc
 import warnings
 from bisect import bisect_right
@@ -29,7 +30,7 @@ from quasicut.circuit import (
     pauli_string_expectation,
     statevector,
 )
-from quasicut.decomposition import QPDecomposition, QPTerm, decompose
+from quasicut.decomposition import QPDecomposition, QPTerm, decompose, weight_formula
 from quasicut.local_basis import EFFECT, KRAUS, OUTCOMES, WEIGHTS
 from quasicut.sampler import (
     MAX_SHOTS,
@@ -727,8 +728,8 @@ def terms_oracle(decomp):
     )
 
 
-def test_cut_table_is_the_decomposition_table_byte_for_byte():
-    """``_cut_terms`` of a gate's matrix is the table of ``decompose``'s terms, bit for bit."""
+def cut_angles():
+    """2000 random angles in [-pi, pi]^3, then the Weyl landmarks and the benchmark's cuts."""
     rng = np.random.default_rng(2000)
     landmarks = [
         (0.0, 0.0, 0.0),
@@ -741,10 +742,14 @@ def test_cut_table_is_the_decomposition_table_byte_for_byte():
         (0.4, 0.2, 0.1),
         (0.12, 0.06, 0.02),
     ]
-    angles = rng.uniform(-PI, PI, size=(2000, 3)).tolist() + landmarks
+    return rng.uniform(-PI, PI, size=(2000, 3)).tolist() + landmarks
+
+
+def test_cut_table_is_the_decomposition_table_byte_for_byte():
+    """``_cut_terms`` of a gate's matrix is the table of ``decompose``'s terms, bit for bit."""
     fields = [f.name for f in dataclasses.fields(sampler_module._Terms)]
     sizes = set()
-    for theta in angles:
+    for theta in cut_angles():
         table = sampler_module._cut_terms(CanonicalGate((0, 1), theta).matrix)
         want = terms_oracle(decompose(pauli_coefficients(theta)))
         for name in fields:
@@ -753,6 +758,36 @@ def test_cut_table_is_the_decomposition_table_byte_for_byte():
             assert got.tobytes() == expected.tobytes(), (theta, name)
         sizes.add(len(table.cums))
     assert {1, 3, 4, 28} <= sizes  # local, near-local and single-axis gates drop slots
+
+
+def test_every_path_to_w_reads_the_same_bits():
+    """``weight_formula``, ``decompose`` and the sampler's last cut point are one W."""
+    for theta in cut_angles():
+        u = pauli_coefficients(theta)
+        w = weight_formula(u)
+        assert decompose(u).weight == w, theta
+        assert sampler_module._cut_terms(CanonicalGate((0, 1), theta).matrix).cums[-1] == w, theta
+
+
+# mixed magnitudes, each with a zero coefficient: on the last two a
+# compensated sum (math.fsum, or sum() from Python 3.12 on) reads other bits
+MIXED_OBSERVABLES = (
+    ((0.0, "ZZ"), (1e-300, "XI"), (-3.5, "IY"), (2.0**60, "ZX")),
+    ((1.0, "ZZ"), (1e-16, "XI"), (1e-16, "IY"), (0.0, "YY"), (-1e-16, "ZX")),
+    ((-0.1, "ZI"), (0.2, "IZ"), (0.0, "YY"), (0.3, "XX")),
+)
+
+
+def test_o_max_is_the_sample_plans_last_cut_point():
+    """``Observable.o_max`` is the running one-norm that sample mode draws terms by."""
+    compensated = 0
+    for terms in MIXED_OBSERVABLES:
+        observable = Observable(terms)
+        plan = sampler_module._compile(bell_cut(), observable, MeasureMode.EIGENVALUE_SAMPLE)
+        assert len(plan.term_cums) == len(terms) - 1  # the zero is not drawn
+        assert observable.o_max == plan.term_cums[-1], terms
+        compensated += observable.o_max != math.fsum(abs(c) for c, _ in terms)
+    assert compensated == 2
 
 
 # --- the compiled shot plan against per-gate re-simulation ------------------
