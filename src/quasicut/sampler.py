@@ -15,14 +15,19 @@ joint eigenvalue of one observable term scaled by o_max (EIGENVALUE_SAMPLE).
 Averaged over shots this is unbiased for the exact expectation.
 |x_s| <= W_total * o_max holds per shot and is asserted.
 
-``estimate`` compiles (circuit, observable, mode) once into a shot plan
-and runs every shot from it: the state after the uncut gates before the
-first cut, simulated once, and per cut its qubits, its angle's sampling
-table (the terms' cut points, whose total is the weight, and the rows of
-their channels' outcome tables, gathered as arrays) and the uncut gates up
-to the next cut or the end. Each distinct cut angle's table is built once
+``estimate`` and ``run_shot`` run every shot from a shot plan of
+(circuit, observable, mode): the state after the uncut gates before the
+first cut, simulated once, with the traces of its first cut pair, and
+per cut its qubits, its angle's sampling table (the terms' cut points,
+whose total is the weight, and the rows of their channels' outcome
+tables, gathered as read-only arrays) and the uncut gates up to the next
+cut or the end. Each distinct cut angle's table is built once
 per compile, from its gate's matrix, without building its decomposition
-(``_cut_terms``). The
+(``_cut_terms``). The plan of the last call is kept (``_plan``) while the
+same circuit, observable and mode objects come back, so a loop of
+estimates or shots on one circuit compiles once; equal but distinct
+objects compile again. Only one plan is held: at most one padded 2^n
+root state and its pair arrays, 64 KiB each at 12 qubits. The
 segments after the cuts, which run once per slice of states, are fused
 at compile time (``_fuse``): every 1-qubit gate on a
 qubit that a 2-qubit gate of the segment touches is multiplied into such a
@@ -60,8 +65,8 @@ order, so neither the plan nor the tree changes a result beyond rounding,
 and a shot's value does not depend on the other shots of its chunk or
 slice. All shots at a node have taken the same number of draws, so the
 node alone fixes which of their uniforms it reads. ``run_shot(..., seed,
-s)`` compiles a plan and walks shot s alone from the same stream, so it
-is shot s of ``estimate`` with that seed.
+s)`` walks shot s alone, from the same plan and stream, so it is shot s
+of ``estimate`` with that seed.
 
 Shot counts for a target (epsilon, delta) follow the two-sided Hoeffding
 bound for samples bounded by W * o_max:
@@ -304,13 +309,16 @@ def _cut_terms(matrix: np.ndarray) -> _Terms:
     kept = _slot_coefficients(pauli_projection(matrix).values)
     slots = np.array([slot for slot, _ in kept])
     cums, signs = _table([c for _, c in kept])
-    return _Terms(
-        cums=np.array(cums),
-        kraus=_SLOT_KRAUS[slots],
-        weights=np.array(signs)[:, None, None] * _SLOT_WEIGHTS[slots],
-        draws=_SLOT_DRAWS[slots],
-        effect=_SLOT_EFFECT[slots],
+    table = (
+        np.array(cums),
+        _SLOT_KRAUS[slots],
+        np.array(signs)[:, None, None] * _SLOT_WEIGHTS[slots],
+        _SLOT_DRAWS[slots],
+        _SLOT_EFFECT[slots],
     )
+    for array in table:
+        array.setflags(write=False)
+    return _Terms(*table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,10 +337,13 @@ class _Cut:
 
 @dataclass(frozen=True, eq=False)
 class _ShotPlan:
-    """What every shot of one estimate shares, compiled once.
+    """What every shot of (circuit, observable, mode) shares, compiled once.
 
-    ``prefix`` is the (read-only) state after the uncut gates before the
-    first cut, the root of every walk's branch tree. Exact mode reads
+    ``root`` is the root of every walk's branch tree: the state after the
+    uncut gates before the first cut, as a stack padded by ``_pad``. With a
+    cut, ``root_pair`` holds what the walk reads of it before cut 0: its
+    ``_pair_front`` state and that state's ``_traces``. Every array is
+    read-only, so one plan serves any number of walks. Exact mode reads
     ``observable`` per Pauli string on a stack of leaf states at once.
     Sample mode draws one of ``terms``, (sign, Pauli string), per shot with
     cut points ``term_cums``.
@@ -340,7 +351,8 @@ class _ShotPlan:
 
     num_qubits: int
     mode: MeasureMode
-    prefix: np.ndarray
+    root: np.ndarray
+    root_pair: tuple[np.ndarray, np.ndarray] | None
     cuts: tuple[_Cut, ...]
     w_total: float
     observable: Observable
@@ -364,8 +376,8 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
         segments.append([])
 
     # the prefix runs once, on one state: fusing it would cost more than it saves
-    prefix = _apply_steps(initial_state(n), segments[0], n)
-    prefix.setflags(write=False)
+    root = _apply_steps(initial_state(n), segments[0], n)[None][_pad(1, n)]
+    root.setflags(write=False)
 
     exact = mode is MeasureMode.EXACT_TRACE
     # cuts that share an angle share its sampling table
@@ -379,18 +391,49 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
         w_total *= float(terms.cums[-1])
         cuts.append(_Cut(qubits=gate.qubits, terms=terms, after=_fuse(after)))
 
+    root_pair = None
+    if cuts:
+        phi = _pair_front(root, cuts[0].qubits, n)
+        root_pair = (phi, _traces(phi))
+        for array in root_pair:
+            array.setflags(write=False)
+
     live = () if exact else tuple((c, p) for c, p in observable.terms if c != 0.0)
     term_cums, term_signs = _table([c for c, _ in live])
     return _ShotPlan(
         num_qubits=n,
         mode=mode,
-        prefix=prefix,
+        root=root,
+        root_pair=root_pair,
         cuts=tuple(cuts),
         w_total=w_total,
         observable=observable,
         terms=tuple(zip(term_signs, (p for _, p in live))),
         term_cums=term_cums,
     )
+
+
+# the objects of the last _plan call that compiled, and their plan
+_last: tuple = (None, None, None, None)
+
+
+def _plan(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _ShotPlan:
+    """The shot plan of (circuit, observable, mode), kept while the same objects come back.
+
+    One slot holds the last compiled plan. A call with the same three
+    objects, by identity, returns it; any other call compiles and replaces
+    it (a compile that raises leaves it as it was). Circuits and
+    observables are frozen and every gate matrix is a read-only copy, so a
+    plan stays valid while its objects live. Equal but distinct objects
+    compile again: comparing them would cost more than it saves.
+    """
+    global _last
+    held_circuit, held_observable, held_mode, plan = _last
+    if held_circuit is circuit and held_observable is observable and held_mode is mode:
+        return plan
+    plan = _compile(circuit, observable, mode)
+    _last = (circuit, observable, mode, plan)
+    return plan
 
 
 def _table(coefficients: list[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -497,8 +540,12 @@ def _walk(plan: _ShotPlan, start: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
             return
         cut = plan.cuts[k]
         terms = cut.terms
-        phi = _pair_front(stack, cut.qubits, n)
-        key = _route(terms, _traces(phi), start[idx], node, node_col[node])
+        if k == 0:
+            phi, traces = plan.root_pair
+        else:
+            phi = _pair_front(stack, cut.qubits, n)
+            traces = _traces(phi)
+        key = _route(terms, traces, start[idx], node, node_col[node])
         order = np.argsort(key)
         key, idx = key[order], idx[order]
         starts = np.flatnonzero(np.diff(key, prepend=-1))
@@ -546,9 +593,8 @@ def _walk(plan: _ShotPlan, start: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
             eig = np.where(eig_u[drew] < p_plus, 1.0, -1.0)
             o_value[taken] = term_sign * eig * plan.observable.o_max
 
-    root = plan.prefix[None][_pad(1, n)]
     origin = np.zeros(1, dtype=np.intp)
-    descend(0, root, np.ones(1), origin, np.arange(shots), np.zeros(shots, dtype=np.intp))
+    descend(0, plan.root, np.ones(1), origin, np.arange(shots), np.zeros(shots, dtype=np.intp))
     x = plan.w_total * (sign * o_value)
     bound = plan.w_total * plan.observable.o_max
     over = np.abs(x) > bound + _BOUND_SLACK
@@ -657,17 +703,17 @@ def run_shot(
     """Shot ``shot_index`` of ``estimate`` with ``seed``, alone.
 
     ``shot_index`` lies in ``range(MAX_SHOTS)``, the shots an estimate can
-    run. Every call compiles a fresh shot plan (sampling tables, prefix
-    state, fused uncut segments) and walks one path of its
-    branch tree from the shot's stream start state, so a loop over shots
-    should call ``estimate``, which compiles once and walks all its shots
-    together.
+    run. It walks one path of the shot plan's branch tree from the shot's
+    stream start state. The plan (sampling tables, root state, fused uncut
+    segments) is compiled once while the same circuit, observable and mode
+    objects come back (``_plan``); a loop over many shots is still faster
+    as one ``estimate``, which walks all its shots together.
     """
     seed = integer(seed, "seed")
     shot_index = integer(shot_index, "shot_index")
     if not 0 <= shot_index < MAX_SHOTS:
         raise ValueError(f"shot_index must lie in 0..{MAX_SHOTS - 1}, got {shot_index}")
-    plan = _compile(circuit, observable, mode)
+    plan = _plan(circuit, observable, mode)
     start = _stream_start(seed, np.array([shot_index], dtype=np.uint64))
     return ShotRecord(*(values[0].item() for values in _walk(plan, start)))
 
@@ -677,13 +723,13 @@ def estimate(
     observable: Observable,
     config: EstimatorConfig,
 ) -> EstimatorResult:
-    """Run the full estimator: compile the shot plan, sample, reduce.
+    """Run the full estimator: compile the shot plan (or reuse the last one), sample, reduce.
 
     The per-shot streams make the result a pure function of (circuit,
     observable, config). More than ``MAX_SHOTS`` shots, requested or
     planned, raise ValueError before anything is sampled.
     """
-    plan = _compile(circuit, observable, config.mode)
+    plan = _plan(circuit, observable, config.mode)
     o_max = observable.o_max
     if config.shots is not None:
         shots = config.shots

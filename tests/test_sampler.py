@@ -552,7 +552,7 @@ def plan_expected_shot_value(circuit, observable):
     """
     plan = sampler_module._compile(circuit, observable, MeasureMode.EXACT_TRACE)
     n = plan.num_qubits
-    states, probs, signs = plan.prefix[None], np.ones(1), np.ones(1)
+    states, probs, signs = plan.root[:1], np.ones(1), np.ones(1)
     for cut in plan.cuts:
         terms = cut.terms
         phi = sampler_module._pair_front(states, cut.qubits, n)
@@ -1065,3 +1065,118 @@ def test_walk_memory_stays_on_the_frontier():
         tracemalloc.stop()
     assert result.shots == shots
     assert peak - 8 * shots < 32 * 2**20
+
+
+# --- the kept shot plan ------------------------------------------------------
+
+
+def reachable_arrays(value):
+    """Every numpy array reachable from ``value`` through dataclass fields and tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from reachable_arrays(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from reachable_arrays(item)
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+@pytest.mark.parametrize("layout", ["no cut", "one cut", "two cuts", "adjacent cuts"])
+def test_every_array_of_a_plan_is_read_only(layout, mode):
+    """A kept plan serves every later call on its objects: none of its arrays can be written.
+
+    That covers the root stack, the root's pair state and traces, every
+    field of each cut's table and each fused step's matrix.
+    """
+    circuit, observable = oracle_instance(4, LAYOUTS[layout], 3)
+    plan = sampler_module._compile(circuit, observable, mode)
+    assert (plan.root_pair is None) == (layout == "no cut")
+    expected = [plan.root, *(plan.root_pair or ())]
+    for cut in plan.cuts:
+        expected += [getattr(cut.terms, f.name) for f in dataclasses.fields(cut.terms)]
+        expected += [step.matrix for step in cut.after]
+    arrays = list(reachable_arrays(plan))
+    assert {id(a) for a in expected} <= {id(a) for a in arrays}
+    assert [a.shape for a in arrays if a.flags.writeable] == []
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """An empty plan slot, and the (circuit, observable, mode) of each ``_compile`` call."""
+    calls = []
+    real = sampler_module._compile
+
+    def counted(circuit, observable, mode):
+        calls.append((circuit, observable, mode))
+        return real(circuit, observable, mode)
+
+    monkeypatch.setattr(sampler_module, "_compile", counted)
+    monkeypatch.setattr(sampler_module, "_last", (None, None, None, None))
+    return calls
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+def test_calls_on_the_same_objects_compile_once(compiles, mode):
+    circuit, observable = oracle_instance(3, LAYOUTS["two cuts"], 2)
+    config = EstimatorConfig(shots=50, seed=3, mode=mode)
+    record = run_shot(circuit, observable, 3, 7, mode)
+    assert len(compiles) == 1
+    result = estimate(circuit, observable, config)
+    assert run_shot(circuit, observable, 3, 7, mode) == record
+    assert estimate(circuit, observable, config) == result
+    assert len(compiles) == 1
+
+
+def test_equal_but_distinct_objects_compile_again(compiles):
+    circuit, observable = oracle_instance(3, LAYOUTS["one cut"], 1)
+    twin_circuit = Circuit(circuit.num_qubits, circuit.gates)
+    twin_observable = Observable(observable.terms)
+    assert (twin_circuit, twin_observable) == (circuit, observable)
+    calls = [
+        (circuit, observable, MeasureMode.EXACT_TRACE),
+        (twin_circuit, observable, MeasureMode.EXACT_TRACE),
+        (twin_circuit, twin_observable, MeasureMode.EXACT_TRACE),
+        (twin_circuit, twin_observable, MeasureMode.EIGENVALUE_SAMPLE),
+    ]
+    for c, o, mode in calls:
+        run_shot(c, o, 0, 0, mode)
+    assert len(compiles) == len(calls)
+    for got, sent in zip(compiles, calls):
+        assert all(g is s for g, s in zip(got, sent))
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+def test_interleaved_estimates_equal_cold_ones(compiles, monkeypatch, mode):
+    """Estimates of A, B, A, A with the slot kept give the bits each gives from an empty slot."""
+    a = oracle_instance(3, LAYOUTS["two cuts"], 2)
+    b = oracle_instance(4, LAYOUTS["adjacent cuts"], 3)
+    config = EstimatorConfig(shots=200, seed=11, mode=mode)
+
+    def bits(instance):
+        result = estimate(*instance, config)
+        return result.mean.hex(), result.std_error.hex()
+
+    kept = [bits(instance) for instance in (a, b, a, a)]
+    assert len(compiles) == 3
+    cold = []
+    for instance in (a, b, a, a):
+        monkeypatch.setattr(sampler_module, "_last", (None, None, None, None))
+        cold.append(bits(instance))
+    assert kept == cold
+    assert kept[0] != kept[1]
+
+
+def test_a_compile_that_raises_leaves_the_slot_untouched(compiles):
+    circuit, observable = oracle_instance(3, LAYOUTS["one cut"], 1)
+    config = EstimatorConfig(shots=10)
+    result = estimate(circuit, observable, config)
+    held = sampler_module._last
+    with pytest.raises(ValueError, match="width"):
+        estimate(circuit, Observable(((1.0, "ZZZZ"),)), config)
+    with pytest.raises(ValueError, match="MeasureMode"):
+        run_shot(circuit, observable, 0, 0, "exact")
+    assert sampler_module._last is held
+    assert estimate(circuit, observable, config) == result
+    assert len(compiles) == 3
