@@ -24,10 +24,11 @@ tables, gathered as read-only arrays) and the uncut gates up to the next
 cut or the end. Each distinct cut angle's table is built once
 per compile, from its gate's matrix, without building its decomposition
 (``_cut_terms``). The plan of the last call is kept (``_plan``) while the
-same circuit, observable and mode objects come back, so a loop of
-estimates or shots on one circuit compiles once; equal but distinct
-objects compile again. Only one plan is held: at most one padded 2^n
-root state and its pair arrays, 64 KiB each at 12 qubits. The
+same circuit, observable and mode objects come back, beside its node
+table (``_Tree``): the branch-tree nodes its walks built, within
+``_TREE_BYTES``. So a loop of estimates or shots on one circuit compiles
+once and builds each kept node once; equal but distinct objects start
+again. Only one plan and one tree are held. The
 segments after the cuts, which run once per slice of states, are fused
 at compile time (``_fuse``): every 1-qubit gate on a
 qubit that a 2-qubit gate of the segment touches is multiplied into such a
@@ -56,10 +57,10 @@ matrix of the cut pair, so a whole level of the tree is routed with a
 fixed number of array operations: one batched product builds the
 children of many nodes, each reached child once, not once per shot. The
 uncut gates after the cut and the observable run once per slice of
-children, not once per node. Only the open frontier holds
-states, at most one slice of children per cut, and the shots run in
-chunks of 2^16, so memory does not grow with the tree or the shot count
-beyond one value per shot.
+children, not once per node. Besides the node table, only the open
+frontier holds states, at most one slice of children per cut, and the
+shots run in chunks of 2^16, so memory does not grow with the tree or
+the shot count beyond one value per shot.
 A shot draws exactly what the per-gate simulation would, in the same
 order, so neither the plan nor the tree changes a result beyond rounding,
 and a shot's value does not depend on the other shots of its chunk or
@@ -127,6 +128,10 @@ _CHUNK_SHOTS = 1 << 16
 # call per slice instead of one per child, while each tree level holds at
 # most one slice of children
 _BATCH_AMPS = 1 << 16
+
+# the branch-tree nodes kept across walks on one plan (_Tree) hold at most
+# this many bytes: 8 MiB, about 450 10-qubit states with their traces
+_TREE_BYTES = 1 << 23
 
 # an estimate keeps one float per shot: 800 MB at this count
 MAX_SHOTS = 100_000_000
@@ -343,7 +348,8 @@ class _ShotPlan:
     uncut gates before the first cut, as a stack padded by ``_pad``. With a
     cut, ``root_pair`` holds what the walk reads of it before cut 0: its
     ``_pair_front`` state and that state's ``_traces``. Every array is
-    read-only, so one plan serves any number of walks. Exact mode reads
+    read-only, so one plan serves any number of walks; what they build is
+    kept apart, in the plan's ``_Tree``. Exact mode reads
     ``observable`` per Pauli string on a stack of leaf states at once.
     Sample mode draws one of ``terms``, (sign, Pauli string), per shot with
     cut points ``term_cums``.
@@ -413,27 +419,36 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
     )
 
 
-# the objects of the last _plan call that compiled, and their plan
-_last: tuple = (None, None, None, None)
+# the objects of the last _plan call that compiled, their plan and {"tree": its _Tree}
+_last: tuple = (None, None, None, None, None)
 
 
-def _plan(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _ShotPlan:
-    """The shot plan of (circuit, observable, mode), kept while the same objects come back.
+def _plan(circuit: Circuit, observable: Observable, mode: MeasureMode) -> tuple[_ShotPlan, _Tree]:
+    """The shot plan of (circuit, observable, mode) and its ``_Tree``, kept while they come back.
 
-    One slot holds the last compiled plan. A call with the same three
-    objects, by identity, returns it; any other call compiles and replaces
-    it (a compile that raises leaves it as it was). Circuits and
-    observables are frozen and every gate matrix is a read-only copy, so a
-    plan stays valid while its objects live. Equal but distinct objects
-    compile again: comparing them would cost more than it saves.
+    One slot holds the last compiled plan and its tree. A call with the
+    same three objects, by identity, returns them; any other call compiles
+    and replaces them, with an empty tree (a compile that raises leaves the
+    slot as it was). Circuits and observables are frozen and every gate
+    matrix is a read-only copy, so a plan stays valid while its objects
+    live; equal but distinct objects compile again. The tree stays out of
+    the slot until ``_keep`` puts it back after the walks, so a walk that
+    raises leaves no half-grown tree and two estimates never share one.
     """
     global _last
-    held_circuit, held_observable, held_mode, plan = _last
-    if held_circuit is circuit and held_observable is observable and held_mode is mode:
-        return plan
-    plan = _compile(circuit, observable, mode)
-    _last = (circuit, observable, mode, plan)
-    return plan
+    held_circuit, held_observable, held_mode, plan, kept = _last
+    if not (held_circuit is circuit and held_observable is observable and held_mode is mode):
+        plan, kept = _compile(circuit, observable, mode), {}
+        _last = (circuit, observable, mode, plan, kept)
+    tree = kept.pop("tree", None)  # one atomic step: two walks never take one tree
+    return plan, _Tree(plan) if tree is None else tree
+
+
+def _keep(plan: _ShotPlan, tree: _Tree) -> None:
+    """Put ``tree`` back in the slot beside ``plan``, if the slot still holds ``plan``."""
+    *_, held, kept = _last
+    if held is plan:
+        kept["tree"] = tree
 
 
 def _table(coefficients: list[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -509,76 +524,134 @@ def _apply_steps(stack: np.ndarray, steps, n: int) -> np.ndarray:
     return stack
 
 
-def _walk(plan: _ShotPlan, start: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _Tree:
+    """A plan's node table: the branch-tree nodes its walks built, kept for its later walks.
+
+    ``levels[k]`` holds the kept nodes before cut k (level 0 is the root;
+    the last level the leaves), one row per node in each array: ``sign``,
+    ``col`` (the draws its shots have taken) and ``key`` (its ``_route``
+    key under its parent). A node before a cut also has ``phi`` (its
+    ``_pair_front`` state), ``traces`` and ``children``, per route key the
+    id of its kept child or -1. A leaf has ``value``: o', or in sample mode
+    <P> per live observable term, NaN until a shot draws the term there.
+    Only a kept node's children are kept, while ``size``, the bytes of all
+    these arrays, stays within ``_TREE_BYTES``.
+    """
+
+    def __init__(self, plan: _ShotPlan) -> None:
+        self.levels: list[dict[str, np.ndarray]] = [{} for _ in range(len(plan.cuts) + 1)]
+        self.width = [4 * len(cut.terms.cums) for cut in plan.cuts]
+        self.size = 0
+
+    def fits(self, k: int, rows: dict, count: int) -> int:
+        """How many of the first ``count`` nodes of ``rows`` level k has room for."""
+        per = sum(array[:1].nbytes for array in rows.values()) + 8 * (self.width + [0])[k]
+        return min(count, (_TREE_BYTES - self.size) // per)
+
+    def add(self, k: int, rows: dict, count: int) -> np.ndarray:
+        """Keep the first ``count`` nodes of ``rows`` at level k, with no children: their ids."""
+        level = self.levels[k]
+        first = len(level.get("sign", ()))
+        if k < len(self.width):
+            rows = {**rows, "children": np.full((count, self.width[k]), -1)}
+        for name, array in rows.items():
+            new, held = array[:count], level.get(name)
+            level[name] = new.copy() if held is None else np.concatenate((held, new))
+            self.size += new.nbytes
+        return np.arange(first, first + count)
+
+
+def _rows(plan: _ShotPlan, k: int, stack: np.ndarray, sign, col, key) -> dict:
+    """Level k's data of the nodes whose states are the rows of ``stack``: see ``_Tree``."""
+    rows = {"sign": sign, "col": col, "key": key}
+    if k == 0 and plan.cuts:
+        rows["phi"], rows["traces"] = plan.root_pair
+    elif k < len(plan.cuts):
+        rows["phi"] = _pair_front(stack, plan.cuts[k].qubits, plan.num_qubits)
+        rows["traces"] = _traces(rows["phi"])
+    elif plan.mode is MeasureMode.EXACT_TRACE:
+        rows["value"] = observable_expectation(stack, plan.observable, plan.num_qubits)
+    else:
+        rows["value"] = np.full((len(stack), len(plan.terms)), np.nan)
+    return rows
+
+
+def _children(cut: _Cut, rows: dict, key: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """The children ``key`` (``_route`` keys) of ``rows``: states after the cut, signs, draws."""
+    terms = cut.terms
+    parent, term = np.divmod(key >> 2, len(terms.cums))
+    a, b = (key >> 1) & 1, key & 1
+    states = terms.kraus[term, a, b] @ rows["phi"][parent]
+    # renormalizes a measured child; a unitary one keeps its norm, up to rounding
+    states /= np.linalg.norm(states.reshape(len(key), -1), axis=1)[:, None, None]
+    sign = rows["sign"][parent] * terms.weights[term, a, b]
+    col = rows["col"][parent] + 1 + terms.draws[term].sum(axis=1)
+    return _apply_steps(_pair_back(states, cut.qubits, n), cut.after, n), sign, col
+
+
+def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, ...]:
     """Run the shot of each stream start state in ``start`` down the plan's branch tree.
 
-    Returns (sign, o', x) arrays. ``descend`` takes a stack of states, one
-    row per tree node, the nodes' signs and draw counts, and the shots
-    (indices into ``start``) at the nodes with the node of each: a node's
-    shots have taken the same draws, so it reads the same columns of all
-    their streams (``_draw``). Before cut k, ``_route`` sends each shot to
-    a child: a term and the outcomes of its two channels, drawn from the
-    node's next columns with probabilities read off the cut pair's 4x4
-    reduced density matrix.
-    The children, one per (node, term, outcomes) reached, are built as
-    ``_BATCH_AMPS``-amplitude slices of one batched product each; each
-    slice runs the uncut gates after the cut and descends before the next
-    is built, so only the open frontier holds states. In sample mode a
-    leaf's shots draw their observable term and eigenvalue from its
-    column and the next, and each drawn term is evaluated once, on its
-    leaves.
+    Returns (sign, o', x) arrays. ``descend`` takes one tree level's nodes
+    (``_rows``) and the shots (indices into ``start``) at them with the
+    node of each: a node's shots have taken the same draws, so it reads
+    the same columns of all their streams (``_draw``). Before cut k,
+    ``_route`` sends each shot to a child: a term and the outcomes of its
+    two channels, drawn from the node's next columns with probabilities
+    read off the cut pair's 4x4 reduced density matrix. A child ``tree``
+    holds is read from it; the others, one per (node, term, outcomes)
+    reached, are built as ``_BATCH_AMPS``-amplitude slices of one batched
+    product each, and ``tree`` keeps what fits of its own nodes' children.
+    The shots at a slice's other children descend before the next slice is
+    built, so besides the tree only the open frontier holds states. In
+    sample mode a leaf's shots draw their observable term and eigenvalue
+    from its column and the next, and each drawn term is evaluated once
+    per leaf: on the slice, or on a kept leaf rebuilt from its parent.
     """
-    n = plan.num_qubits
+    n, depth = plan.num_qubits, len(plan.cuts)
     shots = len(start)
-    sign = np.empty(shots)
-    o_value = np.empty(shots)
+    sign, o_value = np.empty(shots), np.empty(shots)
+    per = max(1, _BATCH_AMPS >> n)
 
-    def descend(k: int, stack, node_sign, node_col, idx, node) -> None:
-        # row r of stack is the state before cut k of the shots idx[node == r]
-        if k == len(plan.cuts):
-            leaves(stack, node_sign, node_col, idx, node)
-            return
+    def descend(k: int, rows: dict, idx, node, stack):
+        # row r of rows is the node of shots idx[node == r], kept (stack None: rows is
+        # tree.levels[k]) or in row r of stack; returns the shots at kept children
+        if k == depth:
+            leaves(rows, idx, node, stack)
+            return idx[:0], node[:0]
         cut = plan.cuts[k]
-        terms = cut.terms
-        if k == 0:
-            phi, traces = plan.root_pair
-        else:
-            phi = _pair_front(stack, cut.qubits, n)
-            traces = _traces(phi)
-        key = _route(terms, traces, start[idx], node, node_col[node])
-        order = np.argsort(key)
-        key, idx = key[order], idx[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        child = key[starts]
-        parent, term = np.divmod(child >> 2, len(terms.cums))
-        a, b = (child >> 1) & 1, child & 1
-        child_sign = node_sign[parent] * terms.weights[term, a, b]
-        child_col = node_col[parent] + 1 + terms.draws[term].sum(axis=1)
-        bounds = np.append(starts, len(idx))
-        per = max(1, _BATCH_AMPS >> n)
+        key = _route(cut.terms, rows["traces"], start[idx], node, rows["col"][node])
+        child_id = rows["children"].reshape(-1)[key] if stack is None else np.full(len(key), -1)
+        new = np.flatnonzero(child_id < 0)
+        new = new[np.argsort(key[new])]
+        starts = np.flatnonzero(np.diff(key[new], prepend=-1)) if len(new) else new
+        child = key[new[starts]]
+        bounds = np.append(starts, len(new))
         for first in range(0, len(child), per):
             last = min(first + per, len(child))
-            rows = first + _pad(last - first, n)
-            states = terms.kraus[term[rows], a[rows], b[rows]] @ phi[parent[rows]]
-            # renormalizes a measured child; a unitary one keeps its norm, up to rounding
-            states /= np.linalg.norm(states.reshape(len(rows), -1), axis=1)[:, None, None]
-            batch = _apply_steps(_pair_back(states, cut.qubits, n), cut.after, n)
-            counts = np.diff(bounds[first : last + 1])
-            descend(
-                k + 1,
-                batch,
-                child_sign[first:last],
-                child_col[first:last],
-                idx[bounds[first] : bounds[last]],
-                np.repeat(np.arange(last - first), counts),
-            )
+            keys = child[first + _pad(last - first, n)]
+            batch, child_sign, child_col = _children(cut, rows, keys, n)
+            level = _rows(plan, k + 1, batch, child_sign, child_col, keys)
+            fits = tree.fits(k + 1, level, last - first) if stack is None else 0
+            at = np.repeat(np.arange(last - first), np.diff(bounds[first : last + 1]))
+            # a new leaf's shots are read here, where its state is at hand
+            stay = at >= (0 if k + 1 == depth else fits)
+            if stay.any():
+                descend(k + 1, level, idx[new[bounds[first] : bounds[last]]][stay], at[stay], batch)
+            if fits:
+                rows["children"].reshape(-1)[keys[:fits]] = tree.add(k + 1, level, fits)
+        if stack is None and k + 1 < depth:
+            child_id = rows["children"].reshape(-1)[key]
+        went = child_id >= 0
+        return idx[went], child_id[went]
 
-    def leaves(stack, node_sign, node_col, idx, node) -> None:
-        sign[idx] = node_sign[node]
+    def leaves(rows, idx, node, stack) -> None:
+        sign[idx] = rows["sign"][node]
+        values = rows["value"]
         if plan.mode is MeasureMode.EXACT_TRACE:
-            o_value[idx] = observable_expectation(stack, plan.observable, n)[node]
+            o_value[idx] = values[node]
             return
-        z, col = start[idx], node_col[node]
+        z, col = start[idx], rows["col"][node]
         picks = _draw_terms(_draw(z, col), plan.term_cums)
         eig_u = _draw(z, col + 1)
         for term in np.unique(picks).tolist():
@@ -586,15 +659,37 @@ def _walk(plan: _ShotPlan, start: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
             taken, at = idx[drew], node[drew]
             term_sign, pauli = plan.terms[term]
             used = np.unique(at)
-            means = np.empty(len(node_sign))
-            # a Pauli string's entries are 0, +-1 or +-i: exact in any row position
-            means[used] = pauli_string_expectation(stack[used], pauli, n)
-            p_plus = np.clip(0.5 * (1.0 + means[at]), 0.0, 1.0)
+            missing = used[np.isnan(values[used, term])]
+            if len(missing):
+                values[missing, term] = expectations(missing, pauli, stack)
+            p_plus = np.clip(0.5 * (1.0 + values[at, term]), 0.0, 1.0)
             eig = np.where(eig_u[drew] < p_plus, 1.0, -1.0)
             o_value[taken] = term_sign * eig * plan.observable.o_max
 
+    def expectations(leaf, pauli, stack) -> np.ndarray:
+        # <P> on rows of stack, or on kept leaves rebuilt: Pauli entries make it exact
+        if stack is not None:
+            return pauli_string_expectation(stack[leaf], pauli, n)
+        keys, parents = tree.levels[depth]["key"][leaf], tree.levels[depth - 1]
+        out = np.empty(len(keys))
+        for first in range(0, len(keys), per):
+            part = keys[first : first + per]
+            states = _children(plan.cuts[-1], parents, part[_pad(len(part), n)], n)[0]
+            out[first : first + len(part)] = pauli_string_expectation(states[: len(part)], pauli, n)
+        return out
+
     origin = np.zeros(1, dtype=np.intp)
-    descend(0, plan.root, np.ones(1), origin, np.arange(shots), np.zeros(shots, dtype=np.intp))
+    root = _rows(plan, 0, plan.root, np.ones(1), origin, origin)
+    if depth and not tree.levels[0] and tree.fits(0, root, 1):
+        tree.add(0, root, 1)
+    # a root that is not kept (no cut, or no room) is walked as a built node
+    rows, stack = (tree.levels[0], None) if tree.levels[0] else (root, plan.root)
+    idx, node = np.arange(shots), np.zeros(shots, dtype=np.intp)
+    for k in range(depth + 1):
+        idx, node = descend(k, rows, idx, node, stack)
+        if not len(idx):
+            break
+        rows = tree.levels[k + 1]
     x = plan.w_total * (sign * o_value)
     bound = plan.w_total * plan.observable.o_max
     over = np.abs(x) > bound + _BOUND_SLACK
@@ -704,18 +799,20 @@ def run_shot(
 
     ``shot_index`` lies in ``range(MAX_SHOTS)``, the shots an estimate can
     run. It walks one path of the shot plan's branch tree from the shot's
-    stream start state. The plan (sampling tables, root state, fused uncut
-    segments) is compiled once while the same circuit, observable and mode
-    objects come back (``_plan``); a loop over many shots is still faster
-    as one ``estimate``, which walks all its shots together.
+    stream start state. The plan and its node table are kept while the
+    same circuit, observable and mode objects come back (``_plan``), so a
+    loop of shots compiles once and builds each kept node once; one
+    ``estimate`` is still faster, as it walks all its shots together.
     """
     seed = integer(seed, "seed")
     shot_index = integer(shot_index, "shot_index")
     if not 0 <= shot_index < MAX_SHOTS:
         raise ValueError(f"shot_index must lie in 0..{MAX_SHOTS - 1}, got {shot_index}")
-    plan = _plan(circuit, observable, mode)
+    plan, tree = _plan(circuit, observable, mode)
     start = _stream_start(seed, np.array([shot_index], dtype=np.uint64))
-    return ShotRecord(*(values[0].item() for values in _walk(plan, start)))
+    record = ShotRecord(*(values[0].item() for values in _walk(plan, tree, start)))
+    _keep(plan, tree)
+    return record
 
 
 def estimate(
@@ -723,13 +820,13 @@ def estimate(
     observable: Observable,
     config: EstimatorConfig,
 ) -> EstimatorResult:
-    """Run the full estimator: compile the shot plan (or reuse the last one), sample, reduce.
+    """Run the full estimator: compile the shot plan (or reuse it and its tree), sample, reduce.
 
     The per-shot streams make the result a pure function of (circuit,
     observable, config). More than ``MAX_SHOTS`` shots, requested or
     planned, raise ValueError before anything is sampled.
     """
-    plan = _plan(circuit, observable, config.mode)
+    plan, tree = _plan(circuit, observable, config.mode)
     o_max = observable.o_max
     if config.shots is not None:
         shots = config.shots
@@ -749,7 +846,8 @@ def estimate(
     for first in range(0, shots, _CHUNK_SHOTS):
         last = min(first + _CHUNK_SHOTS, shots)
         start = _stream_start(config.seed, np.arange(first, last, dtype=np.uint64))
-        values[first:last] = _walk(plan, start)[2]
+        values[first:last] = _walk(plan, tree, start)[2]
+    _keep(plan, tree)
 
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / sqrt(shots)) if shots > 1 else 0.0

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from bisect import bisect_right
@@ -300,7 +302,7 @@ def test_run_shot_is_the_estimate_shot_bit_for_bit(mode):
     for n in (3, 6, 8):
         circuit, observable = oracle_instance(n, LAYOUTS["two cuts"], 2)
         plan = sampler_module._compile(circuit, observable, mode)
-        x = sampler_module._walk(plan, stream_starts(8, 0, shots))[2]
+        x = sampler_module._walk(plan, sampler_module._Tree(plan), stream_starts(8, 0, shots))[2]
         for s in range(shots):
             assert run_shot(circuit, observable, 8, s, mode).value == x[s]
 
@@ -319,7 +321,7 @@ def test_shot_signs_are_float_plus_or_minus_one():
     circuit, observable = oracle_instance(3, LAYOUTS["two cuts"], 2)
     for mode in MeasureMode:
         plan = sampler_module._compile(circuit, observable, mode)
-        sign = sampler_module._walk(plan, stream_starts(11, 0, 200))[0]
+        sign = sampler_module._walk(plan, sampler_module._Tree(plan), stream_starts(11, 0, 200))[0]
         assert sign.dtype == np.float64
         assert sorted(set(sign.tolist())) == [-1.0, 1.0]
         assert type(run_shot(circuit, observable, 11, 0, mode).sign) is float
@@ -537,58 +539,78 @@ def side_chances(draws, zero, one):
     return p0, np.where(reached, 1.0 - p0, 0.0)
 
 
-def plan_expected_shot_value(circuit, observable):
-    """sum p * W * s * o' over every child the compiled plan's own tables can build, exact mode.
+def plan_expected_shot_value(circuit, observable, mode):
+    """sum p * W * s * o' over every child the engine's own node builder makes from the plan.
 
-    Per cut and parent state, every term t (probability |c|/W from the
+    Per cut and parent node, every term t (probability |c|/W from the
     plan's cut points) and every left and right outcome (a, b) of its two
     channels, with the probabilities the router draws them by, from the
-    traces of the outcomes' effects in ``sampler._traces`` (given the left
-    outcome a on the right): 1/2 per side of a coin, Tr(Pi rho) and 1
-    minus it for a measurement. A child is K_a (x) K_b on the parent,
-    renormalized, then the fused segment after the cut. Only children of
-    positive probability are built. Asserts that the probabilities sum
-    to 1.
+    traces of the outcomes' effects that ``sampler._rows`` keeps per node
+    (given the left outcome a on the right): 1/2 per side of a coin,
+    Tr(Pi rho) and 1 minus it for a measurement. Each child of positive
+    probability is built by ``sampler._children`` and ``sampler._rows``, as
+    a walk builds it, with its sign and exact-mode o'. In sample mode o' is
+    the expected sample: per live term (probability |c|/o_max from the
+    plan's cut points) its sign times o_max times 2 p_+ - 1, with the
+    walk's p_+. Asserts that the probabilities sum to 1.
     """
-    plan = sampler_module._compile(circuit, observable, MeasureMode.EXACT_TRACE)
+    plan = sampler_module._compile(circuit, observable, mode)
     n = plan.num_qubits
-    states, probs, signs = plan.root[:1], np.ones(1), np.ones(1)
-    for cut in plan.cuts:
+    origin = np.zeros(1, dtype=np.intp)
+    rows = sampler_module._rows(plan, 0, plan.root, np.ones(1), origin, origin)
+    probs, stack = np.ones(1), plan.root[:1]
+    for k, cut in enumerate(plan.cuts):
         terms = cut.terms
-        phi = sampler_module._pair_front(states, cut.qubits, n)
-        traces = sampler_module._traces(phi)
+        traces, width = rows["traces"], len(terms.cums)
         shares = np.diff(terms.cums, prepend=0.0) / terms.cums[-1]
-        children = []
+        keys, weights = [], []
         for t, share in enumerate(shares):
             (left_draws, right_draws), (left_effects, right_effects) = terms.draws[t], terms.effect[t]
-            left = side_chances(left_draws, *(traces[:, e, 0] for e in left_effects))
+            left = side_chances(left_draws, *(traces[: len(probs), e, 0] for e in left_effects))
             for a in range(2):
                 given = left_effects[a]
-                right = side_chances(right_draws, *(traces[:, given, e] for e in right_effects))
+                right = side_chances(
+                    right_draws, *(traces[: len(probs), given, e] for e in right_effects)
+                )
                 for b in range(2):
                     p = share * left[a] * right[b]
-                    rows = np.flatnonzero(p)
-                    child = terms.kraus[t, a, b] @ phi[rows]
-                    child /= np.linalg.norm(child, axis=(1, 2))[:, None, None]
-                    child = sampler_module._pair_back(child, cut.qubits, n)
-                    child = sampler_module._apply_steps(child, cut.after, n)
-                    sign = signs[rows] * terms.weights[t, a, b]
-                    children.append((child, probs[rows] * p[rows], sign))
-        states, probs, signs = (np.concatenate(column) for column in zip(*children))
+                    parents = np.flatnonzero(p)
+                    keys.append(((parents * width + t) * 2 + a) * 2 + b)
+                    weights.append(probs[parents] * p[parents])
+        keys, probs = np.concatenate(keys), np.concatenate(weights)
+        stack, sign, col = sampler_module._children(cut, rows, keys, n)
+        rows = sampler_module._rows(plan, k + 1, stack, sign, col, keys)
     assert abs(probs.sum() - 1.0) < 1e-12
-    assert set(signs.tolist()) <= {1.0, -1.0}
-    o_value = observable_expectation(states, observable, n)
-    return float(np.sum(probs * plan.w_total * signs * o_value))
+    assert set(rows["sign"].tolist()) <= {1.0, -1.0}
+    if mode is MeasureMode.EXACT_TRACE:
+        o_value = rows["value"]
+    else:
+        shares = np.diff(plan.term_cums, prepend=0.0) / plan.term_cums[-1]
+        o_value = 0.0
+        for share, (term_sign, pauli) in zip(shares, plan.terms):
+            p_plus = np.clip(0.5 * (1.0 + pauli_string_expectation(stack, pauli, n)), 0.0, 1.0)
+            o_value = o_value + share * term_sign * observable.o_max * (2.0 * p_plus - 1.0)
+    return float(np.sum(probs * plan.w_total * rows["sign"] * o_value))
 
 
-@pytest.mark.parametrize(
-    "num_qubits, layout, seed",
-    [(3, "one cut", 1), (4, "one cut", 2), (3, "two cuts", 2), (4, "adjacent cuts", 3)],
-)
+UNBIASED_INSTANCES = [
+    (3, "one cut", 1), (4, "one cut", 2), (3, "two cuts", 2), (4, "adjacent cuts", 3),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("num_qubits, layout, seed", UNBIASED_INSTANCES)
 def test_plan_tables_are_unbiased(num_qubits, layout, seed):
-    """The engine's own outcome tables and routing probabilities, enumerated: no bias, to 1e-10."""
+    """The engine's own tables, routing chances and node builder, enumerated: no bias, to 1e-10."""
     circuit, observable = oracle_instance(num_qubits, LAYOUTS[layout], seed)
-    expected = plan_expected_shot_value(circuit, observable)
+    expected = plan_expected_shot_value(circuit, observable, MeasureMode.EXACT_TRACE)
+    assert abs(expected - exact_expectation(circuit, observable)) < 1e-10
+
+
+@pytest.mark.parametrize("num_qubits, layout, seed", UNBIASED_INSTANCES)
+def test_sample_plan_tables_are_unbiased(num_qubits, layout, seed):
+    """The same enumeration over the sample plan's term table and eigenvalue chances."""
+    circuit, observable = oracle_instance(num_qubits, LAYOUTS[layout], seed)
+    expected = plan_expected_shot_value(circuit, observable, MeasureMode.EIGENVALUE_SAMPLE)
     assert abs(expected - exact_expectation(circuit, observable)) < 1e-10
 
 
@@ -929,7 +951,7 @@ def walk_against_reference(circuit, observable, mode, seed, rows, monkeypatch):
         return draw(z, column)
 
     monkeypatch.setattr(sampler_module, "_draw", recorded)
-    sign, o_value, x = sampler_module._walk(plan, start)
+    sign, o_value, x = sampler_module._walk(plan, sampler_module._Tree(plan), start)
     refs = [CountingStream(ShotStream(seed, s)) for s in range(rows)]
     expected = [reference_shot(circuit, observable, decomps, ref, mode) for ref in refs]
     assert [sorted(cols) for cols in reads] == [list(range(r.draws)) for r in refs]
@@ -1002,7 +1024,8 @@ def test_walk_is_pinned_shot_for_shot():
             circuit, observable = oracle_instance(n, layout, len(layout))
             for mode in MeasureMode:
                 plan = sampler_module._compile(circuit, observable, mode)
-                for values in sampler_module._walk(plan, stream_starts(17, 0, 64)):
+                tree = sampler_module._Tree(plan)
+                for values in sampler_module._walk(plan, tree, stream_starts(17, 0, 64)):
                     digest.update(values.tobytes())
     assert digest.hexdigest() == WALK_DIGEST
 
@@ -1020,8 +1043,9 @@ def test_estimate_is_independent_of_the_block_size(monkeypatch, mode):
     chunks = []
     walk = sampler_module._walk
 
-    def recorded(plan, start):
-        out = walk(plan, start)
+    def recorded(plan, tree, start):
+        # every chunk from an empty tree: a kept one would hide a chunking fault
+        out = walk(plan, sampler_module._Tree(plan), start)
         chunks.append(out[2])
         return out
 
@@ -1113,7 +1137,7 @@ def compiles(monkeypatch):
         return real(circuit, observable, mode)
 
     monkeypatch.setattr(sampler_module, "_compile", counted)
-    monkeypatch.setattr(sampler_module, "_last", (None, None, None, None))
+    monkeypatch.setattr(sampler_module, "_last", (None,) * 5)
     return calls
 
 
@@ -1162,7 +1186,7 @@ def test_interleaved_estimates_equal_cold_ones(compiles, monkeypatch, mode):
     assert len(compiles) == 3
     cold = []
     for instance in (a, b, a, a):
-        monkeypatch.setattr(sampler_module, "_last", (None, None, None, None))
+        monkeypatch.setattr(sampler_module, "_last", (None,) * 5)
         cold.append(bits(instance))
     assert kept == cold
     assert kept[0] != kept[1]
@@ -1180,3 +1204,238 @@ def test_a_compile_that_raises_leaves_the_slot_untouched(compiles):
     assert sampler_module._last is held
     assert estimate(circuit, observable, config) == result
     assert len(compiles) == 3
+
+
+# --- the kept node table -------------------------------------------------------
+
+
+def tree_bytes(tree):
+    """The bytes of every array the tree holds."""
+    return sum(array.nbytes for level in tree.levels for array in level.values())
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """An empty slot, and the number of children each ``_children`` call builds."""
+    calls = []
+    real = sampler_module._children
+
+    def counted(cut, rows, key, n):
+        calls.append(len(key))
+        return real(cut, rows, key, n)
+
+    monkeypatch.setattr(sampler_module, "_children", counted)
+    monkeypatch.setattr(sampler_module, "_last", (None,) * 5)
+    return calls
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+def test_a_second_identical_call_builds_no_child(builds, mode):
+    """Nor does a shot of the same estimate: every node it reaches is kept."""
+    circuit, observable = oracle_instance(4, LAYOUTS["two cuts"], 2)
+    config = EstimatorConfig(shots=300, seed=5, mode=mode)
+    first = estimate(circuit, observable, config)
+    assert builds
+    del builds[:]
+    assert estimate(circuit, observable, config) == first
+    record = run_shot(circuit, observable, 5, 17, mode)
+    assert builds == []
+    plan = sampler_module._compile(circuit, observable, mode)
+    cold = sampler_module._walk(plan, sampler_module._Tree(plan), stream_starts(5, 17, 1))
+    assert record.value == cold[2][0]
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+def test_estimates_on_kept_trees_equal_cold_ones(monkeypatch, mode):
+    """A, B, A, A with new seeds and shot counts on kept trees, against an empty slot each time."""
+    a = oracle_instance(3, LAYOUTS["two cuts"], 2)
+    b = oracle_instance(6, LAYOUTS["adjacent cuts"], 3)
+    calls = [(a, 40, 1), (b, 200, 2), (a, 500, 3), (a, 90, 4), (a, 500, 3)]
+
+    def bits(instance, shots, seed):
+        result = estimate(*instance, EstimatorConfig(shots=shots, seed=seed, mode=mode))
+        return result.mean.hex(), result.std_error.hex()
+
+    monkeypatch.setattr(sampler_module, "_last", (None,) * 5)
+    kept = [bits(*call) for call in calls]
+    cold = []
+    for call in calls:
+        monkeypatch.setattr(sampler_module, "_last", (None,) * 5)
+        cold.append(bits(*call))
+    assert kept == cold
+
+
+def test_walk_is_pinned_shot_for_shot_on_warm_trees():
+    """WALK_DIGEST from fresh trees, and again from the same trees after they grew."""
+    instances = []
+    for n in (3, 6, 9):
+        for layout in LAYOUTS.values():
+            circuit, observable = oracle_instance(n, layout, len(layout))
+            for mode in MeasureMode:
+                plan = sampler_module._compile(circuit, observable, mode)
+                instances.append((plan, sampler_module._Tree(plan)))
+    for warm in (False, True):
+        digest = hashlib.sha256()
+        for plan, tree in instances:
+            for values in sampler_module._walk(plan, tree, stream_starts(17, 0, 64)):
+                digest.update(values.tobytes())
+            # grow the tree on other shots before the second pass
+            sampler_module._walk(plan, tree, stream_starts(3, 0, 64))
+        assert digest.hexdigest() == WALK_DIGEST, f"warm {warm}"
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+def test_a_bounded_tree_changes_no_bit(monkeypatch, mode):
+    """With no room, or a few KiB, every estimate is the unbounded one and the tree stays in bound."""
+    instances = [
+        oracle_instance(3, LAYOUTS["two cuts"], 2),
+        oracle_instance(6, LAYOUTS["adjacent cuts"], 3),
+        oracle_instance(9, LAYOUTS["two cuts"], 9),
+    ]
+    calls = [(instance, seed) for seed in (1, 2, 1) for instance in instances for _ in (0, 1)]
+
+    def run(bound):
+        monkeypatch.setattr(sampler_module, "_TREE_BYTES", bound)
+        monkeypatch.setattr(sampler_module, "_last", (None,) * 5)
+        out = []
+        for instance, seed in calls:
+            result = estimate(*instance, EstimatorConfig(shots=400, seed=seed, mode=mode))
+            tree = sampler_module._last[4]["tree"]
+            assert tree.size == tree_bytes(tree) <= bound
+            out.append((result.mean.hex(), result.std_error.hex()))
+        return out
+
+    unbounded = run(1 << 40)
+    for bound in (0, 3000, 12_000):
+        assert run(bound) == unbounded
+
+
+def test_a_walk_that_raises_leaves_no_tree(monkeypatch):
+    """A walk that fails after its tree kept nodes: the slot holds no tree, then a whole one."""
+    circuit, observable = oracle_instance(4, LAYOUTS["two cuts"], 2)
+    config = EstimatorConfig(shots=300, seed=5)
+    real = sampler_module._children
+    calls = []
+
+    def fails(cut, rows, key, n):
+        calls.append(cut)
+        if cut is plan.cuts[1]:
+            raise MemoryError("out of memory")
+        return real(cut, rows, key, n)
+
+    monkeypatch.setattr(sampler_module, "_last", (None,) * 5)
+    plan = sampler_module._plan(circuit, observable, config.mode)[0]
+    monkeypatch.setattr(sampler_module, "_children", fails)
+    with pytest.raises(MemoryError):
+        estimate(circuit, observable, config)
+    assert calls[0] is plan.cuts[0]
+    assert sampler_module._last[3] is plan
+    assert sampler_module._last[4] == {}
+    monkeypatch.setattr(sampler_module, "_children", real)
+    warm = estimate(circuit, observable, config)
+    assert isinstance(sampler_module._last[4]["tree"], sampler_module._Tree)
+    monkeypatch.setattr(sampler_module, "_last", (None,) * 5)
+    assert estimate(circuit, observable, config) == warm
+
+
+def leaf_paths(tree, plan):
+    """Each leaf's route keys from the root, as a tuple, to its id."""
+    paths = {}
+    for leaf, key in enumerate(tree.levels[-1]["key"].tolist()):
+        path = [key]
+        for k in range(len(plan.cuts) - 1, 0, -1):
+            parent = (path[0] >> 2) // len(plan.cuts[k].terms.cums)
+            path.insert(0, int(tree.levels[k]["key"][parent]))
+        paths[tuple(path)] = leaf
+    return paths
+
+
+def test_a_term_first_drawn_at_a_kept_leaf_is_rebuilt_as_cold():
+    """<P> rebuilt at a kept leaf has the bits a cold tree's build gives it, and so do the shots."""
+    circuit, observable = oracle_instance(3, LAYOUTS["two cuts"], 2)
+    plan = sampler_module._compile(circuit, observable, MeasureMode.EIGENVALUE_SAMPLE)
+    warm = sampler_module._Tree(plan)
+    sampler_module._walk(plan, warm, stream_starts(1, 0, 20))
+    kept = len(warm.levels[-1]["value"])
+    unseen = np.isnan(warm.levels[-1]["value"]).sum()
+    assert unseen > 0
+    later = stream_starts(2, 0, 400)
+    shots = sampler_module._walk(plan, warm, later)
+    assert np.isnan(warm.levels[-1]["value"][:kept]).sum() < unseen
+    cold = sampler_module._Tree(plan)
+    for warm_values, cold_values in zip(shots, sampler_module._walk(plan, cold, later)):
+        assert warm_values.tobytes() == cold_values.tobytes()
+    warm_paths, cold_paths = leaf_paths(warm, plan), leaf_paths(cold, plan)
+    shared = 0
+    for path, leaf in cold_paths.items():
+        if path in warm_paths:
+            cold_values = cold.levels[-1]["value"][leaf]
+            warm_values = warm.levels[-1]["value"][warm_paths[path]]
+            drawn = ~np.isnan(cold_values)
+            assert warm_values[drawn].tobytes() == cold_values[drawn].tobytes()
+            shared += drawn.sum()
+    assert shared > 0
+
+
+def test_kept_tree_memory_stays_bounded():
+    """A 3-cut, 10-qubit estimate at 2^17 shots: the frontier plus at most _TREE_BYTES.
+
+    Without the bound its tree would keep 2446 level-2 states of 16 KiB
+    and 43 MiB in all. The peak must stay within 32 MiB plus
+    ``_TREE_BYTES`` above the 1 MiB value array, and 50 more calls with new
+    seeds keep the tree in its bound.
+    """
+    rng = np.random.default_rng(5)
+    gates = [SingleGate(q, Y_AXIS, float(rng.uniform(0, PI))) for q in range(10)]
+    for theta in ((0.5, 0.3, 0.0), (0.6, 0.2, 0.0), (0.4, 0.0, 0.0)):
+        gates += [
+            CanonicalGate((4, 5), ThetaVector(*theta), cut=True),
+            CanonicalGate((3, 4), ThetaVector(0.2, 0.1, 0.05)),
+            CanonicalGate((5, 6), ThetaVector(0.3, 0.1, 0.05)),
+        ]
+    circuit = Circuit(10, tuple(gates))
+    observable = Observable(((1.0, "IIIZZZIIII"),))
+    shots = 1 << 17
+    tracemalloc.start()
+    try:
+        estimate(circuit, observable, EstimatorConfig(shots=shots, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a larger table is a change of this bound, not of the constant alone
+    assert sampler_module._TREE_BYTES <= 8 * 2**20
+    assert peak - 8 * shots < 32 * 2**20 + sampler_module._TREE_BYTES
+    tree = sampler_module._last[4]["tree"]
+    assert len(tree.levels[2]["sign"]) > 100
+    for seed in range(2, 52):
+        estimate(circuit, observable, EstimatorConfig(shots=500, seed=seed))
+        tree = sampler_module._last[4]["tree"]
+        assert tree.size == tree_bytes(tree) <= sampler_module._TREE_BYTES
+
+
+def test_estimates_in_threads_never_share_a_tree(monkeypatch):
+    """Six threads estimate one circuit at once: each result is the one an empty slot gives."""
+    circuit, observable = oracle_instance(8, LAYOUTS["two cuts"], 2)
+    configs = [EstimatorConfig(shots=200, seed=seed) for seed in range(48)]
+    cold = []
+    for config in configs:
+        monkeypatch.setattr(sampler_module, "_last", (None,) * 5)
+        cold.append(estimate(circuit, observable, config))
+    got = {}
+
+    def work(i):
+        for j in range(i, len(configs), 6):
+            got[j] = estimate(circuit, observable, configs[j])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == dict(enumerate(cold))
