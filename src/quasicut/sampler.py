@@ -17,13 +17,12 @@ Averaged over shots this is unbiased for the exact expectation.
 
 ``estimate`` and ``run_shot`` run every shot from a shot plan of
 (circuit, observable, mode): the state after the uncut gates before the
-first cut, simulated once, with the traces of its first cut pair, and
-per cut its qubits, its angle's sampling table (the terms' cut points,
-whose total is the weight, and the rows of their channels' outcome
-tables, gathered as read-only arrays) and the uncut gates up to the next
-cut or the end. Each distinct cut angle's table is built once
-per compile, from its gate's matrix, without building its decomposition
-(``_cut_terms``). The plan of the last call is kept (``_plan``) while the
+first cut, simulated once, and per cut its qubits, its angle's sampling
+table (the terms' cut points, whose total is the weight, and the rows of
+their channels' outcome tables, gathered as read-only arrays) and the
+uncut gates up to the next cut or the end. Each distinct cut angle's
+table is built once per compile, from its gate's matrix, without
+building its decomposition (``_cut_terms``). The plan of the last call is kept (``_plan``) while the
 same circuit, observable and mode objects come back, beside its node
 table (``_Tree``): the branch-tree nodes its walks built, within
 ``_TREE_BYTES``. So a loop of estimates or shots on one circuit compiles
@@ -39,8 +38,9 @@ by gate; the same loop of ``apply_gate`` calls runs both. The fused
 products round differently from gate-by-gate application, in the last
 bits only; the oracle (``statevector``, ``exact_expectation``) is not
 fused, so the sampler is still judged against gate-by-gate simulation. The
-oracle's own ``observable_expectation`` and ``pauli_string_expectation``
-read the observable on a stack of final states at once.
+oracle's own ``observable_expectation`` (exact mode) or
+``pauli_string_expectation`` per live term (sample mode) reads the
+observable on a stack of leaf states at once, when the leaves are built.
 
 Every step a shot takes is picked from a small discrete set: the term, the
 outcome of each of its two channels (a coin side or a measurement
@@ -345,24 +345,23 @@ class _ShotPlan:
     """What every shot of (circuit, observable, mode) shares, compiled once.
 
     ``root`` is the root of every walk's branch tree: the state after the
-    uncut gates before the first cut, as a stack padded by ``_pad``. With a
-    cut, ``root_pair`` holds what the walk reads of it before cut 0: its
-    ``_pair_front`` state and that state's ``_traces``. Every array is
-    read-only, so one plan serves any number of walks; what they build is
-    kept apart, in the plan's ``_Tree``. Exact mode reads
+    uncut gates before the first cut, as a stack padded by ``_pad``. Every
+    array is read-only, so one plan serves any number of walks; what they
+    build is kept apart, in the plan's ``_Tree``. Exact mode reads
     ``observable`` per Pauli string on a stack of leaf states at once.
-    Sample mode draws one of ``terms``, (sign, Pauli string), per shot with
-    cut points ``term_cums``.
+    Sample mode reads each of its live terms, with signs ``term_signs``
+    and Pauli strings ``paulis``, on a stack of leaf states, and draws one
+    per shot with cut points ``term_cums``.
     """
 
     num_qubits: int
     mode: MeasureMode
     root: np.ndarray
-    root_pair: tuple[np.ndarray, np.ndarray] | None
     cuts: tuple[_Cut, ...]
     w_total: float
     observable: Observable
-    terms: tuple[tuple[float, str], ...]
+    term_signs: np.ndarray
+    paulis: tuple[str, ...]
     term_cums: tuple[float, ...]
 
 
@@ -397,24 +396,19 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
         w_total *= float(terms.cums[-1])
         cuts.append(_Cut(qubits=gate.qubits, terms=terms, after=_fuse(after)))
 
-    root_pair = None
-    if cuts:
-        phi = _pair_front(root, cuts[0].qubits, n)
-        root_pair = (phi, _traces(phi))
-        for array in root_pair:
-            array.setflags(write=False)
-
     live = () if exact else tuple((c, p) for c, p in observable.terms if c != 0.0)
     term_cums, term_signs = _table([c for c, _ in live])
+    term_signs = np.array(term_signs, dtype=float)
+    term_signs.setflags(write=False)
     return _ShotPlan(
         num_qubits=n,
         mode=mode,
         root=root,
-        root_pair=root_pair,
         cuts=tuple(cuts),
         w_total=w_total,
         observable=observable,
-        terms=tuple(zip(term_signs, (p for _, p in live))),
+        term_signs=term_signs,
+        paulis=tuple(p for _, p in live),
         term_cums=term_cums,
     )
 
@@ -533,9 +527,9 @@ class _Tree:
     key under its parent). A node before a cut also has ``phi`` (its
     ``_pair_front`` state), ``traces`` and ``children``, per route key the
     id of its kept child or -1. A leaf has ``value``: o', or in sample mode
-    <P> per live observable term, NaN until a shot draws the term there.
-    Only a kept node's children are kept, while ``size``, the bytes of all
-    these arrays, stays within ``_TREE_BYTES``.
+    <P> per live observable term, all read when the leaf is built. Only a
+    kept node's children are kept, while ``size``, the bytes of all these
+    arrays, stays within ``_TREE_BYTES``.
     """
 
     def __init__(self, plan: _ShotPlan) -> None:
@@ -563,16 +557,15 @@ class _Tree:
 
 def _rows(plan: _ShotPlan, k: int, stack: np.ndarray, sign, col, key) -> dict:
     """Level k's data of the nodes whose states are the rows of ``stack``: see ``_Tree``."""
+    n = plan.num_qubits
     rows = {"sign": sign, "col": col, "key": key}
-    if k == 0 and plan.cuts:
-        rows["phi"], rows["traces"] = plan.root_pair
-    elif k < len(plan.cuts):
-        rows["phi"] = _pair_front(stack, plan.cuts[k].qubits, plan.num_qubits)
+    if k < len(plan.cuts):
+        rows["phi"] = _pair_front(stack, plan.cuts[k].qubits, n)
         rows["traces"] = _traces(rows["phi"])
     elif plan.mode is MeasureMode.EXACT_TRACE:
-        rows["value"] = observable_expectation(stack, plan.observable, plan.num_qubits)
+        rows["value"] = observable_expectation(stack, plan.observable, n)
     else:
-        rows["value"] = np.full((len(stack), len(plan.terms)), np.nan)
+        rows["value"] = np.stack([pauli_string_expectation(stack, p, n) for p in plan.paulis], 1)
     return rows
 
 
@@ -603,25 +596,24 @@ def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, 
     reached, are built as ``_BATCH_AMPS``-amplitude slices of one batched
     product each, and ``tree`` keeps what fits of its own nodes' children.
     The shots at a slice's other children descend before the next slice is
-    built, so besides the tree only the open frontier holds states. In
-    sample mode a leaf's shots draw their observable term and eigenvalue
-    from its column and the next, and each drawn term is evaluated once
-    per leaf: on the slice, or on a kept leaf rebuilt from its parent.
+    built, so besides the tree only the open frontier holds states. A leaf
+    reads the observable when it is built, so a leaf's shots need only its
+    row: in sample mode they draw their observable term and eigenvalue
+    from its column and the next.
     """
     n, depth = plan.num_qubits, len(plan.cuts)
     shots = len(start)
     sign, o_value = np.empty(shots), np.empty(shots)
     per = max(1, _BATCH_AMPS >> n)
 
-    def descend(k: int, rows: dict, idx, node, stack):
-        # row r of rows is the node of shots idx[node == r], kept (stack None: rows is
-        # tree.levels[k]) or in row r of stack; returns the shots at kept children
+    def descend(k: int, rows: dict, idx, node):
+        # row r of rows is the node of shots idx[node == r]; returns the shots at kept children
         if k == depth:
-            leaves(rows, idx, node, stack)
+            leaves(rows, idx, node)
             return idx[:0], node[:0]
-        cut = plan.cuts[k]
+        cut, kept = plan.cuts[k], rows is tree.levels[k]
         key = _route(cut.terms, rows["traces"], start[idx], node, rows["col"][node])
-        child_id = rows["children"].reshape(-1)[key] if stack is None else np.full(len(key), -1)
+        child_id = rows["children"].reshape(-1)[key] if kept else np.full(len(key), -1)
         new = np.flatnonzero(child_id < 0)
         new = new[np.argsort(key[new])]
         starts = np.flatnonzero(np.diff(key[new], prepend=-1)) if len(new) else new
@@ -630,63 +622,41 @@ def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, 
         for first in range(0, len(child), per):
             last = min(first + per, len(child))
             keys = child[first + _pad(last - first, n)]
-            batch, child_sign, child_col = _children(cut, rows, keys, n)
-            level = _rows(plan, k + 1, batch, child_sign, child_col, keys)
-            fits = tree.fits(k + 1, level, last - first) if stack is None else 0
+            level = _rows(plan, k + 1, *_children(cut, rows, keys, n), keys)
+            fits = tree.fits(k + 1, level, last - first) if kept else 0
             at = np.repeat(np.arange(last - first), np.diff(bounds[first : last + 1]))
-            # a new leaf's shots are read here, where its state is at hand
-            stay = at >= (0 if k + 1 == depth else fits)
+            stay = at >= fits
             if stay.any():
-                descend(k + 1, level, idx[new[bounds[first] : bounds[last]]][stay], at[stay], batch)
+                descend(k + 1, level, idx[new[bounds[first] : bounds[last]]][stay], at[stay])
             if fits:
                 rows["children"].reshape(-1)[keys[:fits]] = tree.add(k + 1, level, fits)
-        if stack is None and k + 1 < depth:
+        if kept:
             child_id = rows["children"].reshape(-1)[key]
         went = child_id >= 0
         return idx[went], child_id[went]
 
-    def leaves(rows, idx, node, stack) -> None:
+    def leaves(rows, idx, node) -> None:
         sign[idx] = rows["sign"][node]
-        values = rows["value"]
         if plan.mode is MeasureMode.EXACT_TRACE:
-            o_value[idx] = values[node]
+            o_value[idx] = rows["value"][node]
             return
         z, col = start[idx], rows["col"][node]
         picks = _draw_terms(_draw(z, col), plan.term_cums)
-        eig_u = _draw(z, col + 1)
-        for term in np.unique(picks).tolist():
-            drew = picks == term
-            taken, at = idx[drew], node[drew]
-            term_sign, pauli = plan.terms[term]
-            used = np.unique(at)
-            missing = used[np.isnan(values[used, term])]
-            if len(missing):
-                values[missing, term] = expectations(missing, pauli, stack)
-            p_plus = np.clip(0.5 * (1.0 + values[at, term]), 0.0, 1.0)
-            eig = np.where(eig_u[drew] < p_plus, 1.0, -1.0)
-            o_value[taken] = term_sign * eig * plan.observable.o_max
+        p_plus = np.clip(0.5 * (1.0 + rows["value"][node, picks]), 0.0, 1.0)
+        eig = np.where(_draw(z, col + 1) < p_plus, 1.0, -1.0)
+        o_value[idx] = plan.term_signs[picks] * eig * plan.observable.o_max
 
-    def expectations(leaf, pauli, stack) -> np.ndarray:
-        # <P> on rows of stack, or on kept leaves rebuilt: Pauli entries make it exact
-        if stack is not None:
-            return pauli_string_expectation(stack[leaf], pauli, n)
-        keys, parents = tree.levels[depth]["key"][leaf], tree.levels[depth - 1]
-        out = np.empty(len(keys))
-        for first in range(0, len(keys), per):
-            part = keys[first : first + per]
-            states = _children(plan.cuts[-1], parents, part[_pad(len(part), n)], n)[0]
-            out[first : first + len(part)] = pauli_string_expectation(states[: len(part)], pauli, n)
-        return out
-
-    origin = np.zeros(1, dtype=np.intp)
-    root = _rows(plan, 0, plan.root, np.ones(1), origin, origin)
-    if depth and not tree.levels[0] and tree.fits(0, root, 1):
-        tree.add(0, root, 1)
-    # a root that is not kept (no cut, or no room) is walked as a built node
-    rows, stack = (tree.levels[0], None) if tree.levels[0] else (root, plan.root)
+    rows = tree.levels[0]
+    if not rows:
+        # the root's pair state and traces are computed only while the tree lacks them
+        origin = np.zeros(1, dtype=np.intp)
+        rows = _rows(plan, 0, plan.root, np.ones(1), origin, origin)
+        if depth and tree.fits(0, rows, 1):
+            tree.add(0, rows, 1)
+            rows = tree.levels[0]
     idx, node = np.arange(shots), np.zeros(shots, dtype=np.intp)
     for k in range(depth + 1):
-        idx, node = descend(k, rows, idx, node, stack)
+        idx, node = descend(k, rows, idx, node)
         if not len(idx):
             break
         rows = tree.levels[k + 1]

@@ -551,14 +551,14 @@ def plan_expected_shot_value(circuit, observable, mode):
     probability is built by ``sampler._children`` and ``sampler._rows``, as
     a walk builds it, with its sign and exact-mode o'. In sample mode o' is
     the expected sample: per live term (probability |c|/o_max from the
-    plan's cut points) its sign times o_max times 2 p_+ - 1, with the
-    walk's p_+. Asserts that the probabilities sum to 1.
+    plan's cut points) its sign times o_max times 2 p_+ - 1, with p_+ from
+    the <P> the leaf holds. Asserts that the probabilities sum to 1.
     """
     plan = sampler_module._compile(circuit, observable, mode)
     n = plan.num_qubits
     origin = np.zeros(1, dtype=np.intp)
     rows = sampler_module._rows(plan, 0, plan.root, np.ones(1), origin, origin)
-    probs, stack = np.ones(1), plan.root[:1]
+    probs = np.ones(1)
     for k, cut in enumerate(plan.cuts):
         terms = cut.terms
         traces, width = rows["traces"], len(terms.cums)
@@ -578,18 +578,16 @@ def plan_expected_shot_value(circuit, observable, mode):
                     keys.append(((parents * width + t) * 2 + a) * 2 + b)
                     weights.append(probs[parents] * p[parents])
         keys, probs = np.concatenate(keys), np.concatenate(weights)
-        stack, sign, col = sampler_module._children(cut, rows, keys, n)
-        rows = sampler_module._rows(plan, k + 1, stack, sign, col, keys)
+        children = sampler_module._children(cut, rows, keys, n)
+        rows = sampler_module._rows(plan, k + 1, *children, keys)
     assert abs(probs.sum() - 1.0) < 1e-12
     assert set(rows["sign"].tolist()) <= {1.0, -1.0}
     if mode is MeasureMode.EXACT_TRACE:
         o_value = rows["value"]
     else:
         shares = np.diff(plan.term_cums, prepend=0.0) / plan.term_cums[-1]
-        o_value = 0.0
-        for share, (term_sign, pauli) in zip(shares, plan.terms):
-            p_plus = np.clip(0.5 * (1.0 + pauli_string_expectation(stack, pauli, n)), 0.0, 1.0)
-            o_value = o_value + share * term_sign * observable.o_max * (2.0 * p_plus - 1.0)
+        p_plus = np.clip(0.5 * (1.0 + rows["value"]), 0.0, 1.0)
+        o_value = (2.0 * p_plus - 1.0) @ (shares * plan.term_signs) * observable.o_max
     return float(np.sum(probs * plan.w_total * rows["sign"] * o_value))
 
 
@@ -1111,13 +1109,12 @@ def reachable_arrays(value):
 def test_every_array_of_a_plan_is_read_only(layout, mode):
     """A kept plan serves every later call on its objects: none of its arrays can be written.
 
-    That covers the root stack, the root's pair state and traces, every
-    field of each cut's table and each fused step's matrix.
+    That covers the root stack, the observable terms' signs, every field
+    of each cut's table and each fused step's matrix.
     """
     circuit, observable = oracle_instance(4, LAYOUTS[layout], 3)
     plan = sampler_module._compile(circuit, observable, mode)
-    assert (plan.root_pair is None) == (layout == "no cut")
-    expected = [plan.root, *(plan.root_pair or ())]
+    expected = [plan.root, plan.term_signs]
     for cut in plan.cuts:
         expected += [getattr(cut.terms, f.name) for f in dataclasses.fields(cut.terms)]
         expected += [step.matrix for step in cut.after]
@@ -1338,43 +1335,57 @@ def test_a_walk_that_raises_leaves_no_tree(monkeypatch):
     assert estimate(circuit, observable, config) == warm
 
 
-def leaf_paths(tree, plan):
-    """Each leaf's route keys from the root, as a tuple, to its id."""
-    paths = {}
-    for leaf, key in enumerate(tree.levels[-1]["key"].tolist()):
-        path = [key]
-        for k in range(len(plan.cuts) - 1, 0, -1):
-            parent = (path[0] >> 2) // len(plan.cuts[k].terms.cums)
-            path.insert(0, int(tree.levels[k]["key"][parent]))
-        paths[tuple(path)] = leaf
-    return paths
+def test_a_sample_walk_builds_only_the_nodes_its_tree_lacks(builds):
+    """Five estimates on one plan: every child row built is a node the tree gains.
+
+    Four qubits need no ``_pad`` rows, so a built row is a built node; the
+    first call also keeps the root, which no ``_children`` call builds.
+    """
+    circuit, observable = oracle_instance(4, LAYOUTS["two cuts"], 2)
+    nodes = 0
+    for seed in range(1, 6):
+        del builds[:]
+        config = EstimatorConfig(shots=300, seed=seed, mode=MeasureMode.EIGENVALUE_SAMPLE)
+        estimate(circuit, observable, config)
+        tree = sampler_module._last[4]["tree"]
+        grown = sum(len(level["sign"]) for level in tree.levels) - nodes
+        nodes += grown
+        assert sum(builds) == grown - (seed == 1)
+    assert nodes > 300
 
 
-def test_a_term_first_drawn_at_a_kept_leaf_is_rebuilt_as_cold():
-    """<P> rebuilt at a kept leaf has the bits a cold tree's build gives it, and so do the shots."""
+def test_every_kept_sample_leaf_holds_the_cold_values():
+    """Each kept leaf holds a finite <P> per live term, with the bits of its path's cold leaf.
+
+    The shots read on the warm tree have the cold tree's bits too.
+    """
     circuit, observable = oracle_instance(3, LAYOUTS["two cuts"], 2)
     plan = sampler_module._compile(circuit, observable, MeasureMode.EIGENVALUE_SAMPLE)
-    warm = sampler_module._Tree(plan)
+    warm, cold = sampler_module._Tree(plan), sampler_module._Tree(plan)
     sampler_module._walk(plan, warm, stream_starts(1, 0, 20))
-    kept = len(warm.levels[-1]["value"])
-    unseen = np.isnan(warm.levels[-1]["value"]).sum()
-    assert unseen > 0
     later = stream_starts(2, 0, 400)
     shots = sampler_module._walk(plan, warm, later)
-    assert np.isnan(warm.levels[-1]["value"][:kept]).sum() < unseen
-    cold = sampler_module._Tree(plan)
     for warm_values, cold_values in zip(shots, sampler_module._walk(plan, cold, later)):
         assert warm_values.tobytes() == cold_values.tobytes()
-    warm_paths, cold_paths = leaf_paths(warm, plan), leaf_paths(cold, plan)
-    shared = 0
-    for path, leaf in cold_paths.items():
-        if path in warm_paths:
-            cold_values = cold.levels[-1]["value"][leaf]
-            warm_values = warm.levels[-1]["value"][warm_paths[path]]
-            drawn = ~np.isnan(cold_values)
-            assert warm_values[drawn].tobytes() == cold_values[drawn].tobytes()
-            shared += drawn.sum()
-    assert shared > 0
+
+    def by_path(tree):
+        # each leaf's route keys under its parents, from the root, to its <P> row
+        level, paths = tree.levels[-1], {}
+        for leaf, key in enumerate(level["key"].tolist()):
+            path = [key]
+            for k in range(len(plan.cuts) - 1, 0, -1):
+                parent = (path[0] >> 2) // len(plan.cuts[k].terms.cums)
+                path.insert(0, int(tree.levels[k]["key"][parent]))
+            paths[tuple(path)] = level["value"][leaf]
+        return paths
+
+    warm_leaves, cold_leaves = by_path(warm), by_path(cold)
+    values = warm.levels[-1]["value"]
+    assert values.shape == (len(warm_leaves), len(plan.paulis)) and np.isfinite(values).all()
+    shared = warm_leaves.keys() & cold_leaves.keys()
+    assert len(shared) > 10
+    for path in shared:
+        assert warm_leaves[path].tobytes() == cold_leaves[path].tobytes()
 
 
 def test_kept_tree_memory_stays_bounded():
