@@ -52,9 +52,12 @@ the rows of the channels' outcome tables (``local_basis.KRAUS``,
 ``WEIGHTS``, ``OUTCOMES`` and ``EFFECT``: per outcome a 2x2 Kraus
 operator, a weight +-1 and the index of its effect in
 ``local_basis.EFFECTS``) give the term's children as (K_a (x) K_b) psi,
-and the outcome probabilities are traces against the 4x4 reduced density
-matrix of the cut pair, so a whole level of the tree is routed with a
-fixed number of array operations: one batched product builds the
+and the outcome probabilities are ratios of traces against the 4x4
+reduced density matrix of the cut pair. Each node keeps them in its
+chance table: per term, the chance of the left outcome 0 and of the
+right outcome 0 given either left outcome. So a whole level of the tree
+is routed with a fixed number of array operations, one stream call
+draws both channels' outcomes, and one batched product builds the
 children of many nodes, each reached child once, not once per shot. The
 uncut gates after the cut and the observable run once per slice of
 children, not once per node. Besides the node table, only the open
@@ -129,8 +132,9 @@ _CHUNK_SHOTS = 1 << 16
 # most one slice of children
 _BATCH_AMPS = 1 << 16
 
-# the branch-tree nodes kept across walks on one plan (_Tree) hold at most
-# this many bytes: 8 MiB, about 450 10-qubit states with their traces
+# the branch-tree nodes kept across walks on one plan (_Tree) allocate at
+# most this many bytes: 8 MiB, about 460 10-qubit states with their chance
+# tables and child ids at 28 terms
 _TREE_BYTES = 1 << 23
 
 # an estimate keeps one float per shot: 800 MB at this count
@@ -525,34 +529,54 @@ class _Tree:
     the last level the leaves), one row per node in each array: ``sign``,
     ``col`` (the draws its shots have taken) and ``key`` (its ``_route``
     key under its parent). A node before a cut also has ``phi`` (its
-    ``_pair_front`` state), ``traces`` and ``children``, per route key the
-    id of its kept child or -1. A leaf has ``value``: o', or in sample mode
-    <P> per live observable term, all read when the leaf is built. Only a
-    kept node's children are kept, while ``size``, the bytes of all these
-    arrays, stays within ``_TREE_BYTES``.
+    ``_pair_front`` state), ``chance`` (its ``_chances`` table) and
+    ``children``, per route key the id of its kept child or -1. A leaf has
+    ``value``: o', or in sample mode <P> per live observable term, all read
+    when the leaf is built. Only a kept node's children are kept.
+
+    Each array of a level is a view of the first rows of a block that
+    holds room for more, so keeping a node copies it once, and the level's
+    held rows again only when its blocks fill. A full level's blocks grow
+    to twice their rows, or to the rows needed if that is more, but never
+    past what ``_TREE_BYTES`` leaves: ``allocated``, the bytes of all
+    blocks, stays within it, and ``size``, the bytes of the used rows,
+    within ``allocated``.
     """
 
     def __init__(self, plan: _ShotPlan) -> None:
         self.levels: list[dict[str, np.ndarray]] = [{} for _ in range(len(plan.cuts) + 1)]
+        self.blocks: list[dict[str, np.ndarray]] = [{} for _ in self.levels]
         self.width = [4 * len(cut.terms.cums) for cut in plan.cuts]
-        self.size = 0
+        self.size = self.allocated = 0
+
+    def _per(self, k: int, rows: dict) -> int:
+        """The bytes of one node of ``rows`` at level k, its child ids included."""
+        return sum(array[:1].nbytes for array in rows.values()) + 8 * (self.width + [0])[k]
 
     def fits(self, k: int, rows: dict, count: int) -> int:
         """How many of the first ``count`` nodes of ``rows`` level k has room for."""
-        per = sum(array[:1].nbytes for array in rows.values()) + 8 * (self.width + [0])[k]
-        return min(count, (_TREE_BYTES - self.size) // per)
+        free = len(self.blocks[k].get("sign", ())) - len(self.levels[k].get("sign", ()))
+        return min(count, free + (_TREE_BYTES - self.allocated) // self._per(k, rows))
 
     def add(self, k: int, rows: dict, count: int) -> np.ndarray:
         """Keep the first ``count`` nodes of ``rows`` at level k, with no children: their ids."""
-        level = self.levels[k]
-        first = len(level.get("sign", ()))
+        level, blocks, per = self.levels[k], self.blocks[k], self._per(k, rows)
+        used = len(level.get("sign", ()))
         if k < len(self.width):
             rows = {**rows, "children": np.full((count, self.width[k]), -1)}
+        held = len(blocks.get("sign", ()))
+        if used + count > held:
+            grown = min(max(2 * held, used + count), held + (_TREE_BYTES - self.allocated) // per)
+            for name, array in rows.items():
+                blocks[name] = np.empty((grown,) + array.shape[1:], dtype=array.dtype)
+                if used:
+                    blocks[name][:used] = level[name]
+            self.allocated += (grown - held) * per
         for name, array in rows.items():
-            new, held = array[:count], level.get(name)
-            level[name] = new.copy() if held is None else np.concatenate((held, new))
-            self.size += new.nbytes
-        return np.arange(first, first + count)
+            blocks[name][used : used + count] = array[:count]
+            level[name] = blocks[name][: used + count]
+        self.size += count * per
+        return np.arange(used, used + count)
 
 
 def _rows(plan: _ShotPlan, k: int, stack: np.ndarray, sign, col, key) -> dict:
@@ -561,7 +585,7 @@ def _rows(plan: _ShotPlan, k: int, stack: np.ndarray, sign, col, key) -> dict:
     rows = {"sign": sign, "col": col, "key": key}
     if k < len(plan.cuts):
         rows["phi"] = _pair_front(stack, plan.cuts[k].qubits, n)
-        rows["traces"] = _traces(rows["phi"])
+        rows["chance"] = _chances(plan.cuts[k].terms, _traces(rows["phi"]))
     elif plan.mode is MeasureMode.EXACT_TRACE:
         rows["value"] = observable_expectation(stack, plan.observable, n)
     else:
@@ -590,16 +614,17 @@ def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, 
     node of each: a node's shots have taken the same draws, so it reads
     the same columns of all their streams (``_draw``). Before cut k,
     ``_route`` sends each shot to a child: a term and the outcomes of its
-    two channels, drawn from the node's next columns with probabilities
-    read off the cut pair's 4x4 reduced density matrix. A child ``tree``
-    holds is read from it; the others, one per (node, term, outcomes)
-    reached, are built as ``_BATCH_AMPS``-amplitude slices of one batched
-    product each, and ``tree`` keeps what fits of its own nodes' children.
+    two channels, drawn from the node's next columns with the chances its
+    ``chance`` table holds. A child ``tree`` holds is read from it, and a
+    level whose shots all reach kept children returns them at once. The
+    other children, one per (node, term, outcomes) reached, are built as
+    ``_BATCH_AMPS``-amplitude slices of one batched product each, and
+    ``tree`` keeps what fits of its own nodes' children.
     The shots at a slice's other children descend before the next slice is
     built, so besides the tree only the open frontier holds states. A leaf
     reads the observable when it is built, so a leaf's shots need only its
     row: in sample mode they draw their observable term and eigenvalue
-    from its column and the next.
+    from its column and the next, in one stream call.
     """
     n, depth = plan.num_qubits, len(plan.cuts)
     shots = len(start)
@@ -612,11 +637,13 @@ def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, 
             leaves(rows, idx, node)
             return idx[:0], node[:0]
         cut, kept = plan.cuts[k], rows is tree.levels[k]
-        key = _route(cut.terms, rows["traces"], start[idx], node, rows["col"][node])
+        key = _route(cut.terms, rows["chance"], start[idx], node, rows["col"][node])
         child_id = rows["children"].reshape(-1)[key] if kept else np.full(len(key), -1)
         new = np.flatnonzero(child_id < 0)
+        if not len(new):
+            return idx, child_id
         new = new[np.argsort(key[new])]
-        starts = np.flatnonzero(np.diff(key[new], prepend=-1)) if len(new) else new
+        starts = np.flatnonzero(np.diff(key[new], prepend=-1))
         child = key[new[starts]]
         bounds = np.append(starts, len(new))
         for first in range(0, len(child), per):
@@ -641,14 +668,15 @@ def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, 
             o_value[idx] = rows["value"][node]
             return
         z, col = start[idx], rows["col"][node]
-        picks = _draw_terms(_draw(z, col), plan.term_cums)
+        u = _draw(np.concatenate((z, z)), np.concatenate((col, col + 1)))
+        picks = _draw_terms(u[: len(idx)], plan.term_cums)
         p_plus = np.clip(0.5 * (1.0 + rows["value"][node, picks]), 0.0, 1.0)
-        eig = np.where(_draw(z, col + 1) < p_plus, 1.0, -1.0)
+        eig = np.where(u[len(idx) :] < p_plus, 1.0, -1.0)
         o_value[idx] = plan.term_signs[picks] * eig * plan.observable.o_max
 
     rows = tree.levels[0]
     if not rows:
-        # the root's pair state and traces are computed only while the tree lacks them
+        # the root's pair state and chances are computed only while the tree lacks them
         origin = np.zeros(1, dtype=np.intp)
         rows = _rows(plan, 0, plan.root, np.ones(1), origin, origin)
         if depth and tree.fits(0, rows, 1):
@@ -668,47 +696,29 @@ def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, 
     return sign, o_value, x
 
 
-def _route(terms: _Terms, traces: np.ndarray, z, node, col) -> np.ndarray:
+def _route(terms: _Terms, chance: np.ndarray, z, node, col) -> np.ndarray:
     """Each shot's child of its node, as the key ((node * T + term) * 2 + a) * 2 + b.
 
     Shot i is at ``node[i]`` and reads its term from column ``col[i]`` of
     the stream that starts at ``z[i]``, then its left channel's outcome a,
     if that draws, from the next column, and its right one's b, if that
-    draws, from the one after; a side that draws nothing reads no column.
-    A side's outcome is 1 iff its draw is >= t_0 / (t_0 + t_1), where t_o is
-    Tr((E_o (x) I) rho) on the left and Tr((E_a (x) E_o) rho) on the right,
-    E_o the effect of the side's outcome o and E_a that of the left outcome
-    drawn, read from ``traces`` (``_traces`` of the nodes' pair states).
-    That is exactly 1/2 for a coin. For a measurement of the projector Pi
-    it is Tr((Pi (x) I) rho), or Tr((E_a (x) Pi) rho) / Tr((E_a (x) I) rho),
-    up to rounding, and exactly 1 on an eigenstate of Pi, whose other
-    outcome has trace 0 and is never drawn.
+    draws, from the one after; a side that draws nothing reads no column,
+    and both sides' columns are read in one ``_draw`` call. A side's
+    outcome is 1 iff its draw is >= its chance of outcome 0, read from the
+    node's row of ``chance`` (``_chances``): column 0 on the left, and
+    column 1 + a on the right.
     """
     term = _draw_terms(_draw(z, col), terms.cums)
-    draws, effect = terms.draws[term], terms.effect[term]
-    left = _outcomes(
-        z, col + 1, draws[:, 0],
-        traces[node, effect[:, 0, 0], 0], traces[node, effect[:, 0, 1], 0],
-    )  # fmt: skip
-    given = terms.effect[term, 0, left]
-    right = _outcomes(
-        z, col + 1 + draws[:, 0], draws[:, 1],
-        traces[node, given, effect[:, 1, 0]], traces[node, given, effect[:, 1, 1]],
-    )  # fmt: skip
-    return ((node * len(terms.cums) + term) * 2 + left) * 2 + right
-
-
-def _outcomes(z, col, draws, zero, one) -> np.ndarray:
-    """One side's outcome per shot, 0 or 1: see ``_route``.
-
-    ``zero`` and ``one`` are the traces of the side's outcomes. Only the
-    shots whose side draws read their stream (from ``z``), at column ``col``.
-    """
-    outcome = np.zeros(len(z), dtype=np.intp)
-    drew = np.flatnonzero(draws)
-    chance = zero[drew] / (zero[drew] + one[drew])
-    outcome[drew] = _draw(z[drew], col[drew]) >= chance
-    return outcome
+    at = node * len(terms.cums) + term  # the shot's row of chance.reshape(-1, 3)
+    draws_left, draws_right = terms.draws[:, 0][term], terms.draws[:, 1][term]
+    left, right = np.flatnonzero(draws_left), np.flatnonzero(draws_right)
+    columns = np.concatenate((col[left], col[right] + draws_left[right])) + 1
+    u = _draw(np.concatenate((z[left], z[right])), columns)
+    chance = chance.reshape(-1)
+    a, b = np.zeros((2, len(z)), dtype=np.intp)
+    a[left] = u[: len(left)] >= chance[3 * at[left]]
+    b[right] = u[len(left) :] >= chance[3 * at[right] + 1 + a[right]]
+    return (at * 2 + a) * 2 + b
 
 
 def _pair_front(stack: np.ndarray, qubits: tuple[int, int], n: int) -> np.ndarray:
@@ -734,6 +744,27 @@ def _traces(phi: np.ndarray) -> np.ndarray:
     rho = (phi @ phi.conj().transpose(0, 2, 1)).reshape(-1, 2, 2, 2, 2)
     left = np.einsum("xji,pikjl->pxkl", EFFECTS, rho)
     return np.einsum("ylk,pxkl->pxy", EFFECTS, left).real
+
+
+def _chances(terms: _Terms, traces: np.ndarray) -> np.ndarray:
+    """Per row of ``traces`` (``_traces``) and term, each side's chance of outcome 0.
+
+    Column 0 is the left side's t_0 / (t_0 + t_1), with t_o =
+    Tr((E_o (x) I) rho); columns 1 and 2 are the right side's, with t_o =
+    Tr((E_a (x) E_o) rho) given the left outcome a = 0 and a = 1, E_o the
+    effect of the side's outcome o and E_a that of the left outcome. That
+    is exactly 1/2 for a coin. For a measurement of the projector Pi it is
+    Tr((Pi (x) I) rho), or Tr((E_a (x) Pi) rho) / Tr((E_a (x) I) rho), up
+    to rounding, and exactly 1 on an eigenstate of Pi, whose other outcome
+    has trace 0 and is never drawn. An entry of a side that draws nothing,
+    or that cannot be reached (0 / 0), is never read.
+    """
+    (x0, x1), (y0, y1) = terms.effect[:, 0].T, terms.effect[:, 1].T
+    origin = np.zeros_like(x0)
+    zero = traces[:, np.stack((x0, x0, x1), 1), np.stack((origin, y0, y0), 1)]
+    one = traces[:, np.stack((x1, x0, x1), 1), np.stack((origin, y1, y1), 1)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return zero / (zero + one)
 
 
 def _draw_terms(u: np.ndarray, cums) -> np.ndarray:

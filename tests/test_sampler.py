@@ -539,20 +539,25 @@ def side_chances(draws, zero, one):
     return p0, np.where(reached, 1.0 - p0, 0.0)
 
 
-def plan_expected_shot_value(circuit, observable, mode):
+def plan_expected_shot_value(circuit, observable, mode, sides=None):
     """sum p * W * s * o' over every child the engine's own node builder makes from the plan.
 
     Per cut and parent node, every term t (probability |c|/W from the
     plan's cut points) and every left and right outcome (a, b) of its two
     channels, with the probabilities the router draws them by, from the
-    traces of the outcomes' effects that ``sampler._rows`` keeps per node
-    (given the left outcome a on the right): 1/2 per side of a coin,
-    Tr(Pi rho) and 1 minus it for a measurement. Each child of positive
-    probability is built by ``sampler._children`` and ``sampler._rows``, as
-    a walk builds it, with its sign and exact-mode o'. In sample mode o' is
-    the expected sample: per live term (probability |c|/o_max from the
-    plan's cut points) its sign times o_max times 2 p_+ - 1, with p_+ from
-    the <P> the leaf holds. Asserts that the probabilities sum to 1.
+    traces of the outcomes' effects (``sampler._traces`` of each node's
+    pair state, given the left outcome a on the right), not from the
+    chances the node keeps: 1/2 per side of a coin, Tr(Pi rho) and 1 minus
+    it for a measurement. Each child of positive probability is built by
+    ``sampler._children`` and ``sampler._rows``, as a walk builds it, with
+    its sign and exact-mode o'. In sample mode o' is the expected sample:
+    per live term (probability |c|/o_max from the plan's cut points) its
+    sign times o_max times 2 p_+ - 1, with p_+ from the <P> the leaf holds.
+    Asserts that the probabilities sum to 1.
+
+    If ``sides`` is a list, it gets one entry per term and drawing side of
+    every cut level: (the nodes' kept chances of its outcome 0, the traces
+    of its outcomes 0 and 1, which nodes reach it).
     """
     plan = sampler_module._compile(circuit, observable, mode)
     n = plan.num_qubits
@@ -561,17 +566,22 @@ def plan_expected_shot_value(circuit, observable, mode):
     probs = np.ones(1)
     for k, cut in enumerate(plan.cuts):
         terms = cut.terms
-        traces, width = rows["traces"], len(terms.cums)
+        traces, width = sampler_module._traces(rows["phi"])[: len(probs)], len(terms.cums)
+        chance = rows["chance"][: len(probs)]
         shares = np.diff(terms.cums, prepend=0.0) / terms.cums[-1]
         keys, weights = [], []
         for t, share in enumerate(shares):
             (left_draws, right_draws), (left_effects, right_effects) = terms.draws[t], terms.effect[t]
-            left = side_chances(left_draws, *(traces[: len(probs), e, 0] for e in left_effects))
+            left_traces = [traces[:, e, 0] for e in left_effects]
+            left = side_chances(left_draws, *left_traces)
+            if sides is not None and left_draws:
+                sides.append((chance[:, t, 0], *left_traces, probs > 0))
             for a in range(2):
                 given = left_effects[a]
-                right = side_chances(
-                    right_draws, *(traces[: len(probs), given, e] for e in right_effects)
-                )
+                right_traces = [traces[:, given, e] for e in right_effects]
+                right = side_chances(right_draws, *right_traces)
+                if sides is not None and right_draws:
+                    sides.append((chance[:, t, 1 + a], *right_traces, left[a] > 0))
                 for b in range(2):
                     p = share * left[a] * right[b]
                     parents = np.flatnonzero(p)
@@ -610,6 +620,19 @@ def test_sample_plan_tables_are_unbiased(num_qubits, layout, seed):
     circuit, observable = oracle_instance(num_qubits, LAYOUTS[layout], seed)
     expected = plan_expected_shot_value(circuit, observable, MeasureMode.EIGENVALUE_SAMPLE)
     assert abs(expected - exact_expectation(circuit, observable)) < 1e-10
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+@pytest.mark.parametrize("num_qubits, layout, seed", UNBIASED_INSTANCES)
+def test_kept_chances_are_the_trace_ratios_bit_for_bit(num_qubits, layout, seed, mode):
+    """Every reachable node, term and drawing side keeps zero / (zero + one) of its traces."""
+    circuit, observable = oracle_instance(num_qubits, LAYOUTS[layout], seed)
+    sides = []
+    plan_expected_shot_value(circuit, observable, mode, sides)
+    assert sum(reached.sum() for *_, reached in sides) >= 50
+    for kept, zero, one, reached in sides:
+        ratio = zero[reached] / (zero[reached] + one[reached])
+        assert kept[reached].tobytes() == ratio.tobytes()
 
 
 # --- fused uncut segments ----------------------------------------------------
@@ -927,6 +950,22 @@ def test_run_shot_matches_per_gate_reference(layout, num_qubits, mode):
     shot_against_reference(circuit, observable, mode)
 
 
+def record_draws(start, monkeypatch):
+    """A recorder on ``_draw``: per stream start in ``start``, the columns it gives out."""
+    shot_of = {z: s for s, z in enumerate(start.tolist())}
+    assert len(shot_of) == len(start)
+    reads = [[] for _ in shot_of]
+    draw = sampler_module._draw
+
+    def recorded(z, column):
+        for zi, col in zip(z.tolist(), np.broadcast_to(column, z.shape).tolist()):
+            reads[shot_of[zi]].append(col)
+        return draw(z, column)
+
+    monkeypatch.setattr(sampler_module, "_draw", recorded)
+    return reads
+
+
 def walk_against_reference(circuit, observable, mode, seed, rows, monkeypatch):
     """One walk of ``rows`` shots, one stream each, next to the reference shot by shot.
 
@@ -938,17 +977,7 @@ def walk_against_reference(circuit, observable, mode, seed, rows, monkeypatch):
     decomps = cut_decomps(circuit)
     plan = sampler_module._compile(circuit, observable, mode)
     start = stream_starts(seed, 0, rows)
-    shot_of = {z: s for s, z in enumerate(start.tolist())}
-    assert len(shot_of) == rows
-    reads = [[] for _ in range(rows)]
-    draw = sampler_module._draw
-
-    def recorded(z, column):
-        for zi, col in zip(z.tolist(), np.broadcast_to(column, z.shape).tolist()):
-            reads[shot_of[zi]].append(col)
-        return draw(z, column)
-
-    monkeypatch.setattr(sampler_module, "_draw", recorded)
+    reads = record_draws(start, monkeypatch)
     sign, o_value, x = sampler_module._walk(plan, sampler_module._Tree(plan), start)
     refs = [CountingStream(ShotStream(seed, s)) for s in range(rows)]
     expected = [reference_shot(circuit, observable, decomps, ref, mode) for ref in refs]
@@ -1279,6 +1308,62 @@ def test_walk_is_pinned_shot_for_shot_on_warm_trees():
             # grow the tree on other shots before the second pass
             sampler_module._walk(plan, tree, stream_starts(3, 0, 64))
         assert digest.hexdigest() == WALK_DIGEST, f"warm {warm}"
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+@pytest.mark.parametrize("num_qubits", [3, 6, 9])
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_a_walk_on_kept_nodes_is_a_fresh_walk(layout, num_qubits, mode, monkeypatch):
+    """The same starts walked twice on one tree: the second walk builds nothing.
+
+    Every node it reaches is kept, so each level returns its shots at
+    once. Its (sign, o', x) are a fresh tree's bit for bit, and every shot
+    reads its first columns, each once, as on the fresh tree.
+    """
+    circuit, observable = oracle_instance(num_qubits, layout, len(layout))
+    plan = sampler_module._compile(circuit, observable, mode)
+    start = stream_starts(17, 0, 64)
+    tree = sampler_module._Tree(plan)
+    sampler_module._walk(plan, tree, start)
+    cold_reads = record_draws(start, monkeypatch)
+    cold = sampler_module._walk(plan, sampler_module._Tree(plan), start)
+    monkeypatch.undo()
+    reads = record_draws(start, monkeypatch)
+    built = []
+    monkeypatch.setattr(sampler_module, "_children", lambda *args: built.append(args))
+    warm = sampler_module._walk(plan, tree, start)
+    assert built == []
+    for warm_values, cold_values in zip(warm, cold):
+        assert warm_values.tobytes() == cold_values.tobytes()
+    assert [sorted(cols) for cols in reads] == [list(range(len(cols))) for cols in cold_reads]
+
+
+def tree_allocated(tree):
+    """The bytes of the blocks behind the tree's arrays, each block counted once."""
+    blocks = {}
+    for level in tree.levels:
+        for array in level.values():
+            block = array if array.base is None else array.base
+            blocks[id(block)] = block.nbytes
+    return sum(blocks.values())
+
+
+@pytest.mark.parametrize("bound", [40_000, 200_000, None])
+def test_a_tree_allocates_within_its_bound_over_many_small_walks(monkeypatch, bound):
+    """120 walks of 3 shots each on one tree: the blocks behind it stay within ``_TREE_BYTES``."""
+    if bound is not None:
+        monkeypatch.setattr(sampler_module, "_TREE_BYTES", bound)
+    bound = sampler_module._TREE_BYTES
+    circuit, observable = oracle_instance(6, LAYOUTS["two cuts"], 2)
+    plan = sampler_module._compile(circuit, observable, MeasureMode.EXACT_TRACE)
+    tree = sampler_module._Tree(plan)
+    for seed in range(120):
+        sampler_module._walk(plan, tree, stream_starts(seed, 0, 3))
+        assert tree.size == tree_bytes(tree) <= tree.allocated == tree_allocated(tree) <= bound
+    assert len(tree.levels[2]["sign"]) > 16
+    if bound < 1 << 20:
+        # the walks reach more nodes than fit, so the tree fills most of its bound
+        assert tree.allocated > bound / 2
 
 
 @pytest.mark.parametrize("mode", list(MeasureMode))
