@@ -176,12 +176,13 @@ class ShotStream:
     The starting state is a murmur-style 64-bit finalizer of the key, so
     consecutive shots start at uncorrelated positions; each draw then
     advances by the SplitMix64 increment and finalizer. Values in [0, 1).
+    ``seed`` and ``shot_index`` are integers, not bools (ValueError otherwise).
     """
 
     __slots__ = ("_z",)
 
     def __init__(self, seed: int, shot_index: int) -> None:
-        self._z = _stream_start(seed, shot_index)
+        self._z = _stream_start(integer(seed, "seed"), integer(shot_index, "shot_index"))
 
     def random(self) -> float:
         self._z = z = (self._z + _GAMMA) & _MASK
@@ -525,46 +526,46 @@ def _apply_steps(stack: np.ndarray, steps, n: int) -> np.ndarray:
 class _Tree:
     """A plan's node table: the branch-tree nodes its walks built, kept for its later walks.
 
-    ``levels[k]`` holds the kept nodes before cut k (level 0 is the root;
-    the last level the leaves), one row per node in each array: ``sign``,
-    ``col`` (the draws its shots have taken) and ``key`` (its ``_route``
-    key under its parent). A node before a cut also has ``phi`` (its
+    ``levels[k]`` holds the kept nodes before cut k (level 0 is the root,
+    kept when the plan has a cut and it fits; the last level the leaves),
+    one row per node in each array: ``sign`` and ``col`` (the draws its
+    shots have taken). A node before a cut also has ``phi`` (its
     ``_pair_front`` state), ``chance`` (its ``_chances`` table) and
-    ``children``, per route key the id of its kept child or -1. A leaf has
-    ``value``: o', or in sample mode <P> per live observable term, all read
-    when the leaf is built. Only a kept node's children are kept.
+    ``children``, per ``_route`` key the id of its kept child or -1. A
+    leaf has ``value``: o', or in sample mode <P> per live observable
+    term, all read when the leaf is built. Only a kept node's children are
+    kept.
 
     Each array of a level is a view of the first rows of a block that
     holds room for more, so keeping a node copies it once, and the level's
     held rows again only when its blocks fill. A full level's blocks grow
     to twice their rows, or to the rows needed if that is more, but never
     past what ``_TREE_BYTES`` leaves: ``allocated``, the bytes of all
-    blocks, stays within it, and ``size``, the bytes of the used rows,
-    within ``allocated``.
+    blocks, stays within it.
     """
 
     def __init__(self, plan: _ShotPlan) -> None:
         self.levels: list[dict[str, np.ndarray]] = [{} for _ in range(len(plan.cuts) + 1)]
         self.blocks: list[dict[str, np.ndarray]] = [{} for _ in self.levels]
         self.width = [4 * len(cut.terms.cums) for cut in plan.cuts]
-        self.size = self.allocated = 0
-
-    def _per(self, k: int, rows: dict) -> int:
-        """The bytes of one node of ``rows`` at level k, its child ids included."""
-        return sum(array[:1].nbytes for array in rows.values()) + 8 * (self.width + [0])[k]
-
-    def fits(self, k: int, rows: dict, count: int) -> int:
-        """How many of the first ``count`` nodes of ``rows`` level k has room for."""
-        free = len(self.blocks[k].get("sign", ())) - len(self.levels[k].get("sign", ()))
-        return min(count, free + (_TREE_BYTES - self.allocated) // self._per(k, rows))
+        self.allocated = 0
+        if plan.cuts:
+            self.add(0, _root(plan), 1)
 
     def add(self, k: int, rows: dict, count: int) -> np.ndarray:
-        """Keep the first ``count`` nodes of ``rows`` at level k, with no children: their ids."""
-        level, blocks, per = self.levels[k], self.blocks[k], self._per(k, rows)
-        used = len(level.get("sign", ()))
+        """Keep what fits of the first ``count`` nodes of ``rows`` at level k, with no children.
+
+        Returns the kept nodes' ids: all ``count``, fewer once the level's
+        blocks are full and ``_TREE_BYTES`` leaves no room for more, or none.
+        """
+        level, blocks = self.levels[k], self.blocks[k]
+        per = sum(array[:1].nbytes for array in rows.values()) + 8 * (self.width + [0])[k]
+        used, held = len(level.get("sign", ())), len(blocks.get("sign", ()))
+        count = min(count, held - used + (_TREE_BYTES - self.allocated) // per)
+        if count <= 0:
+            return np.arange(0)
         if k < len(self.width):
             rows = {**rows, "children": np.full((count, self.width[k]), -1)}
-        held = len(blocks.get("sign", ()))
         if used + count > held:
             grown = min(max(2 * held, used + count), held + (_TREE_BYTES - self.allocated) // per)
             for name, array in rows.items():
@@ -575,14 +576,19 @@ class _Tree:
         for name, array in rows.items():
             blocks[name][used : used + count] = array[:count]
             level[name] = blocks[name][: used + count]
-        self.size += count * per
         return np.arange(used, used + count)
 
 
-def _rows(plan: _ShotPlan, k: int, stack: np.ndarray, sign, col, key) -> dict:
+def _root(plan: _ShotPlan) -> dict:
+    """The root's node data (``_rows`` of level 0): the state before the first cut."""
+    origin = np.zeros(1, dtype=np.intp)
+    return _rows(plan, 0, plan.root, np.ones(1), origin)
+
+
+def _rows(plan: _ShotPlan, k: int, stack: np.ndarray, sign, col) -> dict:
     """Level k's data of the nodes whose states are the rows of ``stack``: see ``_Tree``."""
     n = plan.num_qubits
-    rows = {"sign": sign, "col": col, "key": key}
+    rows = {"sign": sign, "col": col}
     if k < len(plan.cuts):
         rows["phi"] = _pair_front(stack, plan.cuts[k].qubits, n)
         rows["chance"] = _chances(plan.cuts[k].terms, _traces(rows["phi"]))
@@ -609,58 +615,61 @@ def _children(cut: _Cut, rows: dict, key: np.ndarray, n: int) -> tuple[np.ndarra
 def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, ...]:
     """Run the shot of each stream start state in ``start`` down the plan's branch tree.
 
-    Returns (sign, o', x) arrays. ``descend`` takes one tree level's nodes
-    (``_rows``) and the shots (indices into ``start``) at them with the
-    node of each: a node's shots have taken the same draws, so it reads
-    the same columns of all their streams (``_draw``). Before cut k,
-    ``_route`` sends each shot to a child: a term and the outcomes of its
-    two channels, drawn from the node's next columns with the chances its
-    ``chance`` table holds. A child ``tree`` holds is read from it, and a
-    level whose shots all reach kept children returns them at once. The
-    other children, one per (node, term, outcomes) reached, are built as
-    ``_BATCH_AMPS``-amplitude slices of one batched product each, and
-    ``tree`` keeps what fits of its own nodes' children.
-    The shots at a slice's other children descend before the next slice is
-    built, so besides the tree only the open frontier holds states. A leaf
-    reads the observable when it is built, so a leaf's shots need only its
-    row: in sample mode they draw their observable term and eigenvalue
-    from its column and the next, in one stream call.
+    Returns (sign, o', x) arrays. ``descend`` is the one traversal: it
+    takes one tree level's nodes (``_rows``), kept in ``tree`` or just
+    built, and the shots (indices into ``start``) at them with the node of
+    each. A node's shots have taken the same draws, so it reads the same
+    columns of all their streams (``_draw``). Before cut k, ``_route``
+    sends each shot to a child: a term and the outcomes of its two
+    channels, drawn from the node's next columns with the chances its
+    ``chance`` table holds. The children ``tree`` lacks, one per (node,
+    term, outcomes) reached, are built as ``_BATCH_AMPS``-amplitude slices
+    of one batched product each; below a kept node ``tree`` keeps what
+    fits of them, and the shots at a slice's other children descend from
+    it before the next slice is built, so besides the tree only the open
+    frontier holds states. Then the shots at kept children descend from
+    ``tree``'s next level together. A leaf reads the observable when it
+    is built, so a leaf's shots need only its row: in sample mode they
+    draw their observable term and eigenvalue from its column and the
+    next, in one stream call.
     """
     n, depth = plan.num_qubits, len(plan.cuts)
     shots = len(start)
     sign, o_value = np.empty(shots), np.empty(shots)
     per = max(1, _BATCH_AMPS >> n)
 
-    def descend(k: int, rows: dict, idx, node):
-        # row r of rows is the node of shots idx[node == r]; returns the shots at kept children
+    def descend(k: int, rows: dict, idx, node) -> None:
+        # row r of rows is the node of shots idx[node == r]
         if k == depth:
             leaves(rows, idx, node)
-            return idx[:0], node[:0]
+            return
         cut, kept = plan.cuts[k], rows is tree.levels[k]
         key = _route(cut.terms, rows["chance"], start[idx], node, rows["col"][node])
         child_id = rows["children"].reshape(-1)[key] if kept else np.full(len(key), -1)
         new = np.flatnonzero(child_id < 0)
-        if not len(new):
-            return idx, child_id
-        new = new[np.argsort(key[new])]
-        starts = np.flatnonzero(np.diff(key[new], prepend=-1))
-        child = key[new[starts]]
-        bounds = np.append(starts, len(new))
-        for first in range(0, len(child), per):
-            last = min(first + per, len(child))
-            keys = child[first + _pad(last - first, n)]
-            level = _rows(plan, k + 1, *_children(cut, rows, keys, n), keys)
-            fits = tree.fits(k + 1, level, last - first) if kept else 0
-            at = np.repeat(np.arange(last - first), np.diff(bounds[first : last + 1]))
-            stay = at >= fits
-            if stay.any():
-                descend(k + 1, level, idx[new[bounds[first] : bounds[last]]][stay], at[stay])
-            if fits:
-                rows["children"].reshape(-1)[keys[:fits]] = tree.add(k + 1, level, fits)
-        if kept:
+        if len(new):
+            new = new[np.argsort(key[new])]
+            starts = np.flatnonzero(np.diff(key[new], prepend=-1))
+            child = key[new[starts]]
+            bounds = np.append(starts, len(new))
+            for first in range(0, len(child), per):
+                last = min(first + per, len(child))
+                keys = child[first + _pad(last - first, n)]
+                level = _rows(plan, k + 1, *_children(cut, rows, keys, n))
+                ids = tree.add(k + 1, level, last - first) if kept else ()
+                if len(ids):
+                    rows["children"].reshape(-1)[keys[: len(ids)]] = ids
+                at = np.repeat(np.arange(last - first), np.diff(bounds[first : last + 1]))
+                stay = at >= len(ids)
+                if stay.any():
+                    descend(k + 1, level, idx[new[bounds[first] : bounds[last]]][stay], at[stay])
+            if not kept:
+                return
             child_id = rows["children"].reshape(-1)[key]
-        went = child_id >= 0
-        return idx[went], child_id[went]
+            went = child_id >= 0
+            idx, child_id = idx[went], child_id[went]
+        if len(idx):
+            descend(k + 1, tree.levels[k + 1], idx, child_id)
 
     def leaves(rows, idx, node) -> None:
         sign[idx] = rows["sign"][node]
@@ -674,20 +683,7 @@ def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, 
         eig = np.where(u[len(idx) :] < p_plus, 1.0, -1.0)
         o_value[idx] = plan.term_signs[picks] * eig * plan.observable.o_max
 
-    rows = tree.levels[0]
-    if not rows:
-        # the root's pair state and chances are computed only while the tree lacks them
-        origin = np.zeros(1, dtype=np.intp)
-        rows = _rows(plan, 0, plan.root, np.ones(1), origin, origin)
-        if depth and tree.fits(0, rows, 1):
-            tree.add(0, rows, 1)
-            rows = tree.levels[0]
-    idx, node = np.arange(shots), np.zeros(shots, dtype=np.intp)
-    for k in range(depth + 1):
-        idx, node = descend(k, rows, idx, node)
-        if not len(idx):
-            break
-        rows = tree.levels[k + 1]
+    descend(0, tree.levels[0] or _root(plan), np.arange(shots), np.zeros(shots, dtype=np.intp))
     x = plan.w_total * (sign * o_value)
     bound = plan.w_total * plan.observable.o_max
     over = np.abs(x) > bound + _BOUND_SLACK

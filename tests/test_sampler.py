@@ -94,6 +94,16 @@ def test_adjacent_shots_do_not_share_a_stream():
     assert first[1:] != second[:-1]
 
 
+NOT_STREAM_KEYS = [("1", 0), (1.5, 0), (True, 0), (0, "1"), (0, 1.5), (0, True)]
+
+
+@pytest.mark.parametrize("seed, shot_index", NOT_STREAM_KEYS)
+def test_stream_rejects_a_key_that_is_not_an_integer(seed, shot_index):
+    """A string, a float or a bool is no stream key, as in ``run_shot``."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        ShotStream(seed, shot_index)
+
+
 def test_stream_is_roughly_uniform():
     stream = ShotStream(2, 0)
     draws = np.array([stream.random() for _ in range(20000)])
@@ -562,7 +572,7 @@ def plan_expected_shot_value(circuit, observable, mode, sides=None):
     plan = sampler_module._compile(circuit, observable, mode)
     n = plan.num_qubits
     origin = np.zeros(1, dtype=np.intp)
-    rows = sampler_module._rows(plan, 0, plan.root, np.ones(1), origin, origin)
+    rows = sampler_module._rows(plan, 0, plan.root, np.ones(1), origin)
     probs = np.ones(1)
     for k, cut in enumerate(plan.cuts):
         terms = cut.terms
@@ -589,7 +599,7 @@ def plan_expected_shot_value(circuit, observable, mode, sides=None):
                     weights.append(probs[parents] * p[parents])
         keys, probs = np.concatenate(keys), np.concatenate(weights)
         children = sampler_module._children(cut, rows, keys, n)
-        rows = sampler_module._rows(plan, k + 1, *children, keys)
+        rows = sampler_module._rows(plan, k + 1, *children)
     assert abs(probs.sum() - 1.0) < 1e-12
     assert set(rows["sign"].tolist()) <= {1.0, -1.0}
     if mode is MeasureMode.EXACT_TRACE:
@@ -1316,9 +1326,10 @@ def test_walk_is_pinned_shot_for_shot_on_warm_trees():
 def test_a_walk_on_kept_nodes_is_a_fresh_walk(layout, num_qubits, mode, monkeypatch):
     """The same starts walked twice on one tree: the second walk builds nothing.
 
-    Every node it reaches is kept, so each level returns its shots at
-    once. Its (sign, o', x) are a fresh tree's bit for bit, and every shot
-    reads its first columns, each once, as on the fresh tree.
+    Every node it reaches is kept, so each level passes its shots on to
+    the next kept one. Its (sign, o', x) are a fresh tree's bit for bit,
+    and every shot reads its first columns, each once, as on the fresh
+    tree.
     """
     circuit, observable = oracle_instance(num_qubits, layout, len(layout))
     plan = sampler_module._compile(circuit, observable, mode)
@@ -1359,11 +1370,28 @@ def test_a_tree_allocates_within_its_bound_over_many_small_walks(monkeypatch, bo
     tree = sampler_module._Tree(plan)
     for seed in range(120):
         sampler_module._walk(plan, tree, stream_starts(seed, 0, 3))
-        assert tree.size == tree_bytes(tree) <= tree.allocated == tree_allocated(tree) <= bound
+        assert tree_bytes(tree) <= tree.allocated == tree_allocated(tree) <= bound
     assert len(tree.levels[2]["sign"]) > 16
     if bound < 1 << 20:
         # the walks reach more nodes than fit, so the tree fills most of its bound
         assert tree.allocated > bound / 2
+
+
+def test_a_tree_adds_what_fits_at_its_bound(monkeypatch):
+    """Room for 2.5 level-1 nodes: ``add`` keeps two of five, then none, within the bound."""
+    circuit, observable = oracle_instance(6, LAYOUTS["two cuts"], 2)
+    plan = sampler_module._compile(circuit, observable, MeasureMode.EXACT_TRACE)
+    tree = sampler_module._Tree(plan)
+    col = np.zeros(5, dtype=np.intp)
+    rows = sampler_module._rows(plan, 1, plan.root[[0] * 5], np.ones(5), col)
+    per = sum(array[:1].nbytes for array in rows.values()) + 8 * tree.width[1]
+    bound = tree.allocated + 5 * per // 2
+    monkeypatch.setattr(sampler_module, "_TREE_BYTES", bound)
+    assert tree.add(1, rows, 5).tolist() == [0, 1]
+    assert len(tree.levels[1]["sign"]) == 2
+    assert tree_bytes(tree) <= tree.allocated <= bound
+    assert tree.add(1, rows, 5).tolist() == []
+    assert tree_bytes(tree) <= tree.allocated <= bound
 
 
 @pytest.mark.parametrize("mode", list(MeasureMode))
@@ -1383,7 +1411,7 @@ def test_a_bounded_tree_changes_no_bit(monkeypatch, mode):
         for instance, seed in calls:
             result = estimate(*instance, EstimatorConfig(shots=400, seed=seed, mode=mode))
             tree = sampler_module._last[4]["tree"]
-            assert tree.size == tree_bytes(tree) <= bound
+            assert tree_bytes(tree) <= tree.allocated <= bound
             out.append((result.mean.hex(), result.std_error.hex()))
         return out
 
@@ -1454,15 +1482,16 @@ def test_every_kept_sample_leaf_holds_the_cold_values():
         assert warm_values.tobytes() == cold_values.tobytes()
 
     def by_path(tree):
-        # each leaf's route keys under its parents, from the root, to its <P> row
-        level, paths = tree.levels[-1], {}
-        for leaf, key in enumerate(level["key"].tolist()):
-            path = [key]
-            for k in range(len(plan.cuts) - 1, 0, -1):
-                parent = (path[0] >> 2) // len(plan.cuts[k].terms.cums)
-                path.insert(0, int(tree.levels[k]["key"][parent]))
-            paths[tuple(path)] = level["value"][leaf]
-        return paths
+        # each leaf's local route keys (key mod row width) from the root, to its <P> row
+        paths = {(): 0}
+        for level in tree.levels[:-1]:
+            paths = {
+                path + (local,): child
+                for path, node in paths.items()
+                for local, child in enumerate(level["children"][node].tolist())
+                if child >= 0
+            }
+        return {path: tree.levels[-1]["value"][leaf] for path, leaf in paths.items()}
 
     warm_leaves, cold_leaves = by_path(warm), by_path(cold)
     values = warm.levels[-1]["value"]
@@ -1506,7 +1535,7 @@ def test_kept_tree_memory_stays_bounded():
     for seed in range(2, 52):
         estimate(circuit, observable, EstimatorConfig(shots=500, seed=seed))
         tree = sampler_module._last[4]["tree"]
-        assert tree.size == tree_bytes(tree) <= sampler_module._TREE_BYTES
+        assert tree_bytes(tree) <= tree.allocated <= sampler_module._TREE_BYTES
 
 
 def test_estimates_in_threads_never_share_a_tree(monkeypatch):
