@@ -144,6 +144,11 @@ class Circuit:
                     raise ValueError(f"gate qubit {q} outside 0..{self.num_qubits - 1}")
 
     def cut_indices(self) -> tuple[int, ...]:
+        """The positions of the cut gates, canonical gates with ``cut`` set, in order.
+
+        The sampler splits the circuit at these positions; no other code
+        decides which gates are cut.
+        """
         return tuple(
             i
             for i, g in enumerate(self.gates)

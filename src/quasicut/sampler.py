@@ -16,7 +16,8 @@ Averaged over shots this is unbiased for the exact expectation.
 |x_s| <= W_total * o_max holds per shot and is asserted.
 
 ``estimate`` and ``run_shot`` run every shot from a shot plan of
-(circuit, observable, mode): the state after the uncut gates before the
+(circuit, observable, mode), split at the cuts ``Circuit.cut_indices()``
+names: the state after the uncut gates before the
 first cut, simulated once, and per cut its qubits, its angle's sampling
 table (the terms' cut points, whose total is the weight, and the rows of
 their channels' outcome tables, gathered as read-only arrays) and the
@@ -41,6 +42,9 @@ fused, so the sampler is still judged against gate-by-gate simulation. The
 oracle's own ``observable_expectation`` (exact mode) or
 ``pauli_string_expectation`` per live term (sample mode) reads the
 observable on a stack of leaf states at once, when the leaves are built.
+In sample mode a leaf keeps each live term's chance of eigenvalue +1, and
+the plan each term's readout, the sign of its coefficient times o_max, so
+a shot compares one uniform and multiplies one eigenvalue.
 
 Every step a shot takes is picked from a small discrete set: the term, the
 outcome of each of its two channels (a coin side or a measurement
@@ -117,6 +121,8 @@ from .circuit import (
 from .decomposition import _SLOTS, _slot_coefficients
 from .local_basis import EFFECT, EFFECTS, KRAUS, OUTCOMES, WEIGHTS
 
+# a shot's |x| may exceed W_total * o_max by this fraction of it: the
+# rounding of a renormalized leaf state, whatever the observable's scale
 _BOUND_SLACK = 1e-9
 
 # the largest double below 1
@@ -354,9 +360,10 @@ class _ShotPlan:
     array is read-only, so one plan serves any number of walks; what they
     build is kept apart, in the plan's ``_Tree``. Exact mode reads
     ``observable`` per Pauli string on a stack of leaf states at once.
-    Sample mode reads each of its live terms, with signs ``term_signs``
-    and Pauli strings ``paulis``, on a stack of leaf states, and draws one
-    per shot with cut points ``term_cums``.
+    Sample mode reads each of its live terms, with Pauli strings
+    ``paulis``, on a stack of leaf states, and draws one per shot with cut
+    points ``term_cums``; a shot's o' is its eigenvalue times the term's
+    ``readout``, the sign of its coefficient times o_max.
     """
 
     num_qubits: int
@@ -365,46 +372,40 @@ class _ShotPlan:
     cuts: tuple[_Cut, ...]
     w_total: float
     observable: Observable
-    term_signs: np.ndarray
+    readout: np.ndarray
     paulis: tuple[str, ...]
     term_cums: tuple[float, ...]
 
 
 def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _ShotPlan:
-    """Build each cut angle's table once, split the circuit at its cuts, fuse the later segments."""
+    """Build each cut angle's table once, split at ``cut_indices()``, fuse the later segments."""
     _check_mode(mode)
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable width does not match circuit")
-    n = circuit.num_qubits
-    segments: list[list[Gate]] = [[]]
-    cut_gates = []
-    for gate in circuit.gates:
-        if not (isinstance(gate, CanonicalGate) and gate.cut):
-            segments[-1].append(gate)
-            continue
-        cut_gates.append(gate)
-        segments.append([])
+    n, gates = circuit.num_qubits, circuit.gates
+    at = circuit.cut_indices()
+    ends = at + (len(gates),)
 
     # the prefix runs once, on one state: fusing it would cost more than it saves
-    root = _apply_steps(initial_state(n), segments[0], n)[None][_pad(1, n)]
+    root = _apply_steps(initial_state(n), gates[: ends[0]], n)[None][_pad(1, n)]
     root.setflags(write=False)
 
-    exact = mode is MeasureMode.EXACT_TRACE
     # cuts that share an angle share its sampling table
     tables: dict[ThetaVector, _Terms] = {}
     cuts = []
     w_total = 1.0
-    for gate, after in zip(cut_gates, segments[1:]):
+    for i, end in zip(at, ends[1:]):
+        gate = gates[i]
         if gate.theta not in tables:
             tables[gate.theta] = _cut_terms(gate.matrix)
         terms = tables[gate.theta]
         w_total *= float(terms.cums[-1])
-        cuts.append(_Cut(qubits=gate.qubits, terms=terms, after=_fuse(after)))
+        cuts.append(_Cut(qubits=gate.qubits, terms=terms, after=_fuse(gates[i + 1 : end])))
 
-    live = () if exact else tuple((c, p) for c, p in observable.terms if c != 0.0)
-    term_cums, term_signs = _table([c for c, _ in live])
-    term_signs = np.array(term_signs, dtype=float)
-    term_signs.setflags(write=False)
+    live = () if mode is MeasureMode.EXACT_TRACE else [t for t in observable.terms if t[0] != 0.0]
+    term_cums, signs = _table([c for c, _ in live])
+    readout = np.array(signs, dtype=float) * observable.o_max
+    readout.setflags(write=False)
     return _ShotPlan(
         num_qubits=n,
         mode=mode,
@@ -412,7 +413,7 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
         cuts=tuple(cuts),
         w_total=w_total,
         observable=observable,
-        term_signs=term_signs,
+        readout=readout,
         paulis=tuple(p for _, p in live),
         term_cums=term_cums,
     )
@@ -532,9 +533,9 @@ class _Tree:
     shots have taken). A node before a cut also has ``phi`` (its
     ``_pair_front`` state), ``chance`` (its ``_chances`` table) and
     ``children``, per ``_route`` key the id of its kept child or -1. A
-    leaf has ``value``: o', or in sample mode <P> per live observable
-    term, all read when the leaf is built. Only a kept node's children are
-    kept.
+    leaf has ``value``, its o', or in sample mode ``chance``: per live
+    observable term P, the chance clip((1 + <P>) / 2, 0, 1) of eigenvalue
+    +1, read when the leaf is built. Only a kept node's children are kept.
 
     Each array of a level is a view of the first rows of a block that
     holds room for more, so keeping a node copies it once, and the level's
@@ -586,7 +587,11 @@ def _root(plan: _ShotPlan) -> dict:
 
 
 def _rows(plan: _ShotPlan, k: int, stack: np.ndarray, sign, col) -> dict:
-    """Level k's data of the nodes whose states are the rows of ``stack``: see ``_Tree``."""
+    """Level k's data of the nodes whose states are the rows of ``stack``: see ``_Tree``.
+
+    Everything a shot compares against is computed here, once per node:
+    an inner node's outcome chances, a leaf's o' or its eigenvalue chances.
+    """
     n = plan.num_qubits
     rows = {"sign": sign, "col": col}
     if k < len(plan.cuts):
@@ -595,7 +600,8 @@ def _rows(plan: _ShotPlan, k: int, stack: np.ndarray, sign, col) -> dict:
     elif plan.mode is MeasureMode.EXACT_TRACE:
         rows["value"] = observable_expectation(stack, plan.observable, n)
     else:
-        rows["value"] = np.stack([pauli_string_expectation(stack, p, n) for p in plan.paulis], 1)
+        means = np.stack([pauli_string_expectation(stack, p, n) for p in plan.paulis], 1)
+        rows["chance"] = np.clip(0.5 * (1.0 + means), 0.0, 1.0)
     return rows
 
 
@@ -631,7 +637,10 @@ def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, 
     ``tree``'s next level together. A leaf reads the observable when it
     is built, so a leaf's shots need only its row: in sample mode they
     draw their observable term and eigenvalue from its column and the
-    next, in one stream call.
+    next, in one stream call, against the leaf's ``chance`` row, and o'
+    is the eigenvalue times the term's ``readout``. |x| may exceed
+    W_total * o_max only by the relative ``_BOUND_SLACK``, the rounding of
+    a renormalized state; more raises AssertionError.
     """
     n, depth = plan.num_qubits, len(plan.cuts)
     shots = len(start)
@@ -679,14 +688,13 @@ def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, 
         z, col = start[idx], rows["col"][node]
         u = _draw(np.concatenate((z, z)), np.concatenate((col, col + 1)))
         picks = _draw_terms(u[: len(idx)], plan.term_cums)
-        p_plus = np.clip(0.5 * (1.0 + rows["value"][node, picks]), 0.0, 1.0)
-        eig = np.where(u[len(idx) :] < p_plus, 1.0, -1.0)
-        o_value[idx] = plan.term_signs[picks] * eig * plan.observable.o_max
+        eig = np.where(u[len(idx) :] < rows["chance"][node, picks], 1.0, -1.0)
+        o_value[idx] = eig * plan.readout[picks]
 
     descend(0, tree.levels[0] or _root(plan), np.arange(shots), np.zeros(shots, dtype=np.intp))
     x = plan.w_total * (sign * o_value)
     bound = plan.w_total * plan.observable.o_max
-    over = np.abs(x) > bound + _BOUND_SLACK
+    over = np.abs(x) > bound * (1.0 + _BOUND_SLACK)
     if over.any():
         raise AssertionError(f"shot value {x[over][0]} exceeds bound {bound}")
     return sign, o_value, x

@@ -347,6 +347,37 @@ def test_shot_values_respect_the_bound():
         assert record.value in (w, -w)
 
 
+def scaled_identity_instance():
+    """A measured cut under 1e6 * II: every exact-mode shot sits on the bound W * o_max."""
+    circuit = Circuit(
+        2,
+        (
+            SingleGate(0, Y_AXIS, 0.3),
+            CanonicalGate((0, 1), ThetaVector(0.5, 0.3, 0.1), cut=True),
+        ),
+    )
+    return circuit, Observable(((1e6, "II"),))
+
+
+def test_the_bound_check_allows_the_rounding_of_renormalized_states():
+    """Shots on the bound pass at any observable scale; an absolute slack would reject them."""
+    circuit, observable = scaled_identity_instance()
+    result = estimate(circuit, observable, EstimatorConfig(shots=50, seed=0))
+    assert abs(result.mean - exact_expectation(circuit, observable)) <= 8 * result.std_error
+
+
+def test_the_bound_check_fires(monkeypatch):
+    """Leaf values 0.1% over o_max make shots over the bound, and the walk raises."""
+    circuit, observable = scaled_identity_instance()
+    monkeypatch.setattr(
+        sampler_module,
+        "observable_expectation",
+        lambda *args: 1.001 * observable_expectation(*args),
+    )
+    with pytest.raises(AssertionError, match="exceeds bound"):
+        estimate(circuit, observable, EstimatorConfig(shots=50, seed=0))
+
+
 def test_identity_cut_is_exact_every_shot():
     circuit = Circuit(
         2,
@@ -606,8 +637,7 @@ def plan_expected_shot_value(circuit, observable, mode, sides=None):
         o_value = rows["value"]
     else:
         shares = np.diff(plan.term_cums, prepend=0.0) / plan.term_cums[-1]
-        p_plus = np.clip(0.5 * (1.0 + rows["value"]), 0.0, 1.0)
-        o_value = (2.0 * p_plus - 1.0) @ (shares * plan.term_signs) * observable.o_max
+        o_value = (2.0 * rows["chance"] - 1.0) @ (shares * plan.readout)
     return float(np.sum(probs * plan.w_total * rows["sign"] * o_value))
 
 
@@ -1148,12 +1178,12 @@ def reachable_arrays(value):
 def test_every_array_of_a_plan_is_read_only(layout, mode):
     """A kept plan serves every later call on its objects: none of its arrays can be written.
 
-    That covers the root stack, the observable terms' signs, every field
-    of each cut's table and each fused step's matrix.
+    That covers the root stack, the observable terms' signed readouts,
+    every field of each cut's table and each fused step's matrix.
     """
     circuit, observable = oracle_instance(4, LAYOUTS[layout], 3)
     plan = sampler_module._compile(circuit, observable, mode)
-    expected = [plan.root, plan.term_signs]
+    expected = [plan.root, plan.readout]
     for cut in plan.cuts:
         expected += [getattr(cut.terms, f.name) for f in dataclasses.fields(cut.terms)]
         expected += [step.matrix for step in cut.after]
@@ -1468,7 +1498,7 @@ def test_a_sample_walk_builds_only_the_nodes_its_tree_lacks(builds):
 
 
 def test_every_kept_sample_leaf_holds_the_cold_values():
-    """Each kept leaf holds a finite <P> per live term, with the bits of its path's cold leaf.
+    """Each kept leaf holds a chance of +1 in [0, 1] per live term, with its cold leaf's bits.
 
     The shots read on the warm tree have the cold tree's bits too.
     """
@@ -1482,7 +1512,7 @@ def test_every_kept_sample_leaf_holds_the_cold_values():
         assert warm_values.tobytes() == cold_values.tobytes()
 
     def by_path(tree):
-        # each leaf's local route keys (key mod row width) from the root, to its <P> row
+        # each leaf's local route keys (key mod row width) from the root, to its chance row
         paths = {(): 0}
         for level in tree.levels[:-1]:
             paths = {
@@ -1491,11 +1521,12 @@ def test_every_kept_sample_leaf_holds_the_cold_values():
                 for local, child in enumerate(level["children"][node].tolist())
                 if child >= 0
             }
-        return {path: tree.levels[-1]["value"][leaf] for path, leaf in paths.items()}
+        return {path: tree.levels[-1]["chance"][leaf] for path, leaf in paths.items()}
 
     warm_leaves, cold_leaves = by_path(warm), by_path(cold)
-    values = warm.levels[-1]["value"]
-    assert values.shape == (len(warm_leaves), len(plan.paulis)) and np.isfinite(values).all()
+    chances = warm.levels[-1]["chance"]
+    assert chances.shape == (len(warm_leaves), len(plan.paulis))
+    assert ((chances >= 0.0) & (chances <= 1.0)).all()
     shared = warm_leaves.keys() & cold_leaves.keys()
     assert len(shared) > 10
     for path in shared:
