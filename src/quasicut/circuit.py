@@ -4,7 +4,10 @@ The circuit model is deliberately small: axis-angle single-qubit rotations
 R(n, t) = exp(-i t n . sigma), raw 2x2 unitaries, and canonical two-qubit
 gates exp(i sum t_k sigma_k sigma_k) that may be flagged ``cut``. The dense
 statevector simulator (up to 12 qubits) ignores cut flags and is the exact
-oracle every sampling route is judged against.
+oracle every sampling route is judged against. A Pauli string acts on a
+state as a signed permutation of its amplitudes (``pauli_table``), one
+gather and one phase product per stack, and the oracle and the sampler
+read observables through the same kernel.
 
 The gate-based alternative to channel cutting replaces a canonical gate with
 Pauli pairs on both sides of the overlap: with U = sum_a d_a sigma_a sigma_a,
@@ -19,6 +22,7 @@ an unbiased estimate at cost G = (sum_a |d_a|)^2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isfinite
 from typing import Iterable
 
@@ -29,8 +33,6 @@ from .algebra import finite_real, integer, running_norm, unit_axis, unitary_matr
 from .canonical import PauliCoeffs, ThetaVector, canonical_unitary, pauli_projection
 
 MAX_QUBITS = 12
-
-_PAULI_BY_CHAR = {"I": None, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 
 @dataclass(frozen=True)
@@ -244,13 +246,39 @@ def statevector(circuit: Circuit) -> np.ndarray:
     return psi
 
 
+@lru_cache(maxsize=64)
+def pauli_table(pauli: str, num_qubits: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The Pauli string ``pauli`` on ``num_qubits`` qubits as a signed permutation.
+
+    With x and z the masks of the string's X-or-Y and Z-or-Y qubits (qubit
+    0 the most significant bit), P|k> = i^(#Y) (-1)^popcount(k & z) |k ^ x>,
+    so (P psi)[j] = phase[j] psi[j ^ x], with phase[j] = i^(#Y)
+    (-1)^popcount((j ^ x) & z). Returns (j ^ x, phase) as read-only arrays,
+    the first None when x = 0 and the second when every phase is 1.
+    Invalid characters or a width other than ``num_qubits`` raise
+    ValueError. The last 64 tables are kept: at most 2^12 entries of 8 + 16
+    bytes each, so at most 6 MiB.
+    """
+    if len(pauli) != num_qubits or any(ch not in "IXYZ" for ch in pauli):
+        raise ValueError(f"bad Pauli string {pauli!r} on {num_qubits} qubits")
+    x = int("".join("1" if ch in "XY" else "0" for ch in pauli), 2)
+    z = int("".join("1" if ch in "YZ" else "0" for ch in pauli), 2)
+    source = np.arange(1 << num_qubits) ^ x
+    phase = None
+    if z:
+        odd = np.bitwise_count(source & z) & 1
+        phase = (1.0 - 2.0 * odd) * (1, 1j, -1, -1j)[pauli.count("Y") % 4]
+        phase = phase.astype(complex)
+        phase.setflags(write=False)
+    source.setflags(write=False)
+    return (source if x else None), phase
+
+
 def pauli_string_apply(psi: np.ndarray, pauli: str, num_qubits: int) -> np.ndarray:
-    out = psi
-    for q, ch in enumerate(pauli):
-        p = _PAULI_BY_CHAR[ch]
-        if p is not None:
-            out = apply_1q(out, p, q, num_qubits)
-    return out
+    """P psi per state on the last axis of ``psi``, by ``pauli_table``'s signed permutation."""
+    source, phase = pauli_table(pauli, num_qubits)
+    out = psi if source is None else np.take(psi, source, axis=-1)
+    return out if phase is None else out * phase
 
 
 def pauli_string_expectation(psi: np.ndarray, pauli: str, num_qubits: int) -> np.ndarray:

@@ -21,7 +21,13 @@ names: the state after the uncut gates before the
 first cut, simulated once, and per cut its qubits, its angle's sampling
 table (the terms' cut points, whose total is the weight, and the rows of
 their channels' outcome tables, gathered as read-only arrays) and the
-uncut gates up to the next cut or the end. Each distinct cut angle's
+uncut gates up to the next cut or the end that lie in the cut's light
+cone (``_light_cone``): those that act on its qubits, or on a qubit such
+a gate reached before them. Every other uncut gate commutes with the cut
+and with what it depends on, so it is carried to before the cut, and
+across earlier cuts while it stays outside their cones, into the state
+before the first cut; a child re-simulates only the gates the cut can
+affect. Each distinct cut angle's
 table is built once per compile, from its gate's matrix, without
 building its decomposition (``_cut_terms``). The plan of the last call is kept (``_plan``) while the
 same circuit, observable and mode objects come back, beside its node
@@ -36,9 +42,11 @@ gate, so a segment becomes one 4x4 product per 2-qubit gate, followed by
 the 1-qubit gates of the other qubits as they are. The prefix runs once,
 on one state, where fusing costs more than it saves, so it is applied gate
 by gate; the same loop of ``apply_gate`` calls runs both. The fused
-products round differently from gate-by-gate application, in the last
-bits only; the oracle (``statevector``, ``exact_expectation``) is not
-fused, so the sampler is still judged against gate-by-gate simulation. The
+products and the carried gates' new order round differently from
+gate-by-gate application, in the last bits only; the oracle
+(``statevector``, ``exact_expectation``) keeps the circuit's order and
+does not fuse, so the sampler is still judged against gate-by-gate
+simulation. The
 oracle's own ``observable_expectation`` (exact mode) or
 ``pauli_string_expectation`` per live term (sample mode) reads the
 observable on a stack of leaf states at once, when the leaves are built.
@@ -342,8 +350,9 @@ class _Cut:
     """One cut gate: its qubits, its angle's sampling table and the uncut segment after it.
 
     Cuts with the same angle share one ``terms``. ``after`` holds the uncut
-    gates up to the next cut, or to the end of the circuit, fused by
-    ``_fuse`` into 2-qubit products and lone-qubit gates.
+    gates up to the next cut, or to the end of the circuit, that lie in the
+    cut's forward light cone (``_light_cone``), fused by ``_fuse`` into
+    2-qubit products and lone-qubit gates; the others run before the cut.
     """
 
     qubits: tuple[int, int]
@@ -378,7 +387,13 @@ class _ShotPlan:
 
 
 def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _ShotPlan:
-    """Build each cut angle's table once, split at ``cut_indices()``, fuse the later segments."""
+    """Build each cut angle's table once, split at ``cut_indices()``, fuse the later segments.
+
+    From the last cut to the first, each cut keeps as its ``after`` only
+    the gates of its light cone (``_light_cone``), among its segment's and
+    those carried up from the cut after it, and carries the rest to the
+    segment before it, or to the prefix.
+    """
     _check_mode(mode)
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable width does not match circuit")
@@ -386,21 +401,26 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
     at = circuit.cut_indices()
     ends = at + (len(gates),)
 
+    afters, carried = [], []
+    for i, end in reversed(tuple(zip(at, ends[1:]))):
+        after, carried = _light_cone(gates[i].qubits, [*gates[i + 1 : end], *carried])
+        afters.insert(0, after)
+
     # the prefix runs once, on one state: fusing it would cost more than it saves
-    root = _apply_steps(initial_state(n), gates[: ends[0]], n)[None][_pad(1, n)]
+    root = _apply_steps(initial_state(n), [*gates[: ends[0]], *carried], n)[None][_pad(1, n)]
     root.setflags(write=False)
 
     # cuts that share an angle share its sampling table
     tables: dict[ThetaVector, _Terms] = {}
     cuts = []
     w_total = 1.0
-    for i, end in zip(at, ends[1:]):
+    for i, after in zip(at, afters):
         gate = gates[i]
         if gate.theta not in tables:
             tables[gate.theta] = _cut_terms(gate.matrix)
         terms = tables[gate.theta]
         w_total *= float(terms.cums[-1])
-        cuts.append(_Cut(qubits=gate.qubits, terms=terms, after=_fuse(gates[i + 1 : end])))
+        cuts.append(_Cut(qubits=gate.qubits, terms=terms, after=_fuse(after)))
 
     live = () if mode is MeasureMode.EXACT_TRACE else [t for t in observable.terms if t[0] != 0.0]
     term_cums, signs = _table([c for c, _ in live])
@@ -454,6 +474,27 @@ def _keep(plan: _ShotPlan, tree: _Tree) -> None:
 def _table(coefficients: list[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The sampling table of nonzero ``coefficients``: cumulative |c| and signs c/|c|."""
     return running_norm(coefficients), tuple(1.0 if c > 0 else -1.0 for c in coefficients)
+
+
+def _light_cone(qubits: tuple[int, int], segment: list[Gate]) -> tuple[list[Gate], list[Gate]]:
+    """``segment``, the uncut gates after a cut on ``qubits``, split into (kept, carried).
+
+    A gate is kept if it touches the cone, which starts as the cut's two
+    qubits and takes in the qubits of every kept gate; the others are
+    carried. A carried gate acts outside the cone, where every kept gate
+    before it, the cut's Kraus operators, the renormalization and the
+    chances Tr((E (x) E) rho_pair) do not, so it commutes with all of them
+    and may run before the cut: each keeps its order.
+    """
+    cone, kept, carried = set(qubits), [], []
+    for gate in segment:
+        touched = gate.qubits if isinstance(gate, CanonicalGate) else (gate.qubit,)
+        if cone.isdisjoint(touched):
+            carried.append(gate)
+        else:
+            kept.append(gate)
+            cone.update(touched)
+    return kept, carried
 
 
 def _fuse(segment: list[Gate]) -> tuple[Raw2QGate | Gate, ...]:

@@ -6,6 +6,7 @@ import pytest
 from quasicut.algebra import PAULIS
 from quasicut.canonical import PauliCoeffs, ThetaVector, canonical_unitary, pauli_coefficients
 from quasicut.circuit import (
+    MAX_QUBITS,
     CanonicalGate,
     Circuit,
     Observable,
@@ -18,7 +19,9 @@ from quasicut.circuit import (
     gate_based_cost,
     gate_based_estimate,
     initial_state,
+    pauli_string_apply,
     pauli_string_expectation,
+    pauli_table,
     statevector,
 )
 from quasicut.documents import (
@@ -185,6 +188,69 @@ def test_pauli_string_matrix_matches_expectation_route():
     for pauli in ("XY", "ZI", "YY", "IZ"):
         direct = float(np.real(np.vdot(psi, pauli_string_matrix(pauli) @ psi)))
         assert abs(pauli_string_expectation(psi, pauli, 2) - direct) < 1e-12
+
+
+def per_factor_apply(psi, pauli, n):
+    """P psi as one ``apply_1q`` product per non-identity factor: the kernel's reference."""
+    for q, ch in enumerate(pauli):
+        if ch != "I":
+            psi = apply_1q(psi, PAULIS["IXYZ".index(ch)], q, n)
+    return psi
+
+
+def pauli_kernel_cases():
+    """(psi, pauli, n): 1-12 qubits, 1-40 rows, exact zeros in every third case."""
+    rng = np.random.default_rng(34)
+    for case in range(240):
+        n, rows = int(rng.integers(1, 13)), int(rng.integers(1, 41))
+        psi = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
+        if case % 3 == 0:
+            psi[rng.random(psi.shape) < 0.3] = 0.0
+            psi.real[rng.random(psi.shape) < 0.2] = 0.0
+            psi.imag[rng.random(psi.shape) < 0.2] = -0.0
+        pauli = "I" * n if case % 20 == 0 else "".join(rng.choice(list("IXYZ"), size=n))
+        yield psi, pauli, n
+
+
+def test_pauli_kernel_is_the_per_factor_products_bit_for_bit():
+    """The signed permutation gives every product's bits, and every expectation's.
+
+    Only the sign of an exact zero, a real or imaginary part, may differ:
+    BLAS adds the product of a zero matrix entry and the pair's other
+    amplitude, whose sign it takes. The expectation sums conj(psi) times
+    the amplitudes, so such a zero's sign never reaches it.
+    """
+    widths = set()
+    for psi, pauli, n in pauli_kernel_cases():
+        want, got = per_factor_apply(psi, pauli, n), pauli_string_apply(psi, pauli, n)
+        assert np.array_equal(got, want), pauli
+        parts, want_parts = (np.ascontiguousarray(a).view(float) for a in (got, want))
+        nonzero = want_parts != 0.0
+        assert parts[nonzero].tobytes() == want_parts[nonzero].tobytes(), pauli
+        expected = np.einsum("...j,...j->...", psi.conj(), want).real
+        assert pauli_string_expectation(psi, pauli, n).tobytes() == expected.tobytes(), pauli
+        widths.add(n)
+    assert widths == set(range(1, 13))
+
+
+def test_pauli_tables_are_read_only_and_bounded():
+    """The kept tables cannot be written, and at most 64 of them, 6 MiB, are kept."""
+    source, phase = pauli_table("XYZI", 4)
+    assert not source.flags.writeable and not phase.flags.writeable
+    assert pauli_table("XYZI", 4)[0] is source  # kept, not rebuilt
+    assert pauli_table("ZIZ", 3)[0] is None  # no permutation without an X or Y
+    assert pauli_table("XIX", 3)[1] is None  # no phase without a Y or Z
+    bound = pauli_table.cache_info().maxsize
+    assert bound == 64 and "The last 64 tables are kept" in pauli_table.__doc__
+    assert bound * 2**MAX_QUBITS * (8 + 16) == 6 * 2**20 and "6 MiB" in pauli_table.__doc__
+
+
+@pytest.mark.parametrize("pauli, n", [("XA", 2), ("xz", 2), ("X Z", 3), ("XZ", 3), ("XYZ", 2)])
+def test_pauli_kernel_rejects_bad_strings(pauli, n):
+    with pytest.raises(ValueError, match="bad Pauli string"):
+        pauli_string_apply(np.ones(2**n, dtype=complex), pauli, n)
+    with pytest.raises(ValueError, match="bad Pauli string"):
+        pauli_string_expectation(np.ones(2**n, dtype=complex), pauli, n)
 
 
 def test_circuit_validation():

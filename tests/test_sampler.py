@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import math
 import sys
 import threading
@@ -9,6 +10,7 @@ import tracemalloc
 import warnings
 from bisect import bisect_right
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from quasicut.circuit import (
     Circuit,
     Observable,
     Raw1QGate,
+    Raw2QGate,
     SingleGate,
     apply_1q,
     apply_gate,
@@ -32,6 +35,7 @@ from quasicut.circuit import (
     pauli_string_expectation,
     statevector,
 )
+from quasicut.documents import circuit_from_doc, observable_from_doc
 from quasicut.decomposition import QPDecomposition, QPTerm, decompose, weight_formula
 from quasicut.local_basis import EFFECT, KRAUS, OUTCOMES, WEIGHTS
 from quasicut.sampler import (
@@ -756,6 +760,102 @@ def test_fused_products_of_rounded_gates_are_accepted(paired, mode):
     shot_against_reference(circuit, observable, mode)
 
 
+# --- light-cone segments -----------------------------------------------------
+
+
+def workload_instances():
+    """(name, circuit, observable) of the benchmark's three cut workloads, seed 1."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)  # its dataclasses look their module up by name
+    for name in ("cut2q_exact", "cut6q_exact", "cut10q_sample"):
+        circuit_doc, observable_doc = workloads.cut_documents(workloads.CUT_SPECS[name], 1)
+        yield name, circuit_from_doc(circuit_doc), observable_from_doc(observable_doc)
+
+
+def light_cone_instances():
+    """Every ``oracle_instance`` layout at 3-12 qubits, then the three workloads."""
+    for n in range(3, 13):
+        for name, layout in LAYOUTS.items():
+            circuit, observable = oracle_instance(n, layout, len(layout))
+            yield f"{name} at {n}", circuit, observable
+    yield from workload_instances()
+
+
+def plan_statevector(circuit, plan):
+    """The plan's root, then each cut as its canonical unitary followed by its ``after``."""
+    n = circuit.num_qubits
+    psi = plan.root[0]
+    for i, cut in zip(circuit.cut_indices(), plan.cuts):
+        psi = sampler_module._apply_steps(apply_gate(psi, circuit.gates[i], n), cut.after, n)
+    return psi
+
+
+def step_qubits(step):
+    return step.qubits if isinstance(step, Raw2QGate) else (step.qubit,)
+
+
+def test_light_cone_segments_apply_the_whole_circuit():
+    """The gates a cut's segment carries run before it, so the plan still runs every gate."""
+    for name, circuit, observable in light_cone_instances():
+        plan = sampler_module._compile(circuit, observable, MeasureMode.EXACT_TRACE)
+        assert np.abs(plan_statevector(circuit, plan) - statevector(circuit)).max() < 1e-12, name
+
+
+def test_every_step_after_a_cut_touches_its_light_cone():
+    """A step after a cut acts on the cut's qubits or on a qubit a step before it reached."""
+    fewer = 0
+    for name, circuit, observable in light_cone_instances():
+        plan = sampler_module._compile(circuit, observable, MeasureMode.EXACT_TRACE)
+        ends = circuit.cut_indices() + (len(circuit.gates),)
+        for k, cut in enumerate(plan.cuts):
+            cone = set(cut.qubits)
+            for step in cut.after:
+                assert not cone.isdisjoint(step_qubits(step)), (name, k)
+                cone.update(step_qubits(step))
+            whole = sampler_module._fuse(circuit.gates[ends[k] + 1 : ends[k + 1]])
+            fewer += len(cut.after) < len(whole)
+    assert fewer >= 10  # the cones leave gates out
+
+
+def carried_twice_instance():
+    """Two cuts on (0, 1) of 4 qubits; gates on qubits 2 and 3 cross one cut or both.
+
+    The gate on (2, 3) after the first cut and the rotation of qubit 3
+    after the second act outside both cuts' light cones, so both run
+    before the first cut; the rotation crosses both cuts.
+    """
+    theta = [ThetaVector(0.3, -0.2, 0.1), ThetaVector(0.5, 0.25, -0.4), ThetaVector(0.2, 0.6, 0.1)]
+    axes = [(0.6, 0.0, 0.8), (0.0, 0.6, 0.8), (0.8, 0.6, 0.0)]
+    gates = (
+        SingleGate(0, axes[0], 0.7),
+        CanonicalGate((1, 2), theta[0]),
+        SingleGate(3, axes[1], 1.1),
+        CanonicalGate((0, 1), theta[1], cut=True),
+        CanonicalGate((2, 3), theta[2]),
+        SingleGate(0, axes[2], 0.4),
+        CanonicalGate((1, 0), theta[0], cut=True),
+        CanonicalGate((1, 2), theta[2]),
+        SingleGate(3, axes[0], 0.9),
+        SingleGate(2, axes[1], 0.3),
+    )
+    observable = Observable(((0.7, "ZIXY"), (0.0, "XXXX"), (-0.4, "YZIZ"), (0.5, "IXZX")))
+    return Circuit(4, gates), observable
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+def test_gates_carried_across_two_cuts_keep_the_plan_unbiased(mode):
+    circuit, observable = carried_twice_instance()
+    plan = sampler_module._compile(circuit, observable, mode)
+    first, second = plan.cuts
+    assert [step_qubits(step) for step in first.after] == [(0,)]
+    assert [step_qubits(step) for step in second.after] == [(1, 2)]
+    expected = plan_expected_shot_value(circuit, observable, mode)
+    assert abs(expected - exact_expectation(circuit, observable)) < 1e-10
+    assert abs(exact_expectation(circuit, observable)) > 0.05
+
+
 def test_cut_angles_are_decomposed_once_per_compile(monkeypatch):
     """Cuts that share an angle share its sampling table, built once."""
     circuit, observable = oracle_instance(3, LAYOUTS["two cuts"], 2)
@@ -1054,12 +1154,12 @@ PINNED_ESTIMATES = {
     # an oracle instance is (num_qubits, seed) on the two-cut layout
     ("bell", "exact"): ("0x1.f5c28f5c28f5cp-1", "0x1.4d486e637b650p-4"),
     ("bell", "sample"): ("0x1.051eb851eb852p+0", "0x1.4e261b7ced2d6p-3"),
-    ((3, 2), "exact"): ("-0x1.6681d9f19859fp-2", "0x1.35d92fc9dc572p-1"),
+    ((3, 2), "exact"): ("-0x1.6681d9f1985a2p-2", "0x1.35d92fc9dc573p-1"),
     ((3, 2), "sample"): ("-0x1.17f848e15819fp+0", "0x1.2f7985ed17aedp+1"),
     # this observable vanishes on every shot's state; (9, 9) below does not
     ((9, 2), "exact"): ("0x0.0p+0", "0x0.0p+0"),
     ((9, 2), "sample"): ("0x1.63b55e9d700a0p+1", "0x1.8128ff96b91d6p+1"),
-    ((9, 9), "exact"): ("-0x1.2652445c1263dp-8", "0x1.2adf79d64bd28p-5"),
+    ((9, 9), "exact"): ("-0x1.2652445c12622p-8", "0x1.2adf79d64bd29p-5"),
     ((9, 9), "sample"): ("-0x1.f7ccbb8cdc96ap-2", "0x1.11239fe68744cp+2"),
 }
 
@@ -1078,9 +1178,10 @@ def test_estimates_are_pinned_bit_for_bit(key):
 
 # sha256 of _walk's (sign, o', x) bytes over n in (3, 6, 9), LAYOUTS and
 # MeasureMode, in that loop order, 64 shots each from stream seed 17, with
-# the uncut segments after the cuts fused into 2-qubit products and each
-# cut's children built from its channels' outcome tables
-WALK_DIGEST = "5d0b0bf962d3a0e2767a3cbe16fafda207ec6709f58c5c177080d3bb8e31f897"
+# the uncut segments after the cuts cut to each cut's light cone and fused
+# into 2-qubit products, and each cut's children built from its channels'
+# outcome tables
+WALK_DIGEST = "783398725c82fc56c3d57a99b4e7e9ecb4d3a52dca81bca9f1fbc1b21c8451d3"
 
 
 def test_walk_is_pinned_shot_for_shot():
