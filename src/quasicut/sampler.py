@@ -54,6 +54,21 @@ In sample mode a leaf keeps each live term's chance of eigenvalue +1, and
 the plan each term's readout, the sign of its coefficient times o_max, so
 a shot compares one uniform and multiplies one eigenvalue.
 
+Only cut gates join qubits that no chain of uncut 2-qubit gates links,
+and every channel of a cut acts on one qubit, so every branch state is a
+product of states on the connected components of the uncut 2-qubit gates
+(``_components``). A plan keeps a node's state as one stack per
+component, on the component's own qubit indices (``_localize``), and
+simulates each on its own width: the prefix, and the segment after a cut
+on each component it reaches. A cut inside one component acts on its pair
+there as below; a cut across two applies K_a on the first component and
+K_b on the second, renormalizes each, and reads Tr((E_x (x) E_y) rho) as
+Tr(E_x rho_a) Tr(E_y rho_b). A leaf reads a Pauli string as the product
+of its factors on the components it acts on, and exact mode's observable
+on the kron of its components (``_dense``). When the uncut gates link
+every qubit there is one component, of all n qubits, and the arithmetic
+is the dense one, bit for bit.
+
 Every step a shot takes is picked from a small discrete set: the term, the
 outcome of each of its two channels (a coin side or a measurement
 outcome; every outcome table has at most two outcomes), and at the
@@ -65,7 +80,8 @@ the rows of the channels' outcome tables (``local_basis.KRAUS``,
 operator, a weight +-1 and the index of its effect in
 ``local_basis.EFFECTS``) give the term's children as (K_a (x) K_b) psi,
 and the outcome probabilities are ratios of traces against the 4x4
-reduced density matrix of the cut pair. Each node keeps them in its
+reduced density matrix of the cut pair, or the product of the two
+qubits' 2x2 ones across components. Each node keeps them in its
 chance table: per term, the chance of the left outcome 0 and of the
 right outcome 0 given either left outcome. So a whole level of the tree
 is routed with a fixed number of array operations, one stream call
@@ -109,7 +125,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from math import ceil, isfinite, log, sqrt
+from operator import mul
 
 import numpy as np
 
@@ -120,6 +138,7 @@ from .circuit import (
     Circuit,
     Gate,
     Observable,
+    Raw1QGate,
     Raw2QGate,
     apply_gate,
     initial_state,
@@ -147,8 +166,9 @@ _CHUNK_SHOTS = 1 << 16
 _BATCH_AMPS = 1 << 16
 
 # the branch-tree nodes kept across walks on one plan (_Tree) allocate at
-# most this many bytes: 8 MiB, about 460 10-qubit states with their chance
-# tables and child ids at 28 terms
+# most this many bytes: 8 MiB. A node holds 2^m amplitudes per component of
+# m qubits, with its chance table and child ids: at 28 terms about 460
+# nodes of one 10-qubit component, or 3200 of two 5-qubit ones
 _TREE_BYTES = 1 << 23
 
 # an estimate keeps one float per shot: 800 MB at this count
@@ -310,9 +330,9 @@ class _Terms:
     second) and outcomes a and b of the left and right channel:
     ``draws[t, s]`` is 1 if the side draws its outcome and 0 if it has one
     outcome, ``effect[t, s, o]`` indexes the effect of the side's outcome o
-    in ``local_basis.EFFECTS``, ``kraus[t, a, b]`` is K_a (x) K_b, and
-    ``weights[t, a, b]`` the sign of the coefficient times both outcomes'
-    weights, each +-1.
+    in ``local_basis.EFFECTS``, ``kraus[t, s, o]`` is its 2x2 Kraus
+    operator, and ``weights[t, a, b]`` the sign of the coefficient times
+    both outcomes' weights, each +-1.
     """
 
     cums: np.ndarray
@@ -346,53 +366,75 @@ def _cut_terms(matrix: np.ndarray) -> _Terms:
 
 
 @dataclass(frozen=True, eq=False)
-class _Cut:
-    """One cut gate: its qubits, its angle's sampling table and the uncut segment after it.
+class _Side:
+    """Where a cut acts on one component: which one, the cut's qubits there and the steps after.
 
-    Cuts with the same angle share one ``terms``. ``after`` holds the uncut
-    gates up to the next cut, or to the end of the circuit, that lie in the
-    cut's forward light cone (``_light_cone``), fused by ``_fuse`` into
-    2-qubit products and lone-qubit gates; the others run before the cut.
+    ``qubits`` are the component's own indices of the cut's qubits in it,
+    in gate order: both, or the one of a cut across two components.
+    ``after`` holds the steps of the cut's ``_light_cone`` on this
+    component, fused by ``_fuse`` and on the component's own indices.
     """
 
-    qubits: tuple[int, int]
-    terms: _Terms
+    component: int
+    qubits: tuple[int, ...]
     after: tuple[Raw2QGate | Gate, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class _Cut:
+    """One cut gate: its angle's sampling table and where it acts, with the uncut steps after it.
+
+    Cuts with the same angle share one ``terms``. ``sides`` has one
+    ``_Side`` for a cut inside one component and two, the first qubit's
+    then the second's, for a cut across two. Their ``after`` hold the
+    uncut gates up to the next cut, or to the end of the circuit, that lie
+    in the cut's forward light cone (``_light_cone``); the others run
+    before the cut.
+    """
+
+    terms: _Terms
+    sides: tuple[_Side, ...]
 
 
 @dataclass(frozen=True, eq=False)
 class _ShotPlan:
     """What every shot of (circuit, observable, mode) shares, compiled once.
 
-    ``root`` is the root of every walk's branch tree: the state after the
+    ``components`` are the connected components of the uncut 2-qubit gates
+    (``_components``), and ``widths`` their qubit counts. ``root`` is the
+    root of every walk's branch tree: per component, its state after the
     uncut gates before the first cut, as a stack padded by ``_pad``. Every
     array is read-only, so one plan serves any number of walks; what they
     build is kept apart, in the plan's ``_Tree``. Exact mode reads
     ``observable`` per Pauli string on a stack of leaf states at once.
-    Sample mode reads each of its live terms, with Pauli strings
-    ``paulis``, on a stack of leaf states, and draws one per shot with cut
-    points ``term_cums``; a shot's o' is its eigenvalue times the term's
+    Sample mode reads each of its live terms on a stack of leaf states, as
+    the product of its ``factors``, and draws one per shot with cut points
+    ``term_cums``; a shot's o' is its eigenvalue times the term's
     ``readout``, the sign of its coefficient times o_max.
     """
 
     num_qubits: int
     mode: MeasureMode
-    root: np.ndarray
+    components: tuple[tuple[int, ...], ...]
+    widths: tuple[int, ...]
+    root: tuple[np.ndarray, ...]
     cuts: tuple[_Cut, ...]
     w_total: float
     observable: Observable
     readout: np.ndarray
-    paulis: tuple[str, ...]
+    factors: tuple[tuple[tuple[int, str], ...], ...]
     term_cums: tuple[float, ...]
 
 
 def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _ShotPlan:
     """Build each cut angle's table once, split at ``cut_indices()``, fuse the later segments.
 
-    From the last cut to the first, each cut keeps as its ``after`` only
-    the gates of its light cone (``_light_cone``), among its segment's and
-    those carried up from the cut after it, and carries the rest to the
-    segment before it, or to the prefix.
+    From the last cut to the first, each cut keeps after it only the gates
+    of its light cone (``_light_cone``), among its segment's and those
+    carried up from the cut after it, and carries the rest to the segment
+    before it, or to the prefix. Every gate then moves to its component's
+    own qubit indices (``_localize``); a cone grows only along uncut gates,
+    so a cut's steps lie on the components of its sides.
     """
     _check_mode(mode)
     if observable.num_qubits != circuit.num_qubits:
@@ -400,6 +442,10 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
     n, gates = circuit.num_qubits, circuit.gates
     at = circuit.cut_indices()
     ends = at + (len(gates),)
+    components = _components(n, gates)
+    widths = tuple(len(qubits) for qubits in components)
+    # per qubit, its component and its index there
+    where = {q: (c, i) for c, qubits in enumerate(components) for i, q in enumerate(qubits)}
 
     afters, carried = [], []
     for i, end in reversed(tuple(zip(at, ends[1:]))):
@@ -407,8 +453,13 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
         afters.insert(0, after)
 
     # the prefix runs once, on one state: fusing it would cost more than it saves
-    root = _apply_steps(initial_state(n), [*gates[: ends[0]], *carried], n)[None][_pad(1, n)]
-    root.setflags(write=False)
+    prefix = _localize([*gates[: ends[0]], *carried], where, len(components))
+    root = tuple(
+        _apply_steps(initial_state(m), steps, m)[None][_pad(1, min(widths))]
+        for m, steps in zip(widths, prefix)
+    )
+    for stack in root:
+        stack.setflags(write=False)
 
     # cuts that share an angle share its sampling table
     tables: dict[ThetaVector, _Terms] = {}
@@ -420,7 +471,11 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
             tables[gate.theta] = _cut_terms(gate.matrix)
         terms = tables[gate.theta]
         w_total *= float(terms.cums[-1])
-        cuts.append(_Cut(qubits=gate.qubits, terms=terms, after=_fuse(after)))
+        steps = _localize(_fuse(after), where, len(components))
+        (a, i_a), (b, i_b) = (where[q] for q in gate.qubits)
+        pairs = [(a, (i_a, i_b))] if a == b else [(a, (i_a,)), (b, (i_b,))]
+        sides = tuple(_Side(c, qubits, tuple(steps[c])) for c, qubits in pairs)
+        cuts.append(_Cut(terms=terms, sides=sides))
 
     live = () if mode is MeasureMode.EXACT_TRACE else [t for t in observable.terms if t[0] != 0.0]
     term_cums, signs = _table([c for c, _ in live])
@@ -429,14 +484,68 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
     return _ShotPlan(
         num_qubits=n,
         mode=mode,
+        components=components,
+        widths=widths,
         root=root,
         cuts=tuple(cuts),
         w_total=w_total,
         observable=observable,
         readout=readout,
-        paulis=tuple(p for _, p in live),
+        factors=tuple(_factors(p, components) for _, p in live),
         term_cums=term_cums,
     )
+
+
+def _components(n: int, gates: tuple[Gate, ...]) -> tuple[tuple[int, ...], ...]:
+    """The qubits 0..n-1 grouped by the uncut 2-qubit gates that link them, by union-find.
+
+    Each component lists its qubits in order, and the components come in
+    the order of their first qubits. A qubit that no uncut 2-qubit gate
+    touches is a component of its own.
+    """
+    root = list(range(n))
+
+    def find(q: int) -> int:
+        while root[q] != q:
+            q = root[q]
+        return q
+
+    for gate in gates:
+        if isinstance(gate, CanonicalGate) and not gate.cut:
+            a, b = sorted(find(q) for q in gate.qubits)
+            root[b] = a
+    groups: dict[int, list[int]] = {}
+    for q in range(n):
+        groups.setdefault(find(q), []).append(q)
+    return tuple(tuple(qubits) for qubits in groups.values())
+
+
+def _localize(steps, where: dict, count: int) -> list[list[Raw2QGate | Gate]]:
+    """``steps`` per component, in order, each on its component's own qubit indices.
+
+    ``where[q]`` is qubit q's (component, index there). A step whose
+    indices do not change stays the object it is; the others become raw
+    gates with the same matrix, which ``apply_gate`` applies alike.
+    """
+    out = [[] for _ in range(count)]
+    for step in steps:
+        qubits = step.qubits if isinstance(step, (CanonicalGate, Raw2QGate)) else (step.qubit,)
+        local = tuple(where[q][1] for q in qubits)
+        if local != qubits and len(local) == 2:
+            step = Raw2QGate(local, step.matrix)
+        elif local != qubits:
+            step = Raw1QGate(local[0], step.matrix)
+        out[where[qubits[0]][0]].append(step)
+    return out
+
+
+def _factors(pauli: str, components) -> tuple[tuple[int, str], ...]:
+    """``pauli`` as (component, its letters there) for each component it acts on.
+
+    A string of identities acts on none, and keeps the first component's.
+    """
+    factors = tuple((c, "".join(pauli[q] for q in qubits)) for c, qubits in enumerate(components))
+    return tuple(f for f in factors if f[1].strip("I")) or factors[:1]
 
 
 # the objects of the last _plan call that compiled, their plan and {"tree": its _Tree}
@@ -545,7 +654,7 @@ def _slot_rows() -> tuple[np.ndarray, ...]:
     rows = np.array([(left.value, right.value) for left, right in _SLOTS])
     left, right = rows[:, 0], rows[:, 1]
     slot_rows = (
-        _kron(KRAUS[left][:, :, None], KRAUS[right][:, None, :]),
+        np.stack((KRAUS[left], KRAUS[right]), 1),
         WEIGHTS[left][:, :, None] * WEIGHTS[right][:, None, :],
         OUTCOMES[rows] - 1,
         EFFECT[rows],
@@ -571,8 +680,9 @@ class _Tree:
     ``levels[k]`` holds the kept nodes before cut k (level 0 is the root,
     kept when the plan has a cut and it fits; the last level the leaves),
     one row per node in each array: ``sign`` and ``col`` (the draws its
-    shots have taken). A node before a cut also has ``phi`` (its
-    ``_pair_front`` state), ``chance`` (its ``_chances`` table) and
+    shots have taken). A node before a cut also has, under each component
+    c's index, its state on c (``_front`` of the cut's qubits on a
+    component the cut acts on), ``chance`` (its ``_chances`` table) and
     ``children``, per ``_route`` key the id of its kept child or -1. A
     leaf has ``value``, its o', or in sample mode ``chance``: per live
     observable term P, the chance clip((1 + <P>) / 2, 0, 1) of eigenvalue
@@ -627,36 +737,72 @@ def _root(plan: _ShotPlan) -> dict:
     return _rows(plan, 0, plan.root, np.ones(1), origin)
 
 
-def _rows(plan: _ShotPlan, k: int, stack: np.ndarray, sign, col) -> dict:
-    """Level k's data of the nodes whose states are the rows of ``stack``: see ``_Tree``.
+def _rows(plan: _ShotPlan, k: int, states: tuple[np.ndarray, ...], sign, col) -> dict:
+    """Level k's data of the nodes whose states are the rows of ``states``: see ``_Tree``.
 
-    Everything a shot compares against is computed here, once per node:
-    an inner node's outcome chances, a leaf's o' or its eigenvalue chances.
+    ``states`` holds one stack per component. Everything a shot compares
+    against is computed here, once per node: an inner node's outcome
+    chances, a leaf's o' or its eigenvalue chances. A leaf reads each
+    Pauli string as the product of its factors on the components, and the
+    observable of exact mode on its dense state (``_dense``).
     """
-    n = plan.num_qubits
     rows = {"sign": sign, "col": col}
     if k < len(plan.cuts):
-        rows["phi"] = _pair_front(stack, plan.cuts[k].qubits, n)
-        rows["chance"] = _chances(plan.cuts[k].terms, _traces(rows["phi"]))
+        rows.update(enumerate(states))
+        cut = plan.cuts[k]
+        for side in cut.sides:
+            c = side.component
+            rows[c] = _front(states[c], side.qubits, plan.widths[c])
+        rows["chance"] = _chances(cut.terms, _traces(*(rows[side.component] for side in cut.sides)))
     elif plan.mode is MeasureMode.EXACT_TRACE:
-        rows["value"] = observable_expectation(stack, plan.observable, n)
+        n = plan.num_qubits
+        rows["value"] = observable_expectation(_dense(plan, states), plan.observable, n)
     else:
-        means = np.stack([pauli_string_expectation(stack, p, n) for p in plan.paulis], 1)
-        rows["chance"] = np.clip(0.5 * (1.0 + means), 0.0, 1.0)
+        means = np.array([
+            reduce(mul, (pauli_string_expectation(states[c], p, plan.widths[c]) for c, p in term))
+            for term in plan.factors
+        ])
+        rows["chance"] = np.clip(0.5 * (1.0 + means.T), 0.0, 1.0)
     return rows
 
 
-def _children(cut: _Cut, rows: dict, key: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """The children ``key`` (``_route`` keys) of ``rows``: states after the cut, signs, draws."""
+def _dense(plan: _ShotPlan, states: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The statevectors whose components' states are the rows of ``states``: their kron."""
+    if len(states) == 1:
+        return states[0]
+    rows = len(states[0])
+    psi = reduce(lambda x, y: (x[:, :, None] * y[:, None, :]).reshape(rows, -1), states)
+    # axis 1 + i of the kron holds qubit order[i]
+    order = np.concatenate(plan.components)
+    psi = psi.reshape((rows,) + (2,) * plan.num_qubits)
+    return psi.transpose(0, *(1 + np.argsort(order))).reshape(rows, -1)
+
+
+def _children(cut: _Cut, rows: dict, key: np.ndarray, widths) -> tuple:
+    """The children ``key`` (``_route`` keys) of ``rows``: states after the cut, signs, draws.
+
+    The states are one stack per component, of ``widths`` qubits each. A
+    cut inside one component applies K_a (x) K_b to its pair there; one
+    across two applies K_a on the first and K_b on the second, each
+    renormalized on its own. Every other component keeps its parents' rows.
+    """
     terms = cut.terms
     parent, term = np.divmod(key >> 2, len(terms.cums))
     a, b = (key >> 1) & 1, key & 1
-    states = terms.kraus[term, a, b] @ rows["phi"][parent]
-    # renormalizes a measured child; a unitary one keeps its norm, up to rounding
-    states /= np.linalg.norm(states.reshape(len(key), -1), axis=1)[:, None, None]
+    left, right = terms.kraus[term, 0, a], terms.kraus[term, 1, b]
+    kraus = (_kron(left, right),) if len(cut.sides) == 1 else (left[:, None], right[:, None])
+    states = [rows[c][parent] for c in range(len(widths))]
+    for side, k in zip(cut.sides, kraus):
+        c = side.component
+        psi = k @ states[c]
+        # renormalizes a measured child; a unitary one keeps its norm, up to rounding.
+        # The norm is np.linalg.norm's arithmetic, bit for bit, without its checks
+        flat = psi.reshape(len(key), -1)
+        flat /= np.sqrt((flat.conj() * flat).real.sum(axis=1))[:, None]
+        states[c] = _apply_steps(_back(psi, side.qubits, widths[c]), side.after, widths[c])
     sign = rows["sign"][parent] * terms.weights[term, a, b]
     col = rows["col"][parent] + 1 + terms.draws[term].sum(axis=1)
-    return _apply_steps(_pair_back(states, cut.qubits, n), cut.after, n), sign, col
+    return tuple(states), sign, col
 
 
 def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -683,10 +829,12 @@ def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, 
     W_total * o_max only by the relative ``_BOUND_SLACK``, the rounding of
     a renormalized state; more raises AssertionError.
     """
-    n, depth = plan.num_qubits, len(plan.cuts)
+    depth, widths, narrowest = len(plan.cuts), plan.widths, min(plan.widths)
     shots = len(start)
     sign, o_value = np.empty(shots), np.empty(shots)
-    per = max(1, _BATCH_AMPS >> n)
+    # a child holds 2^m amplitudes per component, and an exact-mode leaf 2^n (_dense)
+    exact = plan.mode is MeasureMode.EXACT_TRACE
+    per = max(1, _BATCH_AMPS // (1 << plan.num_qubits if exact else sum(1 << m for m in widths)))
 
     def descend(k: int, rows: dict, idx, node) -> None:
         # row r of rows is the node of shots idx[node == r]
@@ -704,8 +852,8 @@ def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, 
             bounds = np.append(starts, len(new))
             for first in range(0, len(child), per):
                 last = min(first + per, len(child))
-                keys = child[first + _pad(last - first, n)]
-                level = _rows(plan, k + 1, *_children(cut, rows, keys, n))
+                keys = child[first + _pad(last - first, narrowest)]
+                level = _rows(plan, k + 1, *_children(cut, rows, keys, widths))
                 ids = tree.add(k + 1, level, last - first) if kept else ()
                 if len(ids):
                     rows["children"].reshape(-1)[keys[: len(ids)]] = ids
@@ -723,7 +871,7 @@ def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, 
 
     def leaves(rows, idx, node) -> None:
         sign[idx] = rows["sign"][node]
-        if plan.mode is MeasureMode.EXACT_TRACE:
+        if exact:
             o_value[idx] = rows["value"][node]
             return
         z, col = start[idx], rows["col"][node]
@@ -766,26 +914,50 @@ def _route(terms: _Terms, chance: np.ndarray, z, node, col) -> np.ndarray:
     return (at * 2 + a) * 2 + b
 
 
-def _pair_front(stack: np.ndarray, qubits: tuple[int, int], n: int) -> np.ndarray:
-    """The stack's states as (rows, 4, 2^(n-2)) arrays, the cut pair first, in gate order."""
-    a, b = qubits
-    psi = stack.reshape((len(stack),) + (2,) * n)
-    return np.moveaxis(psi, (a + 1, b + 1), (1, 2)).reshape(len(stack), 4, 1 << (n - 2))
+def _front(stack: np.ndarray, qubits: tuple[int, ...], m: int) -> np.ndarray:
+    """The stack's m-qubit states shaped for a cut's Kraus operators on ``qubits``.
 
-
-def _pair_back(states: np.ndarray, qubits: tuple[int, int], n: int) -> np.ndarray:
-    """The inverse of ``_pair_front``: a stack of statevectors."""
-    a, b = qubits
-    psi = states.reshape((len(states), 2, 2) + (2,) * (n - 2))
-    return np.moveaxis(psi, (1, 2), (a + 1, b + 1)).reshape(len(states), 1 << n)
-
-
-def _traces(phi: np.ndarray) -> np.ndarray:
-    """Tr((E_x (x) E_y) rho), real, for every two ``EFFECTS`` E_x and E_y, per row of ``phi``.
-
-    A row of ``phi`` is a state with the cut pair first (``_pair_front``),
-    and rho = phi phi^+ is the pair's 4x4 reduced density matrix.
+    A pair comes first, in its order: (rows, 4, rest). One qubit q stays
+    in place, as the middle axis of a (rows, 2^q, 2, rest) view.
     """
+    if len(qubits) == 1:
+        (q,) = qubits
+        return stack.reshape(len(stack), 1 << q, 2, 1 << (m - 1 - q))
+    order = _pair_first(qubits, m)
+    psi = stack.reshape((len(stack),) + (2,) * m).transpose(0, *(1 + q for q in order))
+    return psi.reshape(len(stack), 4, 1 << (m - 2))
+
+
+def _back(states: np.ndarray, qubits: tuple[int, ...], m: int) -> np.ndarray:
+    """The inverse of ``_front``: a stack of statevectors."""
+    if len(qubits) == 2:
+        order = _pair_first(qubits, m)
+        axes = sorted(range(m), key=order.__getitem__)  # the inverse permutation
+        states = states.reshape((len(states),) + (2,) * m).transpose(0, *(1 + i for i in axes))
+    return states.reshape(len(states), 1 << m)
+
+
+def _pair_first(qubits: tuple[int, int], m: int) -> list[int]:
+    """The m qubits with the pair ``qubits`` first, in its order, then the rest in theirs."""
+    return [*qubits, *(q for q in range(m) if q not in qubits)]
+
+
+def _traces(*phis: np.ndarray) -> np.ndarray:
+    """Tr((E_x (x) E_y) rho), real, for every two ``EFFECTS`` E_x and E_y, per row of ``phis``.
+
+    ``phis`` are a cut's ``_front`` states. One, of a cut inside one
+    component, has the pair first, and rho = phi phi^+ is the pair's 4x4
+    reduced density matrix. Two, of a cut across two components, have one
+    qubit apart each, and rho = rho_a (x) rho_b, so the trace is
+    Tr(E_x rho_a) Tr(E_y rho_b).
+    """
+    if len(phis) == 2:
+        left, right = (
+            np.einsum("xji,pij->px", EFFECTS, np.einsum("paik,pajk->pij", phi, phi.conj())).real
+            for phi in phis
+        )
+        return left[:, :, None] * right[:, None, :]
+    (phi,) = phis
     rho = (phi @ phi.conj().transpose(0, 2, 1)).reshape(-1, 2, 2, 2, 2)
     left = np.einsum("xji,pikjl->pxkl", EFFECTS, rho)
     return np.einsum("ylk,pxkl->pxy", EFFECTS, left).real
@@ -820,18 +992,19 @@ def _draw_terms(u: np.ndarray, cums) -> np.ndarray:
     return np.minimum(np.searchsorted(cums, u * cums[-1], side="right"), len(cums) - 1)
 
 
-def _pad(count: int, n: int) -> np.ndarray:
-    """Row indices 0..count-1, then 0s up to a multiple of max(16 >> n, 1) rows.
+def _pad(count: int, m: int) -> np.ndarray:
+    """Row indices 0..count-1, then 0s up to a multiple of max(16 >> m, 1) rows.
 
     A row of a stacked product rounds alike wherever it sits in the stack,
     except that OpenBLAS's zgemm rounds the columns of a trailing partial
     group of four differently. A gate or fused step, on one qubit or two,
-    has 2^(n-2) or more columns per row of a stack of n-qubit states, so
-    stacks of a multiple of max(16 >> n, 1) rows, padded with copies of
-    their first row, avoid it, and a shot's value depends on its path
-    alone, not on the other shots of its chunk.
+    has 2^(m-2) or more columns per row of a stack of m-qubit states. m is
+    the plan's narrowest component, so stacks of a multiple of
+    max(16 >> m, 1) rows, padded with copies of their first row, avoid it
+    on every component, and a shot's value depends on its path alone, not
+    on the other shots of its chunk.
     """
-    return np.concatenate([np.arange(count), np.zeros(-count % max(16 >> n, 1), dtype=int)])
+    return np.concatenate([np.arange(count), np.zeros(-count % max(16 >> m, 1), dtype=int)])
 
 
 def run_shot(

@@ -28,6 +28,7 @@ from quasicut.circuit import (
     Raw2QGate,
     SingleGate,
     apply_1q,
+    apply_2q,
     apply_gate,
     exact_expectation,
     initial_state,
@@ -591,7 +592,8 @@ def plan_expected_shot_value(circuit, observable, mode, sides=None):
     plan's cut points) and every left and right outcome (a, b) of its two
     channels, with the probabilities the router draws them by, from the
     traces of the outcomes' effects (``sampler._traces`` of each node's
-    pair state, given the left outcome a on the right), not from the
+    states on the cut's components, a product of one trace per component
+    for a cut across two, given the left outcome a on the right), not from the
     chances the node keeps: 1/2 per side of a coin, Tr(Pi rho) and 1 minus
     it for a measurement. Each child of positive probability is built by
     ``sampler._children`` and ``sampler._rows``, as a walk builds it, with
@@ -605,13 +607,13 @@ def plan_expected_shot_value(circuit, observable, mode, sides=None):
     of its outcomes 0 and 1, which nodes reach it).
     """
     plan = sampler_module._compile(circuit, observable, mode)
-    n = plan.num_qubits
     origin = np.zeros(1, dtype=np.intp)
     rows = sampler_module._rows(plan, 0, plan.root, np.ones(1), origin)
     probs = np.ones(1)
     for k, cut in enumerate(plan.cuts):
         terms = cut.terms
-        traces, width = sampler_module._traces(rows["phi"])[: len(probs)], len(terms.cums)
+        fronts = [rows[side.component] for side in cut.sides]
+        traces, width = sampler_module._traces(*fronts)[: len(probs)], len(terms.cums)
         chance = rows["chance"][: len(probs)]
         shares = np.diff(terms.cums, prepend=0.0) / terms.cums[-1]
         keys, weights = [], []
@@ -633,7 +635,7 @@ def plan_expected_shot_value(circuit, observable, mode, sides=None):
                     keys.append(((parents * width + t) * 2 + a) * 2 + b)
                     weights.append(probs[parents] * p[parents])
         keys, probs = np.concatenate(keys), np.concatenate(weights)
-        children = sampler_module._children(cut, rows, keys, n)
+        children = sampler_module._children(cut, rows, keys, plan.widths)
         rows = sampler_module._rows(plan, k + 1, *children)
     assert abs(probs.sum() - 1.0) < 1e-12
     assert set(rows["sign"].tolist()) <= {1.0, -1.0}
@@ -645,15 +647,70 @@ def plan_expected_shot_value(circuit, observable, mode, sides=None):
     return float(np.sum(probs * plan.w_total * rows["sign"] * o_value))
 
 
+def split_instance(num_qubits, layout, seed):
+    """A circuit whose uncut gates stay inside a fixed bipartition, with a ``touched_observable``.
+
+    The halves are qubits 0..h-1 and h..n-2, h = (n - 1) // 2; no gate
+    touches qubit n-1. ``layout`` letters: ``g`` an uncut gate inside one
+    half (rotation or canonical), ``X`` a cut across the halves, ``C`` a cut
+    on the pair of the last uncut canonical gate, so inside one component.
+    """
+    rng = np.random.default_rng([seed, num_qubits, 7])
+    h = (num_qubits - 1) // 2
+    halves = [list(range(h)), list(range(h, num_qubits - 1))]
+    gates, linked = [], None
+    for ch in layout:
+        theta = ThetaVector(*rng.uniform(-PI / 2, PI / 2, size=3))
+        if ch == "X":
+            pair = (int(rng.choice(halves[0])), int(rng.choice(halves[1])))
+            gates.append(CanonicalGate(pair[:: rng.choice([1, -1])], theta, cut=True))
+            continue
+        if ch == "C":
+            gates.append(CanonicalGate(linked, theta, cut=True))
+            continue
+        half = halves[rng.integers(2)]
+        if len(half) > 1 and rng.random() < 0.5:
+            linked = tuple(int(q) for q in rng.choice(half, size=2, replace=False))
+            gates.append(CanonicalGate(linked, theta))
+        else:
+            axis = rng.normal(size=3)
+            q = int(rng.choice(half))
+            gates.append(SingleGate(q, tuple(axis / np.linalg.norm(axis)), rng.uniform(0, PI)))
+    circuit = Circuit(num_qubits, tuple(gates))
+    return circuit, touched_observable(circuit, seed)
+
+
+# layouts of ``split_instance``, named apart from ``oracle_instance``'s LAYOUTS
+SPLIT_LAYOUTS = {
+    "split across": "gggXggg",
+    "split inside": "ggggCgg",
+    "split two cuts": "ggXgggCgg",
+    "split adjacent": "gggggCXgg",
+}
+
+
+def unbiased_instance(num_qubits, layout, seed):
+    """The instance a (num_qubits, layout name, seed) entry of UNBIASED_INSTANCES names."""
+    if layout in SPLIT_LAYOUTS:
+        return split_instance(num_qubits, SPLIT_LAYOUTS[layout], seed)
+    return oracle_instance(num_qubits, LAYOUTS[layout], seed)
+
+
+SPLIT_INSTANCES = [
+    (4, "split across", 1), (5, "split inside", 2), (6, "split two cuts", 3),
+    (7, "split adjacent", 4), (8, "split two cuts", 5),
+]  # fmt: skip
+
 UNBIASED_INSTANCES = [
     (3, "one cut", 1), (4, "one cut", 2), (3, "two cuts", 2), (4, "adjacent cuts", 3),
+    *SPLIT_INSTANCES,
 ]  # fmt: skip
 
 
 @pytest.mark.parametrize("num_qubits, layout, seed", UNBIASED_INSTANCES)
 def test_plan_tables_are_unbiased(num_qubits, layout, seed):
     """The engine's own tables, routing chances and node builder, enumerated: no bias, to 1e-10."""
-    circuit, observable = oracle_instance(num_qubits, LAYOUTS[layout], seed)
+    circuit, observable = unbiased_instance(num_qubits, layout, seed)
     expected = plan_expected_shot_value(circuit, observable, MeasureMode.EXACT_TRACE)
     assert abs(expected - exact_expectation(circuit, observable)) < 1e-10
 
@@ -661,7 +718,7 @@ def test_plan_tables_are_unbiased(num_qubits, layout, seed):
 @pytest.mark.parametrize("num_qubits, layout, seed", UNBIASED_INSTANCES)
 def test_sample_plan_tables_are_unbiased(num_qubits, layout, seed):
     """The same enumeration over the sample plan's term table and eigenvalue chances."""
-    circuit, observable = oracle_instance(num_qubits, LAYOUTS[layout], seed)
+    circuit, observable = unbiased_instance(num_qubits, layout, seed)
     expected = plan_expected_shot_value(circuit, observable, MeasureMode.EIGENVALUE_SAMPLE)
     assert abs(expected - exact_expectation(circuit, observable)) < 1e-10
 
@@ -670,7 +727,7 @@ def test_sample_plan_tables_are_unbiased(num_qubits, layout, seed):
 @pytest.mark.parametrize("num_qubits, layout, seed", UNBIASED_INSTANCES)
 def test_kept_chances_are_the_trace_ratios_bit_for_bit(num_qubits, layout, seed, mode):
     """Every reachable node, term and drawing side keeps zero / (zero + one) of its traces."""
-    circuit, observable = oracle_instance(num_qubits, LAYOUTS[layout], seed)
+    circuit, observable = unbiased_instance(num_qubits, layout, seed)
     sides = []
     plan_expected_shot_value(circuit, observable, mode, sides)
     assert sum(reached.sum() for *_, reached in sides) >= 50
@@ -742,7 +799,8 @@ def test_fused_products_of_rounded_gates_are_accepted(paired, mode):
     A Hadamard written to 10 digits is c H with c - 1 = 1.9e-11; three of
     them after a cut multiply to a deviation of c^6 - 1 = 1.1e-10. Fusing
     must accept such a circuit, as gate-by-gate simulation does. On a qubit
-    that no 2-qubit gate touches the gates stay as they are.
+    that no 2-qubit gate touches the gates stay as they are: the same
+    matrices, one step each, on the qubit's own one-qubit component.
     """
     rounded = np.round(np.array([[1, 1], [1, -1]]) / np.sqrt(2), 10)
     gates = [CanonicalGate((0, 1), ThetaVector(0.3, 0.2, 0.1), cut=True)]
@@ -751,12 +809,15 @@ def test_fused_products_of_rounded_gates_are_accepted(paired, mode):
         gates.append(CanonicalGate((2, 1), ThetaVector(0.4, -0.1, 0.2)))
     circuit = Circuit(3, tuple(gates))
     observable = Observable(((0.6, "XZX"), (-0.3, "ZXI")))
-    after = sampler_module._compile(circuit, observable, mode).cuts[0].after
+    plan = sampler_module._compile(circuit, observable, mode)
+    after = global_steps(plan, plan.cuts[0])
     if paired:
-        (step,) = after
+        ((qubits, step),) = after
+        assert qubits == (2, 1)
         assert np.abs(step.matrix @ step.matrix.conj().T - np.eye(4)).max() > 1e-10
     else:
-        assert after == tuple(gates[1:])
+        expected = [((1,), gate.matrix.tobytes()) for gate in gates[1:]]
+        assert [(q, step.matrix.tobytes()) for q, step in after] == expected
     shot_against_reference(circuit, observable, mode)
 
 
@@ -783,17 +844,50 @@ def light_cone_instances():
     yield from workload_instances()
 
 
-def plan_statevector(circuit, plan):
-    """The plan's root, then each cut as its canonical unitary followed by its ``after``."""
-    n = circuit.num_qubits
-    psi = plan.root[0]
-    for i, cut in zip(circuit.cut_indices(), plan.cuts):
-        psi = sampler_module._apply_steps(apply_gate(psi, circuit.gates[i], n), cut.after, n)
+def dense_states(plan, stacks):
+    """The statevectors whose states on ``plan.components`` are the rows of ``stacks``.
+
+    Amplitude j is the product, over the components, of each one's
+    amplitude at the bits of j on its qubits (qubit 0 the most significant).
+    """
+    n = plan.num_qubits
+    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    psi = np.ones((len(stacks[0]), 2**n), dtype=complex)
+    for qubits, stack in zip(plan.components, stacks):
+        m = len(qubits)
+        psi = psi * stack[:, bits[:, list(qubits)] @ (1 << (m - 1 - np.arange(m)))]
     return psi
 
 
 def step_qubits(step):
     return step.qubits if isinstance(step, Raw2QGate) else (step.qubit,)
+
+
+def global_steps(plan, cut):
+    """(the circuit's qubits it acts on, step) for each step after ``cut``, side by side."""
+    return [
+        (tuple(plan.components[side.component][q] for q in step_qubits(step)), step)
+        for side in cut.sides
+        for step in side.after
+    ]
+
+
+def apply_step(psi, qubits, step, n):
+    """``step``'s matrix applied to the circuit's ``qubits`` of a dense state."""
+    if len(qubits) == 2:
+        return apply_2q(psi, step.matrix, *qubits, n)
+    return apply_1q(psi, step.matrix, qubits[0], n)
+
+
+def plan_statevector(circuit, plan):
+    """The plan's root, then each cut as its canonical unitary followed by its steps."""
+    n = circuit.num_qubits
+    psi = dense_states(plan, plan.root)[0]
+    for i, cut in zip(circuit.cut_indices(), plan.cuts):
+        psi = apply_gate(psi, circuit.gates[i], n)
+        for qubits, step in global_steps(plan, cut):
+            psi = apply_step(psi, qubits, step, n)
+    return psi
 
 
 def test_light_cone_segments_apply_the_whole_circuit():
@@ -810,12 +904,13 @@ def test_every_step_after_a_cut_touches_its_light_cone():
         plan = sampler_module._compile(circuit, observable, MeasureMode.EXACT_TRACE)
         ends = circuit.cut_indices() + (len(circuit.gates),)
         for k, cut in enumerate(plan.cuts):
-            cone = set(cut.qubits)
-            for step in cut.after:
-                assert not cone.isdisjoint(step_qubits(step)), (name, k)
-                cone.update(step_qubits(step))
+            cone = set(circuit.gates[ends[k]].qubits)
+            after = global_steps(plan, cut)
+            for qubits, _ in after:
+                assert not cone.isdisjoint(qubits), (name, k)
+                cone.update(qubits)
             whole = sampler_module._fuse(circuit.gates[ends[k] + 1 : ends[k + 1]])
-            fewer += len(cut.after) < len(whole)
+            fewer += len(after) < len(whole)
     assert fewer >= 10  # the cones leave gates out
 
 
@@ -849,8 +944,8 @@ def test_gates_carried_across_two_cuts_keep_the_plan_unbiased(mode):
     circuit, observable = carried_twice_instance()
     plan = sampler_module._compile(circuit, observable, mode)
     first, second = plan.cuts
-    assert [step_qubits(step) for step in first.after] == [(0,)]
-    assert [step_qubits(step) for step in second.after] == [(1, 2)]
+    assert [qubits for qubits, _ in global_steps(plan, first)] == [(0,)]
+    assert [qubits for qubits, _ in global_steps(plan, second)] == [(1, 2)]
     expected = plan_expected_shot_value(circuit, observable, mode)
     assert abs(expected - exact_expectation(circuit, observable)) < 1e-10
     assert abs(exact_expectation(circuit, observable)) > 0.05
@@ -904,7 +999,7 @@ def terms_oracle(decomp):
     weights = WEIGHTS[left][:, :, None] * WEIGHTS[right][:, None, :]
     return sampler_module._Terms(
         cums=np.array(cums),
-        kraus=sampler_module._kron(KRAUS[left][:, :, None], KRAUS[right][:, None, :]),
+        kraus=np.stack((KRAUS[left], KRAUS[right]), 1),
         weights=np.array(signs)[:, None, None] * weights,
         draws=OUTCOMES[rows] - 1,
         effect=EFFECT[rows],
@@ -1154,12 +1249,12 @@ PINNED_ESTIMATES = {
     # an oracle instance is (num_qubits, seed) on the two-cut layout
     ("bell", "exact"): ("0x1.f5c28f5c28f5cp-1", "0x1.4d486e637b650p-4"),
     ("bell", "sample"): ("0x1.051eb851eb852p+0", "0x1.4e261b7ced2d6p-3"),
-    ((3, 2), "exact"): ("-0x1.6681d9f1985a2p-2", "0x1.35d92fc9dc573p-1"),
+    ((3, 2), "exact"): ("-0x1.6681d9f1985a9p-2", "0x1.35d92fc9dc574p-1"),
     ((3, 2), "sample"): ("-0x1.17f848e15819fp+0", "0x1.2f7985ed17aedp+1"),
     # this observable vanishes on every shot's state; (9, 9) below does not
     ((9, 2), "exact"): ("0x0.0p+0", "0x0.0p+0"),
     ((9, 2), "sample"): ("0x1.63b55e9d700a0p+1", "0x1.8128ff96b91d6p+1"),
-    ((9, 9), "exact"): ("-0x1.2652445c12622p-8", "0x1.2adf79d64bd29p-5"),
+    ((9, 9), "exact"): ("-0x1.2652445c1263dp-8", "0x1.2adf79d64bd28p-5"),
     ((9, 9), "sample"): ("-0x1.f7ccbb8cdc96ap-2", "0x1.11239fe68744cp+2"),
 }
 
@@ -1180,22 +1275,32 @@ def test_estimates_are_pinned_bit_for_bit(key):
 # MeasureMode, in that loop order, 64 shots each from stream seed 17, with
 # the uncut segments after the cuts cut to each cut's light cone and fused
 # into 2-qubit products, and each cut's children built from its channels'
-# outcome tables
-WALK_DIGEST = "783398725c82fc56c3d57a99b4e7e9ecb4d3a52dca81bca9f1fbc1b21c8451d3"
+# outcome tables: WALK_DIGEST over the 3 instances whose uncut gates link
+# every qubit (one component, dense states), SPLIT_WALK_DIGEST over the 15
+# others (one state per component)
+WALK_DIGEST = "1fa2dd0f7acf2323014eec2603adc4310c43a2773ce3366da119126fb3911c72"
+SPLIT_WALK_DIGEST = "2f636125c74c1ae4e579e53bc31b9bafa25d463ed1726ca22b0a3b96bf34b6f1"
 
 
-def test_walk_is_pinned_shot_for_shot():
-    """Every shot's sign, o' and x, bit for bit, on 18 instances in both modes."""
-    digest = hashlib.sha256()
+def walk_plans():
+    """The plans of the walk pins, each with the pin it counts toward."""
     for n in (3, 6, 9):
         for layout in LAYOUTS.values():
             circuit, observable = oracle_instance(n, layout, len(layout))
             for mode in MeasureMode:
                 plan = sampler_module._compile(circuit, observable, mode)
-                tree = sampler_module._Tree(plan)
-                for values in sampler_module._walk(plan, tree, stream_starts(17, 0, 64)):
-                    digest.update(values.tobytes())
-    assert digest.hexdigest() == WALK_DIGEST
+                yield plan, "one" if len(plan.widths) == 1 else "split"
+
+
+def test_walk_is_pinned_shot_for_shot():
+    """Every shot's sign, o' and x, bit for bit, on 18 instances in both modes."""
+    digests = {"one": hashlib.sha256(), "split": hashlib.sha256()}
+    for plan, pin in walk_plans():
+        tree = sampler_module._Tree(plan)
+        for values in sampler_module._walk(plan, tree, stream_starts(17, 0, 64)):
+            digests[pin].update(values.tobytes())
+    assert digests["one"].hexdigest() == WALK_DIGEST
+    assert digests["split"].hexdigest() == SPLIT_WALK_DIGEST
 
 
 @pytest.mark.parametrize("mode", list(MeasureMode))
@@ -1279,15 +1384,15 @@ def reachable_arrays(value):
 def test_every_array_of_a_plan_is_read_only(layout, mode):
     """A kept plan serves every later call on its objects: none of its arrays can be written.
 
-    That covers the root stack, the observable terms' signed readouts,
-    every field of each cut's table and each fused step's matrix.
+    That covers each component's root stack, the observable terms' signed
+    readouts, every field of each cut's table and each fused step's matrix.
     """
     circuit, observable = oracle_instance(4, LAYOUTS[layout], 3)
     plan = sampler_module._compile(circuit, observable, mode)
-    expected = [plan.root, plan.readout]
+    expected = [*plan.root, plan.readout]
     for cut in plan.cuts:
         expected += [getattr(cut.terms, f.name) for f in dataclasses.fields(cut.terms)]
-        expected += [step.matrix for step in cut.after]
+        expected += [step.matrix for _, step in global_steps(plan, cut)]
     arrays = list(reachable_arrays(plan))
     assert {id(a) for a in expected} <= {id(a) for a in arrays}
     assert [a.shape for a in arrays if a.flags.writeable] == []
@@ -1433,22 +1538,17 @@ def test_estimates_on_kept_trees_equal_cold_ones(monkeypatch, mode):
 
 
 def test_walk_is_pinned_shot_for_shot_on_warm_trees():
-    """WALK_DIGEST from fresh trees, and again from the same trees after they grew."""
-    instances = []
-    for n in (3, 6, 9):
-        for layout in LAYOUTS.values():
-            circuit, observable = oracle_instance(n, layout, len(layout))
-            for mode in MeasureMode:
-                plan = sampler_module._compile(circuit, observable, mode)
-                instances.append((plan, sampler_module._Tree(plan)))
+    """Both walk pins from fresh trees, and again from the same trees after they grew."""
+    instances = [(plan, pin, sampler_module._Tree(plan)) for plan, pin in walk_plans()]
     for warm in (False, True):
-        digest = hashlib.sha256()
-        for plan, tree in instances:
+        digests = {"one": hashlib.sha256(), "split": hashlib.sha256()}
+        for plan, pin, tree in instances:
             for values in sampler_module._walk(plan, tree, stream_starts(17, 0, 64)):
-                digest.update(values.tobytes())
+                digests[pin].update(values.tobytes())
             # grow the tree on other shots before the second pass
             sampler_module._walk(plan, tree, stream_starts(3, 0, 64))
-        assert digest.hexdigest() == WALK_DIGEST, f"warm {warm}"
+        assert digests["one"].hexdigest() == WALK_DIGEST, f"warm {warm}"
+        assert digests["split"].hexdigest() == SPLIT_WALK_DIGEST, f"warm {warm}"
 
 
 @pytest.mark.parametrize("mode", list(MeasureMode))
@@ -1508,13 +1608,112 @@ def test_a_tree_allocates_within_its_bound_over_many_small_walks(monkeypatch, bo
         assert tree.allocated > bound / 2
 
 
+def test_a_split_tree_allocates_within_its_bound(monkeypatch):
+    """A bound of a few nodes on a split circuit: every component stack counts toward it."""
+    circuit, observable = split_instance(8, SPLIT_LAYOUTS["split two cuts"], 5)
+    plan = sampler_module._compile(circuit, observable, MeasureMode.EIGENVALUE_SAMPLE)
+    assert len(plan.widths) > 1
+    monkeypatch.setattr(sampler_module, "_TREE_BYTES", 12_000)
+    tree = sampler_module._Tree(plan)
+    for seed in range(40):
+        sampler_module._walk(plan, tree, stream_starts(seed, 0, 5))
+        assert tree_bytes(tree) <= tree.allocated == tree_allocated(tree) <= 12_000
+    # the kept nodes before the second cut hold one stack per component
+    assert len(tree.levels[1]["sign"]) > 1
+    assert all(c in tree.levels[1] for c in range(len(plan.widths)))
+    assert tree.allocated > 12_000 / 2
+
+
+def unfront(front, qubits, m):
+    """A stack of m-qubit statevectors from a node's states on a component its cut acts on.
+
+    Around one qubit they keep the amplitude order; a pair comes first, then the rest.
+    """
+    if len(qubits) == 1:
+        return front.reshape(len(front), -1)
+    order = list(qubits) + [q for q in range(m) if q not in qubits]
+    bits = (np.arange(2**m)[:, None] >> (m - 1 - np.arange(m))) & 1
+    return front.reshape(len(front), -1)[:, bits[:, order] @ (1 << (m - 1 - np.arange(m)))]
+
+
+def branch_state(circuit, path):
+    """The dense state of the branch ``path`` before the cut after it, gate by gate.
+
+    The gates run in the plan's order: those before the first cut with the
+    ones carried there (``sampler._light_cone``), then per cut on the path,
+    for its (term, a, b), K_a and K_b of the term's channels on the cut's
+    qubits, the renormalization and the gates of the cut's light cone.
+    """
+    n, gates, decomps = circuit.num_qubits, circuit.gates, cut_decomps(circuit)
+    at = circuit.cut_indices()
+    ends = at + (len(gates),)
+    afters, carried = [], []
+    for i, end in reversed(tuple(zip(at, ends[1:]))):
+        after, carried = sampler_module._light_cone(gates[i].qubits, [*gates[i + 1 : end], *carried])
+        afters.insert(0, after)
+    psi = initial_state(n)
+    for gate in [*gates[: ends[0]], *carried]:
+        psi = apply_gate(psi, gate, n)
+    for i, after, (term, a, b) in zip(at, afters, path):
+        channels = decomps[i].terms[term]
+        for qubit, (cid,), o in zip(gates[i].qubits, (channels.left, channels.right), (a, b)):
+            psi = apply_1q(psi, KRAUS[cid.value, o], qubit, n)
+        psi = psi / np.linalg.norm(psi)
+        for gate in after:
+            psi = apply_gate(psi, gate, n)
+    return psi
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+@pytest.mark.parametrize("num_qubits, layout, seed", SPLIT_INSTANCES)
+def test_kept_component_states_are_the_dense_branch_states(num_qubits, layout, seed, mode):
+    """Every kept node's component stacks, kron'd in qubit order, are its branch's dense state.
+
+    The instances split into several components, among them the untouched
+    last qubit, and their cuts act across two components and inside one.
+    """
+    circuit, observable = split_instance(num_qubits, SPLIT_LAYOUTS[layout], seed)
+    plan = sampler_module._compile(circuit, observable, mode)
+    assert (num_qubits - 1,) in plan.components
+    tree = sampler_module._Tree(plan)
+    sampler_module._walk(plan, tree, stream_starts(seed, 0, 300))
+    paths, compared = {0: ()}, 0
+    for k, cut in enumerate(plan.cuts):
+        level = tree.levels[k]
+        stacks = [level[c] for c in range(len(plan.widths))]
+        for side in cut.sides:
+            c = side.component
+            stacks[c] = unfront(stacks[c], side.qubits, plan.widths[c])
+        states = dense_states(plan, stacks)
+        for node, path in paths.items():
+            assert np.abs(states[node] - branch_state(circuit, path)).max() < 1e-12, (k, path)
+            compared += 1
+        paths = {
+            child: path + ((local >> 2, (local >> 1) & 1, local & 1),)
+            for node, path in paths.items()
+            for local, child in enumerate(level["children"][node].tolist())
+            if child >= 0
+        }
+    assert compared > (10 if len(plan.cuts) > 1 else 0)
+
+
+def test_split_instances_cut_across_and_inside_components():
+    sides = Counter()
+    for num_qubits, layout, seed in SPLIT_INSTANCES:
+        circuit, observable = split_instance(num_qubits, SPLIT_LAYOUTS[layout], seed)
+        plan = sampler_module._compile(circuit, observable, MeasureMode.EXACT_TRACE)
+        assert len(plan.widths) > 2
+        sides.update(len(cut.sides) for cut in plan.cuts)
+    assert sides[1] >= 2 and sides[2] >= 2
+
+
 def test_a_tree_adds_what_fits_at_its_bound(monkeypatch):
     """Room for 2.5 level-1 nodes: ``add`` keeps two of five, then none, within the bound."""
     circuit, observable = oracle_instance(6, LAYOUTS["two cuts"], 2)
     plan = sampler_module._compile(circuit, observable, MeasureMode.EXACT_TRACE)
     tree = sampler_module._Tree(plan)
     col = np.zeros(5, dtype=np.intp)
-    rows = sampler_module._rows(plan, 1, plan.root[[0] * 5], np.ones(5), col)
+    rows = sampler_module._rows(plan, 1, tuple(s[[0] * 5] for s in plan.root), np.ones(5), col)
     per = sum(array[:1].nbytes for array in rows.values()) + 8 * tree.width[1]
     bound = tree.allocated + 5 * per // 2
     monkeypatch.setattr(sampler_module, "_TREE_BYTES", bound)
@@ -1626,7 +1825,7 @@ def test_every_kept_sample_leaf_holds_the_cold_values():
 
     warm_leaves, cold_leaves = by_path(warm), by_path(cold)
     chances = warm.levels[-1]["chance"]
-    assert chances.shape == (len(warm_leaves), len(plan.paulis))
+    assert chances.shape == (len(warm_leaves), len(plan.factors))
     assert ((chances >= 0.0) & (chances <= 1.0)).all()
     shared = warm_leaves.keys() & cold_leaves.keys()
     assert len(shared) > 10
