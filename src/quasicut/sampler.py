@@ -47,9 +47,10 @@ gate-by-gate application, in the last bits only; the oracle
 (``statevector``, ``exact_expectation``) keeps the circuit's order and
 does not fuse, so the sampler is still judged against gate-by-gate
 simulation. The
-oracle's own ``observable_expectation`` (exact mode) or
-``pauli_string_expectation`` per live term (sample mode) reads the
-observable on a stack of leaf states at once, when the leaves are built.
+oracle's own ``pauli_string_expectation`` reads the observable's terms on
+a stack of leaf states at once, when the leaves are built: every term in
+exact mode, summed with its coefficient in term order as
+``observable_expectation`` sums them, and each live term in sample mode.
 In sample mode a leaf keeps each live term's chance of eigenvalue +1, and
 the plan each term's readout, the sign of its coefficient times o_max, so
 a shot compares one uniform and multiplies one eigenvalue.
@@ -64,10 +65,10 @@ on each component it reaches. A cut inside one component acts on its pair
 there as below; a cut across two applies K_a on the first component and
 K_b on the second, renormalizes each, and reads Tr((E_x (x) E_y) rho) as
 Tr(E_x rho_a) Tr(E_y rho_b). A leaf reads a Pauli string as the product
-of its factors on the components it acts on, and exact mode's observable
-on the kron of its components (``_dense``). When the uncut gates link
-every qubit there is one component, of all n qubits, and the arithmetic
-is the dense one, bit for bit.
+of its factors on the components it acts on, in both modes, so no state
+of all n qubits is built. When the uncut gates link every qubit there is
+one component, of all n qubits, and the arithmetic is the dense one, bit
+for bit.
 
 Every step a shot takes is picked from a small discrete set: the term, the
 outcome of each of its two channels (a coin side or a measurement
@@ -142,7 +143,6 @@ from .circuit import (
     Raw2QGate,
     apply_gate,
     initial_state,
-    observable_expectation,
     pauli_string_expectation,
 )
 from .decomposition import _SLOTS, _slot_coefficients
@@ -405,15 +405,14 @@ class _ShotPlan:
     root of every walk's branch tree: per component, its state after the
     uncut gates before the first cut, as a stack padded by ``_pad``. Every
     array is read-only, so one plan serves any number of walks; what they
-    build is kept apart, in the plan's ``_Tree``. Exact mode reads
-    ``observable`` per Pauli string on a stack of leaf states at once.
-    Sample mode reads each of its live terms on a stack of leaf states, as
-    the product of its ``factors``, and draws one per shot with cut points
-    ``term_cums``; a shot's o' is its eigenvalue times the term's
+    build is kept apart, in the plan's ``_Tree``. A leaf reads a term of
+    ``observable`` on a stack of leaf states as the product of its
+    ``factors``: exact mode every term, in order, and sample mode each
+    live one, which it draws per shot with cut points ``term_cums``
+    (empty in exact mode); a shot's o' is its eigenvalue times the term's
     ``readout``, the sign of its coefficient times o_max.
     """
 
-    num_qubits: int
     mode: MeasureMode
     components: tuple[tuple[int, ...], ...]
     widths: tuple[int, ...]
@@ -477,12 +476,13 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
         sides = tuple(_Side(c, qubits, tuple(steps[c])) for c, qubits in pairs)
         cuts.append(_Cut(terms=terms, sides=sides))
 
-    live = () if mode is MeasureMode.EXACT_TRACE else [t for t in observable.terms if t[0] != 0.0]
-    term_cums, signs = _table([c for c, _ in live])
+    # exact mode reads every term, in order; sample mode draws one of the live ones
+    exact = mode is MeasureMode.EXACT_TRACE
+    read = observable.terms if exact else [t for t in observable.terms if t[0] != 0.0]
+    term_cums, signs = _table([] if exact else [c for c, _ in read])
     readout = np.array(signs, dtype=float) * observable.o_max
     readout.setflags(write=False)
     return _ShotPlan(
-        num_qubits=n,
         mode=mode,
         components=components,
         widths=widths,
@@ -491,7 +491,7 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
         w_total=w_total,
         observable=observable,
         readout=readout,
-        factors=tuple(_factors(p, components) for _, p in live),
+        factors=tuple(_factors(p, components) for _, p in read),
         term_cums=term_cums,
     )
 
@@ -743,8 +743,10 @@ def _rows(plan: _ShotPlan, k: int, states: tuple[np.ndarray, ...], sign, col) ->
     ``states`` holds one stack per component. Everything a shot compares
     against is computed here, once per node: an inner node's outcome
     chances, a leaf's o' or its eigenvalue chances. A leaf reads each
-    Pauli string as the product of its factors on the components, and the
-    observable of exact mode on its dense state (``_dense``).
+    term of ``plan.factors`` as the product of its factors' Pauli
+    expectations on their components, in component order. Exact mode sums
+    the terms times their coefficients, in the observable's order; sample
+    mode keeps each term's chance of eigenvalue +1.
     """
     rows = {"sign": sign, "col": col}
     if k < len(plan.cuts):
@@ -754,28 +756,16 @@ def _rows(plan: _ShotPlan, k: int, states: tuple[np.ndarray, ...], sign, col) ->
             c = side.component
             rows[c] = _front(states[c], side.qubits, plan.widths[c])
         rows["chance"] = _chances(cut.terms, _traces(*(rows[side.component] for side in cut.sides)))
-    elif plan.mode is MeasureMode.EXACT_TRACE:
-        n = plan.num_qubits
-        rows["value"] = observable_expectation(_dense(plan, states), plan.observable, n)
     else:
         means = np.array([
             reduce(mul, (pauli_string_expectation(states[c], p, plan.widths[c]) for c, p in term))
             for term in plan.factors
         ])
-        rows["chance"] = np.clip(0.5 * (1.0 + means.T), 0.0, 1.0)
+        if plan.mode is MeasureMode.EXACT_TRACE:
+            rows["value"] = sum(c * m for (c, _), m in zip(plan.observable.terms, means))
+        else:
+            rows["chance"] = np.clip(0.5 * (1.0 + means.T), 0.0, 1.0)
     return rows
-
-
-def _dense(plan: _ShotPlan, states: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The statevectors whose components' states are the rows of ``states``: their kron."""
-    if len(states) == 1:
-        return states[0]
-    rows = len(states[0])
-    psi = reduce(lambda x, y: (x[:, :, None] * y[:, None, :]).reshape(rows, -1), states)
-    # axis 1 + i of the kron holds qubit order[i]
-    order = np.concatenate(plan.components)
-    psi = psi.reshape((rows,) + (2,) * plan.num_qubits)
-    return psi.transpose(0, *(1 + np.argsort(order))).reshape(rows, -1)
 
 
 def _children(cut: _Cut, rows: dict, key: np.ndarray, widths) -> tuple:
@@ -816,13 +806,15 @@ def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, 
     sends each shot to a child: a term and the outcomes of its two
     channels, drawn from the node's next columns with the chances its
     ``chance`` table holds. The children ``tree`` lacks, one per (node,
-    term, outcomes) reached, are built as ``_BATCH_AMPS``-amplitude slices
-    of one batched product each; below a kept node ``tree`` keeps what
+    term, outcomes) reached, are built in slices of one batched product
+    each, of at most ``_BATCH_AMPS`` amplitudes counting 2^m per child and
+    component of m qubits, in both modes; below a kept node ``tree`` keeps what
     fits of them, and the shots at a slice's other children descend from
     it before the next slice is built, so besides the tree only the open
     frontier holds states. Then the shots at kept children descend from
     ``tree``'s next level together. A leaf reads the observable when it
-    is built, so a leaf's shots need only its row: in sample mode they
+    is built (``_rows``), so a leaf's shots need only its row: in exact
+    mode they take its ``value`` as o', and in sample mode they
     draw their observable term and eigenvalue from its column and the
     next, in one stream call, against the leaf's ``chance`` row, and o'
     is the eigenvalue times the term's ``readout``. |x| may exceed
@@ -832,9 +824,8 @@ def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, 
     depth, widths, narrowest = len(plan.cuts), plan.widths, min(plan.widths)
     shots = len(start)
     sign, o_value = np.empty(shots), np.empty(shots)
-    # a child holds 2^m amplitudes per component, and an exact-mode leaf 2^n (_dense)
-    exact = plan.mode is MeasureMode.EXACT_TRACE
-    per = max(1, _BATCH_AMPS // (1 << plan.num_qubits if exact else sum(1 << m for m in widths)))
+    # a child holds 2^m amplitudes per component of m qubits
+    per = max(1, _BATCH_AMPS // sum(1 << m for m in widths))
 
     def descend(k: int, rows: dict, idx, node) -> None:
         # row r of rows is the node of shots idx[node == r]
@@ -871,7 +862,7 @@ def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, 
 
     def leaves(rows, idx, node) -> None:
         sign[idx] = rows["sign"][node]
-        if exact:
+        if plan.mode is MeasureMode.EXACT_TRACE:
             o_value[idx] = rows["value"][node]
             return
         z, col = start[idx], rows["col"][node]

@@ -11,7 +11,9 @@ analysis call site by ``compare_costs``, ``sweep`` or ``find_max_w``.
 
 import dataclasses
 import importlib
+import importlib.util
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -72,7 +74,6 @@ BENCHMARK_NAMES = (
     "quasicut.sampler.ShotStream.random",
     "quasicut.sampler.initial_state",
     "quasicut.sampler.apply_gate",
-    "quasicut.sampler.observable_expectation",
     "quasicut.sampler.pauli_string_expectation",
     "quasicut.cli.estimate",
     "quasicut.cli.exact_expectation",
@@ -127,28 +128,33 @@ def test_a_missing_name_does_not_resolve():
 
 
 def test_the_sampler_no_longer_decomposes():
-    """A cut's table is built from slot rows, so the tracer reports these sites as absent.
+    """perfbench/tracing.py lists these sampler call sites as absent, and no others.
 
-    perfbench/tracing.py lists ``quasicut.sampler.decompose`` and
-    ``.pauli_coefficients`` as absent call sites rather than timing them.
+    A cut's table is built from slot rows, so the sampler no longer calls
+    ``decompose`` or ``pauli_coefficients``; gates run through
+    ``apply_gate`` (no ``apply_1q``), and a leaf reads each observable
+    term per component (no ``observable_expectation``). A site that a
+    later refactor removes fails here instead of reading 0 in its layer.
     """
-    assert not resolves("quasicut.sampler.decompose")
-    assert not resolves("quasicut.sampler.pauli_coefficients")
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert set(tracing.Tracer().absent) == {
+        f"quasicut.sampler.{name}"
+        for name in ("apply_1q", "decompose", "pauli_coefficients", "observable_expectation")
+    }
 
 
-# the sampler-namespace call sites that perfbench/tracing.py times, per mode
-_TRACED_IN_BOTH = ("initial_state", "apply_gate")
-TRACED_SAMPLER_CALLS = {
-    MeasureMode.EXACT_TRACE: _TRACED_IN_BOTH + ("observable_expectation",),
-    MeasureMode.EIGENVALUE_SAMPLE: _TRACED_IN_BOTH + ("pauli_string_expectation",),
-}
+# the sampler-namespace call sites that perfbench/tracing.py times, in both modes
+TRACED_SAMPLER_CALLS = ("initial_state", "apply_gate", "pauli_string_expectation")
 
 
 @pytest.mark.parametrize("mode", list(MeasureMode))
 def test_every_traced_sampler_call_site_is_called(monkeypatch, mode):
     """A name that resolves but that the walk routes around would read 0 in its layer."""
     calls = Counter()
-    for name in TRACED_SAMPLER_CALLS[mode]:
+    for name in TRACED_SAMPLER_CALLS:
         real = getattr(sampler, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
@@ -164,7 +170,7 @@ def test_every_traced_sampler_call_site_is_called(monkeypatch, mode):
     ))
     observable = Observable(((1.0, "ZZ"), (0.5, "XI")))
     estimate(circuit, observable, EstimatorConfig(shots=16, seed=1, mode=mode))
-    assert {name: calls[name] for name in TRACED_SAMPLER_CALLS[mode] if not calls[name]} == {}
+    assert {name: calls[name] for name in TRACED_SAMPLER_CALLS if not calls[name]} == {}
 
 
 # the analysis-namespace call sites that perfbench/tracing.py times, per entry point

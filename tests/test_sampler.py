@@ -376,8 +376,8 @@ def test_the_bound_check_fires(monkeypatch):
     circuit, observable = scaled_identity_instance()
     monkeypatch.setattr(
         sampler_module,
-        "observable_expectation",
-        lambda *args: 1.001 * observable_expectation(*args),
+        "pauli_string_expectation",
+        lambda *args: 1.001 * pauli_string_expectation(*args),
     )
     with pytest.raises(AssertionError, match="exceeds bound"):
         estimate(circuit, observable, EstimatorConfig(shots=50, seed=0))
@@ -850,7 +850,7 @@ def dense_states(plan, stacks):
     Amplitude j is the product, over the components, of each one's
     amplitude at the bits of j on its qubits (qubit 0 the most significant).
     """
-    n = plan.num_qubits
+    n = sum(plan.widths)
     bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
     psi = np.ones((len(stacks[0]), 2**n), dtype=complex)
     for qubits, stack in zip(plan.components, stacks):
@@ -1249,12 +1249,12 @@ PINNED_ESTIMATES = {
     # an oracle instance is (num_qubits, seed) on the two-cut layout
     ("bell", "exact"): ("0x1.f5c28f5c28f5cp-1", "0x1.4d486e637b650p-4"),
     ("bell", "sample"): ("0x1.051eb851eb852p+0", "0x1.4e261b7ced2d6p-3"),
-    ((3, 2), "exact"): ("-0x1.6681d9f1985a9p-2", "0x1.35d92fc9dc574p-1"),
+    ((3, 2), "exact"): ("-0x1.6681d9f1985a6p-2", "0x1.35d92fc9dc573p-1"),
     ((3, 2), "sample"): ("-0x1.17f848e15819fp+0", "0x1.2f7985ed17aedp+1"),
     # this observable vanishes on every shot's state; (9, 9) below does not
     ((9, 2), "exact"): ("0x0.0p+0", "0x0.0p+0"),
     ((9, 2), "sample"): ("0x1.63b55e9d700a0p+1", "0x1.8128ff96b91d6p+1"),
-    ((9, 9), "exact"): ("-0x1.2652445c1263dp-8", "0x1.2adf79d64bd28p-5"),
+    ((9, 9), "exact"): ("-0x1.2652445c12652p-8", "0x1.2adf79d64bd28p-5"),
     ((9, 9), "sample"): ("-0x1.f7ccbb8cdc96ap-2", "0x1.11239fe68744cp+2"),
 }
 
@@ -1276,31 +1276,34 @@ def test_estimates_are_pinned_bit_for_bit(key):
 # the uncut segments after the cuts cut to each cut's light cone and fused
 # into 2-qubit products, and each cut's children built from its channels'
 # outcome tables: WALK_DIGEST over the 3 instances whose uncut gates link
-# every qubit (one component, dense states), SPLIT_WALK_DIGEST over the 15
-# others (one state per component)
+# every qubit (one component, dense states), in both modes; the split pins
+# over the 15 others (one state per component), one per mode
 WALK_DIGEST = "1fa2dd0f7acf2323014eec2603adc4310c43a2773ce3366da119126fb3911c72"
-SPLIT_WALK_DIGEST = "2f636125c74c1ae4e579e53bc31b9bafa25d463ed1726ca22b0a3b96bf34b6f1"
+SPLIT_WALK_DIGESTS = {
+    MeasureMode.EXACT_TRACE: "d7b38a3f49ebe53e997759a01fc6bdc1295525066e9469239228add2961d37bb",
+    MeasureMode.EIGENVALUE_SAMPLE: "81b7d839948fce6be253519d47d00deb4fd5097e5bee553d5e51ea025c8c8d5c",
+}
+WALK_PINS = {"one": WALK_DIGEST, **SPLIT_WALK_DIGESTS}
 
 
 def walk_plans():
-    """The plans of the walk pins, each with the pin it counts toward."""
+    """The plans of the walk pins, each with its pin's key in ``WALK_PINS``."""
     for n in (3, 6, 9):
         for layout in LAYOUTS.values():
             circuit, observable = oracle_instance(n, layout, len(layout))
             for mode in MeasureMode:
                 plan = sampler_module._compile(circuit, observable, mode)
-                yield plan, "one" if len(plan.widths) == 1 else "split"
+                yield plan, "one" if len(plan.widths) == 1 else mode
 
 
 def test_walk_is_pinned_shot_for_shot():
     """Every shot's sign, o' and x, bit for bit, on 18 instances in both modes."""
-    digests = {"one": hashlib.sha256(), "split": hashlib.sha256()}
+    digests = {pin: hashlib.sha256() for pin in WALK_PINS}
     for plan, pin in walk_plans():
         tree = sampler_module._Tree(plan)
         for values in sampler_module._walk(plan, tree, stream_starts(17, 0, 64)):
             digests[pin].update(values.tobytes())
-    assert digests["one"].hexdigest() == WALK_DIGEST
-    assert digests["split"].hexdigest() == SPLIT_WALK_DIGEST
+    assert {pin: digest.hexdigest() for pin, digest in digests.items()} == WALK_PINS
 
 
 @pytest.mark.parametrize("mode", list(MeasureMode))
@@ -1538,17 +1541,16 @@ def test_estimates_on_kept_trees_equal_cold_ones(monkeypatch, mode):
 
 
 def test_walk_is_pinned_shot_for_shot_on_warm_trees():
-    """Both walk pins from fresh trees, and again from the same trees after they grew."""
+    """Every walk pin from fresh trees, and again from the same trees after they grew."""
     instances = [(plan, pin, sampler_module._Tree(plan)) for plan, pin in walk_plans()]
     for warm in (False, True):
-        digests = {"one": hashlib.sha256(), "split": hashlib.sha256()}
+        digests = {pin: hashlib.sha256() for pin in WALK_PINS}
         for plan, pin, tree in instances:
             for values in sampler_module._walk(plan, tree, stream_starts(17, 0, 64)):
                 digests[pin].update(values.tobytes())
             # grow the tree on other shots before the second pass
             sampler_module._walk(plan, tree, stream_starts(3, 0, 64))
-        assert digests["one"].hexdigest() == WALK_DIGEST, f"warm {warm}"
-        assert digests["split"].hexdigest() == SPLIT_WALK_DIGEST, f"warm {warm}"
+        assert {pin: d.hexdigest() for pin, d in digests.items()} == WALK_PINS, f"warm {warm}"
 
 
 @pytest.mark.parametrize("mode", list(MeasureMode))
@@ -1669,8 +1671,11 @@ def branch_state(circuit, path):
 def test_kept_component_states_are_the_dense_branch_states(num_qubits, layout, seed, mode):
     """Every kept node's component stacks, kron'd in qubit order, are its branch's dense state.
 
-    The instances split into several components, among them the untouched
-    last qubit, and their cuts act across two components and inside one.
+    Every kept leaf reads the observable as the dense oracle does on its
+    branch's final state: o' in exact mode, and in sample mode the chance
+    clip((1 + <P>) / 2, 0, 1) of each live term P. The instances split into
+    several components, among them the untouched last qubit, and their cuts
+    act across two components and inside one.
     """
     circuit, observable = split_instance(num_qubits, SPLIT_LAYOUTS[layout], seed)
     plan = sampler_module._compile(circuit, observable, mode)
@@ -1695,6 +1700,18 @@ def test_kept_component_states_are_the_dense_branch_states(num_qubits, layout, s
             if child >= 0
         }
     assert compared > (10 if len(plan.cuts) > 1 else 0)
+    leaves, live = tree.levels[-1], [p for c, p in observable.terms if c != 0.0]
+    for node, path in paths.items():
+        psi = branch_state(circuit, path)
+        if mode is MeasureMode.EXACT_TRACE:
+            read = leaves["value"][node]
+            oracle = observable_expectation(psi, observable, num_qubits)
+        else:
+            read = leaves["chance"][node]
+            means = np.array([pauli_string_expectation(psi, p, num_qubits) for p in live])
+            oracle = np.clip(0.5 * (1.0 + means), 0.0, 1.0)
+        assert np.abs(read - oracle).max() < 1e-12, path
+    assert len(paths) > 10
 
 
 def test_split_instances_cut_across_and_inside_components():
