@@ -58,10 +58,11 @@ a shot compares one uniform and multiplies one eigenvalue.
 Only cut gates join qubits that no chain of uncut 2-qubit gates links,
 and every channel of a cut acts on one qubit, so every branch state is a
 product of states on the connected components of the uncut 2-qubit gates
-(``_components``). A plan keeps a node's state as one stack per
-component, on the component's own qubit indices (``_localize``), and
-simulates each on its own width: the prefix, and the segment after a cut
-on each component it reaches. A cut inside one component acts on its pair
+(``_components``). A node keeps its state as one plain stack of
+statevectors per component, on the component's own qubit indices
+(``_localize``). Only the components a cut acts on are reshaped for it
+(``_front``), simulated and padded (``_pad``); a child reads every other
+one as its parent holds it. A cut inside one component acts on its pair
 there as below; a cut across two applies K_a on the first component and
 K_b on the second, renormalizes each, and reads Tr((E_x (x) E_y) rho) as
 Tr(E_x rho_a) Tr(E_y rho_b). A leaf reads a Pauli string as the product
@@ -329,17 +330,17 @@ class _Terms:
     left channel on the gate's first qubit, 1 for the right one on its
     second) and outcomes a and b of the left and right channel:
     ``draws[t, s]`` is 1 if the side draws its outcome and 0 if it has one
-    outcome, ``effect[t, s, o]`` indexes the effect of the side's outcome o
-    in ``local_basis.EFFECTS``, ``kraus[t, s, o]`` is its 2x2 Kraus
-    operator, and ``weights[t, a, b]`` the sign of the coefficient times
-    both outcomes' weights, each +-1.
+    outcome, ``kraus[t, s, o]`` is the 2x2 Kraus operator of its outcome o,
+    and ``weights[t, a, b]`` the sign of the coefficient times both
+    outcomes' weights, each +-1. ``gather[t, o, j]`` is where t_o of
+    ``_chances``' column j lies in a node's flattened ``_traces`` table.
     """
 
     cums: np.ndarray
     kraus: np.ndarray
     weights: np.ndarray
     draws: np.ndarray
-    effect: np.ndarray
+    gather: np.ndarray
 
 
 def _cut_terms(matrix: np.ndarray) -> _Terms:
@@ -358,7 +359,7 @@ def _cut_terms(matrix: np.ndarray) -> _Terms:
         _SLOT_KRAUS[slots],
         np.array(signs)[:, None, None] * _SLOT_WEIGHTS[slots],
         _SLOT_DRAWS[slots],
-        _SLOT_EFFECT[slots],
+        _SLOT_GATHER[slots],
     )
     for array in table:
         array.setflags(write=False)
@@ -403,7 +404,7 @@ class _ShotPlan:
     ``components`` are the connected components of the uncut 2-qubit gates
     (``_components``), and ``widths`` their qubit counts. ``root`` is the
     root of every walk's branch tree: per component, its state after the
-    uncut gates before the first cut, as a stack padded by ``_pad``. Every
+    uncut gates before the first cut, as a stack of one row. Every
     array is read-only, so one plan serves any number of walks; what they
     build is kept apart, in the plan's ``_Tree``. A leaf reads a term of
     ``observable`` on a stack of leaf states as the product of its
@@ -453,10 +454,7 @@ def _compile(circuit: Circuit, observable: Observable, mode: MeasureMode) -> _Sh
 
     # the prefix runs once, on one state: fusing it would cost more than it saves
     prefix = _localize([*gates[: ends[0]], *carried], where, len(components))
-    root = tuple(
-        _apply_steps(initial_state(m), steps, m)[None][_pad(1, min(widths))]
-        for m, steps in zip(widths, prefix)
-    )
+    root = tuple(_apply_steps(initial_state(m), steps, m)[None] for m, steps in zip(widths, prefix))
     for stack in root:
         stack.setflags(write=False)
 
@@ -650,21 +648,24 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _slot_rows() -> tuple[np.ndarray, ...]:
-    """Per slot of ``_SLOTS``, read-only: (kraus, weights, draws, effect), weights unsigned."""
+    """Per slot of ``_SLOTS``, read-only: (kraus, weights, draws, gather), weights unsigned."""
     rows = np.array([(left.value, right.value) for left, right in _SLOTS])
     left, right = rows[:, 0], rows[:, 1]
+    # Tr((E_x (x) E_y) rho) is at x * len(EFFECTS) + y, and EFFECTS[0] is I: per outcome o,
+    # the left t_o is at (x_o, I), and the right one given the left outcome a at (x_a, y_o)
+    x, y = EFFECT[left] * len(EFFECTS), EFFECT[right]
     slot_rows = (
         np.stack((KRAUS[left], KRAUS[right]), 1),
         WEIGHTS[left][:, :, None] * WEIGHTS[right][:, None, :],
         OUTCOMES[rows] - 1,
-        EFFECT[rows],
+        np.stack((x, x[:, :1] + y, x[:, 1:] + y), -1),
     )
     for array in slot_rows:
         array.setflags(write=False)
     return slot_rows
 
 
-_SLOT_KRAUS, _SLOT_WEIGHTS, _SLOT_DRAWS, _SLOT_EFFECT = _slot_rows()
+_SLOT_KRAUS, _SLOT_WEIGHTS, _SLOT_DRAWS, _SLOT_GATHER = _slot_rows()
 
 
 def _apply_steps(stack: np.ndarray, steps, n: int) -> np.ndarray:
@@ -681,8 +682,7 @@ class _Tree:
     kept when the plan has a cut and it fits; the last level the leaves),
     one row per node in each array: ``sign`` and ``col`` (the draws its
     shots have taken). A node before a cut also has, under each component
-    c's index, its state on c (``_front`` of the cut's qubits on a
-    component the cut acts on), ``chance`` (its ``_chances`` table) and
+    c's index, its statevector on c, ``chance`` (its ``_chances`` table) and
     ``children``, per ``_route`` key the id of its kept child or -1. A
     leaf has ``value``, its o', or in sample mode ``chance``: per live
     observable term P, the chance clip((1 + <P>) / 2, 0, 1) of eigenvalue
@@ -740,22 +740,21 @@ def _root(plan: _ShotPlan) -> dict:
 def _rows(plan: _ShotPlan, k: int, states: tuple[np.ndarray, ...], sign, col) -> dict:
     """Level k's data of the nodes whose states are the rows of ``states``: see ``_Tree``.
 
-    ``states`` holds one stack per component. Everything a shot compares
-    against is computed here, once per node: an inner node's outcome
-    chances, a leaf's o' or its eigenvalue chances. A leaf reads each
-    term of ``plan.factors`` as the product of its factors' Pauli
-    expectations on their components, in component order. Exact mode sums
-    the terms times their coefficients, in the observable's order; sample
-    mode keeps each term's chance of eigenvalue +1.
+    ``states`` holds one stack per component, kept as it is. Everything a
+    shot compares against is computed here, once per node: an inner node's
+    outcome chances, from ``_front`` of its cut's components, a leaf's o'
+    or its eigenvalue chances. A leaf reads each term of ``plan.factors``
+    as the product of its factors' Pauli expectations on their components,
+    in component order. Exact mode sums the terms times their coefficients,
+    in the observable's order; sample mode keeps each term's chance of
+    eigenvalue +1.
     """
     rows = {"sign": sign, "col": col}
     if k < len(plan.cuts):
         rows.update(enumerate(states))
-        cut = plan.cuts[k]
-        for side in cut.sides:
-            c = side.component
-            rows[c] = _front(states[c], side.qubits, plan.widths[c])
-        rows["chance"] = _chances(cut.terms, _traces(*(rows[side.component] for side in cut.sides)))
+        cut, widths = plan.cuts[k], plan.widths
+        fronts = (_front(states[s.component], s.qubits, widths[s.component]) for s in cut.sides)
+        rows["chance"] = _chances(cut.terms, _traces(*fronts))
     else:
         means = np.array([
             reduce(mul, (pauli_string_expectation(states[c], p, plan.widths[c]) for c, p in term))
@@ -771,10 +770,10 @@ def _rows(plan: _ShotPlan, k: int, states: tuple[np.ndarray, ...], sign, col) ->
 def _children(cut: _Cut, rows: dict, key: np.ndarray, widths) -> tuple:
     """The children ``key`` (``_route`` keys) of ``rows``: states after the cut, signs, draws.
 
-    The states are one stack per component, of ``widths`` qubits each. A
-    cut inside one component applies K_a (x) K_b to its pair there; one
-    across two applies K_a on the first and K_b on the second, each
-    renormalized on its own. Every other component keeps its parents' rows.
+    The states are one stack per component, of ``widths`` qubits each,
+    gathered from the parents' rows. A cut inside one component applies
+    K_a (x) K_b to ``_front`` of its pair there; one across two applies K_a
+    on the first and K_b on the second, each renormalized on its own.
     """
     terms = cut.terms
     parent, term = np.divmod(key >> 2, len(terms.cums))
@@ -784,7 +783,7 @@ def _children(cut: _Cut, rows: dict, key: np.ndarray, widths) -> tuple:
     states = [rows[c][parent] for c in range(len(widths))]
     for side, k in zip(cut.sides, kraus):
         c = side.component
-        psi = k @ states[c]
+        psi = k @ _front(states[c], side.qubits, widths[c])
         # renormalizes a measured child; a unitary one keeps its norm, up to rounding.
         # The norm is np.linalg.norm's arithmetic, bit for bit, without its checks
         flat = psi.reshape(len(key), -1)
@@ -821,7 +820,7 @@ def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, 
     W_total * o_max only by the relative ``_BOUND_SLACK``, the rounding of
     a renormalized state; more raises AssertionError.
     """
-    depth, widths, narrowest = len(plan.cuts), plan.widths, min(plan.widths)
+    depth, widths = len(plan.cuts), plan.widths
     shots = len(start)
     sign, o_value = np.empty(shots), np.empty(shots)
     # a child holds 2^m amplitudes per component of m qubits
@@ -841,6 +840,7 @@ def _walk(plan: _ShotPlan, tree: _Tree, start: np.ndarray) -> tuple[np.ndarray, 
             starts = np.flatnonzero(np.diff(key[new], prepend=-1))
             child = key[new[starts]]
             bounds = np.append(starts, len(new))
+            narrowest = min(widths[side.component] for side in cut.sides)
             for first in range(0, len(child), per):
                 last = min(first + per, len(child))
                 keys = child[first + _pad(last - first, narrowest)]
@@ -936,11 +936,11 @@ def _pair_first(qubits: tuple[int, int], m: int) -> list[int]:
 def _traces(*phis: np.ndarray) -> np.ndarray:
     """Tr((E_x (x) E_y) rho), real, for every two ``EFFECTS`` E_x and E_y, per row of ``phis``.
 
-    ``phis`` are a cut's ``_front`` states. One, of a cut inside one
-    component, has the pair first, and rho = phi phi^+ is the pair's 4x4
-    reduced density matrix. Two, of a cut across two components, have one
-    qubit apart each, and rho = rho_a (x) rho_b, so the trace is
-    Tr(E_x rho_a) Tr(E_y rho_b).
+    ``phis`` are ``_front`` of a node's states on the components of its
+    cut. One, of a cut inside one component, has the pair first, and rho =
+    phi phi^+ is the pair's 4x4 reduced density matrix. Two, of a cut
+    across two components, have one qubit apart each, and rho = rho_a (x)
+    rho_b, so the trace is Tr(E_x rho_a) Tr(E_y rho_b).
     """
     if len(phis) == 2:
         left, right = (
@@ -967,12 +967,9 @@ def _chances(terms: _Terms, traces: np.ndarray) -> np.ndarray:
     has trace 0 and is never drawn. An entry of a side that draws nothing,
     or that cannot be reached (0 / 0), is never read.
     """
-    (x0, x1), (y0, y1) = terms.effect[:, 0].T, terms.effect[:, 1].T
-    origin = np.zeros_like(x0)
-    zero = traces[:, np.stack((x0, x0, x1), 1), np.stack((origin, y0, y0), 1)]
-    one = traces[:, np.stack((x1, x0, x1), 1), np.stack((origin, y1, y1), 1)]
+    t = traces.reshape(len(traces), -1)[:, terms.gather]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return zero / (zero + one)
+        return t[:, :, 0] / (t[:, :, 0] + t[:, :, 1])
 
 
 def _draw_terms(u: np.ndarray, cums) -> np.ndarray:
@@ -989,11 +986,11 @@ def _pad(count: int, m: int) -> np.ndarray:
     A row of a stacked product rounds alike wherever it sits in the stack,
     except that OpenBLAS's zgemm rounds the columns of a trailing partial
     group of four differently. A gate or fused step, on one qubit or two,
-    has 2^(m-2) or more columns per row of a stack of m-qubit states. m is
-    the plan's narrowest component, so stacks of a multiple of
-    max(16 >> m, 1) rows, padded with copies of their first row, avoid it
-    on every component, and a shot's value depends on its path alone, not
-    on the other shots of its chunk.
+    has 2^(m-2) or more columns per row of a stack of m-qubit states. Only
+    the components a cut acts on run gates on whole stacks, and m is the
+    narrowest of them, so stacks of a multiple of max(16 >> m, 1) rows,
+    padded with copies of their first row, avoid it on each, and a shot's
+    value depends on its path alone, not on the other shots of its chunk.
     """
     return np.concatenate([np.arange(count), np.zeros(-count % max(16 >> m, 1), dtype=int)])
 

@@ -38,7 +38,7 @@ from quasicut.circuit import (
 )
 from quasicut.documents import circuit_from_doc, observable_from_doc
 from quasicut.decomposition import QPDecomposition, QPTerm, decompose, weight_formula
-from quasicut.local_basis import EFFECT, KRAUS, OUTCOMES, WEIGHTS
+from quasicut.local_basis import EFFECT, EFFECTS, KRAUS, OUTCOMES, WEIGHTS
 from quasicut.sampler import (
     MAX_SHOTS,
     EstimatorConfig,
@@ -591,34 +591,42 @@ def plan_expected_shot_value(circuit, observable, mode, sides=None):
     Per cut and parent node, every term t (probability |c|/W from the
     plan's cut points) and every left and right outcome (a, b) of its two
     channels, with the probabilities the router draws them by, from the
-    traces of the outcomes' effects (``sampler._traces`` of each node's
-    states on the cut's components, a product of one trace per component
-    for a cut across two, given the left outcome a on the right), not from the
-    chances the node keeps: 1/2 per side of a coin, Tr(Pi rho) and 1 minus
-    it for a measurement. Each child of positive probability is built by
-    ``sampler._children`` and ``sampler._rows``, as a walk builds it, with
-    its sign and exact-mode o'. In sample mode o' is the expected sample:
-    per live term (probability |c|/o_max from the plan's cut points) its
-    sign times o_max times 2 p_+ - 1, with p_+ from the <P> the leaf holds.
-    Asserts that the probabilities sum to 1.
+    traces of the outcomes' effects (``sampler._traces`` of ``_front`` of
+    each node's states on the cut's components, a product of one trace per
+    component for a cut across two, given the left outcome a on the right),
+    each effect read from the cut's ``decompose`` terms and
+    ``local_basis.EFFECT``, not from the chances the node keeps: 1/2 per
+    side of a coin, Tr(Pi rho) and 1 minus it for a measurement. Each
+    child of positive probability is built by ``sampler._children`` and
+    ``sampler._rows``, as a walk builds it, with its sign and exact-mode
+    o'. In sample mode o' is the expected sample: per live term
+    (probability |c|/o_max from the plan's cut points) its sign times o_max
+    times 2 p_+ - 1, with p_+ from the <P> the leaf holds. Asserts that the
+    probabilities sum to 1.
 
     If ``sides`` is a list, it gets one entry per term and drawing side of
     every cut level: (the nodes' kept chances of its outcome 0, the traces
     of its outcomes 0 and 1, which nodes reach it).
     """
     plan = sampler_module._compile(circuit, observable, mode)
+    decomps = cut_decomps(circuit)
     origin = np.zeros(1, dtype=np.intp)
     rows = sampler_module._rows(plan, 0, plan.root, np.ones(1), origin)
     probs = np.ones(1)
-    for k, cut in enumerate(plan.cuts):
+    for k, (i, cut) in enumerate(zip(circuit.cut_indices(), plan.cuts)):
         terms = cut.terms
-        fronts = [rows[side.component] for side in cut.sides]
+        fronts = [
+            sampler_module._front(rows[side.component], side.qubits, plan.widths[side.component])
+            for side in cut.sides
+        ]
         traces, width = sampler_module._traces(*fronts)[: len(probs)], len(terms.cums)
         chance = rows["chance"][: len(probs)]
         shares = np.diff(terms.cums, prepend=0.0) / terms.cums[-1]
         keys, weights = [], []
         for t, share in enumerate(shares):
-            (left_draws, right_draws), (left_effects, right_effects) = terms.draws[t], terms.effect[t]
+            (first,), (second,) = decomps[i].terms[t].left, decomps[i].terms[t].right
+            left_draws, right_draws = terms.draws[t]
+            left_effects, right_effects = EFFECT[first.value], EFFECT[second.value]
             left_traces = [traces[:, e, 0] for e in left_effects]
             left = side_chances(left_draws, *left_traces)
             if sides is not None and left_draws:
@@ -997,12 +1005,20 @@ def terms_oracle(decomp):
     rows = np.array(rows)
     left, right = rows[:, 0], rows[:, 1]
     weights = WEIGHTS[left][:, :, None] * WEIGHTS[right][:, None, :]
+    # per term and outcome o, the flat indices x * E + y of t_o in the E x E trace
+    # table of each chance column: (x_o, I), then (x_a, y_o) given the left outcome a
+    e = len(EFFECTS)
+    gather = np.zeros((len(rows), 2, 3), dtype=EFFECT.dtype)
+    for t, (first, second) in enumerate(rows):
+        x, y = EFFECT[first], EFFECT[second]
+        for o in range(2):
+            gather[t, o] = (x[o] * e, x[0] * e + y[o], x[1] * e + y[o])
     return sampler_module._Terms(
         cums=np.array(cums),
         kraus=np.stack((KRAUS[left], KRAUS[right]), 1),
         weights=np.array(signs)[:, None, None] * weights,
         draws=OUTCOMES[rows] - 1,
-        effect=EFFECT[rows],
+        gather=gather,
     )
 
 
@@ -1271,6 +1287,26 @@ def test_estimates_are_pinned_bit_for_bit(key):
     assert (result.mean.hex(), result.std_error.hex()) == PINNED_ESTIMATES[key]
 
 
+WORKLOAD_PINS = {
+    # (workload, mode): (mean.hex(), std_error.hex()) at 300 shots, seed 17, on
+    # the seed-1 documents of the benchmark's cut workloads (workload_instances)
+    ("cut2q_exact", "exact"): ("-0x1.c1968ee67066dp-2", "0x1.6d86d283db90dp-4"),
+    ("cut2q_exact", "sample"): ("-0x1.2f0f9a0391887p-1", "0x1.5cc5b4a82b1a7p-2"),
+    ("cut6q_exact", "exact"): ("-0x1.47ab3d5559274p-4", "0x1.ce909e13999bap-5"),
+    ("cut6q_exact", "sample"): ("-0x1.736a0f4b7363cp-2", "0x1.0ba1ea84f5c83p-2"),
+    ("cut10q_sample", "exact"): ("0x1.036abed4a9c37p-3", "0x1.46d0a27636dddp-5"),
+    ("cut10q_sample", "sample"): ("0x1.e221b3d3fafcdp-3", "0x1.a14e320368d12p-3"),
+}
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode))
+def test_workload_estimates_are_pinned_bit_for_bit(mode):
+    """The documents the benchmark times give the same estimates, bit for bit."""
+    for name, circuit, observable in workload_instances():
+        result = estimate(circuit, observable, EstimatorConfig(shots=300, seed=17, mode=mode))
+        assert (result.mean.hex(), result.std_error.hex()) == WORKLOAD_PINS[name, mode.value], name
+
+
 # sha256 of _walk's (sign, o', x) bytes over n in (3, 6, 9), LAYOUTS and
 # MeasureMode, in that loop order, 64 shots each from stream seed 17, with
 # the uncut segments after the cuts cut to each cut's light cone and fused
@@ -1310,14 +1346,20 @@ def test_walk_is_pinned_shot_for_shot():
 def test_estimate_is_independent_of_the_block_size(monkeypatch, mode):
     """Chunks of 5 shots give every shot the value one chunk gives it, bit for bit.
 
-    So do chunks of 5 whose batches hold one 3-qubit row, where every
-    parent's children are simulated as a stack of their own, not batched
-    with the next parent's.
+    So do chunks of 5 whose batches hold one child, where every parent's
+    children are simulated as a stack of their own, not batched with the
+    next parent's, padded (``_pad``) for the narrowest component the cut
+    acts on: to 4 rows on 3 qubits, whose cuts act on its 2-qubit component
+    beside a 1-qubit one, and not at all on 9 qubits, whose cut acts across
+    two 4-qubit components beside an untouched qubit.
     """
-    circuit, observable = oracle_instance(3, LAYOUTS["two cuts"], 2)
-    config = EstimatorConfig(shots=23, seed=4, mode=mode)
-    chunks = []
-    walk = sampler_module._walk
+    instances = [
+        (oracle_instance(3, LAYOUTS["two cuts"], 2), (1, 2), 4),
+        (split_instance(9, "ggggggggXgggg", 2), (4, 4, 1), 1),
+    ]
+    chunks, built = [], []
+    walk, children = sampler_module._walk, sampler_module._children
+    chunk_shots, batch_amps = sampler_module._CHUNK_SHOTS, sampler_module._BATCH_AMPS
 
     def recorded(plan, tree, start):
         # every chunk from an empty tree: a kept one would hide a chunking fault
@@ -1325,17 +1367,29 @@ def test_estimate_is_independent_of_the_block_size(monkeypatch, mode):
         chunks.append(out[2])
         return out
 
+    def counted(cut, rows, key, widths):
+        built.append(len(key))
+        return children(cut, rows, key, widths)
+
     monkeypatch.setattr(sampler_module, "_walk", recorded)
-    whole = estimate(circuit, observable, config)
-    assert [len(x) for x in chunks] == [23]
-    monkeypatch.setattr(sampler_module, "_CHUNK_SHOTS", 5)
-    for batch_amps in (sampler_module._BATCH_AMPS, 1 << 3):
+    monkeypatch.setattr(sampler_module, "_children", counted)
+    for (circuit, observable), widths, padded in instances:
+        config = EstimatorConfig(shots=23, seed=4, mode=mode)
+        assert sampler_module._compile(circuit, observable, mode).widths == widths
+        monkeypatch.setattr(sampler_module, "_CHUNK_SHOTS", chunk_shots)
         monkeypatch.setattr(sampler_module, "_BATCH_AMPS", batch_amps)
-        del chunks[1:]
-        split = estimate(circuit, observable, config)
-        assert [len(x) for x in chunks[1:]] == [5, 5, 5, 5, 3]
-        assert np.concatenate(chunks[1:]).tobytes() == chunks[0].tobytes()
-        assert split.to_doc() == whole.to_doc()
+        del chunks[:]
+        whole = estimate(circuit, observable, config)
+        assert [len(x) for x in chunks] == [23]
+        monkeypatch.setattr(sampler_module, "_CHUNK_SHOTS", 5)
+        for amps in (batch_amps, 1 << 3):
+            monkeypatch.setattr(sampler_module, "_BATCH_AMPS", amps)
+            del chunks[1:], built[:]
+            split = estimate(circuit, observable, config)
+            assert [len(x) for x in chunks[1:]] == [5, 5, 5, 5, 3]
+            assert np.concatenate(chunks[1:]).tobytes() == chunks[0].tobytes()
+            assert split.to_doc() == whole.to_doc()
+        assert set(built) == {padded}
 
 
 def test_walk_memory_stays_on_the_frontier():
@@ -1626,18 +1680,6 @@ def test_a_split_tree_allocates_within_its_bound(monkeypatch):
     assert tree.allocated > 12_000 / 2
 
 
-def unfront(front, qubits, m):
-    """A stack of m-qubit statevectors from a node's states on a component its cut acts on.
-
-    Around one qubit they keep the amplitude order; a pair comes first, then the rest.
-    """
-    if len(qubits) == 1:
-        return front.reshape(len(front), -1)
-    order = list(qubits) + [q for q in range(m) if q not in qubits]
-    bits = (np.arange(2**m)[:, None] >> (m - 1 - np.arange(m))) & 1
-    return front.reshape(len(front), -1)[:, bits[:, order] @ (1 << (m - 1 - np.arange(m)))]
-
-
 def branch_state(circuit, path):
     """The dense state of the branch ``path`` before the cut after it, gate by gate.
 
@@ -1669,7 +1711,7 @@ def branch_state(circuit, path):
 @pytest.mark.parametrize("mode", list(MeasureMode))
 @pytest.mark.parametrize("num_qubits, layout, seed", SPLIT_INSTANCES)
 def test_kept_component_states_are_the_dense_branch_states(num_qubits, layout, seed, mode):
-    """Every kept node's component stacks, kron'd in qubit order, are its branch's dense state.
+    """Every kept node's component rows, kron'd in qubit order, are its branch's dense state.
 
     Every kept leaf reads the observable as the dense oracle does on its
     branch's final state: o' in exact mode, and in sample mode the chance
@@ -1686,9 +1728,8 @@ def test_kept_component_states_are_the_dense_branch_states(num_qubits, layout, s
     for k, cut in enumerate(plan.cuts):
         level = tree.levels[k]
         stacks = [level[c] for c in range(len(plan.widths))]
-        for side in cut.sides:
-            c = side.component
-            stacks[c] = unfront(stacks[c], side.qubits, plan.widths[c])
+        # every component is kept as plain statevector rows, whatever the cut
+        assert [s.shape for s in stacks] == [(len(level["sign"]), 2**m) for m in plan.widths]
         states = dense_states(plan, stacks)
         for node, path in paths.items():
             assert np.abs(states[node] - branch_state(circuit, path)).max() < 1e-12, (k, path)
